@@ -4,6 +4,7 @@ Subcommands wrap the library one analysis per verb: ``fit`` (point
 estimates and log-partition value), ``marginal`` (density curves),
 ``convergence`` (temperature sweeps), ``gibbs`` (reference samples), ``cv``
 (hyperparameter search) and ``maptau`` (inverse-temperature estimate).
+Each verb takes only the flags it reads; any other flag is a usage error.
 Structured results go out as JSON, curves and chains as CSV; every file is
 written atomically (temp file + rename) and all numbers are emitted with
 full round-trip precision.
@@ -18,26 +19,16 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, build_problem, load_csv, standardize
 from .errors import (
-    AllZeroW,
-    BayonetError,
     ConfigError,
-    DegenerateDenominator,
-    GridTooSmall,
-    NoAdmissibleRoot,
-    NonPositiveQ,
     NotConverged,
+    NumericalError,
     NumericalOverflow,
     ParseError,
-    SingularC,
-    SingularMatrix,
-    TransitionValue,
     ZeroVarianceColumn,
 )
 from .exact1d import OneDimProblem, density_exact
@@ -48,47 +39,6 @@ from .partition import log_partition
 from .posterior import GridSpec, marginal_ml_approx, marginal_sp, posterior_sd
 from .saddle import solve_saddle, tau_path
 
-_NUMERICAL_ERRORS = (
-    NotConverged,
-    NoAdmissibleRoot,
-    SingularC,
-    SingularMatrix,
-    NumericalOverflow,
-    TransitionValue,
-    DegenerateDenominator,
-    AllZeroW,
-    NonPositiveQ,
-    GridTooSmall,
-)
-
-
-@dataclass
-class RunConfig:
-    """Parsed and validated command-line options for one run."""
-
-    command: str
-    input: str
-    response: str
-    standardize: bool
-    lam: float
-    mu: float | None
-    tau: float | str | None
-    mu_grid: tuple | None
-    tau_grid: tuple | None
-    folds: int
-    seed: int
-    tol: float
-    coords: str
-    sweeps: int
-    burn_in: int | None
-    thin: int
-    out: str | None
-    fmt: str | None
-    threads: int
-    screen_top: int | None
-    with_gibbs: bool
-    with_ml_curve: bool
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 4, not argparse's default 2
@@ -96,115 +46,126 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _number(reject, what):
+    """argparse type: a float, refused when reject(value) holds."""
+
+    def parse(text):
+        try:
+            value = float(text)
+            if not reject(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"wants a {what} number, got {text!r}")
+
+    return parse
+
+
+_nonnegative = _number(lambda v: v < 0.0, "nonnegative")
+_positive = _number(lambda v: v <= 0.0, "positive")
+
+
+def _tau(text):
+    return text if text == "map" else _positive(text)
+
+
+def _pair(kinds):
+    """argparse type: 'a,b' converted by the two callables in kinds."""
+
+    def parse(text):
+        try:
+            a, b = text.split(",")
+            return kinds[0](a), kinds[1](b)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "wants two comma-separated values"
+            ) from None
+
+    return parse
+
+
 def _build_parser():
-    parser = _Parser(prog="bayonet", description=__doc__.splitlines()[0])
+    parser = _Parser(
+        prog="bayonet", description=__doc__.splitlines()[0], allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("fit", "point estimates, log partition value and MAP tau"),
-        ("marginal", "single-coordinate posterior density curves"),
-        ("convergence", "temperature sweep of the partition-function gap"),
-        ("gibbs", "reference posterior samples"),
-        ("cv", "cross-validated hyperparameter search"),
-        ("maptau", "inverse-temperature estimate"),
-    ):
-        p = sub.add_parser(name, help=desc)
+
+    def verb(name, desc, no_standardize=True):
+        # no prefix matching: cv must not read --tau as its --tau-grid
+        p = sub.add_parser(name, help=desc, allow_abbrev=False)
         p.add_argument("input", help="CSV file with a header row")
         p.add_argument("--response", required=True, help="response column name")
+        if no_standardize:
+            p.add_argument(
+                "--no-standardize",
+                action="store_true",
+                help="input columns are already centered and scaled",
+            )
+        p.add_argument("--lambda", dest="lam", type=_nonnegative, default=0.0)
+        p.add_argument("--tol", type=_positive, default=1e-10)
+        p.add_argument("--out", help="output path (marginal: path prefix)")
+        return p
+
+    def mu_tau(p):
+        p.add_argument("--mu", type=_positive, required=True)
         p.add_argument(
-            "--no-standardize",
-            action="store_true",
-            help="input columns are already centered and scaled",
+            "--tau", type=_tau, required=True, help="inverse temperature, or 'map'"
         )
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--tau", help="inverse temperature, or 'map'")
-        p.add_argument("--mu-grid", help="N,r  (count and decay ratio)")
-        p.add_argument("--tau-grid", help="M,count  (decade offset and count)")
-        p.add_argument("--folds", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--coords", default="all", help="comma list or 'all'")
+
+    def sampler(p):
         p.add_argument("--gibbs-sweeps", type=int, default=10000)
         p.add_argument("--burn-in", type=int, default=None)
         p.add_argument("--thin", type=int, default=1)
-        p.add_argument("--out", help="output path (marginal: path prefix)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        p.add_argument("--screen-top", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+
+    def grids(p, mu_default):
         p.add_argument(
-            "--gibbs",
-            action="store_true",
-            help="marginal: also emit Gibbs histograms on matching bins",
+            "--mu-grid",
+            type=_pair((int, float)),
+            default=mu_default,
+            help="N,r  (count and decay ratio)",
         )
         p.add_argument(
-            "--ml-curve",
-            action="store_true",
-            help="marginal: add the minimum-cost comparison density column",
+            "--tau-grid",
+            type=_pair((int, int)),
+            default=(12, 13),
+            help="M,count  (decade offset and count)",
         )
-    return parser
 
+    mu_tau(verb("fit", "point estimates, log partition value and MAP tau"))
 
-def _pair(text, name, kinds):
-    try:
-        a, b = text.split(",")
-        return kinds[0](a), kinds[1](b)
-    except (ValueError, AttributeError):
-        raise ConfigError(f"--{name} wants two comma-separated values") from None
-
-
-def _config_from(ns):
-    threads = os.environ.get("BAYONET_THREADS", "1")
-    try:
-        threads = int(threads)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"BAYONET_THREADS={threads!r} is not a positive integer")
-    tau = ns.tau
-    if tau is not None and tau != "map":
-        try:
-            tau = float(tau)
-        except ValueError:
-            raise ConfigError(f"--tau must be a number or 'map', got {tau!r}")
-    cfg = RunConfig(
-        command=ns.command,
-        input=ns.input,
-        response=ns.response,
-        standardize=not ns.no_standardize,
-        lam=ns.lam,
-        mu=ns.mu,
-        tau=tau,
-        mu_grid=_pair(ns.mu_grid, "mu-grid", (int, float)) if ns.mu_grid else None,
-        tau_grid=_pair(ns.tau_grid, "tau-grid", (int, int)) if ns.tau_grid else None,
-        folds=ns.folds,
-        seed=ns.seed,
-        tol=ns.tol,
-        coords=ns.coords,
-        sweeps=ns.gibbs_sweeps,
-        burn_in=ns.burn_in,
-        thin=ns.thin,
-        out=ns.out,
-        fmt=ns.fmt,
-        threads=threads,
-        screen_top=ns.screen_top,
-        with_gibbs=ns.gibbs,
-        with_ml_curve=ns.ml_curve,
+    p = verb("marginal", "single-coordinate posterior density curves")
+    mu_tau(p)
+    sampler(p)
+    p.add_argument("--coords", default="all", help="comma list or 'all'")
+    p.add_argument(
+        "--gibbs",
+        action="store_true",
+        help="also emit Gibbs histograms on matching bins",
     )
-    if cfg.lam < 0.0:
-        raise ConfigError("--lambda must be nonnegative")
-    if cfg.mu is not None and cfg.mu <= 0.0:
-        raise ConfigError("--mu must be positive")
-    if isinstance(cfg.tau, float) and cfg.tau <= 0.0:
-        raise ConfigError("--tau must be positive")
-    if cfg.tol <= 0.0:
-        raise ConfigError("--tol must be positive")
-    return cfg
+    p.add_argument(
+        "--ml-curve",
+        action="store_true",
+        help="add the minimum-cost comparison density column",
+    )
 
+    p = verb("convergence", "temperature sweep of the partition-function gap")
+    p.add_argument("--mu", type=_positive)
+    grids(p, None)
 
-def _check_format(cfg, allowed):
-    if cfg.fmt is not None and cfg.fmt != allowed:
-        raise ConfigError(
-            f"{cfg.command} only writes {allowed} output, not {cfg.fmt}"
-        )
+    p = verb("gibbs", "reference posterior samples")
+    mu_tau(p)
+    sampler(p)
+
+    p = verb("cv", "cross-validated hyperparameter search", no_standardize=False)
+    grids(p, (10, 0.01))
+    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--screen-top", type=int, default=None)
+
+    p = verb("maptau", "inverse-temperature estimate")
+    p.add_argument("--mu", type=_positive, required=True)
+    return parser
 
 
 def _fmt(v):
@@ -259,9 +220,9 @@ def _write_csv(path, header, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_data(cfg):
-    data, names = load_csv(cfg.input, cfg.response)
-    if cfg.standardize:
+def _load_data(args):
+    data, names = load_csv(args.input, args.response)
+    if not args.no_standardize:
         return standardize(data), names
     try:
         std = Dataset(
@@ -274,43 +235,27 @@ def _load_data(cfg):
     return std, names
 
 
-def _require_mu(cfg):
-    if cfg.mu is None:
-        raise ConfigError(f"{cfg.command} requires --mu")
-    return cfg.mu
-
-
-def _resolve_tau(cfg, std, mu, ml):
-    if cfg.tau is None:
-        raise ConfigError(f"{cfg.command} requires --tau (a number or 'map')")
-    if cfg.tau == "map":
-        return map_tau(std, cfg.lam, mu, ml)
-    return cfg.tau
-
-
-def _fit_core(cfg, std):
+def _fit_core(args, std):
     """Shared fit pipeline: ML solution, tau resolution, stationary point."""
-    mu = _require_mu(cfg)
-    prob = build_problem(std, cfg.lam, mu, 1.0)
-    ml = solve_ml(prob, tol=cfg.tol)
+    prob = build_problem(std, args.lam, args.mu, 1.0)
+    ml = solve_ml(prob, tol=args.tol)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML stage")
-    tau = _resolve_tau(cfg, std, mu, ml)
+    tau = map_tau(std, args.lam, args.mu, ml) if args.tau == "map" else args.tau
     prob = prob.with_tau(tau)
-    sad = solve_saddle(prob, ml.x_hat, tol=cfg.tol)
+    sad = solve_saddle(prob, ml.x_hat, tol=args.tol)
     if not sad.converged:
         raise NotConverged(sad.cycles, f"stationary point at tau={tau}")
     return prob, ml, sad
 
 
-def cmd_fit(cfg):
-    std, names = _load_data(cfg)
-    _check_format(cfg, "json")
-    prob, ml, sad = _fit_core(cfg, std)
+def cmd_fit(args):
+    std, names = _load_data(args)
+    prob, ml, sad = _fit_core(args, std)
     lp = log_partition(prob, sad)
     payload = {
         "predictors": names,
-        "lambda": cfg.lam,
+        "lambda": args.lam,
         "mu": prob.mu,
         "tau": prob.tau,
         "x_ml": ml.x_hat,
@@ -318,18 +263,18 @@ def cmd_fit(cfg):
         "u_tau": sad.u_tau,
         "h_min": ml.h_min,
         "log_z": lp.log_z,
-        "map_tau": map_tau(std, cfg.lam, prob.mu, ml),
+        "map_tau": map_tau(std, args.lam, prob.mu, ml),
         "cycles": {"ml": ml.cycles, "saddle": sad.cycles},
     }
-    _write_json(cfg.out, payload)
+    _write_json(args.out, payload)
     return 0
 
 
-def _coord_list(cfg, p):
-    if cfg.coords == "all":
+def _coord_list(coords, p):
+    if coords == "all":
         return list(range(p))
     try:
-        coords = [int(c) for c in cfg.coords.split(",")]
+        coords = [int(c) for c in coords.split(",")]
     except ValueError:
         raise ConfigError(f"--coords must be 'all' or a comma list of indices")
     for j in coords:
@@ -338,7 +283,7 @@ def _coord_list(cfg, p):
     return coords
 
 
-def _marginal_one(prob, ml, sad, j, cfg):
+def _marginal_one(prob, ml, sad, j, args):
     """Density curve(s) for one coordinate; returns (grid, columns dict)."""
     if prob.p == 1:
         one = OneDimProblem(float(prob.c[0, 0]), float(prob.w[0]), prob.mu, prob.tau)
@@ -346,36 +291,27 @@ def _marginal_one(prob, ml, sad, j, cfg):
         grid = sad.x_tau[0] + sd * np.linspace(-6.0, 6.0, 201)
         cols = {"density_sp": density_exact(one, grid)}
         return grid, cols
-    curve = marginal_sp(prob, sad, j, tol=cfg.tol)
+    curve = marginal_sp(prob, sad, j, tol=args.tol)
     cols = {"density_sp": curve.density}
-    if cfg.with_ml_curve:
+    if args.ml_curve:
         ml_curve = marginal_ml_approx(
-            prob, ml, j, GridSpec(points=curve.grid), tol=cfg.tol
+            prob, ml, j, GridSpec(points=curve.grid), tol=args.tol
         )
         cols["density_ml"] = ml_curve.density
     return curve.grid, cols
 
 
-def cmd_marginal(cfg):
-    std, names = _load_data(cfg)
-    _check_format(cfg, "csv")
-    prob, ml, sad = _fit_core(cfg, std)
-    coords = _coord_list(cfg, prob.p)
-    prefix = cfg.out if cfg.out is not None else "marginal"
-
-    def build(j):
-        return j, _marginal_one(prob, ml, sad, j, cfg)
-
-    if cfg.threads > 1 and len(coords) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(pool.map(build, coords))
-    else:
-        results = dict(build(j) for j in coords)
+def cmd_marginal(args):
+    std, names = _load_data(args)
+    prob, ml, sad = _fit_core(args, std)
+    coords = _coord_list(args.coords, prob.p)
+    prefix = args.out if args.out is not None else "marginal"
+    results = {j: _marginal_one(prob, ml, sad, j, args) for j in coords}
 
     chain = None
-    if cfg.with_gibbs:
+    if args.gibbs:
         chain = run_gibbs(
-            prob, ml.x_hat, cfg.sweeps, cfg.burn_in, cfg.thin, cfg.seed
+            prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
         )
     for j in coords:
         grid, cols = results[j]
@@ -401,26 +337,24 @@ def cmd_marginal(cfg):
     return 0
 
 
-def cmd_convergence(cfg):
-    std, names = _load_data(cfg)
-    _check_format(cfg, "csv")
-    if cfg.mu is not None:
-        mus = [cfg.mu]
-    elif cfg.mu_grid is not None:
-        count, ratio = cfg.mu_grid
-        prob0 = build_problem(std, cfg.lam, 1.0, 1.0)
+def cmd_convergence(args):
+    std, names = _load_data(args)
+    if args.mu is not None:
+        mus = [args.mu]
+    elif args.mu_grid is not None:
+        count, ratio = args.mu_grid
+        prob0 = build_problem(std, args.lam, 1.0, 1.0)
         mus = list(mu_grid(mu_max(prob0.w), count, ratio))
     else:
         raise ConfigError("convergence requires --mu or --mu-grid")
-    offset, count = cfg.tau_grid if cfg.tau_grid is not None else (12, 13)
-    taus = tau_grid(offset, count)
+    taus = tau_grid(*args.tau_grid)
     rows = []
     for mu in mus:
-        prob = build_problem(std, cfg.lam, mu, 1.0)
-        ml = solve_ml(prob, tol=cfg.tol)
+        prob = build_problem(std, args.lam, mu, 1.0)
+        ml = solve_ml(prob, tol=args.tol)
         if not ml.converged:
             raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
-        sols = tau_path(prob, list(taus[::-1]), init=ml.x_hat, tol=cfg.tol)
+        sols = tau_path(prob, list(taus[::-1]), init=ml.x_hat, tol=args.tol)
         for sol in reversed(sols):
             if not sol.converged:
                 raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={mu}")
@@ -432,33 +366,32 @@ def cmd_convergence(cfg):
                 )
             xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
             rows.append([sol.tau, mu, gap, xdiff])
-    _write_csv(cfg.out, ["tau", "mu", "gap", "xdiff"], rows)
+    _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], rows)
     return 0
 
 
-def cmd_gibbs(cfg):
-    std, names = _load_data(cfg)
-    _check_format(cfg, "csv")
-    prob, ml, sad = _fit_core(cfg, std)
-    chain = run_gibbs(prob, ml.x_hat, cfg.sweeps, cfg.burn_in, cfg.thin, cfg.seed)
-    _write_csv(cfg.out, names, chain.samples)
+def cmd_gibbs(args):
+    std, names = _load_data(args)
+    prob, ml, sad = _fit_core(args, std)
+    chain = run_gibbs(
+        prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
+    )
+    _write_csv(args.out, names, chain.samples)
     return 0
 
 
-def cmd_cv(cfg):
-    data, names = load_csv(cfg.input, cfg.response)
-    _check_format(cfg, "json")
+def cmd_cv(args):
+    data, names = load_csv(args.input, args.response)
     std_all = standardize(data)
-    prob0 = build_problem(std_all, cfg.lam, 1.0, 1.0)
-    n_mu, ratio = cfg.mu_grid if cfg.mu_grid is not None else (10, 0.01)
-    offset, n_tau = cfg.tau_grid if cfg.tau_grid is not None else (12, 13)
+    prob0 = build_problem(std_all, args.lam, 1.0, 1.0)
+    n_mu, ratio = args.mu_grid
     grid = HyperGrid(
         mus=mu_grid(mu_max(prob0.w), n_mu, ratio)[::-1].copy(),
-        taus=tau_grid(offset, n_tau),
-        lam=cfg.lam,
+        taus=tau_grid(*args.tau_grid),
+        lam=args.lam,
     )
     report = cross_validate(
-        data, grid, cfg.folds, cfg.seed, screen_top=cfg.screen_top, tol=cfg.tol
+        data, grid, args.folds, args.seed, screen_top=args.screen_top, tol=args.tol
     )
     payload = {
         "folds": report.folds,
@@ -472,27 +405,25 @@ def cmd_cv(cfg):
             "median_r": report.best_median,
         },
     }
-    _write_json(cfg.out, payload)
+    _write_json(args.out, payload)
     return 0
 
 
-def cmd_maptau(cfg):
-    std, names = _load_data(cfg)
-    _check_format(cfg, "json")
-    mu = _require_mu(cfg)
-    prob = build_problem(std, cfg.lam, mu, 1.0)
-    ml = solve_ml(prob, tol=cfg.tol)
+def cmd_maptau(args):
+    std, names = _load_data(args)
+    prob = build_problem(std, args.lam, args.mu, 1.0)
+    ml = solve_ml(prob, tol=args.tol)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML stage")
-    tau = map_tau(std, cfg.lam, mu, ml)
+    tau = map_tau(std, args.lam, args.mu, ml)
     payload = {
-        "lambda": cfg.lam,
-        "mu": mu,
+        "lambda": args.lam,
+        "mu": args.mu,
         "map_tau": tau,
         "active_set": list(ml.active_set),
         "h_min": ml.h_min,
     }
-    _write_json(cfg.out, payload)
+    _write_json(args.out, payload)
     return 0
 
 
@@ -508,9 +439,8 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        ns = _build_parser().parse_args(argv)
-        cfg = _config_from(ns)
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -518,7 +448,7 @@ def main(argv=None):
             PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

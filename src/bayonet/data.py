@@ -126,7 +126,6 @@ class PenalizedProblem:
     mu: float
     lam: float
     tau: float
-    n_samples: int | None = None
     low_rank_factor: np.ndarray | None = None
 
     def __post_init__(self):
@@ -171,7 +170,6 @@ class PenalizedProblem:
             mu=self.mu,
             lam=self.lam,
             tau=tau,
-            n_samples=self.n_samples,
             low_rank_factor=self.low_rank_factor,
         )
 
@@ -183,7 +181,6 @@ class PenalizedProblem:
             mu=mu,
             lam=self.lam,
             tau=self.tau,
-            n_samples=self.n_samples,
             low_rank_factor=self.low_rank_factor,
         )
 
@@ -212,7 +209,6 @@ def build_problem(data, lam, mu, tau):
         mu=mu,
         lam=lam,
         tau=tau,
-        n_samples=n,
         low_rank_factor=a if p > n else None,
     )
 

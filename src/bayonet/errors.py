@@ -5,6 +5,10 @@ class BayonetError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NumericalError(BayonetError):
+    """A computation failed numerically; the CLI exits 3 on any subclass."""
+
+
 class ParseError(BayonetError):
     """Malformed input file (bad number, missing value, bad header)."""
 
@@ -17,15 +21,15 @@ class ZeroVarianceColumn(BayonetError):
         super().__init__(f"column {column!r} has zero variance")
 
 
-class SingularC(BayonetError):
+class SingularC(NumericalError):
     """The quadratic coefficient matrix is not positive definite."""
 
 
-class SingularMatrix(BayonetError):
+class SingularMatrix(NumericalError):
     """A matrix factorization failed inside a determinant computation."""
 
 
-class NotConverged(BayonetError):
+class NotConverged(NumericalError):
     """An iterative solver hit its cycle budget before reaching tolerance."""
 
     def __init__(self, cycles, detail=""):
@@ -36,11 +40,11 @@ class NotConverged(BayonetError):
         super().__init__(msg)
 
 
-class NoAdmissibleRoot(BayonetError):
+class NoAdmissibleRoot(NumericalError):
     """No cubic root gave an interior dual value; indicates a numerical bug."""
 
 
-class TransitionValue(BayonetError):
+class TransitionValue(NumericalError):
     """The l1 weight sits exactly at a coordinate's inclusion boundary."""
 
     def __init__(self, coordinate):
@@ -51,23 +55,23 @@ class TransitionValue(BayonetError):
         )
 
 
-class NonPositiveQ(BayonetError):
+class NonPositiveQ(NumericalError):
     """Observable factor evaluated at the saddle must be positive."""
 
 
-class GridTooSmall(BayonetError):
+class GridTooSmall(NumericalError):
     """A density grid needs at least two points to normalize."""
 
 
-class AllZeroW(BayonetError):
+class AllZeroW(NumericalError):
     """The linear coefficient vector is identically zero."""
 
 
-class DegenerateDenominator(BayonetError):
+class DegenerateDenominator(NumericalError):
     """The inverse-temperature estimate divides by an underflowed value."""
 
 
-class NumericalOverflow(BayonetError):
+class NumericalOverflow(NumericalError):
     """A partition-function component left the finite floating-point range."""
 
 

@@ -45,7 +45,10 @@ def _d_diag(u, mu, tau):
     return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
 
 
-def _log_det(c, d, lam, factor, method):
+def _log_det(c, d, lam, factor, method="auto"):
+    if method == "auto":
+        lowrank = factor is not None and lam > 0.0 and c.shape[0] > factor.shape[0]
+        method = "lowrank" if lowrank else "direct"
     if method == "lowrank":
         if factor is None:
             raise ValueError("low-rank route needs the design factor")
@@ -79,11 +82,7 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
         raise ValueError(f"d_tau must have length {problem.p}")
     if np.any(d < 0.0):
         raise ValueError("d_tau entries must be nonnegative")
-    if method == "auto":
-        n = problem.low_rank_factor.shape[0] if problem.low_rank_factor is not None else None
-        use_lowrank = n is not None and problem.lam > 0.0 and problem.p > n
-        method = "lowrank" if use_lowrank else "direct"
-    if method not in ("direct", "lowrank"):
+    if method not in ("auto", "direct", "lowrank"):
         raise ValueError(f"unknown method {method!r}")
     return _log_det(problem.c, d, problem.lam, problem.low_rank_factor, method)
 
@@ -95,10 +94,7 @@ def _core(c, w, mu, tau, x, u, lam, factor):
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
         raise NumericalOverflow(f"exponential term is {exp_term}")
-    n = factor.shape[0] if factor is not None else None
-    use_lowrank = n is not None and lam > 0.0 and p > n
-    ld = _log_det(c, d, lam, factor, "lowrank" if use_lowrank else "direct")
-    log_det_term = -0.5 * ld
+    log_det_term = -0.5 * _log_det(c, d, lam, factor)
     prefactor_term = (
         p * math.log(mu)
         - 0.5 * p * math.log(tau)

@@ -3,10 +3,11 @@
 Marginal densities come in two flavors.  The main one treats the remaining
 p-1 coordinates with the same stationary-phase machinery as the full
 problem, so each grid point costs one small stationary-point solve (warmed
-by its neighbor, it usually converges in 0-2 cycles).  The cheaper
-comparison variant replaces the inner log-partition ratio by a difference of
-penalized minima; it is useful precisely because it is visibly wrong for
-coordinates near their inclusion boundary, which is worth demonstrating.
+by its neighbor, it still takes several cycles, more as p grows).  The
+cheaper comparison variant replaces the inner log-partition ratio by a
+difference of penalized minima; it is useful precisely because it is visibly
+wrong for coordinates near their inclusion boundary, which is worth
+demonstrating.
 """
 
 import math
@@ -139,6 +140,26 @@ def _self_terms(problem, j, g):
     )
 
 
+def _walk_grid(grid, center, x_start, solve):
+    """Values of solve(g, x_seed) -> (value, x) at every grid point.
+
+    The walk starts at the point nearest center from x_start, goes right,
+    then goes left again from the center point's solution; every other solve
+    is warm-started at its neighbor's x.
+    """
+    values = np.empty(grid.size)
+    start = int(np.argmin(np.abs(grid - center)))
+    x_seed = x_start
+    for k in range(start, grid.size):
+        values[k], x_seed = solve(grid[k], x_seed)
+        if k == start:
+            x_center = x_seed
+    x_seed = x_center
+    for k in range(start - 1, -1, -1):
+        values[k], x_seed = solve(grid[k], x_seed)
+    return values
+
+
 def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
     """Stationary-phase marginal density of coordinate j.
 
@@ -163,10 +184,10 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
     idx, c_sub, c_col, w_sub, factor_sub = _coordinate_split(problem, j)
     mu, tau, lam = problem.mu, problem.tau, problem.lam
 
-    def inner_log_z(g, x_start):
+    def log_density(g, x_seed):
         w_eff = w_sub - g * c_col
         x, u, cycles, res, ok = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_start, tol, max_cycles
+            c_sub, w_eff, mu, tau, x_seed, tol, max_cycles
         )
         if not ok:
             x_ml, _, _ = _ml_cd(c_sub, w_eff, mu, None, tol, 100000)
@@ -178,20 +199,9 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
                     cycles, f"marginal coordinate {j}, grid value {g}"
                 )
         e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub)
-        return e + ld + pref, x
+        return _self_terms(problem, j, g) + (e + ld + pref) - outer, x
 
-    log_unnorm = np.empty(grid.size)
-    start = int(np.argmin(np.abs(grid - saddle.x_tau[j])))
-    x_seed = saddle.x_tau[idx].copy()
-    for k in range(start, grid.size):
-        lz, x_seed = inner_log_z(grid[k], x_seed)
-        log_unnorm[k] = _self_terms(problem, j, grid[k]) + lz - outer
-        if k == start:
-            x_center = x_seed
-    x_seed = x_center.copy()
-    for k in range(start - 1, -1, -1):
-        lz, x_seed = inner_log_z(grid[k], x_seed)
-        log_unnorm[k] = _self_terms(problem, j, grid[k]) + lz - outer
+    log_unnorm = _walk_grid(grid, saddle.x_tau[j], saddle.x_tau[idx], log_density)
     return _normalize(j, grid, log_unnorm, "stationary_phase")
 
 
@@ -213,23 +223,16 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10, max_cycles=100
     grid = _make_grid(grid_spec, float(ml.x_hat[j]), sd)
     idx, c_sub, c_col, w_sub, _ = _coordinate_split(problem, j)
     mu, tau = problem.mu, problem.tau
-    log_unnorm = np.empty(grid.size)
-    start = int(np.argmin(np.abs(grid - ml.x_hat[j])))
-    order = list(range(start, grid.size)) + list(range(start - 1, -1, -1))
-    x_seed = ml.x_hat[idx].copy()
-    x_center = None
-    for k in order:
-        if k == start - 1 and x_center is not None:
-            x_seed = x_center.copy()
-        w_eff = w_sub - grid[k] * c_col
+
+    def log_density(g, x_seed):
+        w_eff = w_sub - g * c_col
         x_in, _, ok = _ml_cd(c_sub, w_eff, mu, x_seed, tol, max_cycles)
         if not ok:
             raise NotConverged(
-                max_cycles, f"inner minimizer, coordinate {j}, grid value {grid[k]}"
+                max_cycles, f"inner minimizer, coordinate {j}, grid value {g}"
             )
         h_in = _cost_arrays(c_sub, w_eff, mu, x_in)
-        log_unnorm[k] = _self_terms(problem, j, grid[k]) - tau * h_in + tau * ml.h_min
-        x_seed = x_in
-        if k == start:
-            x_center = x_in
+        return _self_terms(problem, j, g) - tau * h_in + tau * ml.h_min, x_in
+
+    log_unnorm = _walk_grid(grid, ml.x_hat[j], ml.x_hat[idx], log_density)
     return _normalize(j, grid, log_unnorm, "ml_approx")

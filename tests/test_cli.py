@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bayonet as bn
+from bayonet import cli
 from bayonet.cli import main
 import helpers
 
@@ -149,13 +150,67 @@ def test_usage_errors_exit_4(tmp_path, capsys):
                 "--tau", "10", "--format", "json"], capsys)[0] == 4
     assert run(["marginal", csv, "--response", "y", "--mu", "0.1",
                 "--tau", "10", "--coords", "7"], capsys)[0] == 4
+    assert run(["fit", csv, "--response", "y", "--lambda", "-0.5",
+                "--mu", "0.1", "--tau", "10"], capsys)[0] == 4
+    assert run(["maptau", csv, "--response", "y", "--mu", "0.1",
+                "--tol", "0"], capsys)[0] == 4
+    assert run(["convergence", csv, "--response", "y",
+                "--mu-grid", "3"], capsys)[0] == 4
 
 
-def test_bad_thread_env_exits_4(tmp_path, capsys, monkeypatch):
-    csv = make_csv(tmp_path)
-    monkeypatch.setenv("BAYONET_THREADS", "zero")
-    assert run(["fit", csv, "--response", "y", "--mu", "0.1",
-                "--tau", "10"], capsys)[0] == 4
+_BASE_ARGS = {
+    "fit": ["--mu", "0.1", "--tau", "50"],
+    "marginal": ["--mu", "0.1", "--tau", "50", "--coords", "0"],
+    "convergence": ["--mu", "0.1", "--tau-grid", "6,3"],
+    "gibbs": ["--mu", "0.1", "--tau", "50", "--gibbs-sweeps", "100"],
+    "cv": ["--mu-grid", "2,0.1", "--tau-grid", "12,2", "--folds", "3"],
+    "maptau": ["--mu", "0.1"],
+}
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("maptau", ["--gibbs"]),
+    ("fit", ["--coords", "3"]),
+    ("cv", ["--tau", "10", "--mu", "5"]),
+    ("cv", ["--no-standardize"]),
+    ("convergence", ["--tau", "10"]),
+    ("gibbs", ["--ml-curve"]),
+    ("fit", ["--format", "json"]),
+    ("marginal", ["--format", "csv"]),
+    ("maptau", ["--tau", "10"]),
+    ("fit", ["--folds", "3"]),
+    ("gibbs", ["--coords", "0"]),
+    ("marginal", ["--screen-top", "2"]),
+    ("convergence", ["--seed", "1"]),
+    ("cv", ["--gibbs-sweeps", "10"]),
+    ("cv", ["--tau-g", "12,2"]),  # a prefix of --tau-grid is not --tau-grid
+])
+def test_flag_foreign_to_verb_exits_4(tmp_path, capsys, verb, flags):
+    argv = [verb, tmp_path / "data.csv", "--response", "y", *_BASE_ARGS[verb]]
+    cli._build_parser().parse_args([str(a) for a in argv])
+    code, cap = run(argv + flags, capsys)
+    assert code == 4
+    assert cap.err.startswith("error: ")
+
+
+_NUMERICAL = (bn.NotConverged, bn.NoAdmissibleRoot, bn.SingularC,
+              bn.SingularMatrix, bn.NumericalOverflow, bn.TransitionValue,
+              bn.DegenerateDenominator, bn.AllZeroW, bn.NonPositiveQ,
+              bn.GridTooSmall)
+
+
+@pytest.mark.parametrize("cls", _NUMERICAL, ids=lambda c: c.__name__)
+def test_numerical_error_classes_exit_3(capsys, monkeypatch, cls):
+    assert issubclass(cls, bn.NumericalError)
+
+    def fail(args):
+        raise cls(7)
+
+    monkeypatch.setitem(cli._COMMANDS, "fit", fail)
+    code, cap = run(["fit", "data.csv", "--response", "y", "--mu", "0.1",
+                     "--tau", "10"], capsys)
+    assert code == 3
+    assert cap.err.startswith("error: ")
 
 
 # --- marginal ---------------------------------------------------------------
@@ -222,20 +277,6 @@ def test_marginal_gibbs_histogram_matches_bins(tmp_path):
     assert np.all(hist[:, 2] >= 0.0)
     mass = np.sum(hist[:, 2] * (hist[:, 1] - hist[:, 0]))
     assert 0.9 < mass <= 1.0 + 1e-12
-
-
-def test_marginal_threads_do_not_change_output(tmp_path, monkeypatch):
-    csv = make_csv(tmp_path, seed=13, n=90, p=5,
-                   beta=np.array([1.0, -0.6, 0.3, 0.0, 0.0]))
-    args = ["marginal", csv, "--response", "y", "--lambda", "0.05",
-            "--mu", "0.08", "--tau", "300", "--coords", "all"]
-    assert run(args + ["--out", tmp_path / "a"]) == 0
-    monkeypatch.setenv("BAYONET_THREADS", "2")
-    assert run(args + ["--out", tmp_path / "b"]) == 0
-    for j in range(5):
-        a = (tmp_path / f"a_coord{j}.csv").read_bytes()
-        b = (tmp_path / f"b_coord{j}.csv").read_bytes()
-        assert a == b
 
 
 # --- convergence --------------------------------------------------------

@@ -114,7 +114,6 @@ def test_log_det_null_design():
         mu=mu,
         lam=lam,
         tau=tau,
-        n_samples=n,
         low_rank_factor=np.zeros((n, p)),
     )
     d = np.array([0.3, 0.0, 2.0])
