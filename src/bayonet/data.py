@@ -8,7 +8,9 @@ centered and scaled to squared norm n (not unit variance), which pins the
 diagonal of C at 0.5 + lambda exactly.
 """
 
+import copy
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,27 +164,22 @@ class PenalizedProblem:
     def p(self):
         return self.w.shape[0]
 
+    def _with_scalar(self, name, value):
+        # C, w and the factor are shared with self and were validated when
+        # it was built; only the new positive scalar needs checking
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+        out = copy.copy(self)
+        object.__setattr__(out, name, value)
+        return out
+
     def with_tau(self, tau):
         """Same cost surface at a different inverse temperature."""
-        return PenalizedProblem(
-            c=self.c,
-            w=self.w,
-            mu=self.mu,
-            lam=self.lam,
-            tau=tau,
-            low_rank_factor=self.low_rank_factor,
-        )
+        return self._with_scalar("tau", tau)
 
     def with_mu(self, mu):
         """Same data terms with a different l1 weight."""
-        return PenalizedProblem(
-            c=self.c,
-            w=self.w,
-            mu=mu,
-            lam=self.lam,
-            tau=self.tau,
-            low_rank_factor=self.low_rank_factor,
-        )
+        return self._with_scalar("mu", mu)
 
 
 def build_problem(data, lam, mu, tau):
@@ -269,7 +266,7 @@ def load_csv(path, response_column):
                     raise ParseError(
                         f"line {lineno}: non-numeric value {cell!r} in {name!r}"
                     ) from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(math.isfinite(v) for v in vals):
                 raise ParseError(f"line {lineno}: non-finite value")
             rows.append(vals)
     if len(rows) < 2:

@@ -2,9 +2,11 @@
 
 Everything is assembled and returned in log space.  The Gaussian-curvature
 correction enters through det(C + D) where D is a nonnegative diagonal built
-from the stationary point; for wide designs (p > n) that determinant is
-reduced to an n x n eigenvalue problem through the matrix determinant lemma
-instead of being formed at p x p size.
+from the stationary point.  One factorization of C + D serves three users:
+this determinant, the Newton step of the stationary-point solver and the
+posterior standard deviations.  For wide designs (p > n) it is a Cholesky
+of an n x n core matrix (Woodbury identity and matrix determinant lemma)
+instead of a p x p one.
 """
 
 import math
@@ -45,28 +47,66 @@ def _d_diag(u, mu, tau):
     return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
 
 
-def _log_det(c, d, lam, factor, method="auto"):
-    if method == "auto":
-        lowrank = factor is not None and lam > 0.0 and c.shape[0] > factor.shape[0]
-        method = "lowrank" if lowrank else "direct"
-    if method == "lowrank":
-        if factor is None:
-            raise ValueError("low-rank route needs the design factor")
-        if lam <= 0.0:
-            raise ValueError("low-rank route needs lam > 0")
-        n = factor.shape[0]
-        dp = d + lam
-        # det(A'A/(2n) + diag(dp)) = prod(dp) * det(I_n + A diag(1/dp) A'/(2n))
-        b = np.eye(n) + (factor / dp) @ factor.T / (2.0 * n)
-        eig = sla.eigvalsh(b)
-        if eig[0] <= 0.0:
-            raise SingularMatrix("low-rank core matrix not positive definite")
-        return float(np.sum(np.log(dp)) + np.sum(np.log(eig)))
-    try:
-        chol = sla.cholesky(c + np.diag(d), lower=True)
-    except sla.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from None
-    return float(2.0 * np.sum(np.log(np.diagonal(chol))))
+class _CPlusD:
+    """One Cholesky factorization of C + diag(e), e >= 0.
+
+    This is the only place the determinant route is chosen.  When the
+    design factor A of C = A'A/(2n) + lam*I is at hand, lam > 0 and p > n,
+    the n x n core I + A diag(1/(e + lam)) A'/(2n) is factored instead:
+    solves go through the Woodbury identity and the determinant through the
+    matrix determinant lemma, so nothing p x p is factored.  Otherwise C +
+    diag(e) itself is factored.  A factorization that fails raises
+    SingularMatrix.
+    """
+
+    def __init__(self, c, e, lam, factor, method="auto"):
+        if method == "auto":
+            lowrank = factor is not None and lam > 0.0 and c.shape[0] > factor.shape[0]
+            method = "lowrank" if lowrank else "direct"
+        if method == "lowrank":
+            if factor is None:
+                raise ValueError("low-rank route needs the design factor")
+            if lam <= 0.0:
+                raise ValueError("low-rank route needs lam > 0")
+            self._factor = factor
+            self._dp = e + lam
+            # B = A diag(dp)^{-1/2}, so the core I + B B'/(2n) is one
+            # symmetric rank-p update
+            self._scaled = factor / np.sqrt(self._dp)
+            self._two_n = 2.0 * factor.shape[0]
+            matrix = np.eye(factor.shape[0]) + self._scaled @ self._scaled.T / self._two_n
+        else:
+            self._dp = None
+            matrix = c + np.diag(e)
+        try:
+            self._chol = sla.cholesky(matrix, lower=True)
+        except sla.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from None
+
+    def solve(self, rhs):
+        """(C + diag(e))^{-1} rhs."""
+        if self._dp is None:
+            return sla.cho_solve((self._chol, True), rhs)
+        y = rhs / self._dp
+        z = sla.cho_solve((self._chol, True), self._factor @ y)
+        return y - (self._factor.T @ z) / (self._dp * self._two_n)
+
+    def log_det(self):
+        """log det(C + diag(e))."""
+        out = 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
+        if self._dp is not None:
+            out += float(np.sum(np.log(self._dp)))
+        return out
+
+    def inv_diag(self):
+        """Diagonal of (C + diag(e))^{-1}."""
+        if self._dp is None:
+            inv, info = sla.lapack.dpotri(self._chol, lower=1)
+            if info != 0:
+                raise SingularMatrix(f"dpotri info={info}")
+            return np.diagonal(inv).copy()
+        m = sla.solve_triangular(self._chol, self._scaled, lower=True)
+        return (1.0 - np.sum(m * m, axis=0) / self._two_n) / self._dp
 
 
 def log_det_c_plus_d(problem, d_tau, method="auto"):
@@ -84,7 +124,7 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
         raise ValueError("d_tau entries must be nonnegative")
     if method not in ("auto", "direct", "lowrank"):
         raise ValueError(f"unknown method {method!r}")
-    return _log_det(problem.c, d, problem.lam, problem.low_rank_factor, method)
+    return _CPlusD(problem.c, d, problem.lam, problem.low_rank_factor, method).log_det()
 
 
 def _core(c, w, mu, tau, x, u, lam, factor):
@@ -94,7 +134,7 @@ def _core(c, w, mu, tau, x, u, lam, factor):
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
         raise NumericalOverflow(f"exponential term is {exp_term}")
-    log_det_term = -0.5 * _log_det(c, d, lam, factor)
+    log_det_term = -0.5 * _CPlusD(c, d, lam, factor).log_det()
     prefactor_term = (
         p * math.log(mu)
         - 0.5 * p * math.log(tau)

@@ -2,24 +2,23 @@
 
 Marginal densities come in two flavors.  The main one treats the remaining
 p-1 coordinates with the same stationary-phase machinery as the full
-problem, so each grid point costs one small stationary-point solve (warmed
-by its neighbor, it still takes several cycles, more as p grows).  The
-cheaper comparison variant replaces the inner log-partition ratio by a
-difference of penalized minima; it is useful precisely because it is visibly
-wrong for coordinates near their inclusion boundary, which is worth
-demonstrating.
+problem, so each grid point costs one small stationary-point solve: damped
+Newton steps warmed by the neighbor's solution, on the n x n core when the
+sub-problem is wider than the design is tall.  The cheaper comparison
+variant replaces the inner log-partition ratio by a difference of penalized
+minima; it is useful precisely because it is visibly wrong for coordinates
+near their inclusion boundary, which is worth demonstrating.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .data import _cost_arrays
 from .errors import GridTooSmall, NotConverged
 from .mlfit import _ml_cd
-from .partition import _core, _d_diag, log_partition
+from .partition import _core, _CPlusD, _d_diag, log_partition
 from .saddle import _saddle_cd
 
 
@@ -78,12 +77,12 @@ def posterior_sd(problem, saddle):
     """Gaussian-factor standard deviation of each coordinate.
 
     Taken from the diagonal of (C + D)^{-1}/(2 tau); this is the width scale
-    the marginal grids are built on, not an exact posterior moment.
+    the marginal grids are built on, not an exact posterior moment.  The
+    diagonal comes from the same factorization route as log det(C + D).
     """
     d = _d_diag(saddle.u_tau, problem.mu, problem.tau)
-    chol = sla.cho_factor(problem.c + np.diag(d), lower=True)
-    inv = sla.cho_solve(chol, np.eye(problem.p))
-    return np.sqrt(np.diagonal(inv) / (2.0 * problem.tau))
+    inv_diag = _CPlusD(problem.c, d, problem.lam, problem.low_rank_factor).inv_diag()
+    return np.sqrt(inv_diag / (2.0 * problem.tau))
 
 
 def _make_grid(spec, center_default, sd_default):
@@ -187,12 +186,12 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
     def log_density(g, x_seed):
         w_eff = w_sub - g * c_col
         x, u, cycles, res, ok = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_seed, tol, max_cycles
+            c_sub, w_eff, mu, tau, x_seed, tol, max_cycles, lam, factor_sub
         )
         if not ok:
             x_ml, _, _ = _ml_cd(c_sub, w_eff, mu, None, tol, 100000)
             x, u, cycles, res, ok = _saddle_cd(
-                c_sub, w_eff, mu, tau, x_ml, tol, max_cycles
+                c_sub, w_eff, mu, tau, x_ml, tol, max_cycles, lam, factor_sub
             )
             if not ok:
                 raise NotConverged(

@@ -5,12 +5,21 @@ to the primal mean x = C^{-1}(w - u) through
 
     (mu^2 - u_j^2) * x_j - u_j / tau = 0 ,        u = w - C x .
 
+The solver is a damped Newton iteration on x.  With a = mu^2 - u^2 and
+b = 2ux + 1/tau the Jacobian is diag(b) (C + diag(a/b)), and at the
+stationary point a/b is exactly the curvature diagonal D of the log
+partition, so each step factors the same kind of matrix C + D that log Z
+and the posterior standard deviations factor, through the same helper
+(an n x n core for wide designs).  Steps are halved to keep u strictly
+inside the box and the plug-back residual falling; from the penalized ML
+minimizer a handful of steps take the residual down to rounding level.
+
 Eliminating u coordinate-wise turns each condition into a cubic in x_j with
-exactly one root whose dual value lands strictly inside the box, so cyclic
-coordinate descent with a per-coordinate cubic solve converges from any
-start; in practice the penalized ML minimizer is the start and a handful of
-cycles suffice.  The iterate is x throughout (never u), which avoids forming
-C^{-1}.
+exactly one root whose dual value lands strictly inside the box.  One
+cyclic sweep of these per-coordinate cubic solves is the globalizer: it
+replaces the Newton step wherever that cannot be taken (some b <= 0, a
+failed factorization, or a stalled backtrack).  The iterate is x
+throughout (never u), which avoids forming C^{-1}.
 """
 
 import math
@@ -18,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAdmissibleRoot
+from .errors import NoAdmissibleRoot, SingularMatrix
+from .partition import _CPlusD
+
+_MIN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,9 @@ class SaddleSolution:
 
     x_tau is the posterior-mean vector, u_tau = w - C x_tau its dual; the
     residual is the l-inf norm of the stationarity conditions evaluated with
-    a fresh u (no incremental bookkeeping involved).
+    a fresh u (no incremental bookkeeping involved).  cycles counts Newton
+    steps plus fallback coordinate sweeps, the final polishing step
+    included.
     """
 
     u_tau: np.ndarray
@@ -106,30 +120,86 @@ def coordinate_cubic(a, cjj, mu, tau):
     return best
 
 
-def _saddle_cd(c, w, mu, tau, x0, tol, max_cycles):
-    """Array-level sweep loop; returns (x, u, cycles, residual, converged)."""
-    x = np.array(x0, dtype=float)
-    p = w.shape[0]
+def _residual(x, u, mu, tau):
+    return float(np.max(np.abs((mu * mu - u * u) * x - u / tau)))
+
+
+def _sweep(c, w, mu, tau, x, u):
+    """One cyclic coordinate sweep from (x, u = w - Cx); returns (x, u, res).
+
+    The returned u is recomputed from scratch, never the incrementally
+    updated one.
+    """
+    x = x.copy()
+    r = u.copy()
     diag = np.diagonal(c)
-    r = w - c @ x
-    res = float(np.max(np.abs((mu * mu - r * r) * x - r / tau)))
+    for j in range(w.shape[0]):
+        aj = r[j] + diag[j] * x[j]
+        xj = coordinate_cubic(aj, diag[j], mu, tau)
+        dx = xj - x[j]
+        if dx != 0.0:
+            r -= c[:, j] * dx
+            x[j] = xj
+    u = w - c @ x
+    return x, u, _residual(x, u, mu, tau)
+
+
+def _newton_step(c, w, mu, tau, lam, factor, x, u, res):
+    """Damped Newton step from (x, u); (x, u, res) or None if none is taken.
+
+    The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with
+    a = mu^2 - u^2 and b = 2ux + 1/tau, so the step solves
+    (C + diag(a/b)) dx = -F/b on one factor of C + diag(a/b).  It is halved
+    until every |u| < mu and the plug-back residual falls below res.  A
+    start on or just outside the box (the ML minimizer has |u_j| = mu up to
+    its tolerance) uses max(a, 0), which keeps the matrix positive definite.
+    None means some b <= 0, the factor failed, or the step shrank below
+    _MIN_STEP.
+    """
+    a = mu * mu - u * u
+    b = 2.0 * u * x + 1.0 / tau
+    if not np.all(b > 0.0):
+        return None
+    try:
+        dx = _CPlusD(c, np.maximum(a, 0.0) / b, lam, factor).solve((u / tau - a * x) / b)
+    except SingularMatrix:
+        return None
+    t = 1.0
+    while t >= _MIN_STEP:
+        xt = x + t * dx
+        ut = w - c @ xt
+        if np.max(np.abs(ut)) < mu:
+            rt = _residual(xt, ut, mu, tau)
+            if rt < res:
+                return xt, ut, rt
+        t *= 0.5
+    return None
+
+
+def _saddle_cd(c, w, mu, tau, x0, tol, max_cycles, lam=0.0, factor=None):
+    """Array-level solve; returns (x, u, cycles, residual, converged).
+
+    Each cycle is a damped Newton step, or one coordinate sweep where no
+    Newton step can be taken.  Once the residual is below tol one more
+    Newton step polishes the iterate, kept only if it lowers the residual.
+    lam and factor are the problem's l2 weight and design factor (None:
+    C carries none), which pick the factorization route of C + diag(a/b).
+    """
+    x = np.array(x0, dtype=float)
+    u = w - c @ x
+    res = _residual(x, u, mu, tau)
     if res < tol:
-        return x, r, 0, res, True
-    for cycle in range(1, max_cycles + 1):
-        for j in range(p):
-            aj = r[j] + diag[j] * x[j]
-            xj = coordinate_cubic(aj, diag[j], mu, tau)
-            dx = xj - x[j]
-            if dx != 0.0:
-                r -= c[:, j] * dx
-                x[j] = xj
-        # fresh dual each cycle; the stopping test must not trust the
-        # incrementally updated r
-        r = w - c @ x
-        res = float(np.max(np.abs((mu * mu - r * r) * x - r / tau)))
+        return x, u, 0, res, True
+    cycles = 0
+    while cycles < max_cycles:
+        cycles += 1
+        step = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
         if res < tol:
-            return x, r, cycle, res, True
-    return x, r, max_cycles, res, False
+            if step is not None:
+                x, u, res = step
+            return x, u, cycles, res, True
+        x, u, res = step if step is not None else _sweep(c, w, mu, tau, x, u)
+    return x, u, cycles, res, res < tol
 
 
 def solve_saddle(problem, init, tol=1e-10, max_cycles=2000):
@@ -145,7 +215,15 @@ def solve_saddle(problem, init, tol=1e-10, max_cycles=2000):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x, u, cycles, res, ok = _saddle_cd(
-        problem.c, problem.w, problem.mu, problem.tau, init, tol, max_cycles
+        problem.c,
+        problem.w,
+        problem.mu,
+        problem.tau,
+        init,
+        tol,
+        max_cycles,
+        problem.lam,
+        problem.low_rank_factor,
     )
     return SaddleSolution(
         u_tau=u, x_tau=x, tau=problem.tau, cycles=cycles, residual=res, converged=ok

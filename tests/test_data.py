@@ -116,6 +116,21 @@ def test_build_problem_keeps_low_rank_factor():
     assert bn.build_problem(small, 0.1, 0.2, 1.0).low_rank_factor is None
 
 
+def test_with_tau_and_mu_share_data_and_check_the_scalar():
+    std = helpers.random_standardized(9, 10, 30)
+    prob = bn.build_problem(std, 0.1, 0.2, 1.0)
+    for other in (prob.with_tau(7.0), prob.with_mu(0.05)):
+        assert other.c is prob.c
+        assert other.w is prob.w
+        assert other.low_rank_factor is prob.low_rank_factor
+    assert (prob.with_tau(7.0).tau, prob.with_mu(0.05).mu) == (7.0, 0.05)
+    assert (prob.tau, prob.mu) == (1.0, 0.2)
+    with pytest.raises(ValueError):
+        prob.with_tau(0.0)
+    with pytest.raises(ValueError):
+        prob.with_mu(-1.0)
+
+
 def test_build_problem_requires_standardized():
     rng = np.random.default_rng(8)
     raw = bn.Dataset(responses=rng.standard_normal(10), predictors=rng.standard_normal((10, 2)))
@@ -219,6 +234,8 @@ def test_load_csv_response_position_free(tmp_path):
         ("g1,y\n1.0,2.0\n3.0\n", "line 3"),
         ("g1,y\n1.0,two\n", "line 2"),
         ("g1,y\n1.0,nan\n2.0,3.0\n", "line 2"),
+        ("g1,y\n1.0,2.0\ninf,3.0\n", "line 3"),
+        ("g1,y\n1.0,2.0\n2.0,3.0\n4.0,-inf\n", "line 4"),
         ("g1,g1,y\n1.0,2.0,3.0\n", "duplicate"),
         ("g1,g2\n1.0,2.0\n", "response"),
     ],

@@ -16,6 +16,8 @@ from bayonet import (
     log_z_exact,
 )
 
+from bayonet.partition import _CPlusD
+
 import helpers
 
 
@@ -140,6 +142,24 @@ def test_log_det_dual_routes_agree_wide_design():
         assert abs(direct - lowrank) / abs(direct) < 1e-8
         # auto must take the n-dimensional route here and agree with it
         assert log_det_c_plus_d(prob, d) == lowrank
+
+
+def test_factor_routes_agree_wide_design():
+    std = helpers.random_standardized(55, 12, 60)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    rng = np.random.default_rng(56)
+    e = rng.uniform(0.0, 5.0, size=60)
+    rhs = rng.standard_normal(60)
+    direct = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor, "direct")
+    lowrank = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor, "lowrank")
+    auto = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor)
+    assert auto.log_det() == lowrank.log_det()
+    x_ref = direct.solve(rhs)
+    assert np.max(np.abs(lowrank.solve(rhs) - x_ref)) / np.max(np.abs(x_ref)) < 1e-10
+    assert abs(lowrank.log_det() - direct.log_det()) / abs(direct.log_det()) < 1e-10
+    inv_ref = np.diagonal(np.linalg.inv(prob.c + np.diag(e)))
+    assert np.max(np.abs(direct.inv_diag() / inv_ref - 1.0)) < 1e-10
+    assert np.max(np.abs(lowrank.inv_diag() / inv_ref - 1.0)) < 1e-10
 
 
 def test_log_det_validation():

@@ -215,3 +215,14 @@ def test_posterior_sd_positive_and_consistent():
     m = np.trapezoid(grid * dens, grid)
     v = np.trapezoid((grid - m) ** 2 * dens, grid)
     assert sd == pytest.approx(np.sqrt(v), rel=0.1)
+
+
+def test_posterior_sd_wide_design_matches_dense_inverse():
+    std = helpers.random_standardized(57, 12, 60, beta=[1.0, -0.5] + [0.0] * 58, noise=0.5)
+    prob = bn.build_problem(std, 0.1, 0.05, 300.0)
+    assert prob.low_rank_factor is not None
+    sad = bn.solve_saddle(prob, bn.solve_ml(prob, tol=1e-12).x_hat, tol=1e-12)
+    u = sad.u_tau
+    d = prob.tau * (prob.mu**2 - u**2) ** 2 / (prob.mu**2 + u**2)
+    ref = np.sqrt(np.diagonal(np.linalg.inv(prob.c + np.diag(d))) / (2.0 * prob.tau))
+    assert np.max(np.abs(bn.posterior_sd(prob, sad) / ref - 1.0)) < 1e-10

@@ -1,12 +1,15 @@
-"""Stationary-point solver: coordinate cubic, fixed point, temperature path."""
+"""Stationary-point solver: coordinate cubic, Newton against the coordinate
+sweep, fixed point, temperature path, random-input properties."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bayonet as bn
-from bayonet import OneDimProblem, coordinate_cubic, expectation_exact, solve_saddle, tau_path
+from bayonet import OneDimProblem, coordinate_cubic, expectation_exact, saddle, solve_saddle, tau_path
 
 import helpers
 
@@ -126,6 +129,87 @@ def test_not_converged_flag():
     prob = bn.build_problem(std, 0.05, 0.05, 100.0)
     sol = solve_saddle(prob, np.zeros(6), tol=1e-14, max_cycles=1)
     assert not sol.converged
+
+
+def sweep_reference(prob, x0, tol=1e-13, max_sweeps=20000):
+    """Stationary point by repeated coordinate sweeps alone, the solver the
+    Newton iteration replaced."""
+    x = np.array(x0, dtype=float)
+    u = prob.w - prob.c @ x
+    res = math.inf
+    for _ in range(max_sweeps):
+        x, u, res = saddle._sweep(prob.c, prob.w, prob.mu, prob.tau, x, u)
+        if res < tol:
+            return x
+    raise AssertionError(f"reference sweep stalled at residual {res}")
+
+
+@pytest.mark.parametrize("n,p,seed", [(40, 5, 36), (20, 50, 37)])
+def test_newton_matches_coordinate_sweep(n, p, seed):
+    std = helpers.random_standardized(seed, n, p, beta=[1.0, -0.5] + [0.0] * (p - 2), noise=0.5)
+    base = bn.build_problem(std, 0.1, 1.0, 1.0)
+    assert (base.low_rank_factor is not None) == (p > n)
+    base = base.with_mu(0.3 * float(np.abs(base.w).max()))
+    ml = bn.solve_ml(base, tol=1e-12)
+    for tau in (1e-2, 1.0, 1e2, 1e4, 1e6):
+        prob = base.with_tau(tau)
+        for start in (ml.x_hat, np.zeros(p)):
+            ref = sweep_reference(prob, start)
+            sol = solve_saddle(prob, start, tol=1e-12)
+            assert sol.converged
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(sol.x_tau - ref)) / scale < 1e-8, (tau, start)
+
+
+def test_fallback_sweep_runs_where_newton_cannot(monkeypatch):
+    std = helpers.random_standardized(38, 40, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
+    prob = bn.build_problem(std, 0.05, 0.05, 100.0)
+    start = -10.0 * bn.solve_ml(prob, tol=1e-12).x_hat
+    u0 = prob.w - prob.c @ start
+    assert np.any(2.0 * u0 * start + 1.0 / prob.tau <= 0.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coordinate_cubic(*args)
+
+    monkeypatch.setattr(saddle, "coordinate_cubic", counting)
+    sol = solve_saddle(prob, start, tol=1e-11)
+    assert sol.converged
+    assert np.max(np.abs(sol.u_tau)) < prob.mu
+    assert len(calls) >= prob.p
+    ref = solve_saddle(prob, bn.solve_ml(prob, tol=1e-12).x_hat, tol=1e-11)
+    assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8),
+    p=st.integers(1, 12),
+    lam=st.floats(0.01, 1.0),
+    mu_frac=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+    log_tau=st.floats(-3.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_converges_or_raises_typed(n, p, lam, mu_frac, log_tau, seed):
+    tol = 1e-10
+    rng = np.random.default_rng(seed)
+    try:
+        std = bn.standardize(
+            bn.Dataset(responses=rng.standard_normal(n), predictors=rng.standard_normal((n, p)))
+        )
+        base = bn.build_problem(std, lam, 1.0, 10.0**log_tau)
+        prob = base.with_mu(mu_frac * bn.mu_max(base.w))
+        ml = bn.solve_ml(prob, tol=1e-12)
+        sol = solve_saddle(prob, ml.x_hat, tol=tol)
+    except bn.BayonetError:
+        return
+    assert np.all(np.isfinite(sol.x_tau)) and np.all(np.isfinite(sol.u_tau))
+    assert sol.converged
+    assert np.max(np.abs(sol.u_tau)) < prob.mu
+    u = prob.w - prob.c @ sol.x_tau
+    res = (prob.mu**2 - u**2) * sol.x_tau - u / prob.tau
+    assert np.max(np.abs(res)) < tol
 
 
 def test_solver_validation():
