@@ -46,23 +46,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _number(reject, what):
-    """argparse type: a float, refused when reject(value) holds."""
+def _number(reject, what, kind=float):
+    """argparse type: a kind (float or int), refused when reject(value) holds."""
 
     def parse(text):
         try:
-            value = float(text)
+            value = kind(text)
             if not reject(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"wants a {what} number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"wants a {what}, got {text!r}")
 
     return parse
 
 
-_nonnegative = _number(lambda v: v < 0.0, "nonnegative")
-_positive = _number(lambda v: v <= 0.0, "positive")
+_nonnegative = _number(lambda v: v < 0.0, "nonnegative number")
+_positive = _number(lambda v: v <= 0.0, "positive number")
+_positive_int = _number(lambda v: v < 1, "positive integer", int)
 
 
 def _tau(text):
@@ -161,7 +162,7 @@ def _build_parser():
     grids(p, (10, 0.01))
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--screen-top", type=int, default=None)
+    p.add_argument("--screen-top", type=_positive_int, default=None)
 
     p = verb("maptau", "inverse-temperature estimate")
     p.add_argument("--mu", type=_positive, required=True)

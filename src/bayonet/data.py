@@ -19,6 +19,9 @@ from scipy import linalg as sla
 from .errors import ParseError, SingularC, ZeroVarianceColumn
 
 _STD_TOL = 1e-10  # absolute, per column, on both the sum and sum of squares
+# least pivot^2 / C_jj a Cholesky of C may leave; rounding leaves ~1e-16 there
+# when a column is an exact combination of others
+_PIVOT_TOL = 1e-12
 
 
 def _readonly(a):
@@ -149,9 +152,11 @@ class PenalizedProblem:
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
         try:
-            sla.cholesky(c, lower=True)
+            chol = sla.cholesky(c, lower=True)
         except sla.LinAlgError as exc:
             raise SingularC(str(exc)) from None
+        if np.min(np.diagonal(chol) ** 2 / np.diagonal(c)) < _PIVOT_TOL:
+            raise SingularC("C is singular to working precision")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)
         if self.low_rank_factor is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .special import RngStream, log_erfcx, sample_truncated_normal
 
 
@@ -65,8 +66,9 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
 
     Partial residuals r = w - Cx are updated incrementally (O(p) per
     coordinate) and checked against a fresh w - Cx every 100th sweep; drift
-    beyond 1e-10 would mean a bookkeeping bug and raises outright.  burn_in
-    defaults to 10% of sweeps.  Retained count is (sweeps - burn_in) // thin.
+    beyond 1e-10 (a bug, or rounding on huge samples at tiny tau) raises
+    NumericalError.  burn_in defaults to 10% of sweeps.  Retained count is
+    (sweeps - burn_in) // thin.
     """
     if burn_in is None:
         burn_in = sweeps // 10
@@ -98,7 +100,7 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
         if sweep % 100 == 0:
             fresh = w - c @ x
             if float(np.max(np.abs(fresh - r))) >= 1e-10:
-                raise RuntimeError("partial-residual drift guard tripped")
+                raise NumericalError("partial-residual drift guard tripped")
             r = fresh
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             keep[k] = x

@@ -172,6 +172,8 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if screen_top is not None and screen_top < 1:
+        raise ValueError("screen_top must be >= 1")
     if data.n < folds:
         raise ValueError("more folds than samples")
     rng = RngStream(seed)

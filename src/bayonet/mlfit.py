@@ -15,6 +15,8 @@ import numpy as np
 
 from .data import _cost_arrays
 
+_MAX_CYCLES = 100_000
+
 
 @dataclass(frozen=True)
 class MlSolution:
@@ -36,13 +38,13 @@ def _soft_threshold(a, mu):
     return math.copysign(max(abs(a) - mu, 0.0), a)
 
 
-def _ml_cd(c, w, mu, x0, tol, max_cycles):
+def _ml_cd(c, w, mu, x0, tol):
     """Array-level coordinate descent core; returns (x, cycles, converged)."""
     p = w.shape[0]
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
     diag = np.diagonal(c)
     r = w - c @ x
-    for cycle in range(1, max_cycles + 1):
+    for cycle in range(1, _MAX_CYCLES + 1):
         dmax = 0.0
         for j in range(p):
             aj = r[j] + diag[j] * x[j]
@@ -55,10 +57,10 @@ def _ml_cd(c, w, mu, x0, tol, max_cycles):
         r = w - c @ x
         if dmax < tol * max(1.0, float(np.max(np.abs(x)))):
             return x, cycle, True
-    return x, max_cycles, False
+    return x, _MAX_CYCLES, False
 
 
-def solve_ml(problem, tol=1e-10, max_cycles=100000, x0=None):
+def solve_ml(problem, tol=1e-10, x0=None):
     """Minimize the penalized cost of ``problem``.
 
     Stops when the largest coordinate move in a full sweep drops below
@@ -67,7 +69,7 @@ def solve_ml(problem, tol=1e-10, max_cycles=100000, x0=None):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, x0, tol, max_cycles)
+    x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, x0, tol)
     return MlSolution(
         x_hat=x,
         active_set=tuple(int(j) for j in np.nonzero(x)[0]),
@@ -77,7 +79,7 @@ def solve_ml(problem, tol=1e-10, max_cycles=100000, x0=None):
     )
 
 
-def ml_path(problem, mus, tol=1e-10, max_cycles=100000):
+def ml_path(problem, mus, tol=1e-10):
     """Solve along a strictly decreasing l1-weight grid with warm starts.
 
     Each solution seeds the next; results match cold solves to solver
@@ -89,7 +91,7 @@ def ml_path(problem, mus, tol=1e-10, max_cycles=100000):
     out = []
     x0 = None
     for m in mus:
-        sol = solve_ml(problem.with_mu(m), tol=tol, max_cycles=max_cycles, x0=x0)
+        sol = solve_ml(problem.with_mu(m), tol=tol, x0=x0)
         out.append(sol)
         x0 = sol.x_hat
     return out

@@ -31,8 +31,9 @@ class LogPartition:
     """log Z split into its additive pieces.
 
     log_z is exactly exp_term + log_det_term + prefactor_term + q_term (the
-    last is 0 unless an observable factor was attached).  d_tau holds the
-    diagonal curvature weights, kept for reuse in marginal grids.
+    last is 0 unless an observable factor was attached).  d_tau is the
+    curvature diagonal D at the stationary point, the one whose det(C + D)
+    gives log_det_term.
     """
 
     log_z: float
@@ -198,12 +199,12 @@ def log_partition_generalized(problem, saddle, q_at_saddle):
     )
 
 
-def log_partition_zero_temp(problem, ml, saddle_limit_u=None):
+def log_partition_zero_temp(problem, ml):
     """Infinite-tau limit of log Z from the penalized ML solution alone.
 
     The active coordinates contribute a Gaussian block, the zero coordinates
     a product of shifted two-sided exponentials evaluated at the limiting
-    dual vector (w - C x_hat by optimality; pass saddle_limit_u to override).
+    dual vector, which is w - C x_hat by optimality.
     Diagnostic only: the limit is discontinuous at l1 weights where a
     coordinate sits exactly on its inclusion boundary, and such points are
     rejected via TransitionValue rather than papered over.
@@ -211,11 +212,7 @@ def log_partition_zero_temp(problem, ml, saddle_limit_u=None):
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
     x = ml.x_hat
-    u = problem.w - problem.c @ x if saddle_limit_u is None else np.asarray(
-        saddle_limit_u, dtype=float
-    )
-    if u.shape != (problem.p,):
-        raise ValueError(f"saddle_limit_u must have length {problem.p}")
+    u = problem.w - problem.c @ x
     mu, tau = problem.mu, problem.tau
     for j in range(problem.p):
         if abs(x[j]) < _TRANSITION_TOL and mu - abs(u[j]) < _TRANSITION_TOL:

@@ -21,22 +21,19 @@ from .mlfit import _ml_cd
 from .partition import _core, _CPlusD, _d_diag, log_partition
 from .saddle import _saddle_cd
 
+_GRID_POINTS = 201
+_GRID_HALF_WIDTH_SDS = 6.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """How to lay out a marginal-density grid.
 
     points, when given, is used verbatim (must be ascending).  Otherwise the
-    grid is center +/- half_width with n_points equally spaced values; the
-    center defaults to the coordinate's posterior location and half_width to
-    half_width_sds posterior standard deviations.  Odd n_points puts a grid
-    point exactly on the center.
+    grid is 201 equally spaced values over the coordinate's posterior
+    location +/- 6 posterior standard deviations.
     """
 
-    n_points: int = 201
-    half_width_sds: float = 6.0
-    center: float | None = None
-    half_width: float | None = None
     points: np.ndarray | None = None
 
 
@@ -45,8 +42,10 @@ class MarginalCurve:
     """Single-coordinate posterior density on a grid.
 
     density integrates to 1 over the grid by the trapezoid rule;
-    log_density_unnorm keeps the raw log values (normalizer not subtracted)
-    for callers that want to recombine curves.
+    log_density_unnorm keeps the log values before that normalization.  They
+    are already offset by the full problem's leading-order normalizer:
+    marginal_sp subtracts the outer log Z, and marginal_ml_approx adds
+    tau * h_min, the unconstrained penalized minimum.
     """
 
     coordinate: int
@@ -85,26 +84,18 @@ def posterior_sd(problem, saddle):
     return np.sqrt(inv_diag / (2.0 * problem.tau))
 
 
-def _make_grid(spec, center_default, sd_default):
-    if spec is None:
-        spec = GridSpec()
-    if spec.points is not None:
-        pts = np.asarray(spec.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise GridTooSmall("explicit grid needs at least 2 points")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("explicit grid must be strictly ascending")
-        return pts
-    if spec.n_points < 2:
-        raise GridTooSmall("n_points must be at least 2")
-    center = center_default if spec.center is None else float(spec.center)
-    if spec.half_width is not None:
-        hw = float(spec.half_width)
-    else:
-        hw = spec.half_width_sds * sd_default
-    if not hw > 0.0:
-        raise ValueError("grid half-width must be positive")
-    return center + np.linspace(-hw, hw, spec.n_points)
+def _make_grid(spec, center, sd):
+    if spec is None or spec.points is None:
+        hw = _GRID_HALF_WIDTH_SDS * sd
+        if not hw > 0.0:
+            raise ValueError("grid half-width must be positive")
+        return center + np.linspace(-hw, hw, _GRID_POINTS)
+    pts = np.asarray(spec.points, dtype=float)
+    if pts.ndim != 1 or pts.size < 2:
+        raise GridTooSmall("explicit grid needs at least 2 points")
+    if np.any(np.diff(pts) <= 0.0):
+        raise ValueError("explicit grid must be strictly ascending")
+    return pts
 
 
 def _normalize(j, grid, log_unnorm, method):
@@ -159,7 +150,7 @@ def _walk_grid(grid, center, x_start, solve):
     return values
 
 
-def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
+def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     """Stationary-phase marginal density of coordinate j.
 
     Fixing x_j = g leaves a (p-1)-dimensional problem of the same form with
@@ -169,8 +160,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
     center in both directions, warm-starting each inner solve at its
     neighbor's solution; at the center the restriction of the full
     stationary point is already stationary, so that solve is free.  A grid
-    point whose warm-started solve stalls is retried once from the inner ML
-    minimizer before giving up.
+    point whose inner solve exhausts its cycle budget raises NotConverged.
     """
     if problem.p < 2:
         raise ValueError("marginal_sp needs p >= 2; use the exact single-"
@@ -185,18 +175,11 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
 
     def log_density(g, x_seed):
         w_eff = w_sub - g * c_col
-        x, u, cycles, res, ok = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_seed, tol, max_cycles, lam, factor_sub
+        x, u, cycles, _, ok = _saddle_cd(
+            c_sub, w_eff, mu, tau, x_seed, tol, lam, factor_sub
         )
         if not ok:
-            x_ml, _, _ = _ml_cd(c_sub, w_eff, mu, None, tol, 100000)
-            x, u, cycles, res, ok = _saddle_cd(
-                c_sub, w_eff, mu, tau, x_ml, tol, max_cycles, lam, factor_sub
-            )
-            if not ok:
-                raise NotConverged(
-                    cycles, f"marginal coordinate {j}, grid value {g}"
-                )
+            raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
         e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub)
         return _self_terms(problem, j, g) + (e + ld + pref) - outer, x
 
@@ -204,7 +187,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10, max_cycles=2000):
     return _normalize(j, grid, log_unnorm, "stationary_phase")
 
 
-def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10, max_cycles=100000):
+def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     """Minimum-cost comparison marginal for coordinate j.
 
     Same structure as marginal_sp but the inner log-partition ratio is
@@ -225,10 +208,10 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10, max_cycles=100
 
     def log_density(g, x_seed):
         w_eff = w_sub - g * c_col
-        x_in, _, ok = _ml_cd(c_sub, w_eff, mu, x_seed, tol, max_cycles)
+        x_in, cycles, ok = _ml_cd(c_sub, w_eff, mu, x_seed, tol)
         if not ok:
             raise NotConverged(
-                max_cycles, f"inner minimizer, coordinate {j}, grid value {g}"
+                cycles, f"inner minimizer, coordinate {j}, grid value {g}"
             )
         h_in = _cost_arrays(c_sub, w_eff, mu, x_in)
         return _self_terms(problem, j, g) - tau * h_in + tau * ml.h_min, x_in

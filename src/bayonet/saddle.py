@@ -31,6 +31,7 @@ from .errors import NoAdmissibleRoot, SingularMatrix
 from .partition import _CPlusD
 
 _MIN_STEP = 1e-4
+_MAX_CYCLES = 2000
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def _newton_step(c, w, mu, tau, lam, factor, x, u, res):
     return None
 
 
-def _saddle_cd(c, w, mu, tau, x0, tol, max_cycles, lam=0.0, factor=None):
+def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
     """Array-level solve; returns (x, u, cycles, residual, converged).
 
     Each cycle is a damped Newton step, or one coordinate sweep where no
@@ -191,7 +192,7 @@ def _saddle_cd(c, w, mu, tau, x0, tol, max_cycles, lam=0.0, factor=None):
     if res < tol:
         return x, u, 0, res, True
     cycles = 0
-    while cycles < max_cycles:
+    while cycles < _MAX_CYCLES:
         cycles += 1
         step = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
         if res < tol:
@@ -202,12 +203,12 @@ def _saddle_cd(c, w, mu, tau, x0, tol, max_cycles, lam=0.0, factor=None):
     return x, u, cycles, res, res < tol
 
 
-def solve_saddle(problem, init, tol=1e-10, max_cycles=2000):
+def solve_saddle(problem, init, tol=1e-10):
     """Find the stationary point of ``problem`` starting from ``init``.
 
     init is typically the penalized ML minimizer.  Convergence is declared
-    on the plug-back residual alone; a run that exhausts max_cycles returns
-    converged=False with the last iterate.
+    on the plug-back residual alone; a run that exhausts the cycle budget
+    returns converged=False with the last iterate.
     """
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.p,):
@@ -221,7 +222,6 @@ def solve_saddle(problem, init, tol=1e-10, max_cycles=2000):
         problem.tau,
         init,
         tol,
-        max_cycles,
         problem.lam,
         problem.low_rank_factor,
     )
@@ -230,7 +230,7 @@ def solve_saddle(problem, init, tol=1e-10, max_cycles=2000):
     )
 
 
-def tau_path(problem, taus, init=None, tol=1e-10, max_cycles=2000):
+def tau_path(problem, taus, init=None, tol=1e-10):
     """Solve along a strictly decreasing inverse-temperature grid.
 
     Each solution warm-starts the next (the stationary point moves
@@ -248,7 +248,7 @@ def tau_path(problem, taus, init=None, tol=1e-10, max_cycles=2000):
     x = np.zeros(problem.p) if init is None else np.asarray(init, dtype=float)
     out = []
     for t in taus:
-        sol = solve_saddle(problem.with_tau(t), x, tol=tol, max_cycles=max_cycles)
+        sol = solve_saddle(problem.with_tau(t), x, tol=tol)
         out.append(sol)
         x = sol.x_tau
     return out

@@ -137,6 +137,45 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert cap.err != ""
 
 
+def collinear_csv(seed):
+    # column 6 = 2 * column 0 + 1: exactly dependent once standardized.  At
+    # lam = 0 the Cholesky of C fails outright for seed 8, while for seed 2
+    # rounding leaves it a pivot of ~1e-16 relative that must still count
+    def write(tmp_path):
+        rng = np.random.default_rng(seed)
+        preds = rng.normal(size=(60, 7))
+        preds[:, 6] = 2.0 * preds[:, 0] + 1.0
+        ys = preds[:, :3] @ np.array([1.0, -0.5, 0.2]) + 0.3 * rng.normal(size=60)
+        path = tmp_path / "collinear.csv"
+        helpers.write_csv(path, [f"g{j}" for j in range(7)], preds, ys)
+        return path
+
+    return write
+
+
+@pytest.mark.parametrize("design, lam, code", [
+    (collinear_csv(8), "0", 3),
+    (collinear_csv(2), "0", 3),
+    (collinear_csv(2), "0.1", 0),
+    (lambda tmp_path: make_csv(tmp_path, n=2), "0.1", 0),
+], ids=["collinear-lasso-8", "collinear-lasso-2", "collinear-ridge", "two-rows"])
+def test_hostile_designs(tmp_path, capsys, design, lam, code):
+    path = design(tmp_path)
+    argv = ["fit", path, "--response", "y", "--lambda", lam,
+            "--mu", "0.1", "--tau", "10"]
+    got, cap = run(argv, capsys)
+    assert got == code
+    if code == 3:
+        assert cap.err.startswith("error: ")
+        std = bn.standardize(bn.load_csv(str(path), "y")[0])
+        with pytest.raises(bn.SingularC):
+            bn.build_problem(std, float(lam), 0.1, 10.0)
+    else:
+        payload = json.loads(cap.out)
+        assert np.all(np.isfinite(payload["x_tau"]))
+        assert np.isfinite(payload["log_z"])
+
+
 def test_usage_errors_exit_4(tmp_path, capsys):
     csv = make_csv(tmp_path)
     assert run(["nonsense", csv, "--response", "y"], capsys)[0] == 4
@@ -156,6 +195,9 @@ def test_usage_errors_exit_4(tmp_path, capsys):
                 "--tol", "0"], capsys)[0] == 4
     assert run(["convergence", csv, "--response", "y",
                 "--mu-grid", "3"], capsys)[0] == 4
+    for top in ("0", "-1"):
+        assert run(["cv", csv, "--response", "y", *_BASE_ARGS["cv"],
+                    "--screen-top", top], capsys)[0] == 4
 
 
 _BASE_ARGS = {

@@ -152,3 +152,13 @@ def test_chain_agrees_with_deterministic_marginals(p5_suite):
         curve = bn.marginal_sp(prob, p5_suite["saddle"], j)
         d = helpers.ks_distance(ch.samples[:, j], curve.grid, curve.density)
         assert d < 0.05
+
+
+def test_drift_guard_raises_numerical_error():
+    # at tau = 1e-12 the samples reach ~1e6 within 100 sweeps, and rounding
+    # in the incremental residual update alone exceeds the guard's absolute
+    # 1e-10 bound
+    std = helpers.random_standardized(0, 60, 5)
+    prob = bn.build_problem(std, 0.1, 0.05, 1e-12)
+    with pytest.raises(bn.NumericalError, match="drift guard"):
+        bn.run_gibbs(prob, np.zeros(5), sweeps=300)

@@ -274,3 +274,5 @@ def test_cv_validation():
         bn.cross_validate(std, grid, folds=1, seed=0)
     with pytest.raises(ValueError):
         bn.cross_validate(std, grid, folds=31, seed=0)
+    with pytest.raises(ValueError, match="screen_top"):
+        bn.cross_validate(std, grid, folds=3, seed=0, screen_top=0)

@@ -89,10 +89,11 @@ def test_elastic_net_convention_identity():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_not_converged_flag():
+def test_not_converged_flag(monkeypatch):
+    monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1)
     std = helpers.random_standardized(24, 30, 8)
     prob = bn.build_problem(std, 0.01, 0.001, 1.0)
-    sol = bn.solve_ml(prob, tol=1e-14, max_cycles=1)
+    sol = bn.solve_ml(prob, tol=1e-14)
     assert not sol.converged
     assert sol.cycles == 1
 

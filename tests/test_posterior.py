@@ -42,10 +42,11 @@ def test_expectation_matches_exact_one_dim():
     assert sp_mean_one_dim(c, w, mu, 1e4) == pytest.approx(ref, abs=1e-3)
 
 
-def test_expectation_requires_converged():
+def test_expectation_requires_converged(monkeypatch):
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
     std = helpers.random_standardized(60, 30, 4)
     prob = bn.build_problem(std, 0.05, 0.05, 100.0)
-    sad = bn.solve_saddle(prob, np.zeros(4), tol=1e-14, max_cycles=1)
+    sad = bn.solve_saddle(prob, np.zeros(4), tol=1e-14)
     with pytest.raises(bn.NotConverged):
         expectation(prob, sad)
 
@@ -88,10 +89,21 @@ def test_marginal_inner_solve_free_at_center(p5_suite):
     c_sub = prob.c[np.ix_(idx, idx)]
     w_eff = prob.w[idx] - sad.x_tau[j] * prob.c[idx, j]
     _, _, cycles, res, ok = _saddle_cd(
-        c_sub, w_eff, prob.mu, prob.tau, sad.x_tau[idx], 1e-10, 2000
+        c_sub, w_eff, prob.mu, prob.tau, sad.x_tau[idx], 1e-10
     )
     assert ok
     assert cycles == 0
+
+
+def test_marginal_inner_solve_budget_raises(p5_suite, monkeypatch):
+    # the outer stationary point is already solved; a one-cycle budget for
+    # the inner solves must surface as NotConverged naming the coordinate,
+    # with no retry from another start
+    prob, sad = p5_suite["problem"], p5_suite["saddle"]
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
+    with pytest.raises(bn.NotConverged, match=r"marginal coordinate 1, grid value") as info:
+        marginal_sp(prob, sad, 1)
+    assert info.value.cycles == 1
 
 
 def test_marginal_matches_two_dim_quadrature():

@@ -124,10 +124,11 @@ def test_cycle_count_moderate_at_map_tau(p5_suite):
     assert sol.cycles <= 20
 
 
-def test_not_converged_flag():
+def test_not_converged_flag(monkeypatch):
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
     std = helpers.random_standardized(33, 30, 6)
     prob = bn.build_problem(std, 0.05, 0.05, 100.0)
-    sol = solve_saddle(prob, np.zeros(6), tol=1e-14, max_cycles=1)
+    sol = solve_saddle(prob, np.zeros(6), tol=1e-14)
     assert not sol.converged
 
 
