@@ -119,8 +119,8 @@ def _build_parser():
         p.add_argument("--thin", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
-    def grids(p, mu_default):
-        p.add_argument(
+    def grids(p, mu_default, mu_group=None):
+        (mu_group or p).add_argument(
             "--mu-grid",
             type=_pair((int, float)),
             default=mu_default,
@@ -151,8 +151,9 @@ def _build_parser():
     )
 
     p = verb("convergence", "temperature sweep of the partition-function gap")
-    p.add_argument("--mu", type=_positive)
-    grids(p, None)
+    mu = p.add_mutually_exclusive_group(required=True)
+    mu.add_argument("--mu", type=_positive)
+    grids(p, None, mu)
 
     p = verb("gibbs", "reference posterior samples")
     mu_tau(p)
@@ -342,12 +343,10 @@ def cmd_convergence(args):
     std, names = _load_data(args)
     if args.mu is not None:
         mus = [args.mu]
-    elif args.mu_grid is not None:
+    else:
         count, ratio = args.mu_grid
         prob0 = build_problem(std, args.lam, 1.0, 1.0)
         mus = list(mu_grid(mu_max(prob0.w), count, ratio))
-    else:
-        raise ConfigError("convergence requires --mu or --mu-grid")
     taus = tau_grid(*args.tau_grid)
     rows = []
     for mu in mus:

@@ -14,12 +14,14 @@ and the posterior standard deviations factor, through the same helper
 inside the box and the plug-back residual falling; from the penalized ML
 minimizer a handful of steps take the residual down to rounding level.
 
-Eliminating u coordinate-wise turns each condition into a cubic in x_j with
-exactly one root whose dual value lands strictly inside the box.  One
-cyclic sweep of these per-coordinate cubic solves is the globalizer: it
-replaces the Newton step wherever that cannot be taken (some b <= 0, a
-failed factorization, or a stalled backtrack).  The iterate is x
-throughout (never u), which avoids forming C^{-1}.
+Holding the other coordinates fixed, each condition is a cubic in x_j with
+exactly one interior root, found by Newton on a sign-changing bracket.  One
+cyclic sweep of these per-coordinate solves is the globalizer: it replaces
+the Newton step wherever that cannot be taken (some b <= 0, a failed
+factorization, or a backtrack that cannot keep u inside the box while
+lowering the residual, as from a warm start outside it).  A solve has
+converged only with every |u_j| < mu.  The iterate is x throughout (never
+u), which avoids forming C^{-1}.
 """
 
 import math
@@ -32,6 +34,7 @@ from .partition import _CPlusD
 
 _MIN_STEP = 1e-4
 _MAX_CYCLES = 2000
+_BRACKET_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,8 @@ class SaddleSolution:
     residual is the l-inf norm of the stationarity conditions evaluated with
     a fresh u (no incremental bookkeeping involved).  cycles counts Newton
     steps plus fallback coordinate sweeps, the final polishing step
-    included.
+    included.  converged means the residual met the tolerance of
+    ``solve_saddle`` with u_tau strictly inside the box, |u_j| < mu.
     """
 
     u_tau: np.ndarray
@@ -53,72 +57,50 @@ class SaddleSolution:
     converged: bool
 
 
-def _real_roots_cubic(b2, b1, b0):
-    """All real roots of x^3 + b2 x^2 + b1 x + b0 (1 or 3 of them).
-
-    Depressed-cubic closed form: three-real-root case via the trigonometric
-    identity, single-root case via Cardano with the sign-stable cube root
-    pairing (u and -p/(3u)) so cancellation cannot blow up the root.
-    """
-    p = b1 - b2 * b2 / 3.0
-    q = 2.0 * b2 ** 3 / 27.0 - b2 * b1 / 3.0 + b0
-    shift = -b2 / 3.0
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    if disc > 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-        phi = math.acos(arg) / 3.0
-        return [shift + m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    d = q * q / 4.0 + p ** 3 / 27.0
-    s = math.sqrt(max(d, 0.0))
-    u3 = -q / 2.0 - math.copysign(s, q)
-    if u3 == 0.0:
-        return [shift]
-    u = float(np.cbrt(u3))
-    return [shift + u - p / (3.0 * u)]
-
-
 def coordinate_cubic(a, cjj, mu, tau):
     """Solve one coordinate's stationarity condition.
 
     Given the partial residual a (the value w_j - sum_{k != j} C_kj x_k),
-    returns the root x_j of
-
-        cjj^2 x^3 - 2 a cjj x^2 + (a^2 - mu^2 - cjj/tau) x + a/tau = 0
-
-    whose dual value u = a - cjj*x lies strictly inside (-mu, mu).  Each
-    closed-form root gets two Newton polish steps on the stationarity
-    function before the admissibility test; among admissible candidates
-    (interior by at least a 1e-14*mu margin) the smallest-residual one wins.
-    Zero partial residual short-circuits to the exact root 0.
+    returns the root x of f(x) = (mu^2 - u^2) x - u/tau, u = a - cjj x,
+    with u strictly inside (-mu, mu).  Across the box f runs from -mu/tau
+    (u = mu) to +mu/tau (u = -mu); as a cubic in u it has its other two
+    roots beyond -mu and +mu, so one root is interior.  There x and u share
+    a sign: for a > 0 it lies in [max(0, (a - mu)/cjj), a/cjj], where
+    f' > 0 (a < 0 mirrors this).  From the lower end each step is Newton,
+    or the midpoint when Newton leaves the bracket (a step too small to move
+    x probes the next float).  The upper end, the least point found with
+    f >= 0, is returned: there |u| < mu holds after rounding too.  a = 0
+    short-circuits to the exact root 0.
     """
     if not (cjj > 0.0 and mu > 0.0 and tau > 0.0):
         raise ValueError("cjj, mu and tau must be positive")
     if a == 0.0:
         return 0.0
-    b2 = -2.0 * a / cjj
-    b1 = (a * a - mu * mu - cjj / tau) / cjj ** 2
-    b0 = a / (tau * cjj ** 2)
-    margin = mu * (1.0 - 1e-14)
-    best = None
-    best_res = math.inf
-    for x in _real_roots_cubic(b2, b1, b0):
-        for _ in range(2):
-            u = a - cjj * x
-            g = (mu * mu - u * u) * x - u / tau
-            gp = (mu * mu - u * u) + 2.0 * u * cjj * x + cjj / tau
-            if gp != 0.0:
-                x -= g / gp
-        u = a - cjj * x
-        if abs(u) < margin:
-            res = abs((mu * mu - u * u) * x - u / tau)
-            if res < best_res:
-                best, best_res = x, res
-    if best is None:
+    b = abs(a)
+    lo, hi = max(0.0, (b - mu) / cjj), b / cjj
+    x = lo
+    for _ in range(_BRACKET_STEPS):
+        u = b - cjj * x
+        g = mu * mu - u * u
+        f = g * x - u / tau
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        xn = x - f / (g + 2.0 * u * cjj * x + cjj / tau)
+        if xn == x:
+            xn = math.nextafter(x, hi if f < 0.0 else lo)
+        if not lo < xn < hi:
+            xn = 0.5 * (lo + hi)
+            if not lo < xn < hi:
+                break
+        x = xn
+    x = math.copysign(hi, a)
+    if not abs(a - cjj * x) < mu:
         raise NoAdmissibleRoot(
             f"a={a!r} cjj={cjj!r} mu={mu!r} tau={tau!r}: no interior root"
         )
-    return best
+    return x
 
 
 def _residual(x, u, mu, tau):
@@ -181,34 +163,42 @@ def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
     """Array-level solve; returns (x, u, cycles, residual, converged).
 
     Each cycle is a damped Newton step, or one coordinate sweep where no
-    Newton step can be taken.  Once the residual is below tol one more
-    Newton step polishes the iterate, kept only if it lowers the residual.
-    lam and factor are the problem's l2 weight and design factor (None:
-    C carries none), which pick the factorization route of C + diag(a/b).
+    Newton step can be taken.  Converged means the residual is below
+    tol * max(1, 1/tau) with every |u| < mu; one more Newton step then
+    polishes the iterate, kept only if it lowers the residual.  lam and
+    factor are the problem's l2 weight and design factor (None: C carries
+    none), which pick the factorization route of C + diag(a/b).
     """
+    tol = tol * max(1.0, 1.0 / tau)
+
+    def done(u, res):
+        return res < tol and float(np.max(np.abs(u))) < mu
+
     x = np.array(x0, dtype=float)
     u = w - c @ x
     res = _residual(x, u, mu, tau)
-    if res < tol:
+    if done(u, res):
         return x, u, 0, res, True
     cycles = 0
     while cycles < _MAX_CYCLES:
         cycles += 1
         step = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
-        if res < tol:
+        if done(u, res):
             if step is not None:
                 x, u, res = step
             return x, u, cycles, res, True
         x, u, res = step if step is not None else _sweep(c, w, mu, tau, x, u)
-    return x, u, cycles, res, res < tol
+    return x, u, cycles, res, done(u, res)
 
 
 def solve_saddle(problem, init, tol=1e-10):
     """Find the stationary point of ``problem`` starting from ``init``.
 
-    init is typically the penalized ML minimizer.  Convergence is declared
-    on the plug-back residual alone; a run that exhausts the cycle budget
-    returns converged=False with the last iterate.
+    init is typically the penalized ML minimizer.  Converged means every
+    |u_j| < mu and a plug-back residual below tol * max(1, 1/tau): for
+    tau < 1 the rounding of u = w - Cx, magnified by 1/tau, keeps the
+    residual near eps*|w|/tau, so there tol bounds tau times it.  A run that
+    exhausts the cycle budget returns converged=False with the last iterate.
     """
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.p,):

@@ -75,6 +75,17 @@ def test_fit_huge_mu_gives_all_zero_ml(tmp_path):
     assert payload["x_ml"] == [0.0, 0.0, 0.0]
 
 
+def test_fit_small_tau_converges(tmp_path):
+    # near the ridge limit the raw residual cannot fall below ~eps*|w|/tau;
+    # the solver's tolerance scales with 1/tau there instead of running out
+    csv = make_csv(tmp_path, n=60, p=5, beta=np.array([1.0, -0.5, 0.0, 0.3, 0.0]))
+    out = tmp_path / "fit.json"
+    assert run(["fit", csv, "--response", "y", "--lambda", "0.1", "--mu", "0.05",
+                "--tau", "1e-7", "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    assert max(abs(u) for u in payload["u_tau"]) < 0.05
+
+
 def test_fit_writes_stdout_without_out(tmp_path, capsys):
     csv = make_csv(tmp_path)
     code, cap = run(["fit", csv, "--response", "y", "--lambda", "0.05",
@@ -348,8 +359,9 @@ def test_convergence_sweep_columns(tmp_path):
 
 def test_convergence_requires_mu_or_grid(tmp_path, capsys):
     csv = make_csv(tmp_path)
-    code, cap = run(["convergence", csv, "--response", "y"], capsys)
-    assert code == 4
+    for extra in ([], ["--mu", "0.05", "--mu-grid", "3,0.1"]):
+        code, cap = run(["convergence", csv, "--response", "y", *extra], capsys)
+        assert code == 4, extra
 
 
 # --- gibbs ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bayonet as bn
@@ -58,6 +58,44 @@ def test_cubic_zero_effect_limit():
     assert abs(x) < 1e-6
     assert u == pytest.approx(a, abs=1e-6)
     assert x == pytest.approx(u / (tau * (mu * mu - u * u)), rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_a=st.floats(-8.0, 1.0),
+    negative=st.booleans(),
+    log_cjj=st.floats(-2.0, math.log10(30.0)),
+    log_mu=st.floats(-6.0, 1.0),
+    log_tau=st.floats(-4.0, 14.0),
+)
+def test_cubic_root_is_interior_with_small_residual(log_a, negative, log_cjj, log_mu, log_tau):
+    a = -(10.0**log_a) if negative else 10.0**log_a
+    c, mu, tau = 10.0**log_cjj, 10.0**log_mu, 10.0**log_tau
+    x = coordinate_cubic(a, c, mu, tau)
+    u = a - c * x
+    assert abs(u) < mu
+    assert x * a >= 0.0
+    # the residual scale, plus the rounding floor: u = a - c*x carries an
+    # error of about eps*|a|, which f feels through |df/du| = |2ux + 1/tau|
+    eps = np.finfo(float).eps
+    floor = 2.0 * eps * (abs(a) + mu) * (2.0 * mu * abs(x) + 1.0 / tau)
+    assert abs((mu * mu - u * u) * x - u / tau) <= 1e-9 * (mu / tau + mu * mu * abs(x)) + floor
+
+
+def test_cubic_root_next_to_the_box_edge():
+    # the root lies within rounding of u = mu: x = 9 gives u = mu exactly,
+    # and the solver must return the interior neighbour instead
+    a, c, mu, tau = 10.0, 1.0, 1.0, 1e14
+    x = coordinate_cubic(a, c, mu, tau)
+    assert x == math.nextafter(9.0, math.inf)
+    assert a - c * x < mu
+    assert coordinate_cubic(-a, c, mu, tau) == -x
+
+
+def test_cubic_non_finite_input_has_no_root():
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(bn.NoAdmissibleRoot):
+            coordinate_cubic(a, 1.0, 0.1, 10.0)
 
 
 def test_cubic_validation():
@@ -184,6 +222,10 @@ def test_fallback_sweep_runs_where_newton_cannot(monkeypatch):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@example(n=2, p=1, lam=1.0, mu_frac=0.015625, log_tau=8.0, seed=0)
+@example(
+    n=6, p=6, lam=0.2744517058350363, mu_frac=0.010000000000000002, log_tau=7.979018753790751, seed=6
+)
 @given(
     n=st.integers(2, 8),
     p=st.integers(1, 12),
@@ -211,6 +253,20 @@ def test_solve_converges_or_raises_typed(n, p, lam, mu_frac, log_tau, seed):
     u = prob.w - prob.c @ sol.x_tau
     res = (prob.mu**2 - u**2) * sol.x_tau - u / prob.tau
     assert np.max(np.abs(res)) < tol
+
+
+def test_small_tau_solve_converges():
+    # at tau = 1e-6 the rounding of u = w - Cx, magnified by 1/tau, keeps
+    # the raw residual near 1e-11; the tolerance scales with 1/tau below 1
+    cases = ((61, 50, [0.9, -0.4, 0.0]), (62, 60, [1.0, 0.0, -0.6, 0.3, 0.0]), (63, 40, [0.7, 0.2]))
+    for seed, n, beta in cases:
+        p = len(beta)
+        std = helpers.random_standardized(seed, n, p, beta=beta, noise=0.4)
+        prob = bn.build_problem(std, 0.1, 0.08, 1e-6)
+        sol = solve_saddle(prob, np.zeros(p), tol=1e-12)
+        assert sol.converged and sol.cycles <= 5, seed
+        assert sol.residual < 1e-12 / prob.tau
+        assert np.max(np.abs(sol.u_tau)) < prob.mu
 
 
 def test_solver_validation():
