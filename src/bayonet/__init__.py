@@ -18,7 +18,6 @@ from .errors import (
     DegenerateDenominator,
     GridTooSmall,
     NoAdmissibleRoot,
-    NonPositiveQ,
     NotConverged,
     NumericalError,
     NumericalOverflow,
@@ -35,7 +34,7 @@ from .exact1d import (
     log_z_exact,
     prob_nonnegative,
 )
-from .gibbs import GibbsChain, run_gibbs, sample_conditional_1d
+from .gibbs import GibbsChain, run_gibbs
 from .hyper import (
     CvReport,
     HyperGrid,
@@ -47,12 +46,11 @@ from .hyper import (
     pearson,
     tau_grid,
 )
-from .mlfit import MlSolution, ml_path, solve_ml
+from .mlfit import MlSolution, solve_ml
 from .partition import (
     LogPartition,
     log_det_c_plus_d,
     log_partition,
-    log_partition_generalized,
     log_partition_zero_temp,
 )
 from .posterior import (
@@ -62,10 +60,9 @@ from .posterior import (
     marginal_ml_approx,
     marginal_sp,
     posterior_sd,
-    predictive_mean,
 )
-from .saddle import SaddleSolution, coordinate_cubic, solve_saddle, tau_path
-from .special import RngStream, erfc, erfcx, log_erfcx, sample_truncated_normal
+from .saddle import SaddleSolution, solve_saddle, tau_path
+from .special import RngStream, log_erfcx, sample_truncated_normal
 
 __version__ = "0.1.0"
 
@@ -84,7 +81,6 @@ __all__ = [
     "MarginalCurve",
     "MlSolution",
     "NoAdmissibleRoot",
-    "NonPositiveQ",
     "NotConverged",
     "NumericalError",
     "NumericalOverflow",
@@ -99,34 +95,27 @@ __all__ = [
     "ZeroVarianceColumn",
     "apply_standardization",
     "build_problem",
-    "coordinate_cubic",
     "cost_h",
     "cross_validate",
     "default_grid",
     "density_exact",
-    "erfc",
-    "erfcx",
     "expectation",
     "expectation_exact",
     "load_csv",
     "log_det_c_plus_d",
     "log_erfcx",
     "log_partition",
-    "log_partition_generalized",
     "log_partition_zero_temp",
     "log_z_exact",
     "map_tau",
     "marginal_ml_approx",
     "marginal_sp",
-    "ml_path",
     "mu_grid",
     "mu_max",
     "pearson",
     "posterior_sd",
-    "predictive_mean",
     "prob_nonnegative",
     "run_gibbs",
-    "sample_conditional_1d",
     "sample_truncated_normal",
     "solve_ml",
     "solve_saddle",

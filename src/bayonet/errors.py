@@ -55,10 +55,6 @@ class TransitionValue(NumericalError):
         )
 
 
-class NonPositiveQ(NumericalError):
-    """Observable factor evaluated at the saddle must be positive."""
-
-
 class GridTooSmall(NumericalError):
     """A density grid needs at least two points to normalize."""
 

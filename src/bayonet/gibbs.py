@@ -52,15 +52,6 @@ def _draw(cjj, a, mu, s, sd, rng):
     return sample_truncated_normal((a + mu) / cjj, sd, "nonpos", rng)
 
 
-def sample_conditional_1d(c, a, mu, tau, rng):
-    """Sample the posterior of one coefficient with partial residual a."""
-    if not (c > 0.0 and mu > 0.0 and tau > 0.0):
-        raise ValueError("c, mu and tau must be positive")
-    s = math.sqrt(tau / c)
-    sd = 1.0 / math.sqrt(2.0 * tau * c)
-    return _draw(c, a, mu, s, sd, rng)
-
-
 def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     """Cyclic Gibbs sweeps over all coordinates.
 

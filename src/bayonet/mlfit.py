@@ -39,7 +39,11 @@ def _soft_threshold(a, mu):
 
 
 def _ml_cd(c, w, mu, x0, tol):
-    """Array-level coordinate descent core; returns (x, cycles, converged)."""
+    """Array-level coordinate descent core; returns (x, cycles, converged).
+
+    x0 is the start (None: the zero vector); marginal_ml_approx warm-starts
+    each grid point at its neighbor's minimizer.
+    """
     p = w.shape[0]
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
     diag = np.diagonal(c)
@@ -60,8 +64,8 @@ def _ml_cd(c, w, mu, x0, tol):
     return x, _MAX_CYCLES, False
 
 
-def solve_ml(problem, tol=1e-10, x0=None):
-    """Minimize the penalized cost of ``problem``.
+def solve_ml(problem, tol=1e-10):
+    """Minimize the penalized cost of ``problem``, starting from x = 0.
 
     Stops when the largest coordinate move in a full sweep drops below
     tol * max(1, ||x||_inf).  Runs the cycle budget out rather than raising;
@@ -69,7 +73,7 @@ def solve_ml(problem, tol=1e-10, x0=None):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, x0, tol)
+    x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, None, tol)
     return MlSolution(
         x_hat=x,
         active_set=tuple(int(j) for j in np.nonzero(x)[0]),
@@ -77,21 +81,3 @@ def solve_ml(problem, tol=1e-10, x0=None):
         cycles=cycles,
         converged=ok,
     )
-
-
-def ml_path(problem, mus, tol=1e-10):
-    """Solve along a strictly decreasing l1-weight grid with warm starts.
-
-    Each solution seeds the next; results match cold solves to solver
-    accuracy but the path is much cheaper at small mu.
-    """
-    mus = [float(m) for m in mus]
-    if any(b >= a for a, b in zip(mus, mus[1:])):
-        raise ValueError("mu grid must be strictly decreasing")
-    out = []
-    x0 = None
-    for m in mus:
-        sol = solve_ml(problem.with_mu(m), tol=tol, x0=x0)
-        out.append(sol)
-        x0 = sol.x_hat
-    return out

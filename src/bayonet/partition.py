@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import (
-    NonPositiveQ,
-    NotConverged,
-    NumericalOverflow,
-    SingularMatrix,
-    TransitionValue,
-)
+from .errors import NotConverged, NumericalOverflow, SingularMatrix, TransitionValue
 
 _TRANSITION_TOL = 1e-8
 
@@ -30,17 +24,17 @@ _TRANSITION_TOL = 1e-8
 class LogPartition:
     """log Z split into its additive pieces.
 
-    log_z is exactly exp_term + log_det_term + prefactor_term + q_term (the
-    last is 0 unless an observable factor was attached).  d_tau is the
+    log_z is exactly exp_term + log_det_term + prefactor_term.  d_tau is the
     curvature diagonal D at the stationary point, the one whose det(C + D)
-    gives log_det_term.
+    gives log_det_term.  At this order an observable factor q > 0 in the
+    integrand contributes only its value at the stationary point, so a
+    caller after log of the integral of q exp(-tau H) adds log(q(x_tau)).
     """
 
     log_z: float
     exp_term: float
     log_det_term: float
     prefactor_term: float
-    q_term: float
     d_tau: np.ndarray
 
 
@@ -171,31 +165,7 @@ def log_partition(problem, saddle):
         exp_term=exp_term,
         log_det_term=log_det_term,
         prefactor_term=prefactor_term,
-        q_term=0.0,
         d_tau=d,
-    )
-
-
-def log_partition_generalized(problem, saddle, q_at_saddle):
-    """log Z with a positive observable factor attached.
-
-    At leading order an analytic factor in the integrand only contributes
-    its value at the stationary point, so the result is the base log Z plus
-    log(q_at_saddle).  Sign tracking for non-positive factors is the
-    caller's job; q_at_saddle <= 0 is rejected.
-    """
-    q = float(q_at_saddle)
-    if not q > 0.0:
-        raise NonPositiveQ(f"observable factor at the saddle must be > 0, got {q}")
-    base = log_partition(problem, saddle)
-    q_term = math.log(q)
-    return LogPartition(
-        log_z=base.exp_term + base.log_det_term + base.prefactor_term + q_term,
-        exp_term=base.exp_term,
-        log_det_term=base.log_det_term,
-        prefactor_term=base.prefactor_term,
-        q_term=q_term,
-        d_tau=base.d_tau,
     )
 
 

@@ -1,4 +1,4 @@
-"""Posterior summaries: expectations, marginal densities, predictive means.
+"""Posterior summaries: expectations, standard deviations, marginal densities.
 
 Marginal densities come in two flavors.  The main one treats the remaining
 p-1 coordinates with the same stationary-phase machinery as the full
@@ -39,20 +39,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class MarginalCurve:
-    """Single-coordinate posterior density on a grid.
+    """Posterior density of coordinate ``coordinate`` on a grid.
 
-    density integrates to 1 over the grid by the trapezoid rule;
-    log_density_unnorm keeps the log values before that normalization.  They
-    are already offset by the full problem's leading-order normalizer:
-    marginal_sp subtracts the outer log Z, and marginal_ml_approx adds
-    tau * h_min, the unconstrained penalized minimum.
+    Both marginal_sp and marginal_ml_approx return one.  density integrates
+    to 1 over the grid by the trapezoid rule; log_density_unnorm keeps the
+    log values before that normalization.  They are already offset by the
+    full problem's leading-order normalizer: marginal_sp subtracts the outer
+    log Z, and marginal_ml_approx adds tau * h_min, the unconstrained
+    penalized minimum.
     """
 
     coordinate: int
     grid: np.ndarray
     log_density_unnorm: np.ndarray
     density: np.ndarray
-    method: str
 
 
 def expectation(problem, saddle):
@@ -60,16 +60,6 @@ def expectation(problem, saddle):
     if not saddle.converged:
         raise NotConverged(saddle.cycles, "stationary point not converged")
     return saddle.x_tau.copy()
-
-
-def predictive_mean(problem, saddle, a):
-    """Posterior predictive mean of a new response with predictor row a."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (problem.p,):
-        raise ValueError(f"a must have length {problem.p}")
-    if not saddle.converged:
-        raise NotConverged(saddle.cycles, "stationary point not converged")
-    return float(a @ saddle.x_tau)
 
 
 def posterior_sd(problem, saddle):
@@ -98,7 +88,7 @@ def _make_grid(spec, center, sd):
     return pts
 
 
-def _normalize(j, grid, log_unnorm, method):
+def _normalize(j, grid, log_unnorm):
     dens = np.exp(log_unnorm - np.max(log_unnorm))
     total = float(np.trapezoid(dens, grid))
     return MarginalCurve(
@@ -106,7 +96,6 @@ def _normalize(j, grid, log_unnorm, method):
         grid=grid,
         log_density_unnorm=log_unnorm,
         density=dens / total,
-        method=method,
     )
 
 
@@ -184,7 +173,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         return _self_terms(problem, j, g) + (e + ld + pref) - outer, x
 
     log_unnorm = _walk_grid(grid, saddle.x_tau[j], saddle.x_tau[idx], log_density)
-    return _normalize(j, grid, log_unnorm, "stationary_phase")
+    return _normalize(j, grid, log_unnorm)
 
 
 def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
@@ -217,4 +206,4 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
         return _self_terms(problem, j, g) - tau * h_in + tau * ml.h_min, x_in
 
     log_unnorm = _walk_grid(grid, ml.x_hat[j], ml.x_hat[idx], log_density)
-    return _normalize(j, grid, log_unnorm, "ml_approx")
+    return _normalize(j, grid, log_unnorm)

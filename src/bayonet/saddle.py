@@ -20,8 +20,9 @@ cyclic sweep of these per-coordinate solves is the globalizer: it replaces
 the Newton step wherever that cannot be taken (some b <= 0, a failed
 factorization, or a backtrack that cannot keep u inside the box while
 lowering the residual, as from a warm start outside it).  A solve has
-converged only with every |u_j| < mu.  The iterate is x throughout (never
-u), which avoids forming C^{-1}.
+converged only with every |u_j| < mu and every b_j > 0, as at every
+stationary point.  The iterate is x throughout (never u), which avoids
+forming C^{-1}.
 """
 
 import math
@@ -46,7 +47,8 @@ class SaddleSolution:
     a fresh u (no incremental bookkeeping involved).  cycles counts Newton
     steps plus fallback coordinate sweeps, the final polishing step
     included.  converged means the residual met the tolerance of
-    ``solve_saddle`` with u_tau strictly inside the box, |u_j| < mu.
+    ``solve_saddle`` with u_tau strictly inside the box, |u_j| < mu, and
+    every 2 u_j x_j + 1/tau > 0, as at every stationary point.
     """
 
     u_tau: np.ndarray
@@ -164,38 +166,47 @@ def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
 
     Each cycle is a damped Newton step, or one coordinate sweep where no
     Newton step can be taken.  Converged means the residual is below
-    tol * max(1, 1/tau) with every |u| < mu; one more Newton step then
-    polishes the iterate, kept only if it lowers the residual.  lam and
-    factor are the problem's l2 weight and design factor (None: C carries
-    none), which pick the factorization route of C + diag(a/b).
+    tol * max(1, 1/tau) with every |u| < mu and every b = 2ux + 1/tau > 0;
+    one more Newton step then polishes the iterate, kept only if it lowers
+    the residual.  At a stationary point x and u share a sign, so b >= 1/tau.
+    The b test rejects starts such as x of the opposite sign to u with |u|
+    within rounding of mu: a ~ 0 there, and at large tau the residual
+    |a x - u/tau| is below tol far from the root.  lam and factor are the
+    problem's l2 weight and design factor (None: C carries none), which pick
+    the factorization route of C + diag(a/b).
     """
     tol = tol * max(1.0, 1.0 / tau)
 
-    def done(u, res):
-        return res < tol and float(np.max(np.abs(u))) < mu
+    def done(x, u, res):
+        return (
+            res < tol
+            and float(np.max(np.abs(u))) < mu
+            and bool(np.all(2.0 * u * x + 1.0 / tau > 0.0))
+        )
 
     x = np.array(x0, dtype=float)
     u = w - c @ x
     res = _residual(x, u, mu, tau)
-    if done(u, res):
+    if done(x, u, res):
         return x, u, 0, res, True
     cycles = 0
     while cycles < _MAX_CYCLES:
         cycles += 1
         step = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
-        if done(u, res):
+        if done(x, u, res):
             if step is not None:
                 x, u, res = step
             return x, u, cycles, res, True
         x, u, res = step if step is not None else _sweep(c, w, mu, tau, x, u)
-    return x, u, cycles, res, done(u, res)
+    return x, u, cycles, res, done(x, u, res)
 
 
 def solve_saddle(problem, init, tol=1e-10):
     """Find the stationary point of ``problem`` starting from ``init``.
 
     init is typically the penalized ML minimizer.  Converged means every
-    |u_j| < mu and a plug-back residual below tol * max(1, 1/tau): for
+    |u_j| < mu, every 2 u_j x_j + 1/tau > 0 and a plug-back residual below
+    tol * max(1, 1/tau): for
     tau < 1 the rounding of u = w - Cx, magnified by 1/tau, keeps the
     residual near eps*|w|/tau, so there tol bounds tau times it.  A run that
     exhausts the cycle budget returns converged=False with the last iterate.

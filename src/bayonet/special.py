@@ -1,11 +1,12 @@
-"""Error-function primitives, seeded RNG streams and truncated-normal sampling.
+"""log(erfcx), seeded RNG streams and truncated-normal sampling.
 
 The half-Gaussian integrals that appear throughout this package are all
-expressed through the scaled complementary error function, so it is the one
-special function whose accuracy actually matters here.  Evaluation is
-delegated to scipy's implementations (rational/continued-fraction based, no
-exp(x^2)*erfc(x) composition anywhere), wrapped so that the rest of the
-package never imports scipy.special directly.
+expressed through the scaled complementary error function erfcx(x) =
+exp(x^2) erfc(x), and every caller needs its logarithm, so log_erfcx is the
+one special function the rest of the package imports.  It and the
+truncated-normal sampler evaluate scipy.special's erfcx, erfc and ndtri
+directly (rational/continued-fraction based, no exp(x^2)*erfc(x)
+composition anywhere).
 """
 
 import math
@@ -15,21 +16,6 @@ import numpy as np
 from scipy import special as _sp
 
 SQRT2 = math.sqrt(2.0)
-
-
-def erfc(x):
-    """Complementary error function (2/sqrt(pi)) * int_x^inf exp(-y^2) dy."""
-    return _sp.erfc(x)
-
-
-def erfcx(x):
-    """Scaled complementary error function exp(x^2) * erfc(x).
-
-    Stays finite for arbitrarily large positive x, which is the whole point:
-    the log-partition formulas need log(erfcx) at arguments where erfc alone
-    underflows and exp(x^2) alone overflows.
-    """
-    return _sp.erfcx(x)
 
 
 def log_erfcx(x):

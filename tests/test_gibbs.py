@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 import bayonet as bn
+from bayonet.gibbs import _draw
 import helpers
 
 
 def draws_1d(c, a, mu, tau, n, seed=11):
+    """n draws from the single-coordinate conditional run_gibbs samples."""
     rng = bn.RngStream(seed)
-    return np.array([bn.sample_conditional_1d(c, a, mu, tau, rng) for _ in range(n)])
+    s = math.sqrt(tau / c)
+    sd = 1.0 / math.sqrt(2.0 * tau * c)
+    return np.array([_draw(c, a, mu, s, sd, rng) for _ in range(n)])
 
 
 def test_conditional_symmetric_at_zero_drift():
@@ -38,16 +42,6 @@ def test_conditional_sign_split_matches_exact_formula():
     frac = np.mean(xs >= 0.0)
     se = math.sqrt(alpha * (1.0 - alpha) / xs.size)
     assert abs(frac - alpha) <= 3.0 * se
-
-
-def test_conditional_rejects_bad_scalars():
-    rng = bn.RngStream(0)
-    with pytest.raises(ValueError):
-        bn.sample_conditional_1d(0.0, 0.1, 0.2, 10.0, rng)
-    with pytest.raises(ValueError):
-        bn.sample_conditional_1d(1.0, 0.1, -0.2, 10.0, rng)
-    with pytest.raises(ValueError):
-        bn.sample_conditional_1d(1.0, 0.1, 0.2, 0.0, rng)
 
 
 def small_problem(seed=3, n=80, p=3, mu=0.2, lam=0.05, tau=40.0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bayonet as bn
+from bayonet.mlfit import _ml_cd
 
 import helpers
 
@@ -103,9 +104,9 @@ def test_path_starts_all_zero_above_mu_max():
     prob = bn.build_problem(std, 0.1, 0.1, 1.0)
     mu_max = float(np.abs(prob.w).max())
     mus = [mu_max * 1.5, mu_max * 0.5, mu_max * 0.1]
-    path = bn.ml_path(prob, mus, tol=1e-12)
+    path = [bn.solve_ml(prob.with_mu(m), tol=1e-12) for m in mus]
     assert np.all(path[0].x_hat == 0.0)
-    assert len(path) == 3
+    assert all(s.active_set for s in path[1:])
 
 
 def test_path_warm_equals_cold():
@@ -113,10 +114,13 @@ def test_path_warm_equals_cold():
     prob = bn.build_problem(std, 0.05, 0.1, 1.0)
     tol = 1e-12
     mus = [0.2, 0.02]
-    warm = bn.ml_path(prob, mus, tol=tol)
-    for mu, sol in zip(mus, warm):
+    # the warm start marginal_ml_approx gives each grid point's inner solve
+    x = None
+    for mu in mus:
+        x, _, ok = _ml_cd(prob.c, prob.w, mu, x, tol)
+        assert ok
         cold = bn.solve_ml(prob.with_mu(mu), tol=tol)
-        assert np.max(np.abs(sol.x_hat - cold.x_hat)) < 10 * tol
+        assert np.max(np.abs(x - cold.x_hat)) < 10 * tol
 
 
 def test_path_active_sets_nested_on_benchmark(diabetes):
@@ -125,18 +129,11 @@ def test_path_active_sets_nested_on_benchmark(diabetes):
     std = bn.standardize(diabetes)
     prob = bn.build_problem(std, 0.1, 0.01, 1.0)
     grid = bn.mu_grid(bn.mu_max(prob.w), 10, 0.01)
-    path = bn.ml_path(prob, sorted(grid, reverse=True), tol=1e-12)
+    path = [bn.solve_ml(prob.with_mu(m), tol=1e-12) for m in sorted(grid, reverse=True)]
     sizes = [len(s.active_set) for s in path]
     # along decreasing mu the active set should not shrink; lasso paths may
     # drop coordinates in principle, so genuine violations would surface here
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-
-
-def test_path_requires_decreasing_grid():
-    std = helpers.random_standardized(27, 20, 3)
-    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        bn.ml_path(prob, [0.1, 0.2])
 
 
 def test_h_min_matches_cost():

@@ -1,5 +1,5 @@
 """Leading-order log-partition value, determinant routes, zero-temperature
-limit, generalized numerators."""
+limit, observable numerators."""
 
 import math
 
@@ -11,7 +11,6 @@ from bayonet import (
     OneDimProblem,
     log_det_c_plus_d,
     log_partition,
-    log_partition_generalized,
     log_partition_zero_temp,
     log_z_exact,
 )
@@ -73,7 +72,6 @@ def test_decomposition_recombines_bit_exactly():
     sad = bn.solve_saddle(prob, bn.solve_ml(prob).x_hat, tol=1e-12)
     lp = log_partition(prob, sad)
     assert lp.log_z == lp.exp_term + lp.log_det_term + lp.prefactor_term
-    assert lp.q_term == 0.0
 
 
 def test_d_tau_formula():
@@ -175,41 +173,21 @@ def test_log_det_validation():
 
 
 # ---------------------------------------------------------------------------
-# generalized numerator
-
-
-def test_unit_numerator_reduces_to_plain():
-    std = helpers.random_standardized(48, 30, 3, beta=[0.7, 0.0, -0.2], noise=0.4)
-    prob = bn.build_problem(std, 0.05, 0.1, 150.0)
-    sad = bn.solve_saddle(prob, bn.solve_ml(prob).x_hat, tol=1e-12)
-    plain = log_partition(prob, sad)
-    gen = log_partition_generalized(prob, sad, 1.0)
-    assert gen.log_z == plain.log_z
-    assert gen.q_term == 0.0
+# observable numerator
 
 
 def test_numerator_ratio_recovers_mean_coordinate():
     std = helpers.random_standardized(49, 50, 3, beta=[0.9, -0.3, 0.0], noise=0.4)
     prob = bn.build_problem(std, 0.05, 0.08, 200.0)
     sad = bn.solve_saddle(prob, bn.solve_ml(prob).x_hat, tol=1e-13)
-    plain = log_partition(prob, sad)
+    # at leading order a factor q in the integrand adds log q(x_tau) to log Z,
+    # so Z[q] / Z = q(x_tau); both forms of the numerator whose ratio is the
+    # mean of coordinate j must give x_tau[j] there
     j = 0
     q_resolvent = float(np.linalg.solve(prob.c, prob.w - sad.u_tau)[j])
     q_rational = float(sad.u_tau[j] / (prob.tau * (prob.mu**2 - sad.u_tau[j] ** 2)))
-    r1 = math.exp(log_partition_generalized(prob, sad, q_resolvent).log_z - plain.log_z)
-    r2 = math.exp(log_partition_generalized(prob, sad, q_rational).log_z - plain.log_z)
-    assert r1 == pytest.approx(sad.x_tau[j], rel=1e-12)
-    assert r1 == pytest.approx(r2, rel=1e-8)
-
-
-def test_nonpositive_numerator_rejected():
-    std = helpers.random_standardized(50, 30, 3)
-    prob = bn.build_problem(std, 0.05, 0.1, 100.0)
-    sad = bn.solve_saddle(prob, np.zeros(3), tol=1e-11)
-    with pytest.raises(bn.NonPositiveQ):
-        log_partition_generalized(prob, sad, 0.0)
-    with pytest.raises(bn.NonPositiveQ):
-        log_partition_generalized(prob, sad, -2.0)
+    assert q_resolvent == pytest.approx(sad.x_tau[j], rel=1e-12)
+    assert q_resolvent == pytest.approx(q_rational, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bayonet as bn
-from bayonet import GridSpec, expectation, marginal_ml_approx, marginal_sp, predictive_mean
+from bayonet import GridSpec, expectation, marginal_ml_approx, marginal_sp
 from bayonet.saddle import _saddle_cd
 
 import helpers
@@ -51,28 +51,13 @@ def test_expectation_requires_converged(monkeypatch):
         expectation(prob, sad)
 
 
-def test_predictive_mean_zero_vector():
-    std = helpers.random_standardized(61, 30, 3, beta=[0.5, 0.0, 0.0], noise=0.4)
-    prob = bn.build_problem(std, 0.05, 0.1, 150.0)
-    sad = bn.solve_saddle(prob, bn.solve_ml(prob).x_hat)
-    assert predictive_mean(prob, sad, np.zeros(3)) == 0.0
-
-
-def test_predictive_mean_basis_vector(p5_suite):
-    sad = p5_suite["saddle"]
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = 1.0
-        assert predictive_mean(p5_suite["problem"], sad, e) == sad.x_tau[j]
-
-
 def test_predictive_mean_against_chain(p5_suite, chain):
     rng = np.random.default_rng(62)
     a = rng.standard_normal(5)
     proj = chain.samples @ a
     se = helpers.batch_se(proj)
     est = proj.mean()
-    val = predictive_mean(p5_suite["problem"], p5_suite["saddle"], a)
+    val = float(a @ expectation(p5_suite["problem"], p5_suite["saddle"]))
     assert abs(val - est) < 3.0 * se
 
 
@@ -133,7 +118,6 @@ def test_marginal_curves_normalized_and_centered(p5_suite):
     for j in range(5):
         curve = marginal_sp(prob, sad, j)
         assert curve.coordinate == j
-        assert curve.method == "stationary_phase"
         assert np.trapezoid(curve.density, curve.grid) == pytest.approx(1.0, abs=1e-12)
         mean = np.trapezoid(curve.grid * curve.density, curve.grid)
         assert abs(mean - sad.x_tau[j]) < 0.02 * sds[j]
@@ -181,7 +165,6 @@ def test_ml_curve_agrees_for_far_inactive_coordinate(p5_suite):
     j = 4
     sp = marginal_sp(prob, sad, j)
     mlc = marginal_ml_approx(prob, ml, j, grid_spec=GridSpec(points=sp.grid))
-    assert mlc.method == "ml_approx"
     scale = sp.density.max()
     assert np.max(np.abs(sp.density - mlc.density)) / scale < 0.05
 

@@ -1,0 +1,59 @@
+"""The README's library tour and CLI examples run as written.
+
+The tour is the public API, so every name it or its list of extras uses
+must be exported, and both code blocks must run on a small design.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+
+import bayonet as bn
+from bayonet import cli
+
+import helpers
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def block_after(heading, lang):
+    """The first ```lang block after the line ``heading``."""
+    start = README.index(f"\n{heading}\n")
+    match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(README, start)
+    return match.group(1)
+
+
+def design(n=60, p=5, seed=7):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, p))
+    y = a @ np.array([1.0, -0.6, 0.0, 0.3, 0.0]) + 0.5 * rng.standard_normal(n)
+    return a, y
+
+
+def test_every_readme_name_is_exported():
+    names = set(re.findall(r"\bbn\.(\w+)", README))
+    assert names
+    assert sorted(names - set(bn.__all__)) == []
+
+
+def test_library_tour_runs():
+    a, y = design()
+    scope = {"A": a, "y": y}
+    exec(compile(block_after("## Library tour", "python"), "README tour", "exec"), scope)
+    assert scope["sad"].converged
+    assert np.isfinite(scope["lp"].log_z)
+    assert scope["chain"].samples.shape == (9_900, 5)
+
+
+def test_cli_examples_exit_0(tmp_path, monkeypatch):
+    a, y = design()
+    helpers.write_csv(tmp_path / "data.csv", [f"x{j}" for j in range(a.shape[1])], a, y)
+    monkeypatch.chdir(tmp_path)
+    text = block_after("## CLI", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "bayonet"]
+    assert len(commands) == 6
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv

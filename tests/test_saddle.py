@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bayonet as bn
-from bayonet import OneDimProblem, coordinate_cubic, expectation_exact, saddle, solve_saddle, tau_path
+from bayonet import OneDimProblem, expectation_exact, saddle, solve_saddle, tau_path
+from bayonet.saddle import coordinate_cubic
 
 import helpers
 
@@ -267,6 +268,23 @@ def test_small_tau_solve_converges():
         assert sol.converged and sol.cycles <= 5, seed
         assert sol.residual < 1e-12 / prob.tau
         assert np.max(np.abs(sol.u_tau)) < prob.mu
+
+
+def test_opposite_sign_start_at_box_edge_is_not_converged():
+    # x = w - mu + 1e-12 puts u within 1e-12 of mu with x < 0: a = mu^2 - u^2
+    # is ~1e-12, so at tau = 1e10 the residual |a x - u/tau| is ~5e-11 < tol
+    # although x is far from the root
+    c, w, mu, tau = 1.0, 0.2, 0.5, 1e10
+    prob = bn.PenalizedProblem(c=np.array([[c]]), w=np.array([w]), mu=mu, lam=0.0, tau=tau)
+    init = np.array([w - mu + 1e-12])
+    one = OneDimProblem(c=c, w=w, mu=mu, tau=tau)
+    sol = solve_saddle(prob, init)
+    assert sol.converged and sol.cycles > 0
+    assert 0.0 < sol.x_tau[0] < 1e-9
+    assert sol.x_tau[0] == pytest.approx(expectation_exact(one), rel=1e-4)
+    assert bn.log_partition(prob, sol).log_z == pytest.approx(bn.log_z_exact(one), abs=1e-8)
+    first = tau_path(prob, [tau, tau / 10.0], init=init)[0]
+    assert first.x_tau[0] == sol.x_tau[0]
 
 
 def test_solver_validation():

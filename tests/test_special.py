@@ -1,12 +1,19 @@
-"""Error-function kernels, truncated-normal sampling, RNG stream."""
+"""Error-function kernels, truncated-normal sampling, RNG stream.
+
+log_erfcx and the truncated-normal sampler evaluate scipy.special's erfc and
+erfcx; the first tests hold those to the independent oracles in helpers.
+"""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc, erfcx
 
-from bayonet import RngStream, erfc, erfcx, log_erfcx, sample_truncated_normal
+from bayonet import RngStream, log_erfcx, sample_truncated_normal
 
 import helpers
 
@@ -62,6 +69,22 @@ def test_log_erfcx_matches_high_precision():
     for x in (-40.0, -26.0, -25.0, -24.0, -3.0, 0.0, 1.5, 30.0, 1e4):
         ref = float(mpmath.log(mpmath.exp(x * x) * mpmath.erfc(x)))
         assert log_erfcx(x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.floats(-40.0, 40.0),
+        st.floats(-25.5, -24.5),
+        st.floats(40.0, 1e8),
+    )
+)
+def test_log_erfcx_property_against_high_precision(x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        ref = float(m * m + mpmath.log(mpmath.erfc(m)))
+    assert log_erfcx(x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_log_erfcx_branches_agree_at_switch():
