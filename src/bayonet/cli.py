@@ -31,11 +31,11 @@ from .errors import (
     ParseError,
     ZeroVarianceColumn,
 )
-from .exact1d import OneDimProblem, density_exact
 from .gibbs import run_gibbs
 from .hyper import HyperGrid, cross_validate, map_tau, mu_grid, mu_max, tau_grid
 from .mlfit import solve_ml
 from .partition import log_partition
+# posterior_sd is not called here; perfbench/tracing.py wraps this binding
 from .posterior import GridSpec, marginal_ml_approx, marginal_sp, posterior_sd
 from .saddle import solve_saddle, tau_path
 
@@ -287,12 +287,6 @@ def _coord_list(coords, p):
 
 def _marginal_one(prob, ml, sad, j, args):
     """Density curve(s) for one coordinate; returns (grid, columns dict)."""
-    if prob.p == 1:
-        one = OneDimProblem(float(prob.c[0, 0]), float(prob.w[0]), prob.mu, prob.tau)
-        sd = posterior_sd(prob, sad)[0]
-        grid = sad.x_tau[0] + sd * np.linspace(-6.0, 6.0, 201)
-        cols = {"density_sp": density_exact(one, grid)}
-        return grid, cols
     curve = marginal_sp(prob, sad, j, tol=args.tol)
     cols = {"density_sp": curve.density}
     if args.ml_curve:
@@ -341,16 +335,16 @@ def cmd_marginal(args):
 
 def cmd_convergence(args):
     std, names = _load_data(args)
+    base = build_problem(std, args.lam, 1.0, 1.0)
     if args.mu is not None:
         mus = [args.mu]
     else:
         count, ratio = args.mu_grid
-        prob0 = build_problem(std, args.lam, 1.0, 1.0)
-        mus = list(mu_grid(mu_max(prob0.w), count, ratio))
+        mus = list(mu_grid(mu_max(base.w), count, ratio))
     taus = tau_grid(*args.tau_grid)
     rows = []
     for mu in mus:
-        prob = build_problem(std, args.lam, mu, 1.0)
+        prob = base.with_mu(mu)
         ml = solve_ml(prob, tol=args.tol)
         if not ml.converged:
             raise NotConverged(ml.cycles, f"ML stage at mu={mu}")

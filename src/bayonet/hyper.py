@@ -211,9 +211,13 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
             std.predictor_scale,
         )
         y_val = data.responses[val_idx]
+        try:
+            base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
+        except BayonetError:
+            continue
         for i, mu in enumerate(grid.mus):
+            prob = base.with_mu(mu)
             try:
-                prob = build_problem(std, grid.lam, mu, grid.taus[-1])
                 ml = solve_ml(prob, tol=tol)
                 if not ml.converged:
                     continue

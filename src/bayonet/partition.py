@@ -138,6 +138,14 @@ def _core(c, w, mu, tau, x, u, lam, factor):
     return exp_term, log_det_term, prefactor_term, d
 
 
+def _check_saddle(problem, saddle):
+    """Refuse a stationary point solved at another tau or not converged."""
+    if saddle.tau != problem.tau:
+        raise ValueError("saddle was computed at a different tau")
+    if not saddle.converged:
+        raise NotConverged(saddle.cycles, "stationary point not converged")
+
+
 def log_partition(problem, saddle):
     """Leading-order log Z at the converged stationary point.
 
@@ -145,10 +153,7 @@ def log_partition(problem, saddle):
     quadratic form tau*(w - u)'C^{-1}(w - u) without any linear solve since
     x is exactly C^{-1}(w - u) at the stationary point.
     """
-    if saddle.tau != problem.tau:
-        raise ValueError("saddle was computed at a different tau")
-    if not saddle.converged:
-        raise NotConverged(saddle.cycles, "stationary point not converged")
+    _check_saddle(problem, saddle)
     exp_term, log_det_term, prefactor_term, d = _core(
         problem.c,
         problem.w,

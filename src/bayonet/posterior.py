@@ -5,9 +5,10 @@ p-1 coordinates with the same stationary-phase machinery as the full
 problem, so each grid point costs one small stationary-point solve: damped
 Newton steps warmed by the neighbor's solution, on the n x n core when the
 sub-problem is wider than the design is tall.  The cheaper comparison
-variant replaces the inner log-partition ratio by a difference of penalized
-minima; it is useful precisely because it is visibly wrong for coordinates
-near their inclusion boundary, which is worth demonstrating.
+variant replaces the inner log partition by a penalized minimum; it is
+useful precisely because it is visibly wrong for coordinates near their
+inclusion boundary, which is worth demonstrating.  With p = 1 there is no
+inner problem and both give the exact density.
 """
 
 import math
@@ -18,7 +19,8 @@ import numpy as np
 from .data import _cost_arrays
 from .errors import GridTooSmall, NotConverged
 from .mlfit import _ml_cd
-from .partition import _core, _CPlusD, _d_diag, log_partition
+# log_partition is not called here; perfbench/tracing.py wraps this binding
+from .partition import _check_saddle, _core, _CPlusD, _d_diag, log_partition
 from .saddle import _saddle_cd
 
 _GRID_POINTS = 201
@@ -41,24 +43,19 @@ class GridSpec:
 class MarginalCurve:
     """Posterior density of coordinate ``coordinate`` on a grid.
 
-    Both marginal_sp and marginal_ml_approx return one.  density integrates
-    to 1 over the grid by the trapezoid rule; log_density_unnorm keeps the
-    log values before that normalization.  They are already offset by the
-    full problem's leading-order normalizer: marginal_sp subtracts the outer
-    log Z, and marginal_ml_approx adds tau * h_min, the unconstrained
-    penalized minimum.
+    Both marginal_sp and marginal_ml_approx return one.  density holds the
+    values at the points of grid, scaled to integrate to 1 over grid by the
+    trapezoid rule.
     """
 
     coordinate: int
     grid: np.ndarray
-    log_density_unnorm: np.ndarray
     density: np.ndarray
 
 
 def expectation(problem, saddle):
     """Posterior mean vector; this is the stationary iterate itself."""
-    if not saddle.converged:
-        raise NotConverged(saddle.cycles, "stationary point not converged")
+    _check_saddle(problem, saddle)
     return saddle.x_tau.copy()
 
 
@@ -69,6 +66,7 @@ def posterior_sd(problem, saddle):
     the marginal grids are built on, not an exact posterior moment.  The
     diagonal comes from the same factorization route as log det(C + D).
     """
+    _check_saddle(problem, saddle)
     d = _d_diag(saddle.u_tau, problem.mu, problem.tau)
     inv_diag = _CPlusD(problem.c, d, problem.lam, problem.low_rank_factor).inv_diag()
     return np.sqrt(inv_diag / (2.0 * problem.tau))
@@ -86,17 +84,6 @@ def _make_grid(spec, center, sd):
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("explicit grid must be strictly ascending")
     return pts
-
-
-def _normalize(j, grid, log_unnorm):
-    dens = np.exp(log_unnorm - np.max(log_unnorm))
-    total = float(np.trapezoid(dens, grid))
-    return MarginalCurve(
-        coordinate=int(j),
-        grid=grid,
-        log_density_unnorm=log_unnorm,
-        density=dens / total,
-    )
 
 
 def _coordinate_split(problem, j):
@@ -119,50 +106,58 @@ def _self_terms(problem, j, g):
     )
 
 
-def _walk_grid(grid, center, x_start, solve):
-    """Values of solve(g, x_seed) -> (value, x) at every grid point.
+def _curve(problem, j, grid, center, x_start, inner):
+    """Trapezoid-normalized MarginalCurve of coordinate j on grid.
 
-    The walk starts at the point nearest center from x_start, goes right,
-    then goes left again from the center point's solution; every other solve
-    is warm-started at its neighbor's x.
+    The log density is the coordinate's own terms plus inner(g, x_seed) ->
+    (log value, x), up to a constant the normalization removes.  The walk
+    starts at the point nearest center from x_start, goes right, then goes
+    left again from the center point's solution; every other solve is
+    warm-started at its neighbor's x.  With p = 1 there is no inner problem
+    and the own terms are the exact log density.
     """
-    values = np.empty(grid.size)
-    start = int(np.argmin(np.abs(grid - center)))
-    x_seed = x_start
-    for k in range(start, grid.size):
-        values[k], x_seed = solve(grid[k], x_seed)
-        if k == start:
-            x_center = x_seed
-    x_seed = x_center
-    for k in range(start - 1, -1, -1):
-        values[k], x_seed = solve(grid[k], x_seed)
-    return values
+    log_dens = _self_terms(problem, j, grid)
+    if problem.p > 1:
+        start = int(np.argmin(np.abs(grid - center)))
+        x_seed = x_start
+        for k in range(start, grid.size):
+            value, x_seed = inner(grid[k], x_seed)
+            log_dens[k] += value
+            if k == start:
+                x_center = x_seed
+        x_seed = x_center
+        for k in range(start - 1, -1, -1):
+            value, x_seed = inner(grid[k], x_seed)
+            log_dens[k] += value
+    dens = np.exp(log_dens - np.max(log_dens))
+    return MarginalCurve(
+        coordinate=int(j), grid=grid, density=dens / float(np.trapezoid(dens, grid))
+    )
 
 
 def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
-    """Stationary-phase marginal density of coordinate j.
+    """Stationary-phase marginal density of coordinate j, for any p.
 
     Fixing x_j = g leaves a (p-1)-dimensional problem of the same form with
-    shifted linear term w - g * C[:, j]; its log partition, normalized by the
-    full problem's, gives the marginal up to the coordinate's own Gaussian
-    and l1 factors.  Grid points are solved outward from the posterior-mean
-    center in both directions, warm-starting each inner solve at its
-    neighbor's solution; at the center the restriction of the full
-    stationary point is already stationary, so that solve is free.  A grid
-    point whose inner solve exhausts its cycle budget raises NotConverged.
+    shifted linear term w - g * C[:, j]; its log partition plus the
+    coordinate's own Gaussian and l1 terms is the log density at g, up to a
+    constant that the trapezoid normalization removes.  Grid points are
+    solved outward from the posterior-mean center in both directions,
+    warm-starting each inner solve at its neighbor's solution; at the center
+    the restriction of the full stationary point is already stationary, so
+    that solve is free.  With p = 1 the curve is the exact density on the
+    grid.  saddle must be converged at problem's tau (else NotConverged or
+    ValueError); a grid point whose inner solve exhausts its cycle budget
+    raises NotConverged.
     """
-    if problem.p < 2:
-        raise ValueError("marginal_sp needs p >= 2; use the exact single-"
-                         "coordinate formulas instead")
     if not 0 <= j < problem.p:
         raise ValueError(f"coordinate {j} out of range")
-    outer = log_partition(problem, saddle).log_z
     sd = posterior_sd(problem, saddle)[j]
     grid = _make_grid(grid_spec, float(saddle.x_tau[j]), float(sd))
     idx, c_sub, c_col, w_sub, factor_sub = _coordinate_split(problem, j)
     mu, tau, lam = problem.mu, problem.tau, problem.lam
 
-    def log_density(g, x_seed):
+    def inner(g, x_seed):
         w_eff = w_sub - g * c_col
         x, u, cycles, _, ok = _saddle_cd(
             c_sub, w_eff, mu, tau, x_seed, tol, lam, factor_sub
@@ -170,22 +165,20 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
         e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub)
-        return _self_terms(problem, j, g) + (e + ld + pref) - outer, x
+        return e + ld + pref, x
 
-    log_unnorm = _walk_grid(grid, saddle.x_tau[j], saddle.x_tau[idx], log_density)
-    return _normalize(j, grid, log_unnorm)
+    return _curve(problem, j, grid, saddle.x_tau[j], saddle.x_tau[idx], inner)
 
 
 def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
-    """Minimum-cost comparison marginal for coordinate j.
+    """Minimum-cost comparison marginal for coordinate j, for any p.
 
-    Same structure as marginal_sp but the inner log-partition ratio is
-    replaced by -tau times the difference of constrained and unconstrained
-    penalized minima.  Cheap, and exact in neither tails nor width; kept as
-    the comparison baseline.
+    Same structure as marginal_sp but the inner log partition is replaced
+    by -tau times the inner penalized minimum at x_j = g, and the grid is
+    centered on the ML value.  Cheap, and exact in neither tails nor width
+    when p > 1; kept as the comparison baseline.  With p = 1 the curve is
+    the exact density on the grid.
     """
-    if problem.p < 2:
-        raise ValueError("marginal_ml_approx needs p >= 2")
     if not 0 <= j < problem.p:
         raise ValueError(f"coordinate {j} out of range")
     if not ml.converged:
@@ -195,15 +188,13 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     idx, c_sub, c_col, w_sub, _ = _coordinate_split(problem, j)
     mu, tau = problem.mu, problem.tau
 
-    def log_density(g, x_seed):
+    def inner(g, x_seed):
         w_eff = w_sub - g * c_col
         x_in, cycles, ok = _ml_cd(c_sub, w_eff, mu, x_seed, tol)
         if not ok:
             raise NotConverged(
                 cycles, f"inner minimizer, coordinate {j}, grid value {g}"
             )
-        h_in = _cost_arrays(c_sub, w_eff, mu, x_in)
-        return _self_terms(problem, j, g) - tau * h_in + tau * ml.h_min, x_in
+        return -tau * _cost_arrays(c_sub, w_eff, mu, x_in), x_in
 
-    log_unnorm = _walk_grid(grid, ml.x_hat[j], ml.x_hat[idx], log_density)
-    return _normalize(j, grid, log_unnorm)
+    return _curve(problem, j, grid, ml.x_hat[j], ml.x_hat[idx], inner)

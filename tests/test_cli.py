@@ -332,6 +332,19 @@ def test_marginal_single_predictor_matches_exact_density(tmp_path):
     assert np.max(np.abs(cols[:, 1] - ref)) < 1e-3
 
 
+def test_marginal_single_predictor_ml_curve_column(tmp_path):
+    csv = make_csv(tmp_path, seed=9, n=60, p=1, beta=np.array([0.8]))
+    prefix = tmp_path / "curve"
+    assert run(["marginal", csv, "--response", "y", "--lambda", "0.5",
+                "--mu", "0.2", "--tau", "150", "--ml-curve", "--out", prefix]) == 0
+    header, cols = read_curve(tmp_path / "curve_coord0.csv")
+    assert header == ["x", "density_sp", "density_ml"]
+    for k in (1, 2):
+        assert abs(np.trapezoid(cols[:, k], cols[:, 0]) - 1.0) < 1e-9
+    # both columns are the exact one-coordinate density on the same grid
+    assert np.max(np.abs(cols[:, 2] - cols[:, 1])) < 1e-12 * cols[:, 1].max()
+
+
 def test_marginal_all_coords_normalized(tmp_path):
     csv = make_csv(tmp_path, seed=13, n=90, p=5,
                    beta=np.array([1.0, -0.6, 0.3, 0.0, 0.0]))

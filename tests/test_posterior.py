@@ -1,5 +1,7 @@
 """Posterior summaries: means, predictive values, marginal density curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,11 +150,29 @@ def test_marginal_rejects_single_point_grid(p5_suite):
         )
 
 
-def test_marginal_needs_two_coordinates():
-    prob = bn.PenalizedProblem(c=np.array([[1.0]]), w=np.array([0.4]), mu=0.1, lam=0.0, tau=50.0)
+def test_marginal_one_coordinate_is_exact():
+    # with p = 1 there is no inner problem: both curves are the exact density
+    # on their own grids, up to the trapezoid normalization
+    c, w, mu, tau = 1.0, 0.4, 0.1, 50.0
+    prob = bn.PenalizedProblem(c=np.array([[c]]), w=np.array([w]), mu=mu, lam=0.0, tau=tau)
     sad = bn.solve_saddle(prob, np.zeros(1))
-    with pytest.raises(ValueError):
-        marginal_sp(prob, sad, 0)
+    ml = bn.solve_ml(prob)
+    one = bn.OneDimProblem(c=c, w=w, mu=mu, tau=tau)
+    for curve in (marginal_sp(prob, sad, 0), marginal_ml_approx(prob, ml, 0)):
+        assert curve.grid.size == 201
+        ref = bn.density_exact(one, curve.grid)
+        assert np.max(np.abs(curve.density - ref)) < 1e-5 * ref.max()
+
+
+@pytest.mark.parametrize("call", [bn.posterior_sd, marginal_sp, expectation],
+                         ids=["posterior_sd", "marginal_sp", "expectation"])
+def test_saddle_must_be_converged_at_the_problems_tau(p5_suite, call):
+    prob, sad = p5_suite["problem"], p5_suite["saddle"]
+    args = (0,) if call is marginal_sp else ()
+    with pytest.raises(bn.NotConverged):
+        call(prob, dataclasses.replace(sad, converged=False), *args)
+    with pytest.raises(ValueError, match="different tau"):
+        call(prob.with_tau(2.0 * prob.tau), sad, *args)
 
 
 # ---------------------------------------------------------------------------
