@@ -62,7 +62,7 @@ from .posterior import (
     posterior_sd,
 )
 from .saddle import SaddleSolution, solve_saddle, tau_path
-from .special import RngStream, log_erfcx, sample_truncated_normal
+from .special import RngStream, log_erfcx
 
 __version__ = "0.1.0"
 
@@ -116,7 +116,6 @@ __all__ = [
     "posterior_sd",
     "prob_nonnegative",
     "run_gibbs",
-    "sample_truncated_normal",
     "solve_ml",
     "solve_saddle",
     "standardize",

@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from .data import Dataset, build_problem, load_csv, standardize
+from .data import Dataset, _linear_term, build_problem, load_csv, standardize
 from .errors import (
     ConfigError,
     NotConverged,
@@ -47,12 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(reject, what, kind=float):
-    """argparse type: a kind (float or int), refused when reject(value) holds."""
+    """argparse type: a finite kind (float or int), refused when reject holds."""
 
     def parse(text):
         try:
             value = kind(text)
-            if not reject(value):
+            if math.isfinite(value) and not reject(value):
                 return value
         except ValueError:
             pass
@@ -237,17 +237,28 @@ def _load_data(args):
     return std, names
 
 
-def _fit_core(args, std):
-    """Shared fit pipeline: ML solution, tau resolution, stationary point."""
+def _ml_stage(args, std):
+    """The problem at tau = 1 and its converged ML solution."""
     prob = build_problem(std, args.lam, args.mu, 1.0)
     ml = solve_ml(prob, tol=args.tol)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML stage")
+    return prob, ml
+
+
+def _at_tau(args, std):
+    """ML stage, then the problem at --tau (the MAP estimate for 'map')."""
+    prob, ml = _ml_stage(args, std)
     tau = map_tau(std, args.lam, args.mu, ml) if args.tau == "map" else args.tau
-    prob = prob.with_tau(tau)
+    return prob.with_tau(tau), ml
+
+
+def _fit_core(args, std):
+    """Problem at --tau, ML solution and the converged stationary point."""
+    prob, ml = _at_tau(args, std)
     sad = solve_saddle(prob, ml.x_hat, tol=args.tol)
     if not sad.converged:
-        raise NotConverged(sad.cycles, f"stationary point at tau={tau}")
+        raise NotConverged(sad.cycles, f"stationary point at tau={prob.tau}")
     return prob, ml, sad
 
 
@@ -265,7 +276,9 @@ def cmd_fit(args):
         "u_tau": sad.u_tau,
         "h_min": ml.h_min,
         "log_z": lp.log_z,
-        "map_tau": map_tau(std, args.lam, prob.mu, ml),
+        "map_tau": (
+            prob.tau if args.tau == "map" else map_tau(std, args.lam, prob.mu, ml)
+        ),
         "cycles": {"ml": ml.cycles, "saddle": sad.cycles},
     }
     _write_json(args.out, payload)
@@ -366,7 +379,7 @@ def cmd_convergence(args):
 
 def cmd_gibbs(args):
     std, names = _load_data(args)
-    prob, ml, sad = _fit_core(args, std)
+    prob, ml = _at_tau(args, std)
     chain = run_gibbs(
         prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
     )
@@ -377,10 +390,9 @@ def cmd_gibbs(args):
 def cmd_cv(args):
     data, names = load_csv(args.input, args.response)
     std_all = standardize(data)
-    prob0 = build_problem(std_all, args.lam, 1.0, 1.0)
     n_mu, ratio = args.mu_grid
     grid = HyperGrid(
-        mus=mu_grid(mu_max(prob0.w), n_mu, ratio)[::-1].copy(),
+        mus=mu_grid(mu_max(_linear_term(std_all)), n_mu, ratio)[::-1].copy(),
         taus=tau_grid(*args.tau_grid),
         lam=args.lam,
     )
@@ -405,10 +417,7 @@ def cmd_cv(args):
 
 def cmd_maptau(args):
     std, names = _load_data(args)
-    prob = build_problem(std, args.lam, args.mu, 1.0)
-    ml = solve_ml(prob, tol=args.tol)
-    if not ml.converged:
-        raise NotConverged(ml.cycles, "ML stage")
+    _, ml = _ml_stage(args, std)
     tau = map_tau(std, args.lam, args.mu, ml)
     payload = {
         "lambda": args.lam,

@@ -11,7 +11,7 @@ diagonal of C at 0.5 + lambda exactly.
 import copy
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -119,11 +119,13 @@ class PenalizedProblem:
     """Cost x'Cx - 2w'x + 2mu*||x||_1 at inverse temperature tau.
 
     C must be symmetric positive definite; this is verified by a Cholesky
-    factorization at construction.  lam records the l2 weight used to build
-    C from data (it is part of C already and never applied twice).  When the
-    problem comes from a dataset with p > n, the design matrix is kept in
-    low_rank_factor so determinants of C + diagonal can be reduced to an
-    n x n computation.
+    factorization at construction.  mu and tau must be positive and finite.
+    lam records the l2 weight used to build C from data (it is part of C
+    already and never applied twice).  When build_problem makes the problem
+    from a dataset with p > n, it keeps the design matrix C was built from
+    in low_rank_factor, so determinants of C + diagonal can be reduced to an
+    n x n computation; it is not a constructor argument, so it always
+    matches C.
     """
 
     c: np.ndarray
@@ -131,7 +133,7 @@ class PenalizedProblem:
     mu: float
     lam: float
     tau: float
-    low_rank_factor: np.ndarray | None = None
+    low_rank_factor: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         c = _readonly(self.c)
@@ -145,10 +147,9 @@ class PenalizedProblem:
         scale = max(1.0, float(np.max(np.abs(c))))
         if float(np.max(np.abs(c - c.T))) > 1e-12 * scale:
             raise ValueError("C is not symmetric")
-        if not self.mu > 0.0:
-            raise ValueError("mu must be positive")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        for name in ("mu", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
         try:
@@ -159,11 +160,6 @@ class PenalizedProblem:
             raise SingularC("C is singular to working precision")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)
-        if self.low_rank_factor is not None:
-            f = _readonly(self.low_rank_factor)
-            if f.ndim != 2 or f.shape[1] != c.shape[0]:
-                raise ValueError("low_rank_factor must be n x p")
-            object.__setattr__(self, "low_rank_factor", f)
 
     @property
     def p(self):
@@ -171,9 +167,9 @@ class PenalizedProblem:
 
     def _with_scalar(self, name, value):
         # C, w and the factor are shared with self and were validated when
-        # it was built; only the new positive scalar needs checking
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive")
+        # it was built; only the new scalar needs checking
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
         out = copy.copy(self)
         object.__setattr__(out, name, value)
         return out
@@ -204,15 +200,15 @@ def build_problem(data, lam, mu, tau):
     if lam == 0.0 and n < p:
         raise SingularC("lam = 0 needs n >= p for C to be invertible")
     c = a.T @ a / (2.0 * n) + lam * np.eye(p)
-    w = a.T @ data.responses / (2.0 * n)
-    return PenalizedProblem(
-        c=c,
-        w=w,
-        mu=mu,
-        lam=lam,
-        tau=tau,
-        low_rank_factor=a if p > n else None,
-    )
+    prob = PenalizedProblem(c=c, w=_linear_term(data), mu=mu, lam=lam, tau=tau)
+    if p > n:
+        object.__setattr__(prob, "low_rank_factor", a)
+    return prob
+
+
+def _linear_term(data):
+    # w = A'y/(2n); callers that need only w skip forming C
+    return data.predictors.T @ data.responses / (2.0 * data.n)
 
 
 def _cost_arrays(c, w, mu, x):

@@ -2,18 +2,21 @@
 
 Conditioned on the other coordinates, each coefficient has the exact
 single-coordinate posterior with linear term equal to its partial residual,
-so a sweep is p draws from a two-sided truncated-normal mixture.  This is an
-oracle for validating the deterministic approximations, not a production
-sampler: no adaptation, no diagnostics beyond an internal bookkeeping guard.
+so a sweep is p draws from that posterior: pick the side of zero with the
+exact nonnegative-side probability, then draw the normal restricted to that
+side.  The side weight comes from exact1d's kernels, so the sampler and the
+closed-form oracle share one formula.  This is an oracle for validating the
+deterministic approximations, not a production sampler: no adaptation, no
+diagnostics beyond an internal bookkeeping guard.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .special import RngStream, log_erfcx, sample_truncated_normal
+from .exact1d import _half_line_logs, _prob_nonneg
+from .special import RngStream, _std_lower_truncated
 
 
 @dataclass(frozen=True)
@@ -35,21 +38,16 @@ def _draw(cjj, a, mu, s, sd, rng):
     """One draw from the single-coordinate conditional posterior.
 
     s = sqrt(tau/c) and sd = 1/sqrt(2*tau*c) are passed in precomputed.  The
-    nonnegative-side weight comes from the same erfcx ratio as the exact
-    single-coordinate formulas; the log difference is clamped at +/-700
-    before exponentiation (beyond that the weight is 0 or 1 to double
-    precision anyway).
+    first uniform picks x >= 0 when it falls below the exact nonnegative-side
+    probability; that side's normal, mirrored onto x >= 0 for x <= 0, is
+    then drawn by one standard lower-truncated draw.  The sign constraint
+    holds exactly: a draw that rounds across zero comes back as a zero of
+    the chosen side's sign.
     """
-    d = log_erfcx(s * (mu + a)) - log_erfcx(s * (mu - a))
-    if d > 700.0:
-        alpha = 0.0
-    elif d < -700.0:
-        alpha = 1.0
-    else:
-        alpha = 1.0 / (1.0 + math.exp(d))
-    if rng.uniform() < alpha:
-        return sample_truncated_normal((a - mu) / cjj, sd, "nonneg", rng)
-    return sample_truncated_normal((a + mu) / cjj, sd, "nonpos", rng)
+    sign = 1.0 if rng.uniform() < _prob_nonneg(*_half_line_logs(s, a, mu)) else -1.0
+    mean = (sign * a - mu) / cjj
+    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
+    return sign * (x if x > 0.0 else 0.0)
 
 
 def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):

@@ -71,8 +71,8 @@ def solve_ml(problem, tol=1e-10):
     tol * max(1, ||x||_inf).  Runs the cycle budget out rather than raising;
     a budget-exhausted result comes back with converged=False.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, None, tol)
     return MlSolution(
         x_hat=x,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import _cost_arrays
 from .errors import GridTooSmall, NotConverged
+from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
 from .partition import _check_saddle, _core, _CPlusD, _d_diag, log_partition
@@ -99,13 +100,6 @@ def _coordinate_split(problem, j):
     return idx, c_sub, c_col, w_sub, factor_sub
 
 
-def _self_terms(problem, j, g):
-    cjj = problem.c[j, j]
-    return -problem.tau * (
-        cjj * g * g - 2.0 * problem.w[j] * g + 2.0 * problem.mu * abs(g)
-    )
-
-
 def _curve(problem, j, grid, center, x_start, inner):
     """Trapezoid-normalized MarginalCurve of coordinate j on grid.
 
@@ -116,7 +110,9 @@ def _curve(problem, j, grid, center, x_start, inner):
     warm-started at its neighbor's x.  With p = 1 there is no inner problem
     and the own terms are the exact log density.
     """
-    log_dens = _self_terms(problem, j, grid)
+    log_dens = _log_density(
+        problem.c[j, j], problem.w[j], problem.mu, problem.tau, grid
+    )
     if problem.p > 1:
         start = int(np.argmin(np.abs(grid - center)))
         x_seed = x_start

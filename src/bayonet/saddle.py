@@ -214,8 +214,8 @@ def solve_saddle(problem, init, tol=1e-10):
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.p,):
         raise ValueError(f"init must have length {problem.p}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     x, u, cycles, res, ok = _saddle_cd(
         problem.c,
         problem.w,

@@ -1,10 +1,11 @@
-"""log(erfcx), seeded RNG streams and truncated-normal sampling.
+"""log(erfcx), seeded RNG streams and the standard truncated-normal draw.
 
 The half-Gaussian integrals that appear throughout this package are all
 expressed through the scaled complementary error function erfcx(x) =
 exp(x^2) erfc(x), and every caller needs its logarithm, so log_erfcx is the
-one special function the rest of the package imports.  It and the
-truncated-normal sampler evaluate scipy.special's erfcx, erfc and ndtri
+one special function the rest of the package imports.  The Gibbs sampler's
+one-sided draws reduce to _std_lower_truncated, a standard normal
+conditioned on Z >= a.  Both evaluate scipy.special's erfcx, erfc and ndtri
 directly (rational/continued-fraction based, no exp(x^2)*erfc(x)
 composition anywhere).
 """
@@ -78,32 +79,3 @@ def _std_lower_truncated(a, rng):
         d = z - alpha
         if rng.uniform() <= math.exp(-0.5 * d * d):
             return z
-
-
-def sample_truncated_normal(mean, sd, side, rng):
-    """Sample N(mean, sd^2) restricted to x >= 0 or x <= 0.
-
-    Parameters
-    ----------
-    mean, sd : float
-        Location and scale of the untruncated normal; sd > 0.
-    side : str
-        "nonneg" for the x >= 0 restriction, "nonpos" for x <= 0.
-    rng : RngStream
-
-    The sign constraint holds exactly on the returned value (a draw that
-    rounds across zero is clamped to 0.0, which lies in both closed
-    half-lines).
-    """
-    if sd <= 0.0:
-        raise ValueError("sd must be positive")
-    if side == "nonpos":
-        return -_nonneg_truncated(-mean, sd, rng)
-    if side != "nonneg":
-        raise ValueError("side must be 'nonneg' or 'nonpos'")
-    return _nonneg_truncated(mean, sd, rng)
-
-
-def _nonneg_truncated(mean, sd, rng):
-    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
-    return x if x > 0.0 else 0.0

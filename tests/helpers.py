@@ -202,6 +202,24 @@ def golden_min(f, lo, hi, iters=200):
 # Monte-Carlo statistics
 
 
+class FirstUniform:
+    """Stub RngStream for one Gibbs draw: the first uniform, the one that
+    picks the side of zero, is fixed; every later draw comes from rng."""
+
+    def __init__(self, first, rng):
+        self._first = first
+        self._rng = rng
+
+    def uniform(self):
+        if self._first is None:
+            return self._rng.uniform()
+        u, self._first = self._first, None
+        return u
+
+    def exponential(self):
+        return self._rng.exponential()
+
+
 def batch_se(samples, nbatch=100):
     """Batch-means standard error of the mean, per column."""
     samples = np.asarray(samples)

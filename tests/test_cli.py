@@ -254,6 +254,18 @@ def test_usage_errors_exit_4(tmp_path, capsys):
                     "--screen-top", top], capsys)[0] == 4
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("fit", ["--mu", "0.1", "--tau", "50", "--tol", "inf"]),
+    ("fit", ["--mu", "0.1", "--tau", "50", "--tol", "nan"]),
+    ("fit", ["--mu", "0.1", "--tau", "inf"]),
+    ("maptau", ["--mu", "inf"]),
+], ids=["tol-inf", "tol-nan", "tau-inf", "mu-inf"])
+def test_non_finite_numbers_exit_4(tmp_path, capsys, verb, flags):
+    code, cap = run([verb, make_csv(tmp_path), "--response", "y", *flags], capsys)
+    assert code == 4
+    assert cap.err.startswith("error: ")
+
+
 _BASE_ARGS = {
     "fit": ["--mu", "0.1", "--tau", "50"],
     "marginal": ["--mu", "0.1", "--tau", "50", "--coords", "0"],
@@ -419,7 +431,36 @@ def test_convergence_requires_mu_or_grid(tmp_path, capsys):
         assert code == 4, extra
 
 
+def counting(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_fit_computes_map_tau_once(tmp_path, monkeypatch):
+    calls = counting(monkeypatch, "map_tau")
+    assert run(["fit", make_csv(tmp_path), "--response", "y", "--mu", "0.1",
+                "--tau", "map", "--out", tmp_path / "fit.json"]) == 0
+    assert len(calls) == 1
+
+
 # --- gibbs ----------------------------------------------------------------
+
+def test_gibbs_solves_no_stationary_point(tmp_path, monkeypatch):
+    # the sampler reads only the ML start, so a saddle failure cannot fail it
+    calls = counting(monkeypatch, "solve_saddle")
+    assert run(["gibbs", make_csv(tmp_path), "--response", "y", "--mu", "0.1",
+                "--tau", "map", "--gibbs-sweeps", "50",
+                "--out", tmp_path / "s.csv"]) == 0
+    assert calls == []
+
 
 def test_gibbs_rerun_is_byte_identical(tmp_path):
     csv = make_csv(tmp_path)
@@ -460,6 +501,14 @@ def test_cv_json_schema(tmp_path):
     assert best["mu"] in payload["grid"]["mus"]
     assert best["tau"] in payload["grid"]["taus"]
     assert best["median_r"] > 0.9
+
+
+def test_cv_builds_no_full_problem(tmp_path, monkeypatch):
+    # mu_max needs only w; C is built per training fold inside cross_validate
+    calls = counting(monkeypatch, "build_problem")
+    assert run(["cv", make_csv(tmp_path), "--response", "y", *_BASE_ARGS["cv"],
+                "--out", tmp_path / "cv.json"]) == 0
+    assert calls == []
 
 
 # --- maptau -------------------------------------------------------------

@@ -131,6 +131,39 @@ def test_with_tau_and_mu_share_data_and_check_the_scalar():
         prob.with_mu(-1.0)
 
 
+def test_low_rank_factor_is_not_a_constructor_argument():
+    # a caller's factor need not be the one C was built from, and the
+    # low-rank route would then factor the wrong C + D
+    factor = np.random.default_rng(10).standard_normal((3, 10))
+    with pytest.raises(TypeError):
+        bn.PenalizedProblem(
+            c=np.eye(10), w=np.full(10, 0.1), mu=0.1, lam=0.1, tau=50.0,
+            low_rank_factor=factor,
+        )
+    assert bn.PenalizedProblem(
+        c=np.eye(10), w=np.full(10, 0.1), mu=0.1, lam=0.1, tau=50.0
+    ).low_rank_factor is None
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda prob: bn.PenalizedProblem(c=prob.c, w=prob.w, mu=_INF, lam=0.1, tau=1.0),
+    lambda prob: bn.PenalizedProblem(c=prob.c, w=prob.w, mu=0.2, lam=0.1, tau=_INF),
+    lambda prob: prob.with_tau(_INF),
+    lambda prob: prob.with_mu(_INF),
+    lambda prob: bn.solve_ml(prob, tol=_INF),
+    lambda prob: bn.solve_saddle(prob, np.zeros(prob.p), tol=_INF),
+    lambda prob: bn.tau_path(prob, [10.0, 1.0], tol=_INF),
+], ids=["problem-mu", "problem-tau", "with_tau", "with_mu", "solve_ml-tol",
+        "solve_saddle-tol", "tau_path-tol"])
+def test_non_finite_scalars_rejected(make):
+    prob = bn.build_problem(helpers.random_standardized(11, 40, 4), 0.1, 0.2, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        make(prob)
+
+
 def test_build_problem_requires_standardized():
     rng = np.random.default_rng(8)
     raw = bn.Dataset(responses=rng.standard_normal(10), predictors=rng.standard_normal((10, 2)))

@@ -44,6 +44,33 @@ def test_conditional_sign_split_matches_exact_formula():
     assert abs(frac - alpha) <= 3.0 * se
 
 
+@pytest.mark.parametrize("c, a, mu, tau", [
+    (1.0, 0.5, 0.25, 50.0),
+    (0.7, -0.2, 0.25, 50.0),
+    (1.0, 2.8, 0.1, 100.0),   # log-weight difference +734: weight exactly 1
+    (1.0, -2.8, 0.1, 100.0),  # -734: weight 2.4e-319, which a clamp at 700 zeroed
+    (1.0, -3.0, 0.1, 100.0),  # -846: weight underflows to 0
+])
+def test_draw_side_follows_prob_nonnegative(c, a, mu, tau):
+    # the side of the draw (the sign bit, so a zero still tells) is x >= 0
+    # exactly when the first uniform is below prob_nonnegative
+    alpha = bn.prob_nonnegative(bn.OneDimProblem(c=c, w=a, mu=mu, tau=tau))
+    s = math.sqrt(tau / c)
+    sd = 1.0 / math.sqrt(2.0 * tau * c)
+    rng = bn.RngStream(3)
+
+    def side(first):
+        x = _draw(c, a, mu, s, sd, helpers.FirstUniform(first, rng))
+        return math.copysign(1.0, x)
+
+    if alpha > 0.0:
+        assert side(math.nextafter(alpha, 0.0)) == 1.0
+        assert side(0.0) == 1.0
+    if alpha < 1.0:
+        assert side(alpha) == -1.0
+        assert side(math.nextafter(1.0, 0.0)) == -1.0
+
+
 def small_problem(seed=3, n=80, p=3, mu=0.2, lam=0.05, tau=40.0):
     std = helpers.random_standardized(seed, n, p, beta=np.array([0.8, -0.4, 0.0]))
     return bn.build_problem(std, lam=lam, mu=mu, tau=tau)

@@ -107,20 +107,13 @@ def test_unconverged_saddle_rejected(monkeypatch):
 
 
 def test_log_det_null_design():
-    lam, mu, tau = 0.4, 0.1, 50.0
+    lam = 0.4
     n, p = 6, 3
-    prob = bn.PenalizedProblem(
-        c=lam * np.eye(p),
-        w=np.zeros(p),
-        mu=mu,
-        lam=lam,
-        tau=tau,
-        low_rank_factor=np.zeros((n, p)),
-    )
     d = np.array([0.3, 0.0, 2.0])
     ref = float(np.sum(np.log(d + lam)))
-    assert log_det_c_plus_d(prob, d, method="direct") == pytest.approx(ref, rel=1e-14)
-    assert log_det_c_plus_d(prob, d, method="lowrank") == pytest.approx(ref, rel=1e-14)
+    for method in ("direct", "lowrank"):
+        factor = _CPlusD(lam * np.eye(p), d, lam, np.zeros((n, p)), method)
+        assert factor.log_det() == pytest.approx(ref, rel=1e-14)
 
 
 def test_log_det_zero_d_is_det_c():

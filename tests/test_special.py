@@ -1,7 +1,9 @@
 """Error-function kernels, truncated-normal sampling, RNG stream.
 
-log_erfcx and the truncated-normal sampler evaluate scipy.special's erfc and
-erfcx; the first tests hold those to the independent oracles in helpers.
+log_erfcx and the standard truncated-normal draw evaluate scipy.special's erfc
+and erfcx; the first tests hold those to the independent oracles in helpers.
+The sampler tests draw a one-sided normal the way the Gibbs draw does: shift
+and scale one standard lower-truncated draw.
 """
 
 import math
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
-from bayonet import RngStream, log_erfcx, sample_truncated_normal
+from bayonet import RngStream, log_erfcx
+from bayonet.gibbs import _draw
+from bayonet.special import _std_lower_truncated
 
 import helpers
 
@@ -102,10 +106,15 @@ def test_log_erfcx_branches_agree_at_switch():
 # truncated-normal sampler
 
 
+def truncated(mean, sd, rng):
+    """N(mean, sd^2) restricted to x >= 0, drawn as gibbs._draw draws a side."""
+    return mean + sd * _std_lower_truncated(-mean / sd, rng)
+
+
 def test_truncated_sampler_far_from_boundary():
     rng = RngStream(11)
     sd = 1.0
-    draws = np.array([sample_truncated_normal(10.0, sd, "nonneg", rng) for _ in range(100_000)])
+    draws = np.array([truncated(10.0, sd, rng) for _ in range(100_000)])
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 10.0) < 3.0 * se
 
@@ -113,26 +122,34 @@ def test_truncated_sampler_far_from_boundary():
 def test_truncated_sampler_half_normal_mean():
     rng = RngStream(12)
     sd = 2.0
-    draws = np.array([sample_truncated_normal(0.0, sd, "nonneg", rng) for _ in range(100_000)])
+    draws = np.array([truncated(0.0, sd, rng) for _ in range(100_000)])
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - sd * math.sqrt(2.0 / math.pi)) < 3.0 * se
 
 
 def test_truncated_sampler_sign_constraints():
+    # through the Gibbs draw, with its side forced by the first uniform: 0.0
+    # picks x >= 0 whenever that side has any weight, and the largest uniform
+    # below 1 picks x <= 0 here.  mean is the chosen side's untruncated mean.
     rng = RngStream(13)
-    for mean, sd, side in [(-4.0, 1.0, "nonneg"), (3.0, 0.5, "nonpos"), (0.0, 2.0, "nonneg")]:
-        draws = np.array([sample_truncated_normal(mean, sd, side, rng) for _ in range(2000)])
-        if side == "nonneg":
-            assert np.all(draws >= 0.0)
-        else:
-            assert np.all(draws <= 0.0)
+    mu = 0.1
+    top = math.nextafter(1.0, 0.0)
+    for mean, sd, side in [(-4.0, 1.0, 1.0), (3.0, 0.5, -1.0), (0.0, 2.0, 1.0)]:
+        tau = 1.0 / (2.0 * sd * sd)  # with c = 1, so s = sqrt(tau)
+        a = mean + side * mu
+        first = 0.0 if side > 0.0 else top
+        draws = np.array([
+            _draw(1.0, a, mu, math.sqrt(tau), sd, helpers.FirstUniform(first, rng))
+            for _ in range(2000)
+        ])
+        assert np.all(np.copysign(1.0, draws) == side)
 
 
 @pytest.mark.parametrize("mean,sd", [(0.0, 1.0), (2.0, 0.5), (-3.0, 2.0)])
 def test_truncated_sampler_ks(mean, sd):
     # KS test at significance 0.01 against the analytic truncated CDF
     rng = RngStream(77)
-    draws = np.array([sample_truncated_normal(mean, sd, "nonneg", rng) for _ in range(10_000)])
+    draws = np.array([truncated(mean, sd, rng) for _ in range(10_000)])
     dist = scipy.stats.truncnorm((0.0 - mean) / sd, np.inf, loc=mean, scale=sd)
     res = scipy.stats.kstest(draws, dist.cdf)
     assert res.pvalue > 0.01
@@ -141,19 +158,11 @@ def test_truncated_sampler_ks(mean, sd):
 def test_truncated_sampler_deep_tail_finite():
     # mean far inside the excluded region exercises the rejection branch
     rng = RngStream(14)
-    draws = np.array([sample_truncated_normal(-30.0, 1.0, "nonneg", rng) for _ in range(500)])
+    draws = np.array([truncated(-30.0, 1.0, rng) for _ in range(500)])
     assert np.all(draws >= 0.0)
     assert np.all(np.isfinite(draws))
     # conditional mass sits just above zero: E ~ 1/a for standard a=30
     assert draws.mean() < 0.2
-
-
-def test_truncated_sampler_rejects_bad_inputs():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 0.0, "nonneg", rng)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 1.0, "sideways", rng)
 
 
 # ---------------------------------------------------------------------------
