@@ -35,8 +35,13 @@ from .gibbs import run_gibbs
 from .hyper import HyperGrid, cross_validate, map_tau, mu_grid, mu_max, tau_grid
 from .mlfit import solve_ml
 from .partition import log_partition
-# posterior_sd is not called here; perfbench/tracing.py wraps this binding
-from .posterior import GridSpec, marginal_ml_approx, marginal_sp, posterior_sd
+from .posterior import (
+    GridSpec,
+    _make_grid,
+    marginal_ml_approx,
+    marginal_sp,
+    posterior_sd,
+)
 from .saddle import solve_saddle, tau_path
 
 
@@ -298,9 +303,14 @@ def _coord_list(coords, p):
     return coords
 
 
-def _marginal_one(prob, ml, sad, j, args):
-    """Density curve(s) for one coordinate; returns (grid, columns dict)."""
-    curve = marginal_sp(prob, sad, j, tol=args.tol)
+def _marginal_one(prob, ml, sad, j, sd, args):
+    """Density curve(s) for one coordinate; returns (grid, columns dict).
+
+    sd is the coordinate's posterior sd, which sets marginal_sp's default
+    grid; the caller computes the sds of all coordinates at once.
+    """
+    grid = _make_grid(None, float(sad.x_tau[j]), float(sd))
+    curve = marginal_sp(prob, sad, j, GridSpec(points=grid), tol=args.tol)
     cols = {"density_sp": curve.density}
     if args.ml_curve:
         ml_curve = marginal_ml_approx(
@@ -315,7 +325,8 @@ def cmd_marginal(args):
     prob, ml, sad = _fit_core(args, std)
     coords = _coord_list(args.coords, prob.p)
     prefix = args.out if args.out is not None else "marginal"
-    results = {j: _marginal_one(prob, ml, sad, j, args) for j in coords}
+    sds = posterior_sd(prob, sad)
+    results = {j: _marginal_one(prob, ml, sad, j, sds[j], args) for j in coords}
 
     chain = None
     if args.gibbs:

@@ -224,12 +224,37 @@ def cost_h(problem, x):
     return _cost_arrays(problem.c, problem.w, problem.mu, x)
 
 
+def _table(rows, linenos, width):
+    """rows as an array; ParseError naming the first line with a non-finite value."""
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ParseError(f"line {linenos[bad[0]]}: non-finite value")
+    return table
+
+
+def _cell_error(header, row, lineno):
+    # the ParseError of a row that float() refused: a missing or a
+    # non-numeric cell (float strips the same whitespace str.strip does)
+    for name, cell in zip(header, row):
+        cell = cell.strip()
+        if not cell:
+            return ParseError(f"line {lineno}: missing value in {name!r}")
+        try:
+            float(cell)
+        except ValueError:
+            return ParseError(
+                f"line {lineno}: non-numeric value {cell!r} in {name!r}"
+            )
+
+
 def load_csv(path, response_column):
     """Read a header-rowed numeric CSV into a raw Dataset.
 
     The named response column becomes the response; every other column is a
-    predictor.  Any missing or non-numeric cell is a ParseError carrying the
-    1-based line number.  Returns (dataset, predictor_names).
+    predictor.  Any missing, non-numeric or non-finite cell is a ParseError
+    carrying the 1-based line number of the first faulty line.  Returns
+    (dataset, predictor_names).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -248,31 +273,26 @@ def load_csv(path, response_column):
             ) from None
         if len(header) < 2:
             raise ParseError("line 1: need at least one predictor column")
-        rows = []
+        # rows are converted whole and checked for finiteness at the end, so
+        # before reporting a fault on this line, the earlier lines are checked
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
+                _table(rows, linenos, len(header))
                 raise ParseError(
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            vals = []
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if not cell:
-                    raise ParseError(f"line {lineno}: missing value in {name!r}")
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"line {lineno}: non-numeric value {cell!r} in {name!r}"
-                    ) from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(f"line {lineno}: non-finite value")
-            rows.append(vals)
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                _table(rows, linenos, len(header))
+                raise _cell_error(header, row, lineno) from None
+            linenos.append(lineno)
+    table = _table(rows, linenos, len(header))
     if len(rows) < 2:
         raise ParseError("need at least 2 data rows")
-    table = np.array(rows, dtype=float)
     mask = np.ones(len(header), dtype=bool)
     mask[y_col] = False
     names = [h for h, m in zip(header, mask) if m]

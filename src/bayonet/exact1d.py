@@ -31,8 +31,10 @@ class OneDimProblem:
     tau: float
 
     def __post_init__(self):
-        if not (self.c > 0.0 and self.mu > 0.0 and self.tau > 0.0):
-            raise ValueError("c, mu and tau must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.c, self.mu, self.tau)):
+            raise ValueError("c, mu and tau must be positive and finite")
+        if not math.isfinite(self.w):
+            raise ValueError("w must be finite")
 
 
 def _half_line_logs(s, w, mu):

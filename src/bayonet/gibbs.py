@@ -65,29 +65,33 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
         raise ValueError("need sweeps > burn_in >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    x = np.asarray(init, dtype=float).copy()
+    x = np.asarray(init, dtype=float)
     if x.shape != (problem.p,):
         raise ValueError(f"init must have length {problem.p}")
     c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
     p = problem.p
     rng = RngStream(seed)
-    diag = np.diagonal(c).copy()
+    # the per-coordinate loop runs on Python floats, which are cheaper to
+    # index and combine than numpy scalars; only r stays an array
+    d = np.diagonal(c)
+    diag = d.tolist()
     cols = [c[:, j].copy() for j in range(p)]
-    svals = np.sqrt(tau / diag)
-    sds = 1.0 / np.sqrt(2.0 * tau * diag)
+    svals = np.sqrt(tau / d).tolist()
+    sds = (1.0 / np.sqrt(2.0 * tau * d)).tolist()
     r = w - c @ x
+    x = x.tolist()
     keep = np.empty(((sweeps - burn_in) // thin, p))
     k = 0
     for sweep in range(1, sweeps + 1):
         for j in range(p):
-            aj = r[j] + diag[j] * x[j]
+            aj = r.item(j) + diag[j] * x[j]
             xj = _draw(diag[j], aj, mu, svals[j], sds[j], rng)
             dx = xj - x[j]
             if dx != 0.0:
                 r -= cols[j] * dx
                 x[j] = xj
         if sweep % 100 == 0:
-            fresh = w - c @ x
+            fresh = w - c @ np.array(x)
             if float(np.max(np.abs(fresh - r))) >= 1e-10:
                 raise NumericalError("partial-residual drift guard tripped")
             r = fresh

@@ -33,16 +33,17 @@ class HyperGrid:
     def __post_init__(self):
         mus = np.array(self.mus, dtype=float)
         taus = np.array(self.taus, dtype=float)
-        if mus.ndim != 1 or mus.size < 1 or np.any(mus <= 0.0):
-            raise ValueError("mus must be positive")
+        for name, vals in (("mus", mus), ("taus", taus)):
+            if vals.ndim != 1 or vals.size < 1 or not np.all(
+                (vals > 0.0) & (vals < math.inf)
+            ):
+                raise ValueError(f"{name} must be positive and finite")
         if np.any(np.diff(mus) >= 0.0):
             raise ValueError("mus must be strictly decreasing")
-        if taus.ndim != 1 or taus.size < 1 or np.any(taus <= 0.0):
-            raise ValueError("taus must be positive")
         if np.any(np.diff(taus) <= 0.0):
             raise ValueError("taus must be strictly increasing")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
         mus.setflags(write=False)
         taus.setflags(write=False)
         object.__setattr__(self, "mus", mus)

@@ -3,12 +3,15 @@
 Marginal densities come in two flavors.  The main one treats the remaining
 p-1 coordinates with the same stationary-phase machinery as the full
 problem, so each grid point costs one small stationary-point solve: damped
-Newton steps warmed by the neighbor's solution, on the n x n core when the
-sub-problem is wider than the design is tall.  The cheaper comparison
-variant replaces the inner log partition by a penalized minimum; it is
-useful precisely because it is visibly wrong for coordinates near their
-inclusion boundary, which is worth demonstrating.  With p = 1 there is no
-inner problem and both give the exact density.
+Newton steps on the n x n core when the sub-problem is wider than the
+design is tall.  The stationary point moves smoothly with the grid value,
+so each solve starts from a tangent prediction off its neighbor, and the
+factor of C_sub + D behind the neighbor's log det is the one that
+prediction needs: most grid points converge at once and build one factor.
+The cheaper comparison variant replaces the inner log partition by a
+penalized minimum; it is useful precisely because it is visibly wrong for
+coordinates near their inclusion boundary, which is worth demonstrating.
+With p = 1 there is no inner problem and both give the exact density.
 """
 
 import math
@@ -22,7 +25,7 @@ from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
 from .partition import _check_saddle, _core, _CPlusD, _d_diag, log_partition
-from .saddle import _saddle_cd
+from .saddle import _newton_step, _saddle_cd
 
 _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
@@ -100,30 +103,30 @@ def _coordinate_split(problem, j):
     return idx, c_sub, c_col, w_sub, factor_sub
 
 
-def _curve(problem, j, grid, center, x_start, inner):
+def _curve(problem, j, grid, center, seed, inner):
     """Trapezoid-normalized MarginalCurve of coordinate j on grid.
 
-    The log density is the coordinate's own terms plus inner(g, x_seed) ->
-    (log value, x), up to a constant the normalization removes.  The walk
-    starts at the point nearest center from x_start, goes right, then goes
-    left again from the center point's solution; every other solve is
-    warm-started at its neighbor's x.  With p = 1 there is no inner problem
-    and the own terms are the exact log density.
+    The log density is the coordinate's own terms plus inner(g, state) ->
+    (log value, state), up to a constant the normalization removes; state
+    is what a solve hands its neighbor.  The walk starts at the point
+    nearest center from seed, goes right, then goes left again from the
+    center point's state.  With p = 1 there is no inner problem and the own
+    terms are the exact log density.
     """
     log_dens = _log_density(
         problem.c[j, j], problem.w[j], problem.mu, problem.tau, grid
     )
     if problem.p > 1:
         start = int(np.argmin(np.abs(grid - center)))
-        x_seed = x_start
+        state = seed
         for k in range(start, grid.size):
-            value, x_seed = inner(grid[k], x_seed)
+            value, state = inner(grid[k], state)
             log_dens[k] += value
             if k == start:
-                x_center = x_seed
-        x_seed = x_center
+                center_state = state
+        state = center_state
         for k in range(start - 1, -1, -1):
-            value, x_seed = inner(grid[k], x_seed)
+            value, state = inner(grid[k], state)
             log_dens[k] += value
     dens = np.exp(log_dens - np.max(log_dens))
     return MarginalCurve(
@@ -135,35 +138,64 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     """Stationary-phase marginal density of coordinate j, for any p.
 
     Fixing x_j = g leaves a (p-1)-dimensional problem of the same form with
-    shifted linear term w - g * C[:, j]; its log partition plus the
+    shifted linear term w_eff = w - g * C[:, j]; its log partition plus the
     coordinate's own Gaussian and l1 terms is the log density at g, up to a
     constant that the trapezoid normalization removes.  Grid points are
-    solved outward from the posterior-mean center in both directions,
-    warm-starting each inner solve at its neighbor's solution; at the center
-    the restriction of the full stationary point is already stationary, so
-    that solve is free.  With p = 1 the curve is the exact density on the
-    grid.  saddle must be converged at problem's tau (else NotConverged or
-    ValueError); a grid point whose inner solve exhausts its cycle budget
-    raises NotConverged.
+    solved outward from the posterior-mean center in both directions.  At
+    the center the restriction of the full stationary point is already
+    stationary, so that solve is free.
+
+    Every other solve starts from its neighbor's solution x plus the
+    tangent step (C_sub + D)^{-1} (w_eff' - w_eff), the derivative of the
+    stationary point in the linear term, plus the neighbor's own tangent
+    error, which on an evenly spaced grid is the next step's second-order
+    term.  The factor of C_sub + D the step solves with is the one behind
+    the neighbor's log det: the inner solve's polish-step factor, built at
+    its converged point where a/b = D up to the tolerance, or, for a solve
+    converged at its start, one factor built there that also takes the
+    polish step.  So a grid point whose prediction meets the tolerance
+    builds one factor.
+
+    With p = 1 the curve is the exact density on the grid.  saddle must be
+    converged at problem's tau (else NotConverged or ValueError); a grid
+    point whose inner solve exhausts its cycle budget raises NotConverged.
+    An explicit grid_spec skips the posterior sds, which only lay out the
+    default grid.
     """
     if not 0 <= j < problem.p:
         raise ValueError(f"coordinate {j} out of range")
-    sd = posterior_sd(problem, saddle)[j]
-    grid = _make_grid(grid_spec, float(saddle.x_tau[j]), float(sd))
+    _check_saddle(problem, saddle)
+    explicit = grid_spec is not None and grid_spec.points is not None
+    sd = None if explicit else float(posterior_sd(problem, saddle)[j])
+    grid = _make_grid(grid_spec, float(saddle.x_tau[j]), sd)
     idx, c_sub, c_col, w_sub, factor_sub = _coordinate_split(problem, j)
     mu, tau, lam = problem.mu, problem.tau, problem.lam
 
-    def inner(g, x_seed):
+    def inner(g, state):
+        x, c_plus_d, w_prev, curl = state
+        predicted = c_plus_d is not None
         w_eff = w_sub - g * c_col
-        x, u, cycles, _, ok = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_seed, tol, lam, factor_sub
+        x_tan = x + c_plus_d.solve(w_eff - w_prev) if predicted else x
+        x, u, cycles, res, ok, c_plus_d = _saddle_cd(
+            c_sub, w_eff, mu, tau, x_tan + curl, tol, lam, factor_sub
         )
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
-        e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub)
-        return e + ld + pref, x
+        if c_plus_d is None:
+            # converged at its start, so no factor was built: the one the log
+            # det needs also takes the polish step the solve skipped
+            c_plus_d = _CPlusD(c_sub, _d_diag(u, mu, tau), lam, factor_sub)
+            step, _ = _newton_step(
+                c_sub, w_eff, mu, tau, lam, factor_sub, x, u, res, c_plus_d
+            )
+            if step is not None:
+                x, u, _ = step
+        e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub, c_plus_d)
+        curl = x - x_tan if predicted else 0.0
+        return e + ld + pref, (x, c_plus_d, w_eff, curl)
 
-    return _curve(problem, j, grid, saddle.x_tau[j], saddle.x_tau[idx], inner)
+    seed = (saddle.x_tau[idx], None, None, 0.0)
+    return _curve(problem, j, grid, saddle.x_tau[j], seed, inner)
 
 
 def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
@@ -184,9 +216,9 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     idx, c_sub, c_col, w_sub, _ = _coordinate_split(problem, j)
     mu, tau = problem.mu, problem.tau
 
-    def inner(g, x_seed):
+    def inner(g, x_prev):
         w_eff = w_sub - g * c_col
-        x_in, cycles, ok = _ml_cd(c_sub, w_eff, mu, x_seed, tol)
+        x_in, cycles, ok = _ml_cd(c_sub, w_eff, mu, x_prev, tol)
         if not ok:
             raise NotConverged(
                 cycles, f"inner minimizer, coordinate {j}, grid value {g}"

@@ -129,8 +129,8 @@ def _sweep(c, w, mu, tau, x, u):
     return x, u, _residual(x, u, mu, tau)
 
 
-def _newton_step(c, w, mu, tau, lam, factor, x, u, res):
-    """Damped Newton step from (x, u); (x, u, res) or None if none is taken.
+def _newton_step(c, w, mu, tau, lam, factor, x, u, res, c_plus_d=None):
+    """Damped Newton step from (x, u); returns (step, c_plus_d).
 
     The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with
     a = mu^2 - u^2 and b = 2ux + 1/tau, so the step solves
@@ -138,17 +138,21 @@ def _newton_step(c, w, mu, tau, lam, factor, x, u, res):
     until every |u| < mu and the plug-back residual falls below res.  A
     start on or just outside the box (the ML minimizer has |u_j| = mu up to
     its tolerance) uses max(a, 0), which keeps the matrix positive definite.
-    None means some b <= 0, the factor failed, or the step shrank below
-    _MIN_STEP.
+    step is the new (x, u, res), or None if some b <= 0, the factor failed,
+    or the step shrank below _MIN_STEP.  c_plus_d is the factor used, or
+    None if none was built.  A caller may pass one in: a factor of C + D at
+    a converged (x, u), where a/b is D up to the tolerance, serves as well.
     """
     a = mu * mu - u * u
     b = 2.0 * u * x + 1.0 / tau
     if not np.all(b > 0.0):
-        return None
-    try:
-        dx = _CPlusD(c, np.maximum(a, 0.0) / b, lam, factor).solve((u / tau - a * x) / b)
-    except SingularMatrix:
-        return None
+        return None, None
+    if c_plus_d is None:
+        try:
+            c_plus_d = _CPlusD(c, np.maximum(a, 0.0) / b, lam, factor)
+        except SingularMatrix:
+            return None, None
+    dx = c_plus_d.solve((u / tau - a * x) / b)
     t = 1.0
     while t >= _MIN_STEP:
         xt = x + t * dx
@@ -156,13 +160,13 @@ def _newton_step(c, w, mu, tau, lam, factor, x, u, res):
         if np.max(np.abs(ut)) < mu:
             rt = _residual(xt, ut, mu, tau)
             if rt < res:
-                return xt, ut, rt
+                return (xt, ut, rt), c_plus_d
         t *= 0.5
-    return None
+    return None, c_plus_d
 
 
 def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
-    """Array-level solve; returns (x, u, cycles, residual, converged).
+    """Array-level solve; returns (x, u, cycles, residual, converged, c_plus_d).
 
     Each cycle is a damped Newton step, or one coordinate sweep where no
     Newton step can be taken.  Converged means the residual is below
@@ -174,6 +178,11 @@ def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
     |a x - u/tau| is below tol far from the root.  lam and factor are the
     problem's l2 weight and design factor (None: C carries none), which pick
     the factorization route of C + diag(a/b).
+
+    c_plus_d is the polish step's factor of C + diag(a/b), built at the
+    converged point, where a/b is the curvature diagonal D up to the
+    tolerance; it is None for a solve that was converged at its start
+    (cycle 0), did not converge, or could not factor there.
     """
     tol = tol * max(1.0, 1.0 / tau)
 
@@ -188,17 +197,17 @@ def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
     u = w - c @ x
     res = _residual(x, u, mu, tau)
     if done(x, u, res):
-        return x, u, 0, res, True
+        return x, u, 0, res, True, None
     cycles = 0
     while cycles < _MAX_CYCLES:
         cycles += 1
-        step = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
+        step, c_plus_d = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
         if done(x, u, res):
             if step is not None:
                 x, u, res = step
-            return x, u, cycles, res, True
+            return x, u, cycles, res, True, c_plus_d
         x, u, res = step if step is not None else _sweep(c, w, mu, tau, x, u)
-    return x, u, cycles, res, done(x, u, res)
+    return x, u, cycles, res, done(x, u, res), None
 
 
 def solve_saddle(problem, init, tol=1e-10):
@@ -216,7 +225,7 @@ def solve_saddle(problem, init, tol=1e-10):
         raise ValueError(f"init must have length {problem.p}")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    x, u, cycles, res, ok = _saddle_cd(
+    x, u, cycles, res, ok, _ = _saddle_cd(
         problem.c,
         problem.w,
         problem.mu,

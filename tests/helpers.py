@@ -335,6 +335,62 @@ def build_near_transition(seed=10):
     }
 
 
+def build_marginal_case(seed, n=442, p=10, k=5, lam=0.1, frac=0.3):
+    """Design shaped like the marginal benchmark: k of p coefficients
+    nonzero, mu = frac * max|w|, tau at its MAP value.  Returns the problem
+    at that tau and its converged stationary point."""
+    rng = np.random.default_rng([seed, 1])
+    beta = np.zeros(p)
+    support = rng.choice(p, size=k, replace=False)
+    beta[support] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k)
+    std = random_standardized(seed, n, p, beta=beta)
+    base = bn.build_problem(std, lam, 1.0, 1.0)
+    prob0 = base.with_mu(frac * float(np.max(np.abs(base.w))))
+    ml = bn.solve_ml(prob0)
+    prob = prob0.with_tau(bn.map_tau(std, lam, prob0.mu, ml))
+    sad = bn.solve_saddle(prob, ml.x_hat)
+    assert sad.converged
+    return prob, sad
+
+
+def marginal_plain_walk(problem, saddle, j, grid, tol):
+    """Stationary-phase log marginal of coordinate j, walked the plain way.
+
+    Every inner solve is warm-started at its neighbor's solution (the walk
+    goes right from the point nearest the posterior mean, then left from
+    it), and its log det comes from a fresh factor of C_sub + D at the
+    solution.  This is the walk marginal_sp used before its tangent
+    predictor; returns the trapezoid-normalized density on grid.
+    """
+    from bayonet.partition import _core
+    from bayonet.saddle import _saddle_cd
+
+    idx = [k for k in range(problem.p) if k != j]
+    c_sub = problem.c[np.ix_(idx, idx)]
+    c_col, w_sub = problem.c[idx, j], problem.w[idx]
+    mu, tau, lam = problem.mu, problem.tau, problem.lam
+    cjj, wj = problem.c[j, j], problem.w[j]
+    log_dens = -tau * (cjj * grid * grid - 2.0 * wj * grid + 2.0 * mu * np.abs(grid))
+
+    def solve(k, x):
+        w_eff = w_sub - grid[k] * c_col
+        x, u, _, _, ok, _ = _saddle_cd(c_sub, w_eff, mu, tau, x, tol, lam)
+        assert ok
+        e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, None)
+        log_dens[k] += e + ld + pref
+        return x
+
+    start = int(np.argmin(np.abs(grid - saddle.x_tau[j])))
+    x = x_center = solve(start, saddle.x_tau[idx])
+    for k in range(start + 1, grid.size):
+        x = solve(k, x)
+    x = x_center
+    for k in range(start - 1, -1, -1):
+        x = solve(k, x)
+    dens = np.exp(log_dens - np.max(log_dens))
+    return dens / np.trapezoid(dens, grid)
+
+
 def load_diabetes_dataset():
     """Bundled diabetes benchmark, or None when scikit-learn is absent.
     No network access either way."""

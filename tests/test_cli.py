@@ -370,6 +370,34 @@ def test_marginal_all_coords_normalized(tmp_path):
         assert abs(mass - 1.0) < 1e-9
 
 
+def test_marginal_sds_once_and_library_grids(tmp_path, monkeypatch):
+    # one posterior_sd for the whole request, and each curve's grid is
+    # exactly the one marginal_sp lays out by itself
+    csv = make_csv(tmp_path, seed=13, n=90, p=5,
+                   beta=np.array([1.0, -0.6, 0.3, 0.0, 0.0]))
+    calls = []
+    sd = bn.posterior.posterior_sd
+
+    def counted(*args):
+        calls.append(1)
+        return sd(*args)
+
+    monkeypatch.setattr(cli, "posterior_sd", counted)
+    monkeypatch.setattr(bn.posterior, "posterior_sd", counted)
+    prefix = tmp_path / "m"
+    assert run(["marginal", csv, "--response", "y", "--lambda", "0.05",
+                "--mu", "0.08", "--tau", "300", "--coords", "all",
+                "--out", prefix]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    std = bn.standardize(bn.load_csv(str(csv), "y")[0])
+    prob = bn.build_problem(std, 0.05, 0.08, 300.0)
+    sad = bn.solve_saddle(prob, bn.solve_ml(prob).x_hat)
+    for j in range(5):
+        _, cols = read_curve(tmp_path / f"m_coord{j}.csv")
+        assert np.array_equal(cols[:, 0], bn.marginal_sp(prob, sad, j).grid)
+
+
 def test_marginal_ml_curve_column(tmp_path):
     csv = make_csv(tmp_path, seed=13, n=90, p=5,
                    beta=np.array([1.0, -0.6, 0.3, 0.0, 0.0]))

@@ -269,6 +269,11 @@ def test_load_csv_response_position_free(tmp_path):
         ("g1,y\n1.0,nan\n2.0,3.0\n", "line 2"),
         ("g1,y\n1.0,2.0\ninf,3.0\n", "line 3"),
         ("g1,y\n1.0,2.0\n2.0,3.0\n4.0,-inf\n", "line 4"),
+        # the first faulty line in file order is reported, whatever its fault
+        ("g1,y\n1.0,2.0\n2.0,inf\n4.0,two\n", "line 3: non-finite"),
+        ("g1,y\nnan,2.0\n2.0\n", "line 2: non-finite"),
+        ("g1,y\n1.0,2.0\n2.0, \n4.0,nan\n", "line 3: missing"),
+        ("g1,y\nnan,2.0\n", "line 2: non-finite"),
         ("g1,g1,y\n1.0,2.0,3.0\n", "duplicate"),
         ("g1,g2\n1.0,2.0\n", "response"),
     ],

@@ -123,3 +123,22 @@ def test_problem_validation():
         OneDimProblem(c=1.0, w=0.5, mu=-0.1, tau=1.0)
     with pytest.raises(ValueError):
         OneDimProblem(c=1.0, w=0.5, mu=0.1, tau=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tau": math.inf},
+        {"mu": math.inf},
+        {"c": math.inf},
+        {"tau": math.nan},
+        {"w": math.inf},
+        {"w": math.nan},
+    ],
+    ids=["tau-inf", "mu-inf", "c-inf", "tau-nan", "w-inf", "w-nan"],
+)
+def test_problem_rejects_non_finite(fields):
+    # a non-finite field used to construct and fail later inside log_erfcx
+    # ("math domain error"), or give an infinite log Z
+    with pytest.raises(ValueError, match="finite"):
+        OneDimProblem(**{"c": 1.0, "w": 0.2, "mu": 0.1, "tau": 1.0, **fields})

@@ -1,5 +1,6 @@
 """Gibbs sampler tests: conditional draws, full chains, bookkeeping."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -84,6 +85,26 @@ def test_chain_is_seed_deterministic():
     assert np.array_equal(a.samples, b.samples)
     c = bn.run_gibbs(prob, init, sweeps=300, seed=43)
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_chain_matches_stored_reference():
+    # the sweep loop's bookkeeping (Python floats, the drift check every 100
+    # sweeps, thinning) must leave the chain bit for bit as recorded
+    prob = bn.PenalizedProblem(
+        c=np.array([[0.6, 0.2, -0.1], [0.2, 0.5, 0.15], [-0.1, 0.15, 0.7]]),
+        w=np.array([0.3, -0.02, 0.1]),
+        mu=0.05,
+        lam=0.0,
+        tau=40.0,
+    )
+    ch = bn.run_gibbs(prob, np.zeros(3), 300, burn_in=50, thin=2, seed=11)
+    assert ch.samples.shape == (125, 3)
+    assert ch.samples[-1].tolist() == [
+        0.5439562056225256, -0.035741739705516695, 0.20936383497259917
+    ]
+    assert hashlib.sha256(ch.samples.tobytes()).hexdigest() == (
+        "70bf14c172fd69c974ffcfcd4e5117db4f58e6eab1a340ba7ffe1a2ca6a0b6a4"
+    )
 
 
 def test_chain_bookkeeping_fields():

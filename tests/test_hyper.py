@@ -87,6 +87,25 @@ def test_hyper_grid_validation():
         bn.HyperGrid(mus=mus, taus=taus, lam=-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mus": [math.inf, 0.1]},
+        {"mus": [0.5, math.nan]},
+        {"taus": [10.0, math.inf]},
+        {"taus": [math.nan, 100.0]},
+        {"lam": math.inf},
+        {"lam": math.nan},
+    ],
+    ids=["mus-inf", "mus-nan", "taus-inf", "taus-nan", "lam-inf", "lam-nan"],
+)
+def test_hyper_grid_rejects_non_finite(fields):
+    # NaN passed the <= 0 and diff checks, inf passed them all
+    kwargs = {"mus": [0.5, 0.1], "taus": [10.0, 100.0], "lam": 0.0, **fields}
+    with pytest.raises(ValueError, match="finite"):
+        bn.HyperGrid(**kwargs)
+
+
 def test_hyper_grid_arrays_read_only():
     grid = bn.HyperGrid(mus=np.array([0.5, 0.1]), taus=np.array([1.0, 2.0]), lam=0.0)
     with pytest.raises(ValueError):

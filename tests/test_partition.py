@@ -154,6 +154,28 @@ def test_factor_routes_agree_wide_design():
     assert np.max(np.abs(lowrank.inv_diag() / inv_ref - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_factor_rejects_non_finite_input(bad):
+    # LAPACK runs without scipy's finiteness scan; a NaN or inf in C, e or
+    # the design factor must still end in SingularMatrix, never a NaN
+    std = helpers.random_standardized(57, 8, 20)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    e = np.full(20, 0.5)
+    e_bad = e.copy()
+    e_bad[7] = bad
+    c_bad = prob.c.copy()
+    c_bad[3, 5] = c_bad[5, 3] = bad
+    f_bad = prob.low_rank_factor.copy()
+    f_bad[2, 4] = bad
+    for method in ("direct", "lowrank"):
+        with pytest.raises(bn.SingularMatrix):
+            _CPlusD(prob.c, e_bad, prob.lam, prob.low_rank_factor, method)
+    with pytest.raises(bn.SingularMatrix):
+        _CPlusD(c_bad, e, prob.lam, None)
+    with pytest.raises(bn.SingularMatrix):
+        _CPlusD(prob.c, e, prob.lam, f_bad, "lowrank")
+
+
 def test_log_det_validation():
     std = helpers.random_standardized(47, 20, 3)
     prob = bn.build_problem(std, 0.1, 0.1, 1.0)

@@ -75,22 +75,75 @@ def test_marginal_inner_solve_free_at_center(p5_suite):
     idx = [k for k in range(5) if k != j]
     c_sub = prob.c[np.ix_(idx, idx)]
     w_eff = prob.w[idx] - sad.x_tau[j] * prob.c[idx, j]
-    _, _, cycles, res, ok = _saddle_cd(
+    _, _, cycles, res, ok, _ = _saddle_cd(
         c_sub, w_eff, prob.mu, prob.tau, sad.x_tau[idx], 1e-10
     )
     assert ok
     assert cycles == 0
 
 
-def test_marginal_inner_solve_budget_raises(p5_suite, monkeypatch):
-    # the outer stationary point is already solved; a one-cycle budget for
+def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
+    # the outer stationary point is already solved; an exhausted budget for
     # the inner solves must surface as NotConverged naming the coordinate,
-    # with no retry from another start
-    prob, sad = p5_suite["problem"], p5_suite["saddle"]
-    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
+    # with no retry from another start.  The tangent predictor lands inner
+    # solves within one cycle (on the p5 suite, within tolerance at cycle
+    # 0), so the budget is zero, on an instance where the predictor does
+    # not meet the tolerance by itself.
+    prob, sad = near_transition["problem"], near_transition["saddle"]
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 0)
     with pytest.raises(bn.NotConverged, match=r"marginal coordinate 1, grid value") as info:
         marginal_sp(prob, sad, 1)
-    assert info.value.cycles == 1
+    assert info.value.cycles == 0
+
+
+def test_marginal_builds_about_one_factor_per_grid_point(monkeypatch):
+    # the tangent predictor lands most inner solves within tolerance at
+    # cycle 0, and the factor of C_sub + D behind each log det is reused for
+    # the next prediction: ten 201-point curves at 442x10 build at most 1.5
+    # factors per grid point (3.4-3.7 with plain neighbor warm starts)
+    prob, sad = helpers.build_marginal_case(101)
+    built = []
+    init = bn.partition._CPlusD.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bn.partition._CPlusD, "__init__", counted)
+    points = sum(marginal_sp(prob, sad, j).grid.size for j in range(prob.p))
+    assert points == 2010
+    assert len(built) <= 1.5 * points
+
+
+def test_marginal_p5_needs_no_coordinate_sweeps(p5_suite, monkeypatch):
+    # neighbor warm starts used to leave the box on this suite, forcing one
+    # coordinate sweep per grid point; predicted starts need none
+    sweeps = []
+    sweep = bn.saddle._sweep
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(bn.saddle, "_sweep", counted)
+    for j in range(5):
+        marginal_sp(p5_suite["problem"], p5_suite["saddle"], j)
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_marginal_matches_tight_plain_walk(seed):
+    # the predictor moves each inner solution within the tolerance: against
+    # the plain walk at tol 1e-13, the curves at the default tol 1e-10 lie
+    # within 1e-6 of the peak, as the plain walk's own curves do
+    prob, sad = helpers.build_marginal_case(seed)
+    for j in range(prob.p):
+        curve = marginal_sp(prob, sad, j)
+        ref = helpers.marginal_plain_walk(prob, sad, j, curve.grid, 1e-13)
+        plain = helpers.marginal_plain_walk(prob, sad, j, curve.grid, 1e-10)
+        peak = ref.max()
+        assert np.max(np.abs(curve.density - ref)) < 1e-6 * peak
+        assert np.max(np.abs(plain - ref)) < 1e-6 * peak
 
 
 def test_marginal_matches_two_dim_quadrature():
