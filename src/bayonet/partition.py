@@ -87,15 +87,12 @@ class _CPlusD:
         ):
             raise SingularMatrix("non-finite entry in C + diag(e)")
 
-    def _cho_solve(self, rhs):
-        return sla.lapack.dpotrs(self._chol, rhs, lower=1)[0]
-
     def solve(self, rhs):
         """(C + diag(e))^{-1} rhs."""
         if self._dp is None:
-            return self._cho_solve(rhs)
+            return sla.lapack.dpotrs(self._chol, rhs, lower=1)[0]
         y = rhs / self._dp
-        z = self._cho_solve(self._factor @ y)
+        z = sla.lapack.dpotrs(self._chol, self._factor @ y, lower=1)[0]
         return y - (self._factor.T @ z) / (self._dp * self._two_n)
 
     def log_det(self):

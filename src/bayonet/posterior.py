@@ -172,12 +172,12 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     mu, tau, lam = problem.mu, problem.tau, problem.lam
 
     def inner(g, state):
-        x, c_plus_d, w_prev, curl = state
+        x, c_plus_d, w_prev, tan_err = state
         predicted = c_plus_d is not None
         w_eff = w_sub - g * c_col
         x_tan = x + c_plus_d.solve(w_eff - w_prev) if predicted else x
         x, u, cycles, res, ok, c_plus_d = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_tan + curl, tol, lam, factor_sub
+            c_sub, w_eff, mu, tau, x_tan + tan_err, tol, lam, factor_sub
         )
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
@@ -191,8 +191,8 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
             if step is not None:
                 x, u, _ = step
         e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub, c_plus_d)
-        curl = x - x_tan if predicted else 0.0
-        return e + ld + pref, (x, c_plus_d, w_eff, curl)
+        tan_err = x - x_tan if predicted else 0.0
+        return e + ld + pref, (x, c_plus_d, w_eff, tan_err)
 
     seed = (saddle.x_tau[idx], None, None, 0.0)
     return _curve(problem, j, grid, saddle.x_tau[j], seed, inner)

@@ -354,13 +354,13 @@ def build_marginal_case(seed, n=442, p=10, k=5, lam=0.1, frac=0.3):
 
 
 def marginal_plain_walk(problem, saddle, j, grid, tol):
-    """Stationary-phase log marginal of coordinate j, walked the plain way.
+    """Stationary-phase marginal density of coordinate j, walked plainly.
 
-    Every inner solve is warm-started at its neighbor's solution (the walk
-    goes right from the point nearest the posterior mean, then left from
-    it), and its log det comes from a fresh factor of C_sub + D at the
-    solution.  This is the walk marginal_sp used before its tangent
-    predictor; returns the trapezoid-normalized density on grid.
+    marginal_sp's walk without its tangent predictor or factor reuse: every
+    inner solve is warm-started at its neighbor's solution (right from the
+    point nearest the posterior mean, then left from it), and its log det
+    comes from a fresh factor of C_sub + D at the solution.  Returns the
+    trapezoid-normalized density on grid.
     """
     from bayonet.partition import _core
     from bayonet.saddle import _saddle_cd
