@@ -8,7 +8,6 @@ centered and scaled to squared norm n (not unit variance), which pins the
 diagonal of C at 0.5 + lambda exactly.
 """
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -165,14 +164,31 @@ class PenalizedProblem:
     def p(self):
         return self.w.shape[0]
 
+    def _replace(self, **fields):
+        # an unchecked copy with fields swapped in: the solvers' restrictions
+        # and shifted linear terms are built from validated parts
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.__dict__.update(fields)
+        return out
+
+    def _without(self, j):
+        """The problem minus coordinate j: the principal block of C, the w
+        entries and the design columns of the others."""
+        idx = np.delete(np.arange(self.p), j)
+        f = self.low_rank_factor
+        return self._replace(
+            c=self.c[np.ix_(idx, idx)],
+            w=self.w[idx],
+            low_rank_factor=None if f is None else f[:, idx],
+        )
+
     def _with_scalar(self, name, value):
         # C, w and the factor are shared with self and were validated when
         # it was built; only the new scalar needs checking
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-        out = copy.copy(self)
-        object.__setattr__(out, name, value)
-        return out
+        return self._replace(**{name: value})
 
     def with_tau(self, tau):
         """Same cost surface at a different inverse temperature."""
@@ -211,9 +227,10 @@ def _linear_term(data):
     return data.predictors.T @ data.responses / (2.0 * data.n)
 
 
-def _cost_arrays(c, w, mu, x):
-    # shared by the solvers, which work on raw arrays
-    return float(x @ c @ x - 2.0 * (w @ x) + 2.0 * mu * np.sum(np.abs(x)))
+def _cost(problem, x):
+    # unchecked; shared with the solvers
+    c, w = problem.c, problem.w
+    return float(x @ c @ x - 2.0 * (w @ x) + 2.0 * problem.mu * np.sum(np.abs(x)))
 
 
 def cost_h(problem, x):
@@ -221,7 +238,7 @@ def cost_h(problem, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.p,):
         raise ValueError(f"x must have length {problem.p}")
-    return _cost_arrays(problem.c, problem.w, problem.mu, x)
+    return _cost(problem, x)
 
 
 def _table(rows, linenos, width):

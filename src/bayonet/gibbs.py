@@ -68,6 +68,8 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     x = np.asarray(init, dtype=float)
     if x.shape != (problem.p,):
         raise ValueError(f"init must have length {problem.p}")
+    if not np.isfinite(x).all():
+        raise ValueError("init must be finite")
     c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
     p = problem.p
     rng = RngStream(seed)

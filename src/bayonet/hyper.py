@@ -23,8 +23,10 @@ from .special import RngStream
 
 @dataclass(frozen=True)
 class HyperGrid:
-    """Candidate (mu, tau) values; mus descending for warm-started paths,
-    taus ascending."""
+    """Candidate (mu, tau) values; mus descending, taus ascending.
+
+    cross_validate solves each mu from a cold ML start and walks its tau
+    column as one warm-started path from the largest tau down."""
 
     mus: np.ndarray
     taus: np.ndarray

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _cost_arrays
+from .data import _cost
 
 _MAX_CYCLES = 100_000
 
@@ -38,13 +38,13 @@ def _soft_threshold(a, mu):
     return math.copysign(max(abs(a) - mu, 0.0), a)
 
 
-def _ml_cd(c, w, mu, x0, tol):
-    """Array-level coordinate descent core; returns (x, cycles, converged).
+def _ml_cd(problem, x0, tol):
+    """Coordinate descent core; returns (x, cycles, converged).
 
     x0 is the start (None: the zero vector); marginal_ml_approx warm-starts
     each grid point at its neighbor's minimizer.
     """
-    p = w.shape[0]
+    c, w, mu, p = problem.c, problem.w, problem.mu, problem.p
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
     diag = np.diagonal(c)
     r = w - c @ x
@@ -73,11 +73,11 @@ def solve_ml(problem, tol=1e-10):
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    x, cycles, ok = _ml_cd(problem.c, problem.w, problem.mu, None, tol)
+    x, cycles, ok = _ml_cd(problem, None, tol)
     return MlSolution(
         x_hat=x,
         active_set=tuple(int(j) for j in np.nonzero(x)[0]),
-        h_min=_cost_arrays(problem.c, problem.w, problem.mu, x),
+        h_min=_cost(problem, x),
         cycles=cycles,
         converged=ok,
     )

@@ -43,10 +43,11 @@ def _d_diag(u, mu, tau):
 
 
 class _CPlusD:
-    """One Cholesky factorization of C + diag(e), e >= 0.
+    """One Cholesky factorization of the problem's C + diag(e), e >= 0.
 
-    This is the only place the determinant route is chosen.  When the
-    design factor A of C = A'A/(2n) + lam*I is at hand, lam > 0 and p > n,
+    This is the only place the determinant route is chosen, and the only
+    reader of the problem's lam and design factor.  When the problem
+    carries the design factor A of C = A'A/(2n) + lam*I, lam > 0 and p > n,
     the n x n core I + A diag(1/(e + lam)) A'/(2n) is factored instead:
     solves go through the Woodbury identity and the determinant through the
     matrix determinant lemma, so nothing p x p is factored.  Otherwise C +
@@ -60,7 +61,8 @@ class _CPlusD:
     non-finite diagonal of the p x p part), checked in O(n + p).
     """
 
-    def __init__(self, c, e, lam, factor, method="auto"):
+    def __init__(self, problem, e, method="auto"):
+        c, lam, factor = problem.c, problem.lam, problem.low_rank_factor
         if method == "auto":
             lowrank = factor is not None and lam > 0.0 and c.shape[0] > factor.shape[0]
             method = "lowrank" if lowrank else "direct"
@@ -130,22 +132,23 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
         raise ValueError("d_tau entries must be nonnegative")
     if method not in ("auto", "direct", "lowrank"):
         raise ValueError(f"unknown method {method!r}")
-    return _CPlusD(problem.c, d, problem.lam, problem.low_rank_factor, method).log_det()
+    return _CPlusD(problem, d, method).log_det()
 
 
-def _core(c, w, mu, tau, x, u, lam, factor, c_plus_d=None):
-    """Array-level evaluation shared with the marginal-density code.
+def _core(problem, x, u, c_plus_d=None):
+    """(exp_term, log_det_term, prefactor_term, d) at the stationary (x, u).
 
-    c_plus_d, when given, is a factor of C + D already at hand (the inner
-    solves of the marginal curves hand one back); otherwise one is built.
+    Unchecked, and shared with the marginal-density code.  c_plus_d, when
+    given, is a factor of C + D already at hand (every converged inner
+    solve of the marginal curves hands one back); otherwise one is built.
     """
-    p = w.shape[0]
+    w, mu, tau, p = problem.w, problem.mu, problem.tau, problem.p
     d = _d_diag(u, mu, tau)
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
         raise NumericalOverflow(f"exponential term is {exp_term}")
     if c_plus_d is None:
-        c_plus_d = _CPlusD(c, d, lam, factor)
+        c_plus_d = _CPlusD(problem, d)
     log_det_term = -0.5 * c_plus_d.log_det()
     prefactor_term = (
         p * math.log(mu)
@@ -172,14 +175,7 @@ def log_partition(problem, saddle):
     """
     _check_saddle(problem, saddle)
     exp_term, log_det_term, prefactor_term, d = _core(
-        problem.c,
-        problem.w,
-        problem.mu,
-        problem.tau,
-        saddle.x_tau,
-        saddle.u_tau,
-        problem.lam,
-        problem.low_rank_factor,
+        problem, saddle.x_tau, saddle.u_tau
     )
     total = exp_term + log_det_term + prefactor_term
     return LogPartition(

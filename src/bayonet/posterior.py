@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _cost_arrays
+from .data import _cost
 from .errors import GridTooSmall, NotConverged
 from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
 from .partition import _check_saddle, _core, _CPlusD, _d_diag, log_partition
-from .saddle import _newton_step, _saddle_cd
+from .saddle import _saddle_cd
 
 _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
@@ -72,7 +72,7 @@ def posterior_sd(problem, saddle):
     """
     _check_saddle(problem, saddle)
     d = _d_diag(saddle.u_tau, problem.mu, problem.tau)
-    inv_diag = _CPlusD(problem.c, d, problem.lam, problem.low_rank_factor).inv_diag()
+    inv_diag = _CPlusD(problem, d).inv_diag()
     return np.sqrt(inv_diag / (2.0 * problem.tau))
 
 
@@ -85,22 +85,11 @@ def _make_grid(spec, center, sd):
     pts = np.asarray(spec.points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise GridTooSmall("explicit grid needs at least 2 points")
+    if not np.isfinite(pts).all():
+        raise ValueError("explicit grid must be finite")
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("explicit grid must be strictly ascending")
     return pts
-
-
-def _coordinate_split(problem, j):
-    idx = np.array([k for k in range(problem.p) if k != j], dtype=int)
-    c_sub = problem.c[np.ix_(idx, idx)]
-    c_col = problem.c[idx, j]
-    w_sub = problem.w[idx]
-    factor_sub = (
-        problem.low_rank_factor[:, idx]
-        if problem.low_rank_factor is not None
-        else None
-    )
-    return idx, c_sub, c_col, w_sub, factor_sub
 
 
 def _curve(problem, j, grid, center, seed, inner):
@@ -143,7 +132,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     constant that the trapezoid normalization removes.  Grid points are
     solved outward from the posterior-mean center in both directions.  At
     the center the restriction of the full stationary point is already
-    stationary, so that solve is free.
+    stationary, so that solve takes only its polish step.
 
     Every other solve starts from its neighbor's solution x plus the
     tangent step (C_sub + D)^{-1} (w_eff' - w_eff), the derivative of the
@@ -151,10 +140,10 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     error, which on an evenly spaced grid is the next step's second-order
     term.  The factor of C_sub + D the step solves with is the one behind
     the neighbor's log det: the inner solve's polish-step factor, built at
-    its converged point where a/b = D up to the tolerance, or, for a solve
-    converged at its start, one factor built there that also takes the
-    polish step.  So a grid point whose prediction meets the tolerance
-    builds one factor.
+    its converged point where a/b = D up to the tolerance.  Every converged
+    solve hands one back, so a grid point whose prediction meets the
+    tolerance builds one factor.  The inner problems are restrictions of
+    problem, so wide ones keep the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
     converged at problem's tau (else NotConverged or ValueError); a grid
@@ -168,33 +157,21 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     explicit = grid_spec is not None and grid_spec.points is not None
     sd = None if explicit else float(posterior_sd(problem, saddle)[j])
     grid = _make_grid(grid_spec, float(saddle.x_tau[j]), sd)
-    idx, c_sub, c_col, w_sub, factor_sub = _coordinate_split(problem, j)
-    mu, tau, lam = problem.mu, problem.tau, problem.lam
+    sub, c_col = problem._without(j), np.delete(problem.c[:, j], j)
 
     def inner(g, state):
         x, c_plus_d, w_prev, tan_err = state
         predicted = c_plus_d is not None
-        w_eff = w_sub - g * c_col
-        x_tan = x + c_plus_d.solve(w_eff - w_prev) if predicted else x
-        x, u, cycles, res, ok, c_plus_d = _saddle_cd(
-            c_sub, w_eff, mu, tau, x_tan + tan_err, tol, lam, factor_sub
-        )
+        at_g = sub._replace(w=sub.w - g * c_col)
+        x_tan = x + c_plus_d.solve(at_g.w - w_prev) if predicted else x
+        x, u, cycles, _, ok, c_plus_d = _saddle_cd(at_g, x_tan + tan_err, tol)
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
-        if c_plus_d is None:
-            # converged at its start, so no factor was built: the one the log
-            # det needs also takes the polish step the solve skipped
-            c_plus_d = _CPlusD(c_sub, _d_diag(u, mu, tau), lam, factor_sub)
-            step, _ = _newton_step(
-                c_sub, w_eff, mu, tau, lam, factor_sub, x, u, res, c_plus_d
-            )
-            if step is not None:
-                x, u, _ = step
-        e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, factor_sub, c_plus_d)
+        e, ld, pref, _ = _core(at_g, x, u, c_plus_d)
         tan_err = x - x_tan if predicted else 0.0
-        return e + ld + pref, (x, c_plus_d, w_eff, tan_err)
+        return e + ld + pref, (x, c_plus_d, at_g.w, tan_err)
 
-    seed = (saddle.x_tau[idx], None, None, 0.0)
+    seed = (np.delete(saddle.x_tau, j), None, None, 0.0)
     return _curve(problem, j, grid, saddle.x_tau[j], seed, inner)
 
 
@@ -213,16 +190,15 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
         raise NotConverged(ml.cycles, "ML solution not converged")
     sd = 1.0 / math.sqrt(2.0 * problem.tau * problem.c[j, j])
     grid = _make_grid(grid_spec, float(ml.x_hat[j]), sd)
-    idx, c_sub, c_col, w_sub, _ = _coordinate_split(problem, j)
-    mu, tau = problem.mu, problem.tau
+    sub, c_col = problem._without(j), np.delete(problem.c[:, j], j)
 
     def inner(g, x_prev):
-        w_eff = w_sub - g * c_col
-        x_in, cycles, ok = _ml_cd(c_sub, w_eff, mu, x_prev, tol)
+        at_g = sub._replace(w=sub.w - g * c_col)
+        x_in, cycles, ok = _ml_cd(at_g, x_prev, tol)
         if not ok:
             raise NotConverged(
                 cycles, f"inner minimizer, coordinate {j}, grid value {g}"
             )
-        return -tau * _cost_arrays(c_sub, w_eff, mu, x_in), x_in
+        return -problem.tau * _cost(at_g, x_in), x_in
 
-    return _curve(problem, j, grid, ml.x_hat[j], ml.x_hat[idx], inner)
+    return _curve(problem, j, grid, ml.x_hat[j], np.delete(ml.x_hat, j), inner)

@@ -13,6 +13,10 @@ and the posterior standard deviations factor, through the same helper
 (an n x n core for wide designs).  Steps are halved to keep u strictly
 inside the box and the plug-back residual falling; from the penalized ML
 minimizer a handful of steps take the residual down to rounding level.
+Every solve, a start that already meets the tolerance included, leaves
+through one exit: the cycle that finds the iterate converged takes one more
+Newton step to polish it and hands back that step's factor of C + D, which
+log Z and the marginal curves' next tangent prediction reuse.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
@@ -22,7 +26,8 @@ factorization, or a backtrack that cannot keep u inside the box while
 lowering the residual, as from a warm start outside it).  A solve has
 converged only with every |u_j| < mu and every b_j > 0, as at every
 stationary point.  The iterate is x throughout (never u), which avoids
-forming C^{-1}.
+forming C^{-1}.  The private solvers take the PenalizedProblem whole; which
+factorization route C + D takes is read from it in partition._CPlusD only.
 """
 
 import math
@@ -46,9 +51,10 @@ class SaddleSolution:
     residual is the l-inf norm of the stationarity conditions evaluated with
     a fresh u (no incremental bookkeeping involved).  cycles counts Newton
     steps plus fallback coordinate sweeps, the final polishing step
-    included.  converged means the residual met the tolerance of
-    ``solve_saddle`` with u_tau strictly inside the box, |u_j| < mu, and
-    every 2 u_j x_j + 1/tau > 0, as at every stationary point.
+    included, so a converged solve has cycles >= 1.  converged means the
+    residual met the tolerance of ``solve_saddle`` with u_tau strictly
+    inside the box, |u_j| < mu, and every 2 u_j x_j + 1/tau > 0, as at
+    every stationary point.
     """
 
     u_tau: np.ndarray
@@ -109,12 +115,13 @@ def _residual(x, u, mu, tau):
     return float(np.max(np.abs((mu * mu - u * u) * x - u / tau)))
 
 
-def _sweep(c, w, mu, tau, x, u):
+def _sweep(problem, x, u):
     """One cyclic coordinate sweep from (x, u = w - Cx); returns (x, u, res).
 
     The returned u is recomputed from scratch, never the incrementally
     updated one.
     """
+    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
     x = x.copy()
     r = u.copy()
     diag = np.diagonal(c)
@@ -129,7 +136,7 @@ def _sweep(c, w, mu, tau, x, u):
     return x, u, _residual(x, u, mu, tau)
 
 
-def _newton_step(c, w, mu, tau, lam, factor, x, u, res, c_plus_d=None):
+def _newton_step(problem, x, u, res):
     """Damped Newton step from (x, u); returns (step, c_plus_d).
 
     The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with
@@ -140,18 +147,17 @@ def _newton_step(c, w, mu, tau, lam, factor, x, u, res, c_plus_d=None):
     its tolerance) uses max(a, 0), which keeps the matrix positive definite.
     step is the new (x, u, res), or None if some b <= 0, the factor failed,
     or the step shrank below _MIN_STEP.  c_plus_d is the factor used, or
-    None if none was built.  A caller may pass one in: a factor of C + D at
-    a converged (x, u), where a/b is D up to the tolerance, serves as well.
+    None if none was built.
     """
+    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
     a = mu * mu - u * u
     b = 2.0 * u * x + 1.0 / tau
     if not np.all(b > 0.0):
         return None, None
-    if c_plus_d is None:
-        try:
-            c_plus_d = _CPlusD(c, np.maximum(a, 0.0) / b, lam, factor)
-        except SingularMatrix:
-            return None, None
+    try:
+        c_plus_d = _CPlusD(problem, np.maximum(a, 0.0) / b)
+    except SingularMatrix:
+        return None, None
     dx = c_plus_d.solve((u / tau - a * x) / b)
     t = 1.0
     while t >= _MIN_STEP:
@@ -165,49 +171,43 @@ def _newton_step(c, w, mu, tau, lam, factor, x, u, res, c_plus_d=None):
     return None, c_plus_d
 
 
-def _saddle_cd(c, w, mu, tau, x0, tol, lam=0.0, factor=None):
-    """Array-level solve; returns (x, u, cycles, residual, converged, c_plus_d).
+def _saddle_cd(problem, x0, tol):
+    """Solve from x0; returns (x, u, cycles, residual, converged, c_plus_d).
 
     Each cycle is a damped Newton step, or one coordinate sweep where no
     Newton step can be taken.  Converged means the residual is below
-    tol * max(1, 1/tau) with every |u| < mu and every b = 2ux + 1/tau > 0;
-    one more Newton step then polishes the iterate, kept only if it lowers
-    the residual.  At a stationary point x and u share a sign, so b >= 1/tau.
-    The b test rejects starts such as x of the opposite sign to u with |u|
-    within rounding of mu: a ~ 0 there, and at large tau the residual
-    |a x - u/tau| is below tol far from the root.  lam and factor are the
-    problem's l2 weight and design factor (None: C carries none), which pick
-    the factorization route of C + diag(a/b).
+    tol * max(1, 1/tau) with every |u| < mu and every b = 2ux + 1/tau > 0.
+    At a stationary point x and u share a sign, so b >= 1/tau.  The b test
+    rejects starts such as x of the opposite sign to u with |u| within
+    rounding of mu: a ~ 0 there, and at large tau the residual |a x - u/tau|
+    is below tol far from the root.
 
-    c_plus_d is the polish step's factor of C + diag(a/b), built at the
-    converged point, where a/b is the curvature diagonal D up to the
-    tolerance; it is None for a solve that was converged at its start
-    (cycle 0), did not converge, or could not factor there.
+    The one exit of a converged solve is the cycle that finds it converged,
+    a start that already is included: that cycle's Newton step polishes the
+    iterate, kept only if it lowers the residual, so a converged solve
+    reports cycles >= 1.  c_plus_d is the polish step's factor of
+    C + diag(a/b), built at the converged point, where a/b is the curvature
+    diagonal D up to the tolerance; it is None only where that factor
+    failed.  A run that exhausts the budget returns converged=False, cycles
+    = _MAX_CYCLES and no factor.
     """
+    mu, tau = problem.mu, problem.tau
     tol = tol * max(1.0, 1.0 / tau)
-
-    def done(x, u, res):
-        return (
+    x = np.array(x0, dtype=float)
+    u = problem.w - problem.c @ x
+    res = _residual(x, u, mu, tau)
+    for cycles in range(1, _MAX_CYCLES + 1):
+        step, c_plus_d = _newton_step(problem, x, u, res)
+        if (
             res < tol
             and float(np.max(np.abs(u))) < mu
             and bool(np.all(2.0 * u * x + 1.0 / tau > 0.0))
-        )
-
-    x = np.array(x0, dtype=float)
-    u = w - c @ x
-    res = _residual(x, u, mu, tau)
-    if done(x, u, res):
-        return x, u, 0, res, True, None
-    cycles = 0
-    while cycles < _MAX_CYCLES:
-        cycles += 1
-        step, c_plus_d = _newton_step(c, w, mu, tau, lam, factor, x, u, res)
-        if done(x, u, res):
+        ):
             if step is not None:
                 x, u, res = step
             return x, u, cycles, res, True, c_plus_d
-        x, u, res = step if step is not None else _sweep(c, w, mu, tau, x, u)
-    return x, u, cycles, res, done(x, u, res), None
+        x, u, res = step if step is not None else _sweep(problem, x, u)
+    return x, u, _MAX_CYCLES, res, False, None
 
 
 def solve_saddle(problem, init, tol=1e-10):
@@ -223,18 +223,11 @@ def solve_saddle(problem, init, tol=1e-10):
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.p,):
         raise ValueError(f"init must have length {problem.p}")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    x, u, cycles, res, ok, _ = _saddle_cd(
-        problem.c,
-        problem.w,
-        problem.mu,
-        problem.tau,
-        init,
-        tol,
-        problem.lam,
-        problem.low_rank_factor,
-    )
+    x, u, cycles, res, ok, _ = _saddle_cd(problem, init, tol)
     return SaddleSolution(
         u_tau=u, x_tau=x, tau=problem.tau, cycles=cycles, residual=res, converged=ok
     )

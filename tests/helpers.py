@@ -359,8 +359,9 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
     marginal_sp's walk without its tangent predictor or factor reuse: every
     inner solve is warm-started at its neighbor's solution (right from the
     point nearest the posterior mean, then left from it), and its log det
-    comes from a fresh factor of C_sub + D at the solution.  Returns the
-    trapezoid-normalized density on grid.
+    comes from a fresh factor of C_sub + D at the solution.  The inner
+    problems drop the design factor, so every factor takes the dense route.
+    Returns the trapezoid-normalized density on grid.
     """
     from bayonet.partition import _core
     from bayonet.saddle import _saddle_cd
@@ -368,15 +369,17 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
     idx = [k for k in range(problem.p) if k != j]
     c_sub = problem.c[np.ix_(idx, idx)]
     c_col, w_sub = problem.c[idx, j], problem.w[idx]
-    mu, tau, lam = problem.mu, problem.tau, problem.lam
+    mu, tau = problem.mu, problem.tau
     cjj, wj = problem.c[j, j], problem.w[j]
     log_dens = -tau * (cjj * grid * grid - 2.0 * wj * grid + 2.0 * mu * np.abs(grid))
 
     def solve(k, x):
-        w_eff = w_sub - grid[k] * c_col
-        x, u, _, _, ok, _ = _saddle_cd(c_sub, w_eff, mu, tau, x, tol, lam)
+        at_g = problem._replace(
+            c=c_sub, w=w_sub - grid[k] * c_col, low_rank_factor=None
+        )
+        x, u, _, _, ok, _ = _saddle_cd(at_g, x, tol)
         assert ok
-        e, ld, pref, _ = _core(c_sub, w_eff, mu, tau, x, u, lam, None)
+        e, ld, pref, _ = _core(at_g, x, u)
         log_dens[k] += e + ld + pref
         return x
 

@@ -143,6 +143,16 @@ def test_chain_validates_arguments():
         bn.run_gibbs(prob, np.zeros(prob.p + 1), sweeps=100, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_chain_rejects_non_finite_init(bad):
+    # a non-finite start used to reach the truncated-normal rejection loop,
+    # which can never accept with a NaN bound, and hang there
+    std = helpers.random_standardized(58, 60, 4)
+    prob = bn.build_problem(std, 0.1, 0.1, 50.0)
+    with pytest.raises(ValueError, match="init must be finite"):
+        bn.run_gibbs(prob, [bad, 0.0, 0.0, 0.0], sweeps=20)
+
+
 def test_huge_penalty_shrinks_every_sample():
     std = helpers.random_standardized(21, 60, 4, beta=np.array([1.0, -1.0, 0.5, 0.0]))
     cap = bn.mu_max(bn.build_problem(std, lam=0.05, mu=1.0, tau=1.0).w)

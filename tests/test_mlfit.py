@@ -117,7 +117,7 @@ def test_path_warm_equals_cold():
     # the warm start marginal_ml_approx gives each grid point's inner solve
     x = None
     for mu in mus:
-        x, _, ok = _ml_cd(prob.c, prob.w, mu, x, tol)
+        x, _, ok = _ml_cd(prob.with_mu(mu), x, tol)
         assert ok
         cold = bn.solve_ml(prob.with_mu(mu), tol=tol)
         assert np.max(np.abs(x - cold.x_hat)) < 10 * tol

@@ -111,8 +111,10 @@ def test_log_det_null_design():
     n, p = 6, 3
     d = np.array([0.3, 0.0, 2.0])
     ref = float(np.sum(np.log(d + lam)))
+    prob = bn.PenalizedProblem(c=lam * np.eye(p), w=np.zeros(p), mu=1.0, lam=lam, tau=1.0)
+    prob = prob._replace(low_rank_factor=np.zeros((n, p)))
     for method in ("direct", "lowrank"):
-        factor = _CPlusD(lam * np.eye(p), d, lam, np.zeros((n, p)), method)
+        factor = _CPlusD(prob, d, method)
         assert factor.log_det() == pytest.approx(ref, rel=1e-14)
 
 
@@ -142,9 +144,9 @@ def test_factor_routes_agree_wide_design():
     rng = np.random.default_rng(56)
     e = rng.uniform(0.0, 5.0, size=60)
     rhs = rng.standard_normal(60)
-    direct = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor, "direct")
-    lowrank = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor, "lowrank")
-    auto = _CPlusD(prob.c, e, prob.lam, prob.low_rank_factor)
+    direct = _CPlusD(prob, e, "direct")
+    lowrank = _CPlusD(prob, e, "lowrank")
+    auto = _CPlusD(prob, e)
     assert auto.log_det() == lowrank.log_det()
     x_ref = direct.solve(rhs)
     assert np.max(np.abs(lowrank.solve(rhs) - x_ref)) / np.max(np.abs(x_ref)) < 1e-10
@@ -169,11 +171,11 @@ def test_factor_rejects_non_finite_input(bad):
     f_bad[2, 4] = bad
     for method in ("direct", "lowrank"):
         with pytest.raises(bn.SingularMatrix):
-            _CPlusD(prob.c, e_bad, prob.lam, prob.low_rank_factor, method)
+            _CPlusD(prob, e_bad, method)
     with pytest.raises(bn.SingularMatrix):
-        _CPlusD(c_bad, e, prob.lam, None)
+        _CPlusD(prob._replace(c=c_bad, low_rank_factor=None), e)
     with pytest.raises(bn.SingularMatrix):
-        _CPlusD(prob.c, e, prob.lam, f_bad, "lowrank")
+        _CPlusD(prob._replace(low_rank_factor=f_bad), e, "lowrank")
 
 
 def test_log_det_validation():

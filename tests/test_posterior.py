@@ -1,12 +1,14 @@
 """Posterior summaries: means, predictive values, marginal density curves."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import bayonet as bn
 from bayonet import GridSpec, expectation, marginal_ml_approx, marginal_sp
+from bayonet.partition import _CPlusD, _d_diag
 from bayonet.saddle import _saddle_cd
 
 import helpers
@@ -69,26 +71,25 @@ def test_predictive_mean_against_chain(p5_suite, chain):
 
 def test_marginal_inner_solve_free_at_center(p5_suite):
     # fixing a coordinate at its posterior mean leaves the remaining
-    # stationary point unchanged, so the warm-started inner solve is free
+    # stationary point unchanged, so the warm-started inner solve is
+    # converged at its start: its one cycle is the polish step
     prob, sad = p5_suite["problem"], p5_suite["saddle"]
     j = 0
     idx = [k for k in range(5) if k != j]
-    c_sub = prob.c[np.ix_(idx, idx)]
-    w_eff = prob.w[idx] - sad.x_tau[j] * prob.c[idx, j]
-    _, _, cycles, res, ok, _ = _saddle_cd(
-        c_sub, w_eff, prob.mu, prob.tau, sad.x_tau[idx], 1e-10
-    )
+    sub = prob._without(j)
+    at_center = sub._replace(w=sub.w - sad.x_tau[j] * prob.c[idx, j])
+    _, _, cycles, res, ok, c_plus_d = _saddle_cd(at_center, sad.x_tau[idx], 1e-10)
     assert ok
-    assert cycles == 0
+    assert cycles == 1
+    assert c_plus_d is not None
 
 
 def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
     # the outer stationary point is already solved; an exhausted budget for
     # the inner solves must surface as NotConverged naming the coordinate,
-    # with no retry from another start.  The tangent predictor lands inner
-    # solves within one cycle (on the p5 suite, within tolerance at cycle
-    # 0), so the budget is zero, on an instance where the predictor does
-    # not meet the tolerance by itself.
+    # with no retry from another start.  Even a start that meets the
+    # tolerance spends one cycle on its polish step, so a zero budget fails
+    # the first inner solve.
     prob, sad = near_transition["problem"], near_transition["saddle"]
     monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 0)
     with pytest.raises(bn.NotConverged, match=r"marginal coordinate 1, grid value") as info:
@@ -98,7 +99,7 @@ def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
 
 def test_marginal_builds_about_one_factor_per_grid_point(monkeypatch):
     # the tangent predictor lands most inner solves within tolerance at
-    # cycle 0, and the factor of C_sub + D behind each log det is reused for
+    # their start, and the factor of C_sub + D behind each log det is reused for
     # the next prediction: ten 201-point curves at 442x10 build at most 1.5
     # factors per grid point (3.4-3.7 with plain neighbor warm starts)
     prob, sad = helpers.build_marginal_case(101)
@@ -129,6 +130,60 @@ def test_marginal_p5_needs_no_coordinate_sweeps(p5_suite, monkeypatch):
     for j in range(5):
         marginal_sp(p5_suite["problem"], p5_suite["saddle"], j)
     assert sweeps == []
+
+
+def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
+    # marginal_sp takes each inner log det from the factor the solve hands
+    # back, starts already converged included; that factor is built at the
+    # point before the polish step, with a/b in place of D
+    solves = []
+
+    def recorded(problem, x0, tol):
+        out = _saddle_cd(problem, x0, tol)
+        solves.append((problem, out))
+        return out
+
+    monkeypatch.setattr(bn.posterior, "_saddle_cd", recorded)
+    for seed in (101, 102):
+        prob, sad = helpers.build_marginal_case(seed)
+        for j in range(prob.p):
+            marginal_sp(prob, sad, j)
+    assert len(solves) == 2 * 10 * 201
+    worst = 0.0
+    for problem, (x, u, cycles, _, ok, c_plus_d) in solves:
+        assert ok and cycles >= 1
+        assert c_plus_d is not None
+        fresh = _CPlusD(problem, _d_diag(u, problem.mu, problem.tau)).log_det()
+        worst = max(worst, abs(c_plus_d.log_det() - fresh) / abs(fresh))
+    assert worst < 1e-6
+
+
+def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):
+    # with p - 1 > n every inner problem takes the n x n determinant route,
+    # and its curves match the dense route's plain walk
+    std = helpers.random_standardized(59, 12, 30, beta=[1.0, -0.6, 0.4] + [0.0] * 27, noise=0.5)
+    base = bn.build_problem(std, 0.1, 1.0, 1.0)
+    prob0 = base.with_mu(0.3 * float(np.abs(base.w).max()))
+    ml = bn.solve_ml(prob0, tol=1e-12)
+    prob = prob0.with_tau(bn.map_tau(std, 0.1, prob0.mu, ml))
+    sad = bn.solve_saddle(prob, ml.x_hat, tol=1e-12)
+    assert sad.converged
+    routes = []
+    init = bn.partition._CPlusD.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        routes.append(self._dp is not None)
+
+    monkeypatch.setattr(bn.partition._CPlusD, "__init__", counted)
+    curves = [marginal_sp(prob, sad, j) for j in (0, 1, 5)]
+    monkeypatch.undo()
+    assert len(routes) >= 3 * 201
+    assert all(routes)
+    dense = prob._replace(low_rank_factor=None)
+    for curve in curves:
+        ref = helpers.marginal_plain_walk(dense, sad, curve.coordinate, curve.grid, 1e-13)
+        assert np.max(np.abs(curve.density - ref)) < 1e-6 * ref.max()
 
 
 @pytest.mark.parametrize("seed", [101, 102, 103])
@@ -201,6 +256,18 @@ def test_marginal_rejects_single_point_grid(p5_suite):
             0,
             grid_spec=GridSpec(points=np.array([0.5])),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_explicit_grid_must_be_finite(p5_suite, bad):
+    # np.diff of a grid with a NaN or inf passes the ascending check; the
+    # curve would come back all NaN, or the inner solve would fail
+    prob, ml, sad = p5_suite["problem"], p5_suite["ml"], p5_suite["saddle"]
+    spec = GridSpec(points=np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="explicit grid must be finite"):
+        marginal_sp(prob, sad, 0, grid_spec=spec)
+    with pytest.raises(ValueError, match="explicit grid must be finite"):
+        marginal_ml_approx(prob, ml, 0, grid_spec=spec)
 
 
 def test_marginal_one_coordinate_is_exact():

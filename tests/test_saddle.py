@@ -178,7 +178,7 @@ def sweep_reference(prob, x0, tol=1e-13, max_sweeps=20000):
     u = prob.w - prob.c @ x
     res = math.inf
     for _ in range(max_sweeps):
-        x, u, res = saddle._sweep(prob.c, prob.w, prob.mu, prob.tau, x, u)
+        x, u, res = saddle._sweep(prob, x, u)
         if res < tol:
             return x
     raise AssertionError(f"reference sweep stalled at residual {res}")
@@ -293,6 +293,18 @@ def test_solver_validation():
         solve_saddle(prob, np.zeros(3))
     with pytest.raises(ValueError):
         solve_saddle(prob, np.zeros(2), tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_init_is_a_value_error(bad):
+    # a bad argument, not NoAdmissibleRoot (which reports a numerical bug)
+    std = helpers.random_standardized(58, 60, 4)
+    prob = bn.build_problem(std, 0.1, 0.1, 50.0)
+    init = np.array([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="init must be finite"):
+        solve_saddle(prob, init)
+    with pytest.raises(ValueError, match="init must be finite"):
+        tau_path(prob, [50.0, 5.0], init=init)
 
 
 # ---------------------------------------------------------------------------
