@@ -6,15 +6,14 @@ so a sweep is p draws from that posterior: pick the side of zero with the
 exact nonnegative-side probability, then draw the normal restricted to that
 side.  The side weight comes from exact1d's kernels, so the sampler and the
 closed-form oracle share one formula.  This is an oracle for validating the
-deterministic approximations, not a production sampler: no adaptation, no
-diagnostics beyond an internal bookkeeping guard.
+deterministic approximations, not a production sampler: no adaptation and no
+diagnostics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .exact1d import _half_line_logs, _prob_nonneg
 from .special import RngStream, _std_lower_truncated
 
@@ -53,11 +52,12 @@ def _draw(cjj, a, mu, s, sd, rng):
 def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     """Cyclic Gibbs sweeps over all coordinates.
 
-    Partial residuals r = w - Cx are updated incrementally (O(p) per
-    coordinate) and checked against a fresh w - Cx every 100th sweep; drift
-    beyond 1e-10 (a bug, or rounding on huge samples at tiny tau) raises
-    NumericalError.  burn_in defaults to 10% of sweeps.  Retained count is
-    (sweeps - burn_in) // thin.
+    Each coordinate's partial residual w_j - sum_{k != j} C_jk x_k is computed
+    afresh from row j of C and the current x (one O(p) dot), so no running
+    residual is carried from draw to draw and rounding cannot accumulate
+    however large the samples grow.  burn_in defaults to 10% of sweeps.
+    Retained count is (sweeps - burn_in) // thin, and a chain that would
+    retain nothing raises ValueError.
     """
     if burn_in is None:
         burn_in = sweeps // 10
@@ -65,38 +65,35 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
         raise ValueError("need sweeps > burn_in >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    x = np.asarray(init, dtype=float)
+    kept = (sweeps - burn_in) // thin
+    if kept < 1:
+        raise ValueError("the chain keeps no samples: need sweeps - burn_in >= thin")
+    x = np.array(init, dtype=float)  # a copy: the loop writes to it
     if x.shape != (problem.p,):
         raise ValueError(f"init must have length {problem.p}")
     if not np.isfinite(x).all():
         raise ValueError("init must be finite")
-    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
+    c, mu, tau = problem.c, problem.mu, problem.tau
     p = problem.p
     rng = RngStream(seed)
     # the per-coordinate loop runs on Python floats, which are cheaper to
-    # index and combine than numpy scalars; only r stays an array
+    # index and combine than numpy scalars; x stays an array, the operand of
+    # each row's bound dot method (rows copied contiguous)
     d = np.diagonal(c)
     diag = d.tolist()
-    cols = [c[:, j].copy() for j in range(p)]
+    w = problem.w.tolist()
+    row_dots = [np.array(c[j]).dot for j in range(p)]
     svals = np.sqrt(tau / d).tolist()
     sds = (1.0 / np.sqrt(2.0 * tau * d)).tolist()
-    r = w - c @ x
-    x = x.tolist()
-    keep = np.empty(((sweeps - burn_in) // thin, p))
+    keep = np.empty((kept, p))
     k = 0
     for sweep in range(1, sweeps + 1):
         for j in range(p):
-            aj = r.item(j) + diag[j] * x[j]
-            xj = _draw(diag[j], aj, mu, svals[j], sds[j], rng)
-            dx = xj - x[j]
-            if dx != 0.0:
-                r -= cols[j] * dx
-                x[j] = xj
-        if sweep % 100 == 0:
-            fresh = w - c @ np.array(x)
-            if float(np.max(np.abs(fresh - r))) >= 1e-10:
-                raise NumericalError("partial-residual drift guard tripped")
-            r = fresh
+            xj = x.item(j)
+            aj = w[j] - float(row_dots[j](x)) + diag[j] * xj
+            new = _draw(diag[j], aj, mu, svals[j], sds[j], rng)
+            if new != xj:
+                x[j] = new
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             keep[k] = x
             k += 1

@@ -216,9 +216,6 @@ class FirstUniform:
         u, self._first = self._first, None
         return u
 
-    def exponential(self):
-        return self._rng.exponential()
-
 
 def batch_se(samples, nbatch=100):
     """Batch-means standard error of the mean, per column."""

@@ -503,6 +503,22 @@ def test_gibbs_rerun_is_byte_identical(tmp_path):
     assert len(b1.decode().splitlines()) == 1 + 450  # default burn-in 10%
 
 
+@pytest.mark.parametrize("verb, extra", [
+    ("gibbs", []),
+    ("marginal", ["--gibbs", "--coords", "0"]),
+])
+def test_chain_that_keeps_no_samples_exits_4(tmp_path, capsys, verb, extra):
+    # 10 sweeps thinned by 100 retain nothing: marginal wrote all-NaN
+    # histograms and gibbs a header-only CSV; now neither writes anything
+    csv = make_csv(tmp_path)
+    code, cap = run([verb, csv, "--response", "y", "--lambda", "0.05",
+                     "--mu", "0.1", "--tau", "150", "--gibbs-sweeps", "10",
+                     "--thin", "100", *extra, "--out", tmp_path / "out"], capsys)
+    assert code == 4
+    assert "keeps no samples" in cap.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 # --- cv ---------------------------------------------------------------------
 
 def test_cv_json_schema(tmp_path):

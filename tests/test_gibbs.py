@@ -88,8 +88,9 @@ def test_chain_is_seed_deterministic():
 
 
 def test_chain_matches_stored_reference():
-    # the sweep loop's bookkeeping (Python floats, the drift check every 100
-    # sweeps, thinning) must leave the chain bit for bit as recorded
+    # the sweep loop's bookkeeping (Python floats, fresh-row partial
+    # residuals, block-drawn uniforms, thinning) must leave the chain bit for
+    # bit as recorded
     prob = bn.PenalizedProblem(
         c=np.array([[0.6, 0.2, -0.1], [0.2, 0.5, 0.15], [-0.1, 0.15, 0.7]]),
         w=np.array([0.3, -0.02, 0.1]),
@@ -100,10 +101,16 @@ def test_chain_matches_stored_reference():
     ch = bn.run_gibbs(prob, np.zeros(3), 300, burn_in=50, thin=2, seed=11)
     assert ch.samples.shape == (125, 3)
     assert ch.samples[-1].tolist() == [
-        0.5439562056225256, -0.035741739705516695, 0.20936383497259917
+        0.5439562056225257, -0.03574173970551667, 0.20936383497259928
     ]
     assert hashlib.sha256(ch.samples.tobytes()).hexdigest() == (
-        "70bf14c172fd69c974ffcfcd4e5117db4f58e6eab1a340ba7ffe1a2ca6a0b6a4"
+        "923a70c9be7463ac1abf48196906f9f28e110d1277f4d900863b81e440aba263"
+    )
+    # the row recorded with the incrementally updated residual: the same
+    # uniforms drive the chain, so only rounding separates the two
+    assert ch.samples[-1] == pytest.approx(
+        [0.5439562056225256, -0.035741739705516695, 0.20936383497259917],
+        rel=0.0, abs=1e-12,
     )
 
 
@@ -139,6 +146,10 @@ def test_chain_validates_arguments():
         bn.run_gibbs(prob, np.zeros(prob.p), sweeps=100, burn_in=-1, seed=0)
     with pytest.raises(ValueError):
         bn.run_gibbs(prob, np.zeros(prob.p), sweeps=100, thin=0, seed=0)
+    # (sweeps - burn_in) // thin retained samples must be at least one
+    for sweeps, burn_in, thin in [(10, None, 100), (100, 99, 2)]:
+        with pytest.raises(ValueError, match="keeps no samples"):
+            bn.run_gibbs(prob, np.zeros(prob.p), sweeps, burn_in=burn_in, thin=thin)
     with pytest.raises(ValueError):
         bn.run_gibbs(prob, np.zeros(prob.p + 1), sweeps=100, seed=0)
 
@@ -206,11 +217,14 @@ def test_chain_agrees_with_deterministic_marginals(p5_suite):
         assert d < 0.05
 
 
-def test_drift_guard_raises_numerical_error():
-    # at tau = 1e-12 the samples reach ~1e6 within 100 sweeps, and rounding
-    # in the incremental residual update alone exceeds the guard's absolute
-    # 1e-10 bound
+def test_huge_samples_at_tiny_tau_finite_and_deterministic():
+    # at tau = 1e-12 the samples reach ~1e6 within 100 sweeps; an
+    # incrementally updated residual drifted there, but each partial residual
+    # is now computed afresh, so the chain stays finite and reproducible
     std = helpers.random_standardized(0, 60, 5)
     prob = bn.build_problem(std, 0.1, 0.05, 1e-12)
-    with pytest.raises(bn.NumericalError, match="drift guard"):
-        bn.run_gibbs(prob, np.zeros(5), sweeps=300)
+    a = bn.run_gibbs(prob, np.zeros(5), sweeps=300)
+    b = bn.run_gibbs(prob, np.zeros(5), sweeps=300)
+    assert np.isfinite(a.samples).all()
+    assert np.abs(a.samples).max() > 1e5
+    assert a.samples.tobytes() == b.samples.tobytes()

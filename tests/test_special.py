@@ -1,9 +1,9 @@
 """Error-function kernels, truncated-normal sampling, RNG stream.
 
-log_erfcx and the standard truncated-normal draw evaluate scipy.special's erfc
-and erfcx; the first tests hold those to the independent oracles in helpers.
-The sampler tests draw a one-sided normal the way the Gibbs draw does: shift
-and scale one standard lower-truncated draw.
+log_erfcx and the standard truncated-normal draw evaluate erfc and erfcx from
+scipy.special and the math module; the first tests hold scipy's to the
+independent oracles in helpers.  The sampler tests draw a one-sided normal the
+way the Gibbs draw does: shift and scale one standard lower-truncated draw.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
@@ -76,6 +76,12 @@ def test_log_erfcx_matches_high_precision():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+# both switch points of log_erfcx, from each side
+@example(5.0)
+@example(math.nextafter(5.0, math.inf))
+@example(math.nextafter(5.0, -math.inf))
+@example(-25.0)
+@example(math.nextafter(-25.0, -math.inf))
 @given(
     st.one_of(
         st.floats(-40.0, 40.0),
@@ -165,6 +171,37 @@ def test_truncated_sampler_deep_tail_finite():
     assert draws.mean() < 0.2
 
 
+@pytest.mark.parametrize("a", [9.0, 15.0])
+def test_truncated_sampler_tail_branch_ks(a):
+    # lower bounds past 8 take the shifted-exponential rejection branch; KS
+    # test at significance 0.01 against the analytic truncated CDF
+    rng = RngStream(78)
+    draws = np.array([_std_lower_truncated(a, rng) for _ in range(10_000)])
+    assert np.all(draws >= a)
+    res = scipy.stats.kstest(draws, scipy.stats.truncnorm(a, np.inf).cdf)
+    assert res.pvalue > 0.01
+
+
+class UniformOnly:
+    """A stream with nothing but uniform(), from a scalar Philox generator."""
+
+    def __init__(self, seed):
+        self._gen = np.random.Generator(np.random.Philox(seed))
+
+    def uniform(self):
+        return self._gen.random()
+
+
+def test_truncated_sampler_needs_only_uniforms():
+    # both branches draw through uniform() alone, and with the same uniforms
+    # a stub stream gives exactly the draws of an RngStream
+    for a in (-3.0, 0.0, 8.0, 8.5, 15.0, 40.0):
+        stub, rng = UniformOnly(5), RngStream(5)
+        got = [_std_lower_truncated(a, stub) for _ in range(200)]
+        assert got == [_std_lower_truncated(a, rng) for _ in range(200)]
+        assert min(got) >= a
+
+
 # ---------------------------------------------------------------------------
 # RNG stream
 
@@ -173,6 +210,24 @@ def test_rng_stream_deterministic():
     a = RngStream(123)
     b = RngStream(123)
     assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rng_stream_uniforms_equal_scalar_generator_calls(seed):
+    # the block-drawn uniforms are the scalar calls' doubles, across refills
+    stream = RngStream(seed)
+    gen = np.random.Generator(np.random.Philox(seed))
+    got = [stream.uniform() for _ in range(3000)]
+    assert all(type(u) is float for u in got)
+    assert got == [gen.random() for _ in range(3000)]
+
+
+def test_rng_stream_permutation_matches_fresh_generator():
+    # cross-validation folds come from a fresh stream's permutation, which
+    # must stay the generator's own
+    perm = RngStream(0).permutation(442)
+    ref = np.random.Generator(np.random.Philox(0)).permutation(442)
+    assert np.array_equal(perm, ref)
 
 
 def test_rng_stream_seeds_diverge():
