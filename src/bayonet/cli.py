@@ -14,6 +14,7 @@ configuration (including command-line usage errors).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -90,7 +91,9 @@ def _pair(kinds):
     return parse
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(
         prog="bayonet", description=__doc__.splitlines()[0], allow_abbrev=False
     )
@@ -325,14 +328,14 @@ def cmd_marginal(args):
     prob, ml, sad = _fit_core(args, std)
     coords = _coord_list(args.coords, prob.p)
     prefix = args.out if args.out is not None else "marginal"
-    sds = posterior_sd(prob, sad)
-    results = {j: _marginal_one(prob, ml, sad, j, sds[j], args) for j in coords}
-
+    # the chain runs first, so settings it refuses cost no curves
     chain = None
     if args.gibbs:
         chain = run_gibbs(
             prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
         )
+    sds = posterior_sd(prob, sad)
+    results = {j: _marginal_one(prob, ml, sad, j, sds[j], args) for j in coords}
     for j in coords:
         grid, cols = results[j]
         header = ["x"] + list(cols)

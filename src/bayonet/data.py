@@ -10,6 +10,7 @@ diagonal of C at 0.5 + lambda exactly.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,12 +266,58 @@ def _cell_error(header, row, lineno):
             )
 
 
+def _rows_table(reader, header):
+    """The per-row reader: the body row by row, through float().
+
+    It names the first faulty line in file order and accepts every cell
+    float() takes, quoted numbers and underscores included.
+    """
+    # rows are converted whole and checked for finiteness at the end, so
+    # before reporting a fault on this line, the earlier lines are checked
+    rows, linenos = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            _table(rows, linenos, len(header))
+            raise ParseError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError:
+            _table(rows, linenos, len(header))
+            raise _cell_error(header, row, lineno) from None
+        linenos.append(lineno)
+    return _table(rows, linenos, len(header))
+
+
+def _loadtxt_table(fh, width):
+    """The rest of fh parsed in C by numpy; None unless it is a finite table
+    of the header's width."""
+    with warnings.catch_warnings():
+        # a body without rows is refused by load_csv, by its row count
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning
+        )
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def load_csv(path, response_column):
     """Read a header-rowed numeric CSV into a raw Dataset.
 
     The named response column becomes the response; every other column is a
-    predictor.  Any missing, non-numeric or non-finite cell is a ParseError
-    carrying the 1-based line number of the first faulty line.  Returns
+    predictor.  The body is parsed in C by numpy.loadtxt; a body it refuses,
+    or one holding a non-finite cell, is read again by the per-row reader,
+    which accepts whatever float() does (quoted numbers, underscores) and
+    raises a ParseError carrying the 1-based line number of the first faulty
+    line for any missing, non-numeric or non-finite cell.  Returns
     (dataset, predictor_names).
     """
     with open(path, newline="") as fh:
@@ -290,25 +337,13 @@ def load_csv(path, response_column):
             ) from None
         if len(header) < 2:
             raise ParseError("line 1: need at least one predictor column")
-        # rows are converted whole and checked for finiteness at the end, so
-        # before reporting a fault on this line, the earlier lines are checked
-        rows, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                _table(rows, linenos, len(header))
-                raise ParseError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                _table(rows, linenos, len(header))
-                raise _cell_error(header, row, lineno) from None
-            linenos.append(lineno)
-    table = _table(rows, linenos, len(header))
-    if len(rows) < 2:
+        table = _loadtxt_table(fh, len(header))
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _rows_table(reader, header)
+    if table.shape[0] < 2:
         raise ParseError("need at least 2 data rows")
     mask = np.ones(len(header), dtype=bool)
     mask[y_col] = False

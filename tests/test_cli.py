@@ -1,6 +1,10 @@
 """End-to-end CLI tests, run in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,26 @@ def test_flag_foreign_to_verb_exits_4(tmp_path, capsys, verb, flags):
     assert cap.err.startswith("error: ")
 
 
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # one process keeps one parser; a usage error must leave nothing behind
+    # that changes the next request's bytes or exit code
+    csv = make_csv(tmp_path)
+    requests = [
+        ["fit", csv, "--response", "y", "--mu", "-1", "--tau", "10"],
+        ["fit", csv, "--response", "y", "--lambda", "0.05", "--mu", "0.1",
+         "--tau", "200"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]))
+    for argv, want in zip(requests, (4, 0)):
+        code, cap = run(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bayonet.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert code == fresh.returncode == want
+        assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
+
+
 _NUMERICAL = (bn.NotConverged, bn.NoAdmissibleRoot, bn.SingularC,
               bn.SingularMatrix, bn.NumericalOverflow, bn.TransitionValue,
               bn.DegenerateDenominator, bn.AllZeroW, bn.GridTooSmall)
@@ -516,6 +540,24 @@ def test_chain_that_keeps_no_samples_exits_4(tmp_path, capsys, verb, extra):
                      "--thin", "100", *extra, "--out", tmp_path / "out"], capsys)
     assert code == 4
     assert "keeps no samples" in cap.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_refused_chain_builds_no_curve(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return bn.marginal_sp(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "marginal_sp", counted)
+    csv = make_csv(tmp_path)
+    code, cap = run(["marginal", csv, "--response", "y", "--lambda", "0.05",
+                     "--mu", "0.1", "--tau", "150", "--gibbs", "--gibbs-sweeps",
+                     "10", "--thin", "100", "--out", tmp_path / "out"], capsys)
+    assert code == 4
+    assert "keeps no samples" in cap.err
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 

@@ -1,11 +1,14 @@
 """Dataset standardization, problem assembly, cost evaluation, CSV parsing."""
 
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bayonet as bn
+from bayonet.data import _loadtxt_table, _rows_table
 
 import helpers
 
@@ -284,3 +287,60 @@ def test_load_csv_diagnostics(tmp_path, body, fragment):
     with pytest.raises(bn.ParseError) as exc:
         bn.load_csv(f, "y")
     assert fragment in str(exc.value)
+
+
+def _per_row_table(path):
+    # the table the per-row reader builds from the file's body
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return _rows_table(reader, header)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "g1,y\r\n1.5,2\r\n-3,4e-3\r\n",
+        "g1,y\n1.5,2\n\n\n-3,4e-3\n\n\n",
+        "g1,y\n 1.5 ,  2\n\t-3,4e-3 \n",
+        "g1,y\n1.5,2\n-3,4e-3",
+    ],
+    ids=["crlf", "blank-lines", "spaces", "no-final-newline"],
+)
+def test_load_csv_loadtxt_body_matches_per_row_reader(tmp_path, body):
+    f = tmp_path / "d.csv"
+    f.write_bytes(body.encode())
+    with open(f, newline="") as fh:
+        next(fh)
+        fast = _loadtxt_table(fh, 2)
+    assert fast is not None
+    assert np.array_equal(fast, _per_row_table(f))
+    data, _ = bn.load_csv(f, "y")
+    assert data.predictors[:, 0].tolist() == [1.5, -3.0]
+    assert data.responses.tolist() == [2.0, 4e-3]
+
+
+def test_load_csv_reads_what_float_reads(tmp_path):
+    # numpy's parser refuses quoted numbers and underscores; float() takes them
+    f = tmp_path / "d.csv"
+    f.write_text('g1,y\n"1.5",2\n-3,1_000\n')
+    data, _ = bn.load_csv(f, "y")
+    assert data.predictors[:, 0].tolist() == [1.5, -3.0]
+    assert data.responses.tolist() == [2.0, 1000.0]
+
+
+@pytest.mark.parametrize("body", ["g1,y\n", "g1,y", "g1,y\n\n", "g1,y\n1.0,2.0\n"])
+def test_load_csv_too_few_rows_warns_nothing(tmp_path, body):
+    f = tmp_path / "d.csv"
+    f.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bn.ParseError, match="need at least 2 data rows"):
+            bn.load_csv(f, "y")
+
+
+def test_load_csv_whitespace_only_line(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("g1,y\n1.0,2.0\n  \n3.0,4.0\n")
+    with pytest.raises(bn.ParseError, match="line 3: expected 2 fields, got 1"):
+        bn.load_csv(f, "y")

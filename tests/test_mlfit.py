@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bayonet as bn
 from bayonet.mlfit import _ml_cd
@@ -141,3 +143,72 @@ def test_h_min_matches_cost():
     prob = bn.build_problem(std, 0.03, 0.05, 1.0)
     sol = bn.solve_ml(prob, tol=1e-12)
     assert sol.h_min == pytest.approx(bn.cost_h(prob, sol.x_hat), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# active-set descent against the full-cycle reference
+
+
+def _random_problem(seed, n, p):
+    # a planted signal on every third coordinate
+    beta = np.where(np.arange(p) % 3 == 0, 1.0, 0.0)
+    std = helpers.random_standardized(seed, n, p, beta=beta, noise=0.5)
+    return bn.build_problem(std, 0.05, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed,n,p", [(40, 60, 8), (41, 30, 50), (42, 20, 120)])
+@pytest.mark.parametrize("frac", [0.9, 0.5, 0.2, 0.05, 0.01])
+def test_active_set_matches_full_cycle_cold(seed, n, p, frac):
+    prob = _random_problem(seed, n, p)
+    prob = prob.with_mu(frac * bn.mu_max(prob.w))
+    x, cycles, ok = _ml_cd(prob, None, 1e-12)
+    ref, _, ref_ok = helpers.ml_cd_full_cycle(prob, None, 1e-12)
+    assert ok and ref_ok and cycles >= 1
+    assert np.max(np.abs(x - ref)) < 1e-9
+    assert np.array_equal(x != 0.0, ref != 0.0)
+
+
+@pytest.mark.parametrize("seed,n,p", [(43, 60, 8), (44, 30, 50), (45, 20, 120)])
+def test_active_set_matches_full_cycle_warm(seed, n, p):
+    prob = _random_problem(seed, n, p)
+    mu_max = bn.mu_max(prob.w)
+    rng = np.random.default_rng(seed)
+    dense = bn.solve_ml(prob.with_mu(0.01 * mu_max), tol=1e-12).x_hat
+    starts = [
+        # a denser minimizer: most of its coordinates must leave
+        dense,
+        # a random vector, nonzero everywhere
+        rng.standard_normal(p),
+        # the denser minimizer with its signs flipped
+        -dense,
+    ]
+    for frac in (0.9, 0.3, 0.05):
+        at = prob.with_mu(frac * mu_max)
+        ref, _, _ = helpers.ml_cd_full_cycle(at, None, 1e-12)
+        for x0 in starts:
+            x, cycles, ok = _ml_cd(at, x0, 1e-12)
+            assert ok and cycles >= 1
+            assert np.max(np.abs(x - ref)) < 1e-9
+            assert np.array_equal(x != 0.0, ref != 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 40),
+    p=st.integers(1, 60),
+    lam=st.floats(0.01, 1.0),
+    log_frac=st.floats(-2.5, 0.0),
+)
+def test_active_set_solution_satisfies_kkt(seed, n, p, lam, log_frac):
+    std = helpers.random_standardized(seed, n, p)
+    prob = bn.build_problem(std, lam, 1.0, 1.0)
+    mu = 10.0**log_frac * bn.mu_max(prob.w)
+    prob = prob.with_mu(mu)
+    sol = bn.solve_ml(prob, tol=1e-12)
+    assert sol.converged and sol.cycles >= 1
+    x = sol.x_hat
+    r = prob.w - prob.c @ x
+    zero = x == 0.0
+    assert np.all(np.abs(r[zero]) <= mu * (1.0 + 1e-9))
+    assert np.all(np.abs(r[~zero] - mu * np.sign(x[~zero])) <= 1e-9 * max(1.0, mu))
