@@ -16,13 +16,11 @@ from .errors import (
     BayonetError,
     ConfigError,
     DegenerateDenominator,
-    GridTooSmall,
     NoAdmissibleRoot,
     NotConverged,
     NumericalError,
     NumericalOverflow,
     ParseError,
-    SingularC,
     SingularMatrix,
     TransitionValue,
     ZeroVarianceColumn,
@@ -75,7 +73,6 @@ __all__ = [
     "DegenerateDenominator",
     "GibbsChain",
     "GridSpec",
-    "GridTooSmall",
     "HyperGrid",
     "LogPartition",
     "MarginalCurve",
@@ -89,7 +86,6 @@ __all__ = [
     "PenalizedProblem",
     "RngStream",
     "SaddleSolution",
-    "SingularC",
     "SingularMatrix",
     "TransitionValue",
     "ZeroVarianceColumn",

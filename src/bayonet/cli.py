@@ -14,7 +14,9 @@ configuration (including command-line usage errors).
 """
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -28,7 +30,6 @@ from .errors import (
     ConfigError,
     NotConverged,
     NumericalError,
-    NumericalOverflow,
     ParseError,
     ZeroVarianceColumn,
 )
@@ -44,6 +45,10 @@ from .posterior import (
     posterior_sd,
 )
 from .saddle import solve_saddle, tau_path
+
+
+# the sampler flags' dests and defaults, in run_gibbs's argument order
+_SAMPLER = {"gibbs_sweeps": 10000, "burn_in": None, "thin": 1, "seed": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,10 +127,11 @@ def _build_parser():
         )
 
     def sampler(p):
-        p.add_argument("--gibbs-sweeps", type=int, default=10000)
-        p.add_argument("--burn-in", type=int, default=None)
-        p.add_argument("--thin", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        # a flag not given sets no attribute, so marginal can refuse one
+        # given without --gibbs; _chain supplies _SAMPLER's defaults
+        for dest in _SAMPLER:
+            flag = "--" + dest.replace("_", "-")
+            p.add_argument(flag, type=int, default=argparse.SUPPRESS)
 
     def grids(p, mu_default, mu_group=None):
         (mu_group or p).add_argument(
@@ -223,11 +229,11 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    # names are quoted as the csv module quotes them; no %.17g number needs it
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    body = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    _write_text(path, head.getvalue() + body)
 
 
 def _load_data(args):
@@ -303,6 +309,8 @@ def _coord_list(coords, p):
     for j in coords:
         if not 0 <= j < p:
             raise ConfigError(f"coordinate {j} out of range for p={p}")
+    if len(set(coords)) != len(coords):
+        raise ConfigError("--coords names a coordinate more than once")
     return coords
 
 
@@ -323,17 +331,21 @@ def _marginal_one(prob, ml, sad, j, sd, args):
     return curve.grid, cols
 
 
+def _chain(prob, ml, args):
+    """The Gibbs chain from ml.x_hat under the sampler flags."""
+    settings = (getattr(args, k, v) for k, v in _SAMPLER.items())
+    return run_gibbs(prob, ml.x_hat, *settings)
+
+
 def cmd_marginal(args):
+    if not args.gibbs and _SAMPLER.keys() & vars(args).keys():
+        raise ConfigError("--gibbs-sweeps, --burn-in, --thin and --seed need --gibbs")
     std, names = _load_data(args)
     prob, ml, sad = _fit_core(args, std)
     coords = _coord_list(args.coords, prob.p)
     prefix = args.out if args.out is not None else "marginal"
     # the chain runs first, so settings it refuses cost no curves
-    chain = None
-    if args.gibbs:
-        chain = run_gibbs(
-            prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
-        )
+    chain = _chain(prob, ml, args) if args.gibbs else None
     sds = posterior_sd(prob, sad)
     results = {j: _marginal_one(prob, ml, sad, j, sds[j], args) for j in coords}
     for j in coords:
@@ -382,7 +394,7 @@ def cmd_convergence(args):
             lp = log_partition(prob.with_tau(sol.tau), sol)
             gap = (-lp.log_z / sol.tau - ml.h_min) / prob.p
             if gap < -1e-9:
-                raise NumericalOverflow(
+                raise NumericalError(
                     f"negative gap {gap} at tau={sol.tau}, mu={mu}"
                 )
             xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
@@ -394,10 +406,7 @@ def cmd_convergence(args):
 def cmd_gibbs(args):
     std, names = _load_data(args)
     prob, ml = _at_tau(args, std)
-    chain = run_gibbs(
-        prob, ml.x_hat, args.gibbs_sweeps, args.burn_in, args.thin, args.seed
-    )
-    _write_csv(args.out, names, chain.samples)
+    _write_csv(args.out, names, _chain(prob, ml, args).samples)
     return 0
 
 

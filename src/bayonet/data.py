@@ -14,9 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
-from .errors import ParseError, SingularC, ZeroVarianceColumn
+from .errors import ParseError, SingularMatrix, ZeroVarianceColumn
+from .partition import _cholesky
 
 _STD_TOL = 1e-10  # absolute, per column, on both the sum and sum of squares
 # least pivot^2 / C_jj a Cholesky of C may leave; rounding leaves ~1e-16 there
@@ -118,14 +118,16 @@ def apply_standardization(predictors, offset, scale):
 class PenalizedProblem:
     """Cost x'Cx - 2w'x + 2mu*||x||_1 at inverse temperature tau.
 
-    C must be symmetric positive definite; this is verified by a Cholesky
-    factorization at construction.  mu and tau must be positive and finite.
-    lam records the l2 weight used to build C from data (it is part of C
-    already and never applied twice).  When build_problem makes the problem
-    from a dataset with p > n, it keeps the design matrix C was built from
-    in low_rank_factor, so determinants of C + diagonal can be reduced to an
-    n x n computation; it is not a constructor argument, so it always
-    matches C.
+    C must be symmetric positive definite; this is verified at construction
+    by partition._cholesky and a least-pivot test, either failing with
+    SingularMatrix.  mu and tau must be positive and finite.  lam records
+    the l2 weight used to build C from data (it is part of C already and
+    never applied twice).  When build_problem makes the problem from a
+    dataset with p > n, it keeps the design matrix C was built from in
+    low_rank_factor, so determinants of C + diagonal can be reduced to an
+    n x n computation; _restrict keeps its columns only while still wider
+    than n, so the factor is present exactly when p > n.  It is not a
+    constructor argument, so it always matches C.
     """
 
     c: np.ndarray
@@ -152,12 +154,9 @@ class PenalizedProblem:
                 raise ValueError(f"{name} must be positive and finite")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
-        try:
-            chol = sla.cholesky(c, lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularC(str(exc)) from None
+        chol = _cholesky(c)
         if np.min(np.diagonal(chol) ** 2 / np.diagonal(c)) < _PIVOT_TOL:
-            raise SingularC("C is singular to working precision")
+            raise SingularMatrix("C is singular to working precision")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)
 
@@ -173,15 +172,15 @@ class PenalizedProblem:
         out.__dict__.update(fields)
         return out
 
-    def _without(self, j):
-        """The problem minus coordinate j: the principal block of C, the w
-        entries and the design columns of the others."""
-        idx = np.delete(np.arange(self.p), j)
+    def _restrict(self, idx):
+        """The problem on coordinates idx: the principal block of C, the w
+        entries and, while len(idx) > n, the design columns."""
         f = self.low_rank_factor
+        wide = f is not None and len(idx) > f.shape[0]
         return self._replace(
             c=self.c[np.ix_(idx, idx)],
             w=self.w[idx],
-            low_rank_factor=None if f is None else f[:, idx],
+            low_rank_factor=f[:, idx] if wide else None,
         )
 
     def _with_scalar(self, name, value):
@@ -205,8 +204,8 @@ def build_problem(data, lam, mu, tau):
 
     lam = 0 is allowed only when n >= p, since C would otherwise be
     rank-deficient by construction; the factorization inside
-    PenalizedProblem still has the final word and raises SingularC on any
-    rank-deficient design.
+    PenalizedProblem still has the final word and raises SingularMatrix on
+    any rank-deficient design.
     """
     if not data.standardized:
         raise ValueError("build_problem requires standardized data")
@@ -215,7 +214,7 @@ def build_problem(data, lam, mu, tau):
     a = data.predictors
     n, p = a.shape
     if lam == 0.0 and n < p:
-        raise SingularC("lam = 0 needs n >= p for C to be invertible")
+        raise SingularMatrix("lam = 0 needs n >= p for C to be invertible")
     c = a.T @ a / (2.0 * n) + lam * np.eye(p)
     prob = PenalizedProblem(c=c, w=_linear_term(data), mu=mu, lam=lam, tau=tau)
     if p > n:
@@ -242,15 +241,6 @@ def cost_h(problem, x):
     return _cost(problem, x)
 
 
-def _table(rows, linenos, width):
-    """rows as an array; ParseError naming the first line with a non-finite value."""
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise ParseError(f"line {linenos[bad[0]]}: non-finite value")
-    return table
-
-
 def _cell_error(header, row, lineno):
     # the ParseError of a row that float() refused: a missing or a
     # non-numeric cell (float strips the same whitespace str.strip does)
@@ -272,24 +262,22 @@ def _rows_table(reader, header):
     It names the first faulty line in file order and accepts every cell
     float() takes, quoted numbers and underscores included.
     """
-    # rows are converted whole and checked for finiteness at the end, so
-    # before reporting a fault on this line, the earlier lines are checked
-    rows, linenos = [], []
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
-            _table(rows, linenos, len(header))
             raise ParseError(
                 f"line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            rows.append(list(map(float, row)))
+            values = list(map(float, row))
         except ValueError:
-            _table(rows, linenos, len(header))
             raise _cell_error(header, row, lineno) from None
-        linenos.append(lineno)
-    return _table(rows, linenos, len(header))
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _loadtxt_table(fh, width):

@@ -21,12 +21,10 @@ class ZeroVarianceColumn(BayonetError):
         super().__init__(f"column {column!r} has zero variance")
 
 
-class SingularC(NumericalError):
-    """The quadratic coefficient matrix is not positive definite."""
-
-
 class SingularMatrix(NumericalError):
-    """A matrix factorization failed inside a determinant computation."""
+    """A Cholesky factorization failed: the quadratic coefficient matrix C,
+    or a C + D behind a determinant or a solve, is not positive definite
+    to working precision."""
 
 
 class NotConverged(NumericalError):
@@ -53,10 +51,6 @@ class TransitionValue(NumericalError):
             f"coordinate {coordinate} is at a transition point; "
             "the zero-temperature formula is invalid here"
         )
-
-
-class GridTooSmall(NumericalError):
-    """A density grid needs at least two points to normalize."""
 
 
 class AllZeroW(NumericalError):

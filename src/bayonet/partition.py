@@ -7,6 +7,9 @@ this determinant, the Newton step of the stationary-point solver and the
 posterior standard deviations.  For wide designs (p > n) it is a Cholesky
 of an n x n core matrix (Woodbury identity and matrix determinant lemma)
 instead of a p x p one.
+
+_cholesky is the package's only Cholesky: _CPlusD (every C + D and the
+zero-temperature active block) and PenalizedProblem's check of C call it.
 """
 
 import math
@@ -42,52 +45,58 @@ def _d_diag(u, mu, tau):
     return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
 
 
+def _cholesky(matrix):
+    """Lower Cholesky factor of a symmetric matrix; SingularMatrix on failure.
+
+    LAPACK dpotrf is called directly: scipy's wrappers check their
+    arguments on every call, which costs several times the factorization
+    itself at the sizes of the marginal curves' inner solves.  In their
+    place, a NaN or inf fails the factorization or leaves a non-finite
+    pivot, checked in O(p).
+    """
+    chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
+    if info != 0:
+        raise SingularMatrix(f"dpotrf info={info}: not positive definite")
+    if not np.isfinite(np.diagonal(chol)).all():
+        raise SingularMatrix("non-finite pivot in a Cholesky factor")
+    return chol
+
+
 class _CPlusD:
     """One Cholesky factorization of the problem's C + diag(e), e >= 0.
 
-    This is the only place the determinant route is chosen, and the only
-    reader of the problem's lam and design factor.  When the problem
-    carries the design factor A of C = A'A/(2n) + lam*I, lam > 0 and p > n,
-    the n x n core I + A diag(1/(e + lam)) A'/(2n) is factored instead:
-    solves go through the Woodbury identity and the determinant through the
-    matrix determinant lemma, so nothing p x p is factored.  Otherwise C +
-    diag(e) itself is factored.  A factorization that fails raises
-    SingularMatrix, and so does a NaN or inf in the input.
-
-    LAPACK is called directly: scipy's wrappers check their arguments on
-    every call, which costs several times the factorization itself at the
-    sizes of the marginal curves' inner solves.  In their place, a NaN or
-    inf fails the factorization or leaves a non-finite pivot (low-rank: a
-    non-finite diagonal of the p x p part), checked in O(n + p).
+    The only reader of the problem's lam and design factor.  "auto" takes
+    the low-rank route exactly when the problem carries the design factor
+    A of C = A'A/(2n) + lam*I, which build_problem and _restrict keep
+    exactly while p > n (lam > 0 then): the n x n core I + A diag(1/(e +
+    lam)) A'/(2n) is factored, solves go through the Woodbury identity and
+    the determinant through the matrix determinant lemma.  "direct"
+    factors C + diag(e); any other method raises ValueError.  Factors come
+    from _cholesky; a non-finite e + lam also raises SingularMatrix.
     """
 
     def __init__(self, problem, e, method="auto"):
-        c, lam, factor = problem.c, problem.lam, problem.low_rank_factor
+        factor = problem.low_rank_factor
         if method == "auto":
-            lowrank = factor is not None and lam > 0.0 and c.shape[0] > factor.shape[0]
-            method = "lowrank" if lowrank else "direct"
+            method = "direct" if factor is None else "lowrank"
         if method == "lowrank":
             if factor is None:
                 raise ValueError("low-rank route needs the design factor")
-            if lam <= 0.0:
-                raise ValueError("low-rank route needs lam > 0")
             self._factor = factor
-            self._dp = e + lam
+            self._dp = e + problem.lam
+            if not np.isfinite(self._dp).all():
+                raise SingularMatrix("non-finite entry in C + diag(e)")
             # B = A diag(dp)^{-1/2}, so the core I + B B'/(2n) is one
             # symmetric rank-p update
             self._scaled = factor / np.sqrt(self._dp)
             self._two_n = 2.0 * factor.shape[0]
             matrix = np.eye(factor.shape[0]) + self._scaled @ self._scaled.T / self._two_n
-        else:
+        elif method == "direct":
             self._dp = None
-            matrix = c + np.diag(e)
-        self._chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
-        if info != 0:
-            raise SingularMatrix(f"dpotrf info={info}: not positive definite")
-        if not np.isfinite(np.diagonal(self._chol)).all() or (
-            self._dp is not None and not np.isfinite(self._dp).all()
-        ):
-            raise SingularMatrix("non-finite entry in C + diag(e)")
+            matrix = problem.c + np.diag(e)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        self._chol = _cholesky(matrix)
 
     def solve(self, rhs):
         """(C + diag(e))^{-1} rhs."""
@@ -122,16 +131,14 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
 
     method "direct" factors the p x p matrix, "lowrank" goes through the
     n-dimensional determinant lemma (requires the problem to carry its
-    design factor and lam > 0), "auto" picks lowrank exactly when it is
-    available and p > n.
+    design factor), "auto" picks lowrank exactly when it is there, which
+    is when p > n.
     """
     d = np.asarray(d_tau, dtype=float)
     if d.shape != (problem.p,):
         raise ValueError(f"d_tau must have length {problem.p}")
     if np.any(d < 0.0):
         raise ValueError("d_tau entries must be nonnegative")
-    if method not in ("auto", "direct", "lowrank"):
-        raise ValueError(f"unknown method {method!r}")
     return _CPlusD(problem, d, method).log_det()
 
 
@@ -211,15 +218,9 @@ def log_partition_zero_temp(problem, ml):
     out = -(0.5 * n_act + inactive.size) * math.log(tau)
     out -= 0.5 * n_act * math.log(2.0)
     if n_act:
-        c_act = problem.c[np.ix_(active, active)]
+        f = _CPlusD(problem._restrict(active), np.zeros(n_act))
         v = problem.w[active] - mu * np.sign(u[active])
-        try:
-            chol = sla.cholesky(c_act, lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from None
-        half = sla.solve_triangular(chol, v, lower=True)
-        out += tau * float(half @ half)
-        out -= float(np.sum(np.log(np.diagonal(chol))))
+        out += tau * float(v @ f.solve(v)) - 0.5 * f.log_det()
     if inactive.size:
         uz = u[inactive]
         out += float(np.sum(np.log(mu / (mu * mu - uz * uz))))

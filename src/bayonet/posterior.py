@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _cost
-from .errors import GridTooSmall, NotConverged
+from .errors import NotConverged
 from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
@@ -84,7 +84,7 @@ def _make_grid(spec, center, sd):
         return center + np.linspace(-hw, hw, _GRID_POINTS)
     pts = np.asarray(spec.points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
-        raise GridTooSmall("explicit grid needs at least 2 points")
+        raise ValueError("explicit grid needs at least 2 points")
     if not np.isfinite(pts).all():
         raise ValueError("explicit grid must be finite")
     if np.any(np.diff(pts) <= 0.0):
@@ -123,6 +123,14 @@ def _curve(problem, j, grid, center, seed, inner):
     )
 
 
+def _fix_coordinate(problem, j):
+    # the other coordinates, the problem on them and their column of C
+    if not 0 <= j < problem.p:
+        raise ValueError(f"coordinate {j} out of range")
+    others = np.delete(np.arange(problem.p), j)
+    return others, problem._restrict(others), problem.c[others, j]
+
+
 def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     """Stationary-phase marginal density of coordinate j, for any p.
 
@@ -143,7 +151,8 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     its converged point where a/b = D up to the tolerance.  Every converged
     solve hands one back, so a grid point whose prediction meets the
     tolerance builds one factor.  The inner problems are restrictions of
-    problem, so wide ones keep the n x n determinant route.
+    problem (PenalizedProblem._restrict), so those still wider than n keep
+    the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
     converged at problem's tau (else NotConverged or ValueError); a grid
@@ -151,13 +160,11 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     An explicit grid_spec skips the posterior sds, which only lay out the
     default grid.
     """
-    if not 0 <= j < problem.p:
-        raise ValueError(f"coordinate {j} out of range")
+    others, sub, c_col = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
     explicit = grid_spec is not None and grid_spec.points is not None
     sd = None if explicit else float(posterior_sd(problem, saddle)[j])
     grid = _make_grid(grid_spec, float(saddle.x_tau[j]), sd)
-    sub, c_col = problem._without(j), np.delete(problem.c[:, j], j)
 
     def inner(g, state):
         x, c_plus_d, w_prev, tan_err = state
@@ -171,7 +178,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         tan_err = x - x_tan if predicted else 0.0
         return e + ld + pref, (x, c_plus_d, at_g.w, tan_err)
 
-    seed = (np.delete(saddle.x_tau, j), None, None, 0.0)
+    seed = (saddle.x_tau[others], None, None, 0.0)
     return _curve(problem, j, grid, saddle.x_tau[j], seed, inner)
 
 
@@ -184,13 +191,11 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     when p > 1; kept as the comparison baseline.  With p = 1 the curve is
     the exact density on the grid.
     """
-    if not 0 <= j < problem.p:
-        raise ValueError(f"coordinate {j} out of range")
+    others, sub, c_col = _fix_coordinate(problem, j)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
     sd = 1.0 / math.sqrt(2.0 * problem.tau * problem.c[j, j])
     grid = _make_grid(grid_spec, float(ml.x_hat[j]), sd)
-    sub, c_col = problem._without(j), np.delete(problem.c[:, j], j)
 
     def inner(g, x_prev):
         at_g = sub._replace(w=sub.w - g * c_col)
@@ -201,4 +206,4 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
             )
         return -problem.tau * _cost(at_g, x_in), x_in
 
-    return _curve(problem, j, grid, ml.x_hat[j], np.delete(ml.x_hat, j), inner)
+    return _curve(problem, j, grid, ml.x_hat[j], ml.x_hat[others], inner)

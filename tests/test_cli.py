@@ -1,5 +1,7 @@
 """End-to-end CLI tests, run in-process through main(argv)."""
 
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -226,7 +228,7 @@ def test_hostile_designs(tmp_path, capsys, design, lam, code):
     if code == 3:
         assert cap.err.startswith("error: ")
         std = bn.standardize(bn.load_csv(str(path), "y")[0])
-        with pytest.raises(bn.SingularC):
+        with pytest.raises(bn.SingularMatrix):
             bn.build_problem(std, float(lam), 0.1, 10.0)
     else:
         payload = json.loads(cap.out)
@@ -325,9 +327,9 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
 
 
-_NUMERICAL = (bn.NotConverged, bn.NoAdmissibleRoot, bn.SingularC,
+_NUMERICAL = (bn.NotConverged, bn.NoAdmissibleRoot,
               bn.SingularMatrix, bn.NumericalOverflow, bn.TransitionValue,
-              bn.DegenerateDenominator, bn.AllZeroW, bn.GridTooSmall)
+              bn.DegenerateDenominator, bn.AllZeroW)
 
 
 @pytest.mark.parametrize("cls", _NUMERICAL, ids=lambda c: c.__name__)
@@ -451,6 +453,24 @@ def test_marginal_gibbs_histogram_matches_bins(tmp_path):
     assert 0.9 < mass <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gibbs-sweeps", "500"],
+    ["--burn-in", "5"],
+    ["--thin", "2"],
+    ["--seed", "0"],
+    ["--coords", "1,1"],
+])
+def test_marginal_refuses_flags_it_would_not_read(tmp_path, capsys, flags):
+    # sampler flags without --gibbs, or a coordinate named twice, were
+    # accepted and ignored (the twice-named curve was solved and written twice)
+    csv = make_csv(tmp_path)
+    code, cap = run(["marginal", csv, "--response", "y", "--mu", "0.1",
+                     "--tau", "50", *flags, "--out", tmp_path / "m"], capsys)
+    assert code == 4
+    assert cap.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 # --- convergence --------------------------------------------------------
 
 def test_convergence_sweep_columns(tmp_path):
@@ -474,6 +494,22 @@ def test_convergence_sweep_columns(tmp_path):
         x = xdiffs[sel][order]
         assert x[-1] < x[0]
         assert x[-1] < 1e-3
+
+
+def test_convergence_negative_gap_is_a_numerical_error(tmp_path, monkeypatch):
+    # a negative gap is an inconsistency, not an overflow; it still exits 3
+    def raised(problem, saddle):
+        lp = bn.log_partition(problem, saddle)
+        return dataclasses.replace(lp, log_z=lp.log_z + 1e3 * problem.tau)
+
+    monkeypatch.setattr(cli, "log_partition", raised)
+    args = cli._build_parser().parse_args(
+        ["convergence", str(make_csv(tmp_path)), "--response", "y",
+         "--mu", "0.1", "--tau-grid", "6,3", "--out", str(tmp_path / "c.csv")]
+    )
+    with pytest.raises(bn.NumericalError, match="negative gap") as info:
+        cli.cmd_convergence(args)
+    assert not isinstance(info.value, bn.NumericalOverflow)
 
 
 def test_convergence_requires_mu_or_grid(tmp_path, capsys):
@@ -525,6 +561,26 @@ def test_gibbs_rerun_is_byte_identical(tmp_path):
     header = b1.decode().splitlines()[0]
     assert header == "g0,g1,g2"
     assert len(b1.decode().splitlines()) == 1 + 450  # default burn-in 10%
+
+
+def test_gibbs_quotes_names_that_need_it(tmp_path):
+    # a header cell with a comma or a quote came back bare, so the header
+    # had more fields than the rows
+    rng = np.random.default_rng(8)
+    preds = rng.normal(size=(40, 3))
+    path = tmp_path / "quoted.csv"
+    helpers.write_csv(path, ['"a,b"', '"q""t"', "g2"], preds,
+                      preds @ [1.0, -0.5, 0.0] + 0.3 * rng.normal(size=40))
+    out = tmp_path / "s.csv"
+    assert run(["gibbs", path, "--response", "y", "--mu", "0.1", "--tau", "50",
+                "--gibbs-sweeps", "20", "--out", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a,b", 'q"t', "g2"]
+    assert {len(row) for row in rows} == {3}
+    assert out.read_text().splitlines()[1:] == [
+        ",".join(row) for row in rows[1:]
+    ]
 
 
 @pytest.mark.parametrize("verb, extra", [

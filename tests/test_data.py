@@ -106,7 +106,7 @@ def test_null_design_matrices_accepted():
 
 def test_build_problem_lasso_needs_enough_rows():
     std = helpers.random_standardized(4, 5, 8)
-    with pytest.raises(bn.SingularC):
+    with pytest.raises(bn.SingularMatrix):
         bn.build_problem(std, 0.0, 0.1, 1.0)
 
 
@@ -117,6 +117,22 @@ def test_build_problem_keeps_low_rank_factor():
     assert prob.low_rank_factor.shape == (10, 50)
     small = helpers.random_standardized(7, 50, 10)
     assert bn.build_problem(small, 0.1, 0.2, 1.0).low_rank_factor is None
+
+
+def test_restrict_keeps_the_factor_only_while_wide():
+    # the factor's presence is the determinant route, so a restriction
+    # that is no longer wider than n must drop it
+    std = helpers.random_standardized(8, 10, 14)
+    prob = bn.build_problem(std, 0.1, 0.2, 1.0)
+    for size in (14, 11, 10, 3):
+        idx = np.arange(size)[::-1]
+        sub = prob._restrict(idx)
+        assert np.array_equal(sub.c, prob.c[np.ix_(idx, idx)])
+        assert np.array_equal(sub.w, prob.w[idx])
+        if size > 10:
+            assert np.array_equal(sub.low_rank_factor, prob.low_rank_factor[:, idx])
+        else:
+            assert sub.low_rank_factor is None
 
 
 def test_with_tau_and_mu_share_data_and_check_the_scalar():

@@ -189,6 +189,14 @@ def test_log_det_validation():
         log_det_c_plus_d(prob, np.zeros(3), method="magic")
 
 
+def test_factor_rejects_unknown_method():
+    # an unknown route name was factored directly, without a word
+    std = helpers.random_standardized(48, 20, 3)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        _CPlusD(prob, np.zeros(3), "magic")
+
+
 # ---------------------------------------------------------------------------
 # observable numerator
 
