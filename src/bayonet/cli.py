@@ -195,6 +195,10 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # a finite float array converts in one step; NaN and inf go
+        # element by element, to null
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -341,8 +345,9 @@ def cmd_marginal(args):
     if not args.gibbs and _SAMPLER.keys() & vars(args).keys():
         raise ConfigError("--gibbs-sweeps, --burn-in, --thin and --seed need --gibbs")
     std, names = _load_data(args)
+    # p is known once the data are in: a refused list costs no fit
+    coords = _coord_list(args.coords, std.p)
     prob, ml, sad = _fit_core(args, std)
-    coords = _coord_list(args.coords, prob.p)
     prefix = args.out if args.out is not None else "marginal"
     # the chain runs first, so settings it refuses cost no curves
     chain = _chain(prob, ml, args) if args.gibbs else None

@@ -114,20 +114,35 @@ def apply_standardization(predictors, offset, scale):
     return (np.asarray(predictors, dtype=float) - offset) / scale
 
 
+def _check_scalars(mu, tau, lam):
+    for name, value in (("mu", mu), ("tau", tau)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
+
+
 @dataclass(frozen=True)
 class PenalizedProblem:
     """Cost x'Cx - 2w'x + 2mu*||x||_1 at inverse temperature tau.
 
-    C must be symmetric positive definite; this is verified at construction
-    by partition._cholesky and a least-pivot test, either failing with
-    SingularMatrix.  mu and tau must be positive and finite.  lam records
-    the l2 weight used to build C from data (it is part of C already and
-    never applied twice).  When build_problem makes the problem from a
-    dataset with p > n, it keeps the design matrix C was built from in
-    low_rank_factor, so determinants of C + diagonal can be reduced to an
-    n x n computation; _restrict keeps its columns only while still wider
-    than n, so the factor is present exactly when p > n.  It is not a
-    constructor argument, so it always matches C.
+    C must be symmetric positive definite; a C passed in is verified at
+    construction by partition._cholesky and a least-pivot test, either
+    failing with SingularMatrix.  mu and tau must be positive and finite.
+    lam records the l2 weight used to build C from data (it is part of C
+    already and never applied twice).
+
+    When build_problem makes the problem from a dataset with p > n, it
+    keeps the standardized design A in low_rank_factor and forms no C:
+    C = A'A/(2n) + lam*I (lam > 0) is positive definite by construction,
+    the solvers read it through the private accessors (_matvec, _quad,
+    _col, _block, _diag) at O(np) or less, and determinants of C +
+    diagonal reduce to an n x n computation.  problem.c stays readable:
+    on such a problem it is built on first read, by that expression, and
+    shared with the problem's with_tau and with_mu copies.  _restrict keeps
+    the design columns only while still wider than n, so the factor is
+    present exactly when p > n.  It is not a constructor argument, so it
+    always matches C.
     """
 
     c: np.ndarray
@@ -149,43 +164,115 @@ class PenalizedProblem:
         scale = max(1.0, float(np.max(np.abs(c))))
         if float(np.max(np.abs(c - c.T))) > 1e-12 * scale:
             raise ValueError("C is not symmetric")
-        for name in ("mu", "tau"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        _check_scalars(self.mu, self.tau, self.lam)
         chol = _cholesky(c)
         if np.min(np.diagonal(chol) ** 2 / np.diagonal(c)) < _PIVOT_TOL:
             raise SingularMatrix("C is singular to working precision")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _from_design(cls, a, w, mu, lam, tau):
+        # the wide route: C is implicit in the design a and lam > 0, so
+        # there is no matrix to scan or factor
+        _check_scalars(mu, tau, lam)
+        if not 0.0 < lam < math.inf:
+            raise ValueError("lam must be positive and finite without C")
+        out = object.__new__(cls)
+        out.__dict__.update(
+            w=_readonly(w), mu=mu, lam=lam, tau=tau, low_rank_factor=a, _lazy_c=[]
+        )
+        return out
+
+    def __getattr__(self, name):
+        # reached only for attributes never set: the c of a problem that
+        # holds its design instead, built on first read into a cache its
+        # copies share
+        lazy = self.__dict__.get("_lazy_c")
+        if name != "c" or lazy is None:
+            raise AttributeError(name)
+        if not lazy:
+            lazy.append(self._dense_c())
+        return lazy[0]
+
+    def _dense_c(self):
+        a = self.low_rank_factor
+        n, p = a.shape
+        return _readonly(a.T @ a / (2.0 * n) + self.lam * np.eye(p))
+
     @property
     def p(self):
         return self.w.shape[0]
 
+    @property
+    def _diag(self):
+        # the diagonal of C; with the design, from its column norms
+        f = self.low_rank_factor
+        if f is None:
+            return np.diagonal(self.c)
+        return np.einsum("ij,ij->j", f, f) / (2.0 * f.shape[0]) + self.lam
+
+    def _matvec(self, x, idx=None):
+        """C x; given idx, for an x that is zero off idx."""
+        f = self.low_rank_factor
+        if f is None:
+            return self.c @ x if idx is None else x[idx] @ self.c[idx]
+        s = f @ x if idx is None else f[:, idx] @ x[idx]
+        return f.T @ s / (2.0 * f.shape[0]) + self.lam * x
+
+    def _quad(self, x):
+        """x'C x."""
+        f = self.low_rank_factor
+        if f is None:
+            return x @ self.c @ x
+        s = f @ x
+        return s @ s / (2.0 * f.shape[0]) + self.lam * (x @ x)
+
+    def _col(self, j):
+        """Column j of C."""
+        f = self.low_rank_factor
+        if f is None:
+            return self.c[:, j]
+        col = f.T @ f[:, j] / (2.0 * f.shape[0])
+        col[j] += self.lam
+        return col
+
+    def _block(self, idx):
+        """The principal block C[idx, idx]."""
+        f = self.low_rank_factor
+        if f is None:
+            return self.c[np.ix_(idx, idx)]
+        sub = f[:, idx]
+        return sub.T @ sub / (2.0 * f.shape[0]) + self.lam * np.eye(len(idx))
+
     def _replace(self, **fields):
         # an unchecked copy with fields swapped in: the solvers' restrictions
-        # and shifted linear terms are built from validated parts
+        # and shifted linear terms are built from validated parts.  C goes
+        # with the design factor: a new factor's C is built on its first
+        # read, and a copy that drops the factor takes C as an array
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
+        if "low_rank_factor" in fields:
+            if fields["low_rank_factor"] is None:
+                fields.setdefault("c", self.c)
+                out.__dict__.pop("_lazy_c", None)
+            else:
+                out.__dict__.pop("c", None)
+                fields["_lazy_c"] = []
         out.__dict__.update(fields)
         return out
 
     def _restrict(self, idx):
-        """The problem on coordinates idx: the principal block of C, the w
-        entries and, while len(idx) > n, the design columns."""
+        """The problem on coordinates idx: the w entries and the principal
+        block of C, or while len(idx) > n the design columns in its place."""
         f = self.low_rank_factor
-        wide = f is not None and len(idx) > f.shape[0]
-        return self._replace(
-            c=self.c[np.ix_(idx, idx)],
-            w=self.w[idx],
-            low_rank_factor=f[:, idx] if wide else None,
-        )
+        if f is not None and len(idx) > f.shape[0]:
+            return self._replace(w=self.w[idx], low_rank_factor=f[:, idx])
+        return self._replace(c=self._block(idx), w=self.w[idx], low_rank_factor=None)
 
     def _with_scalar(self, name, value):
-        # C, w and the factor are shared with self and were validated when
-        # it was built; only the new scalar needs checking
+        # C (or the design), w and the factor are shared with self and were
+        # validated when it was built; only the new scalar needs checking
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
         return self._replace(**{name: value})
@@ -203,9 +290,13 @@ def build_problem(data, lam, mu, tau):
     """Assemble C = A'A/(2n) + lam*I and w = A'y/(2n) from standardized data.
 
     lam = 0 is allowed only when n >= p, since C would otherwise be
-    rank-deficient by construction; the factorization inside
-    PenalizedProblem still has the final word and raises SingularMatrix on
-    any rank-deficient design.
+    rank-deficient by construction.  For p <= n, C is formed and the
+    factorization inside PenalizedProblem has the final word, raising
+    SingularMatrix on any rank-deficient design.  For p > n the problem
+    holds A and lam and forms no C (see PenalizedProblem), so the check is
+    analytic: every Cholesky pivot^2 of C is at least lam, and
+    SingularMatrix is raised when lam / max_j C_jj, the least pivot ratio
+    that leaves, is below the dense check's threshold.
     """
     if not data.standardized:
         raise ValueError("build_problem requires standardized data")
@@ -215,11 +306,13 @@ def build_problem(data, lam, mu, tau):
     n, p = a.shape
     if lam == 0.0 and n < p:
         raise SingularMatrix("lam = 0 needs n >= p for C to be invertible")
-    c = a.T @ a / (2.0 * n) + lam * np.eye(p)
-    prob = PenalizedProblem(c=c, w=_linear_term(data), mu=mu, lam=lam, tau=tau)
     if p > n:
-        object.__setattr__(prob, "low_rank_factor", a)
-    return prob
+        prob = PenalizedProblem._from_design(a, _linear_term(data), mu, lam, tau)
+        if lam / float(np.max(prob._diag)) < _PIVOT_TOL:
+            raise SingularMatrix("C is singular to working precision")
+        return prob
+    c = a.T @ a / (2.0 * n) + lam * np.eye(p)
+    return PenalizedProblem(c=c, w=_linear_term(data), mu=mu, lam=lam, tau=tau)
 
 
 def _linear_term(data):
@@ -229,8 +322,10 @@ def _linear_term(data):
 
 def _cost(problem, x):
     # unchecked; shared with the solvers
-    c, w = problem.c, problem.w
-    return float(x @ c @ x - 2.0 * (w @ x) + 2.0 * problem.mu * np.sum(np.abs(x)))
+    w = problem.w
+    return float(
+        problem._quad(x) - 2.0 * (w @ x) + 2.0 * problem.mu * np.sum(np.abs(x))
+    )
 
 
 def cost_h(problem, x):

@@ -78,13 +78,13 @@ def _ml_cd(problem, x0, tol):
     only to a move of _LOOSE_TOL relative before the conditions are checked
     again, and a sweep that zeroes a coordinate ends the set's sweeps early.
     """
-    c, w, mu = problem.c, problem.w, problem.mu
+    w, mu = problem.w, problem.mu
     x = np.zeros(problem.p) if x0 is None else np.array(x0, dtype=float)
-    diag = np.diagonal(c)
+    diag = problem._diag
     cycles, settled = 0, False
     while True:
         nz = np.flatnonzero(x)
-        grown = (np.abs(w - x[nz] @ c[nz]) > mu) & (x == 0.0)
+        grown = (np.abs(w - problem._matvec(x, nz)) > mu) & (x == 0.0)
         if not grown.any():
             if settled:
                 return x, cycles, True
@@ -92,7 +92,7 @@ def _ml_cd(problem, x0, tol):
         else:
             nz = np.union1d(nz, np.flatnonzero(grown))
             eps = max(tol, _LOOSE_TOL)
-        row_dots = [row.dot for row in c[np.ix_(nz, nz)]]
+        row_dots = [row.dot for row in problem._block(nz)]
         wa, da, xa = w[nz].tolist(), diag[nz].tolist(), x[nz]
         settled = False
         while cycles < _MAX_CYCLES:

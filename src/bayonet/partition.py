@@ -65,10 +65,10 @@ def _cholesky(matrix):
 class _CPlusD:
     """One Cholesky factorization of the problem's C + diag(e), e >= 0.
 
-    The only reader of the problem's lam and design factor.  "auto" takes
-    the low-rank route exactly when the problem carries the design factor
-    A of C = A'A/(2n) + lam*I, which build_problem and _restrict keep
-    exactly while p > n (lam > 0 then): the n x n core I + A diag(1/(e +
+    The one place the determinant route is decided.  "auto" takes the
+    low-rank route exactly when the problem carries the design factor A of
+    C = A'A/(2n) + lam*I, which build_problem and _restrict keep exactly
+    while p > n (lam > 0 then): the n x n core I + A diag(1/(e +
     lam)) A'/(2n) is factored, solves go through the Woodbury identity and
     the determinant through the matrix determinant lemma.  "direct"
     factors C + diag(e); any other method raises ValueError.  Factors come
@@ -129,7 +129,8 @@ class _CPlusD:
 def log_det_c_plus_d(problem, d_tau, method="auto"):
     """log det(C + diag(d_tau)).
 
-    method "direct" factors the p x p matrix, "lowrank" goes through the
+    method "direct" factors the p x p matrix (on a wide problem, C built
+    from the design on first read), "lowrank" goes through the
     n-dimensional determinant lemma (requires the problem to carry its
     design factor), "auto" picks lowrank exactly when it is there, which
     is when p > n.
@@ -207,7 +208,7 @@ def log_partition_zero_temp(problem, ml):
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
     x = ml.x_hat
-    u = problem.w - problem.c @ x
+    u = problem.w - problem._matvec(x)
     mu, tau = problem.mu, problem.tau
     for j in range(problem.p):
         if abs(x[j]) < _TRANSITION_TOL and mu - abs(u[j]) < _TRANSITION_TOL:

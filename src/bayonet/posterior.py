@@ -103,7 +103,7 @@ def _curve(problem, j, grid, center, seed, inner):
     terms are the exact log density.
     """
     log_dens = _log_density(
-        problem.c[j, j], problem.w[j], problem.mu, problem.tau, grid
+        problem._diag[j], problem.w[j], problem.mu, problem.tau, grid
     )
     if problem.p > 1:
         start = int(np.argmin(np.abs(grid - center)))
@@ -128,7 +128,7 @@ def _fix_coordinate(problem, j):
     if not 0 <= j < problem.p:
         raise ValueError(f"coordinate {j} out of range")
     others = np.delete(np.arange(problem.p), j)
-    return others, problem._restrict(others), problem.c[others, j]
+    return others, problem._restrict(others), problem._col(j)[others]
 
 
 def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
@@ -194,7 +194,7 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     others, sub, c_col = _fix_coordinate(problem, j)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
-    sd = 1.0 / math.sqrt(2.0 * problem.tau * problem.c[j, j])
+    sd = 1.0 / math.sqrt(2.0 * problem.tau * problem._diag[j])
     grid = _make_grid(grid_spec, float(ml.x_hat[j]), sd)
 
     def inner(g, x_prev):

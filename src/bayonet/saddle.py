@@ -26,7 +26,8 @@ factorization, or a backtrack that cannot keep u inside the box while
 lowering the residual, as from a warm start outside it).  A solve has
 converged only with every |u_j| < mu and every b_j > 0, as at every
 stationary point.  The iterate is x throughout (never u), which avoids
-forming C^{-1}.  The private solvers take the PenalizedProblem whole; which
+forming C^{-1}.  The private solvers take the PenalizedProblem whole and
+read C through its accessors, so a wide problem's C is never formed; which
 factorization route C + D takes is read from it in partition._CPlusD only.
 """
 
@@ -118,21 +119,36 @@ def _residual(x, u, mu, tau):
 def _sweep(problem, x, u):
     """One cyclic coordinate sweep from (x, u = w - Cx); returns (x, u, res).
 
-    The returned u is recomputed from scratch, never the incrementally
-    updated one.
+    The partial residuals come from r = w - Cx, kept current by columns of
+    C, or, on a problem that holds its design A instead of C, from s = A x,
+    kept current by columns of A at O(n) per coordinate.  The returned u is
+    recomputed from scratch, never the incrementally updated one.
     """
-    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
+    w, mu, tau = problem.w, problem.mu, problem.tau
+    f = problem.low_rank_factor
+    diag = problem._diag
     x = x.copy()
-    r = u.copy()
-    diag = np.diagonal(c)
-    for j in range(w.shape[0]):
-        aj = r[j] + diag[j] * x[j]
-        xj = coordinate_cubic(aj, diag[j], mu, tau)
-        dx = xj - x[j]
-        if dx != 0.0:
-            r -= c[:, j] * dx
-            x[j] = xj
-    u = w - c @ x
+    if f is None:
+        r = u.copy()
+        for j in range(w.shape[0]):
+            xj = coordinate_cubic(r[j] + diag[j] * x[j], diag[j], mu, tau)
+            dx = xj - x[j]
+            if dx != 0.0:
+                r -= problem._col(j) * dx
+                x[j] = xj
+    else:
+        cols = np.ascontiguousarray(f.T)
+        two_n = 2.0 * f.shape[0]
+        own = diag - problem.lam  # the A'A/(2n) part of C_jj
+        s = f @ x
+        for j in range(w.shape[0]):
+            aj = w[j] - cols[j] @ s / two_n + own[j] * x[j]
+            xj = coordinate_cubic(aj, diag[j], mu, tau)
+            dx = xj - x[j]
+            if dx != 0.0:
+                s += cols[j] * dx
+                x[j] = xj
+    u = w - problem._matvec(x)
     return x, u, _residual(x, u, mu, tau)
 
 
@@ -149,7 +165,7 @@ def _newton_step(problem, x, u, res):
     or the step shrank below _MIN_STEP.  c_plus_d is the factor used, or
     None if none was built.
     """
-    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
+    w, mu, tau = problem.w, problem.mu, problem.tau
     a = mu * mu - u * u
     b = 2.0 * u * x + 1.0 / tau
     if not np.all(b > 0.0):
@@ -162,7 +178,7 @@ def _newton_step(problem, x, u, res):
     t = 1.0
     while t >= _MIN_STEP:
         xt = x + t * dx
-        ut = w - c @ xt
+        ut = w - problem._matvec(xt)
         if np.max(np.abs(ut)) < mu:
             rt = _residual(xt, ut, mu, tau)
             if rt < res:
@@ -194,7 +210,7 @@ def _saddle_cd(problem, x0, tol):
     mu, tau = problem.mu, problem.tau
     tol = tol * max(1.0, 1.0 / tau)
     x = np.array(x0, dtype=float)
-    u = problem.w - problem.c @ x
+    u = problem.w - problem._matvec(x)
     res = _residual(x, u, mu, tau)
     for cycles in range(1, _MAX_CYCLES + 1):
         step, c_plus_d = _newton_step(problem, x, u, res)

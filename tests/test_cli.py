@@ -213,12 +213,23 @@ def collinear_csv(seed):
     return write
 
 
+def wide_csv(tmp_path, n=100, p=400):
+    beta = np.zeros(p)
+    beta[:3] = [1.0, -0.5, 0.3]
+    return make_csv(tmp_path, n=n, p=p, beta=beta, name="wide.csv")
+
+
 @pytest.mark.parametrize("design, lam, code", [
     (collinear_csv(8), "0", 3),
     (collinear_csv(2), "0", 3),
     (collinear_csv(2), "0.1", 0),
     (lambda tmp_path: make_csv(tmp_path, n=2), "0.1", 0),
-], ids=["collinear-lasso-8", "collinear-lasso-2", "collinear-ridge", "two-rows"])
+    # no C is factored when p > n: every Cholesky pivot^2 of C is at least
+    # lam, so lam / max_j C_jj is held to the dense check's floor
+    (wide_csv, "1e-14", 3),
+    (wide_csv, "1e-12", 0),
+], ids=["collinear-lasso-8", "collinear-lasso-2", "collinear-ridge", "two-rows",
+        "wide-lambda-1e-14", "wide-lambda-1e-12"])
 def test_hostile_designs(tmp_path, capsys, design, lam, code):
     path = design(tmp_path)
     argv = ["fit", path, "--response", "y", "--lambda", lam,
@@ -234,6 +245,23 @@ def test_hostile_designs(tmp_path, capsys, design, lam, code):
         payload = json.loads(cap.out)
         assert np.all(np.isfinite(payload["x_tau"]))
         assert np.isfinite(payload["log_z"])
+
+
+def test_wide_verbs_never_build_c(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the p x p C was built")
+
+    monkeypatch.setattr(bn.PenalizedProblem, "_dense_c", refuse)
+    csv = wide_csv(tmp_path)
+    common = ["--response", "y", "--lambda", "0.1"]
+    for verb, flags in (
+        ("fit", ["--mu", "0.1", "--tau", "map"]),
+        ("convergence", ["--mu", "0.1", "--tau-grid", "12,2"]),
+        ("marginal", ["--mu", "0.1", "--tau", "map", "--coords", "0", "--ml-curve"]),
+        ("cv", ["--screen-top", "150", *_BASE_ARGS["cv"]]),
+    ):
+        out = tmp_path / verb
+        assert run([verb, csv, *common, *flags, "--out", out]) == 0, verb
 
 
 def test_usage_errors_exit_4(tmp_path, capsys):
@@ -469,6 +497,55 @@ def test_marginal_refuses_flags_it_would_not_read(tmp_path, capsys, flags):
     assert code == 4
     assert cap.err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.parametrize("coords", ["1,1", "3"])
+def test_marginal_checks_coords_before_the_fit(tmp_path, capsys, monkeypatch, coords):
+    solves = counting(monkeypatch, "solve_saddle")
+    builds = counting(monkeypatch, "build_problem")
+    code, cap = run(["marginal", make_csv(tmp_path), "--response", "y",
+                     "--mu", "0.1", "--tau", "50", "--coords", coords,
+                     "--out", tmp_path / "m"], capsys)
+    assert code == 4
+    assert cap.err.startswith("error: ")
+    assert solves == [] and builds == []
+
+
+def _jsonify_elementwise(obj):
+    # the converter before float arrays took one tolist(): every element
+    # through the scalar cases
+    if isinstance(obj, dict):
+        return {k: _jsonify_elementwise(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify_elementwise(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonify_elementwise(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def test_json_float_arrays_convert_as_elementwise(tmp_path):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+    payload = {
+        "finite": x,
+        "signed_zero": np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308]),
+        "matrix": rng.standard_normal((3, 4)),
+        "float32": rng.standard_normal(5).astype(np.float32),
+        "nonfinite": np.array([1.0, np.nan, np.inf, -np.inf]),
+        "nonfinite_matrix": np.array([[0.5, np.nan], [np.inf, 2.0]]),
+        "ints": np.arange(4),
+        "empty": np.zeros(0),
+        "nested": [x[:3], {"y": np.float64(0.25), "z": np.float64(np.nan)}],
+        "scalars": [np.int64(3), 1.5, "text", None, True],
+    }
+    out = tmp_path / "p.json"
+    cli._write_json(out, payload)
+    assert out.read_text() == json.dumps(_jsonify_elementwise(payload), indent=2) + "\n"
 
 
 # --- convergence --------------------------------------------------------

@@ -127,12 +127,66 @@ def test_restrict_keeps_the_factor_only_while_wide():
     for size in (14, 11, 10, 3):
         idx = np.arange(size)[::-1]
         sub = prob._restrict(idx)
-        assert np.array_equal(sub.c, prob.c[np.ix_(idx, idx)])
+        # built from the design columns, not sliced from the p x p C: equal
+        # up to the rounding of the Gram product
+        assert np.max(np.abs(sub.c - prob.c[np.ix_(idx, idx)])) < 1e-15
         assert np.array_equal(sub.w, prob.w[idx])
         if size > 10:
             assert np.array_equal(sub.low_rank_factor, prob.low_rank_factor[:, idx])
         else:
             assert sub.low_rank_factor is None
+
+
+def test_wide_problem_builds_c_on_first_read():
+    std = helpers.random_standardized(12, 10, 30)
+    prob = bn.build_problem(std, 0.1, 0.2, 50.0)
+    assert "c" not in vars(prob)
+    other = prob.with_tau(7.0)
+    a = std.predictors
+    # the bytes of the expression the dense route assembles C by
+    assert np.array_equal(prob.c, a.T @ a / (2.0 * 10) + 0.1 * np.eye(30))
+    assert other.c is prob.c
+    assert not prob.c.flags.writeable
+    d = np.random.default_rng(13).uniform(0.0, 3.0, 30)
+    direct = bn.log_det_c_plus_d(prob, d, method="direct")
+    assert direct == pytest.approx(bn.log_det_c_plus_d(prob, d), rel=1e-12)
+    # the sampler reads C itself, so its chain is the dense twin's
+    dense = bn.PenalizedProblem(c=prob.c, w=prob.w, mu=0.2, lam=0.1, tau=50.0)
+    chains = [bn.run_gibbs(q, np.zeros(30), 40, seed=3).samples for q in (prob, dense)]
+    assert np.array_equal(*chains)
+
+
+def test_wide_accessors_match_the_dense_matrix():
+    std = helpers.random_standardized(14, 12, 40)
+    wide = bn.build_problem(std, 0.3, 0.2, 1.0)
+    dense = bn.PenalizedProblem(c=wide.c, w=wide.w, mu=0.2, lam=0.3, tau=1.0)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(40)
+    idx = np.array([3, 17, 29])
+    x_idx = np.zeros(40)
+    x_idx[idx] = x[idx]
+    for got, want in (
+        (wide._diag, dense._diag),
+        (wide._matvec(x), dense._matvec(x)),
+        (wide._matvec(x_idx, idx), dense._matvec(x_idx, idx)),
+        (wide._col(5), dense._col(5)),
+        (wide._block(idx), dense._block(idx)),
+        (wide._quad(x), dense._quad(x)),
+    ):
+        assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+    assert bn.cost_h(wide, x) == pytest.approx(bn.cost_h(dense, x), rel=1e-14)
+
+
+def test_wide_singular_check_is_analytic():
+    # every Cholesky pivot^2 of C is at least lam; below the dense check's
+    # pivot-ratio floor relative to max_j C_jj = 0.5 + lam, refused
+    std = helpers.random_standardized(16, 10, 30)
+    assert bn.build_problem(std, 1e-12, 0.2, 1.0).low_rank_factor is not None
+    with pytest.raises(bn.SingularMatrix):
+        bn.build_problem(std, 4e-13, 0.2, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bn.build_problem(std, bad, 0.2, 1.0)
 
 
 def test_with_tau_and_mu_share_data_and_check_the_scalar():
