@@ -228,8 +228,33 @@ def _write_text(path, text):
         raise
 
 
+def _json_text(obj, indent=""):
+    """json.dumps(obj, indent=2) for a _jsonify'd obj, in C where it can be.
+
+    indent makes json run its pure-Python encoder.  A list holding no list
+    or dict is written in one call of the C encoder, with the newline and
+    indentation as its item separator; dicts and nested lists are laid out
+    here, their keys and scalars written by json.dumps.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (inner + json.dumps(k) + ": " + _json_text(v, inner) for k, v in obj.items())
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if any(isinstance(v, (list, dict)) for v in obj):
+            body = ",\n".join(inner + _json_text(v, inner) for v in obj)
+        else:
+            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return "[\n" + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _write_json(path, payload):
-    _write_text(path, json.dumps(_jsonify(payload), indent=2) + "\n")
+    _write_text(path, _json_text(_jsonify(payload)) + "\n")
 
 
 def _write_csv(path, header, rows):

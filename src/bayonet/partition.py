@@ -147,8 +147,9 @@ def _core(problem, x, u, c_plus_d=None):
     """(exp_term, log_det_term, prefactor_term, d) at the stationary (x, u).
 
     Unchecked, and shared with the marginal-density code.  c_plus_d, when
-    given, is a factor of C + D already at hand (every converged inner
-    solve of the marginal curves hands one back); otherwise one is built.
+    given, is a factor of C + D already at hand (the marginal curves build
+    one at each inner solution and reuse it for the next tangent
+    prediction); otherwise one is built.
     """
     w, mu, tau, p = problem.w, problem.mu, problem.tau, problem.p
     d = _d_diag(u, mu, tau)

@@ -2,16 +2,19 @@
 
 Marginal densities come in two flavors.  The main one treats the remaining
 p-1 coordinates with the same stationary-phase machinery as the full
-problem, so each grid point costs one small stationary-point solve: damped
-Newton steps on the n x n core when the sub-problem is wider than the
-design is tall.  The stationary point moves smoothly with the grid value,
-so each solve starts from a tangent prediction off its neighbor, and the
-factor of C_sub + D behind the neighbor's log det is the one that
-prediction needs: most grid points converge at once and build one factor.
+problem: the log density at a grid value is the coordinate's own exact
+terms plus the inner log partition V, one small stationary-point solve
+(damped Newton steps, on the n x n core when the sub-problem is wider than
+the design is tall).  V is smooth, so it is solved on 17 to 65 nested
+Chebyshev-Lobatto nodes and interpolated onto the grid, or at every grid
+point when the levels disagree.  The stationary point moves smoothly with
+the fixed value, so each solve starts from a tangent prediction off its
+neighbor, on the factor of C_sub + D behind the neighbor's log det.
 The cheaper comparison variant replaces the inner log partition by a
-penalized minimum; it is useful precisely because it is visibly wrong for
-coordinates near their inclusion boundary, which is worth demonstrating.
-With p = 1 there is no inner problem and both give the exact density.
+penalized minimum at every grid point; it is useful precisely because it
+is visibly wrong for coordinates near their inclusion boundary, which is
+worth demonstrating.  With p = 1 there is no inner problem and both give
+the exact density.
 """
 
 import math
@@ -29,6 +32,10 @@ from .saddle import _saddle_cd
 
 _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
+# nested Chebyshev-Lobatto levels for the inner log Z, and how closely two
+# levels' normalized densities must agree, relative to the peak
+_LEVELS = (17, 33, 65)
+_AGREE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,35 +99,62 @@ def _make_grid(spec, center, sd):
     return pts
 
 
-def _curve(problem, j, grid, center, seed, inner):
-    """Trapezoid-normalized MarginalCurve of coordinate j on grid.
+def _walk(points, center, seed, inner):
+    """inner(g, state) -> (value, state) at every point, center-out.
 
-    The log density is the coordinate's own terms plus inner(g, state) ->
-    (log value, state), up to a constant the normalization removes; state
-    is what a solve hands its neighbor.  The walk starts at the point
+    state is what a solve hands its neighbor.  The walk starts at the point
     nearest center from seed, goes right, then goes left again from the
-    center point's state.  With p = 1 there is no inner problem and the own
-    terms are the exact log density.
+    center point's state.  Returns the values on points.
     """
-    log_dens = _log_density(
-        problem._diag[j], problem.w[j], problem.mu, problem.tau, grid
-    )
-    if problem.p > 1:
-        start = int(np.argmin(np.abs(grid - center)))
-        state = seed
-        for k in range(start, grid.size):
-            value, state = inner(grid[k], state)
-            log_dens[k] += value
-            if k == start:
-                center_state = state
-        state = center_state
-        for k in range(start - 1, -1, -1):
-            value, state = inner(grid[k], state)
-            log_dens[k] += value
+    values = np.empty(points.size)
+    start = int(np.argmin(np.abs(points - center)))
+    state = seed
+    for k in range(start, points.size):
+        values[k], state = inner(points[k], state)
+        if k == start:
+            center_state = state
+    state = center_state
+    for k in range(start - 1, -1, -1):
+        values[k], state = inner(points[k], state)
+    return values
+
+
+def _own_terms(problem, j, grid):
+    # the coordinate's own Gaussian and l1 terms: with p = 1, the exact
+    # log density up to a constant
+    return _log_density(problem._diag[j], problem.w[j], problem.mu, problem.tau, grid)
+
+
+def _curve(j, grid, log_dens):
+    # the trapezoid normalization removes any constant in log_dens
     dens = np.exp(log_dens - np.max(log_dens))
     return MarginalCurve(
         coordinate=int(j), grid=grid, density=dens / float(np.trapezoid(dens, grid))
     )
+
+
+def _lobatto(lo, hi, m):
+    """The m Chebyshev-Lobatto nodes of [lo, hi], ascending, ends exact."""
+    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m) / (m - 1))
+    nodes[0], nodes[-1] = lo, hi
+    return nodes
+
+
+def _barycentric(nodes, values, x):
+    """The polynomial through (nodes, values) at x; nodes Chebyshev-Lobatto.
+
+    Second barycentric form with the Lobatto weights (-1)^i, halved at both
+    ends (Berrut & Trefethen 2004); an x that is a node takes its value.
+    """
+    weights = (-1.0) ** np.arange(nodes.size)
+    weights[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes[None, :]
+    hit_x, hit_node = np.nonzero(diff == 0.0)
+    diff[hit_x, hit_node] = 1.0
+    terms = weights / diff
+    out = (terms @ values) / terms.sum(axis=1)
+    out[hit_x] = values[hit_node]
+    return out
 
 
 def _fix_coordinate(problem, j):
@@ -135,61 +169,92 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     """Stationary-phase marginal density of coordinate j, for any p.
 
     Fixing x_j = g leaves a (p-1)-dimensional problem of the same form with
-    shifted linear term w_eff = w - g * C[:, j]; its log partition plus the
-    coordinate's own Gaussian and l1 terms is the log density at g, up to a
-    constant that the trapezoid normalization removes.  Grid points are
-    solved outward from the posterior-mean center in both directions.  At
-    the center the restriction of the full stationary point is already
-    stationary, so that solve takes only its polish step.
+    shifted linear term w_eff = w - g * C[:, j]; its log partition V(g) plus
+    the coordinate's own Gaussian and l1 terms is the log density at g, up
+    to a constant that the trapezoid normalization removes.  The own terms
+    are exact on the grid and carry the kink at 0; V is smooth in g.
 
-    Every other solve starts from its neighbor's solution x plus the
-    tangent step (C_sub + D)^{-1} (w_eff' - w_eff), the derivative of the
-    stationary point in the linear term, plus the neighbor's own tangent
-    error, which on an evenly spaced grid is the next step's second-order
-    term.  The factor of C_sub + D the step solves with is the one behind
-    the neighbor's log det: the inner solve's polish-step factor, built at
-    its converged point where a/b = D up to the tolerance.  Every converged
-    solve hands one back, so a grid point whose prediction meets the
-    tolerance builds one factor.  The inner problems are restrictions of
-    problem (PenalizedProblem._restrict), so those still wider than n keep
-    the n x n determinant route.
+    So V is solved on nested Chebyshev-Lobatto nodes spanning the grid, 17,
+    then 33, then 65 of them, each level reusing the solves of the one
+    before, and put onto the grid by barycentric interpolation.  The curve
+    is the first level whose normalized density agrees with the level
+    before within 1e-7 of its peak.  When 65 nodes still disagree, or the
+    grid has too few points for two levels, V is solved at every grid
+    point instead.
+
+    Node sets and grid points are walked outward from the point nearest
+    the posterior mean.  The first solve starts from the restriction of the
+    full stationary point, which is stationary at g = x_tau[j].  Every other
+    solve starts from its neighbor's solution x plus the tangent step
+    (C_sub + D)^{-1} (w_eff' - w_eff), the derivative of the stationary
+    point in the linear term.  The factor of C_sub + D that step solves
+    with is the one behind the neighbor's log det, built at the neighbor's
+    polished solution.  (The factor a solve hands back predates its polish
+    step; log dets taken from it put near-transition curves at 100 and
+    1e4 x MAP tau 3e-6 to 8e-6 of the peak off.)  The inner problems are
+    restrictions of problem (PenalizedProblem._restrict), so those still
+    wider than n keep the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
-    converged at problem's tau (else NotConverged or ValueError); a grid
-    point whose inner solve exhausts its cycle budget raises NotConverged.
-    An explicit grid_spec skips the posterior sds, which only lay out the
-    default grid.
+    converged at problem's tau (else NotConverged or ValueError); an inner
+    solve that exhausts its cycle budget raises NotConverged.  An explicit
+    grid_spec skips the posterior sds, which only lay out the default grid.
     """
     others, sub, c_col = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
     explicit = grid_spec is not None and grid_spec.points is not None
     sd = None if explicit else float(posterior_sd(problem, saddle)[j])
     grid = _make_grid(grid_spec, float(saddle.x_tau[j]), sd)
+    log_dens = _own_terms(problem, j, grid)
+    if problem.p == 1:
+        return _curve(j, grid, log_dens)
+    # nested levels share nodes, and the grid's ends are nodes: each point
+    # is solved once
+    solved = {}
 
     def inner(g, state):
-        x, c_plus_d, w_prev, tan_err = state
-        predicted = c_plus_d is not None
+        if g in solved:
+            return solved[g]
+        x, c_plus_d, w_prev = state
         at_g = sub._replace(w=sub.w - g * c_col)
-        x_tan = x + c_plus_d.solve(at_g.w - w_prev) if predicted else x
-        x, u, cycles, _, ok, c_plus_d = _saddle_cd(at_g, x_tan + tan_err, tol)
+        if c_plus_d is not None:
+            x = x + c_plus_d.solve(at_g.w - w_prev)
+        x, u, cycles, _, ok, _ = _saddle_cd(at_g, x, tol)
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
+        c_plus_d = _CPlusD(at_g, _d_diag(u, sub.mu, sub.tau))
         e, ld, pref, _ = _core(at_g, x, u, c_plus_d)
-        tan_err = x - x_tan if predicted else 0.0
-        return e + ld + pref, (x, c_plus_d, at_g.w, tan_err)
+        solved[g] = out = (e + ld + pref, (x, c_plus_d, at_g.w))
+        return out
 
-    seed = (saddle.x_tau[others], None, None, 0.0)
-    return _curve(problem, j, grid, saddle.x_tau[j], seed, inner)
+    center, seed = saddle.x_tau[j], (saddle.x_tau[others], None, None)
+    # levels smaller than the grid; one level alone has nothing to be
+    # checked against, and walking the grid costs no more
+    levels = [m for m in _LEVELS if m < grid.size]
+    if len(levels) < 2:
+        levels = []
+    fine = _lobatto(grid[0], grid[-1], _LEVELS[-1])
+    curve = None
+    for m in levels:
+        nodes = fine[:: (fine.size - 1) // (m - 1)]
+        values = _barycentric(nodes, _walk(nodes, center, seed, inner), grid)
+        prev, curve = curve, _curve(j, grid, log_dens + values)
+        if prev is not None:
+            gap = np.max(np.abs(curve.density - prev.density))
+            if gap <= _AGREE * curve.density.max():
+                return curve
+    return _curve(j, grid, log_dens + _walk(grid, center, seed, inner))
 
 
 def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     """Minimum-cost comparison marginal for coordinate j, for any p.
 
     Same structure as marginal_sp but the inner log partition is replaced
-    by -tau times the inner penalized minimum at x_j = g, and the grid is
-    centered on the ML value.  Cheap, and exact in neither tails nor width
-    when p > 1; kept as the comparison baseline.  With p = 1 the curve is
-    the exact density on the grid.
+    by -tau times the inner penalized minimum at x_j = g, solved at every
+    grid point from its neighbor's minimizer, and the grid is centered on
+    the ML value.  Cheap, and exact in neither tails nor width when p > 1;
+    kept as the comparison baseline.  With p = 1 the curve is the exact
+    density on the grid.
     """
     others, sub, c_col = _fix_coordinate(problem, j)
     if not ml.converged:
@@ -206,4 +271,7 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
             )
         return -problem.tau * _cost(at_g, x_in), x_in
 
-    return _curve(problem, j, grid, ml.x_hat[j], ml.x_hat[others], inner)
+    log_dens = _own_terms(problem, j, grid)
+    if problem.p > 1:
+        log_dens += _walk(grid, ml.x_hat[j], ml.x_hat[others], inner)
+    return _curve(j, grid, log_dens)

@@ -15,8 +15,9 @@ inside the box and the plug-back residual falling; from the penalized ML
 minimizer a handful of steps take the residual down to rounding level.
 Every solve, a start that already meets the tolerance included, leaves
 through one exit: the cycle that finds the iterate converged takes one more
-Newton step to polish it and hands back that step's factor of C + D, which
-log Z and the marginal curves' next tangent prediction reuse.
+Newton step to polish it and hands back that step's factor of C + D.  That
+factor is built before the polish step moves x, so log Z and the marginal
+curves factor C + D again at the polished point.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bayonet as bn
 from bayonet import cli
@@ -546,6 +547,30 @@ def test_json_float_arrays_convert_as_elementwise(tmp_path):
     out = tmp_path / "p.json"
     cli._write_json(out, payload)
     assert out.read_text() == json.dumps(_jsonify_elementwise(payload), indent=2) + "\n"
+
+
+_JSON_SCALARS = (
+    st.floats() | st.integers(-(2**70), 2**70) | st.booleans() | st.none() | st.text(max_size=6)
+)
+
+
+def _float_arrays(ndim):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=0, max_side=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    payload=st.recursive(
+        _JSON_SCALARS | st.lists(st.floats(), max_size=6) | _float_arrays(2) | _float_arrays(3),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=30,
+    )
+)
+def test_json_writer_matches_indented_dumps(payload):
+    # nested dicts and lists, 2-D and 3-D score arrays, NaN and inf (null),
+    # empty containers, ints, bools, non-ASCII and quoted names
+    clean = cli._jsonify(payload)
+    assert cli._json_text(clean) == json.dumps(clean, indent=2)
 
 
 # --- convergence --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Posterior summaries: means, predictive values, marginal density curves."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -98,10 +99,10 @@ def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
 
 
 def test_marginal_builds_about_one_factor_per_grid_point(monkeypatch):
-    # the tangent predictor lands most inner solves within tolerance at
-    # their start, and the factor of C_sub + D behind each log det is reused for
-    # the next prediction: ten 201-point curves at 442x10 build at most 1.5
-    # factors per grid point (3.4-3.7 with plain neighbor warm starts)
+    # the factor of C_sub + D behind each log det is reused for the next
+    # tangent prediction, and the inner log Z is solved on 33 nodes: ten
+    # 201-point curves at 442x10 build at most 1.5 factors per grid point
+    # (about 0.5; 3.4-3.7 with plain neighbor warm starts at every point)
     prob, sad = helpers.build_marginal_case(101)
     built = []
     init = bn.partition._CPlusD.__init__
@@ -133,9 +134,10 @@ def test_marginal_p5_needs_no_coordinate_sweeps(p5_suite, monkeypatch):
 
 
 def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
-    # marginal_sp takes each inner log det from the factor the solve hands
-    # back, starts already converged included; that factor is built at the
-    # point before the polish step, with a/b in place of D
+    # every converged inner solve hands back a factor, starts already
+    # converged included; it is built at the point before the polish step,
+    # with a/b in place of D.  Each bench-shaped curve stops at the second
+    # node level: 17 + 16 solves.
     solves = []
 
     def recorded(problem, x0, tol):
@@ -148,7 +150,7 @@ def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
         prob, sad = helpers.build_marginal_case(seed)
         for j in range(prob.p):
             marginal_sp(prob, sad, j)
-    assert len(solves) == 2 * 10 * 201
+    assert len(solves) == 2 * 10 * 33
     worst = 0.0
     for problem, (x, u, cycles, _, ok, c_plus_d) in solves:
         assert ok and cycles >= 1
@@ -160,7 +162,9 @@ def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
 
 def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):
     # with p - 1 > n every inner problem takes the n x n determinant route,
-    # and its curves match the dense route's plain walk
+    # and its curves match the dense route's plain walk.  Each curve solves
+    # at least two node levels (33 nodes), each solve building at least its
+    # polish step's factor and the one at the polished point.
     std = helpers.random_standardized(59, 12, 30, beta=[1.0, -0.6, 0.4] + [0.0] * 27, noise=0.5)
     base = bn.build_problem(std, 0.1, 1.0, 1.0)
     prob0 = base.with_mu(0.3 * float(np.abs(base.w).max()))
@@ -178,7 +182,7 @@ def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):
     monkeypatch.setattr(bn.partition._CPlusD, "__init__", counted)
     curves = [marginal_sp(prob, sad, j) for j in (0, 1, 5)]
     monkeypatch.undo()
-    assert len(routes) >= 3 * 201
+    assert len(routes) >= 3 * 33 * 2
     assert all(routes)
     dense = prob._replace(low_rank_factor=None)
     for curve in curves:
@@ -199,6 +203,98 @@ def test_marginal_matches_tight_plain_walk(seed):
         peak = ref.max()
         assert np.max(np.abs(curve.density - ref)) < 1e-6 * peak
         assert np.max(np.abs(plain - ref)) < 1e-6 * peak
+
+
+_marginal_case = functools.cache(helpers.build_marginal_case)
+
+
+def _gate_case(request, name, scale):
+    # the problem and its stationary point at scale x MAP tau
+    if name in ("p5_suite", "near_transition"):
+        suite = request.getfixturevalue(name)
+        prob, sad = suite["problem"], suite["saddle"]
+    else:
+        prob, sad = _marginal_case(int(name))
+    if scale != 1:
+        prob = prob.with_tau(scale * prob.tau)
+        sad = bn.solve_saddle(prob, sad.x_tau, tol=1e-12)
+        assert sad.converged
+    return prob, sad
+
+
+def _within_gate(prob, sad, curve):
+    ref = helpers.marginal_plain_walk(prob, sad, curve.coordinate, curve.grid, 1e-13)
+    return np.max(np.abs(curve.density - ref)) < 1e-6 * ref.max()
+
+
+def _recorded_solves(monkeypatch):
+    # the problems marginal_sp hands its inner solver, in call order
+    problems = []
+
+    def recorded(problem, x0, tol):
+        problems.append(problem)
+        return _saddle_cd(problem, x0, tol)
+
+    monkeypatch.setattr(bn.posterior, "_saddle_cd", recorded)
+    return problems
+
+
+@pytest.mark.parametrize("scale", [1, 100, 1e4])
+@pytest.mark.parametrize("name", ["101", "102", "103", "p5_suite", "near_transition"])
+def test_marginal_within_gate_of_tight_plain_walk(request, name, scale):
+    # node-interpolated or walked, every curve lies within 1e-6 of the peak
+    # of the plain walk at tol 1e-13; near-transition at 100 x MAP tau was
+    # 3.1e-6 off when each log det came from a factor built before the
+    # polish step
+    prob, sad = _gate_case(request, name, scale)
+    for j in range(prob.p):
+        assert _within_gate(prob, sad, marginal_sp(prob, sad, j))
+
+
+def test_marginal_falls_back_to_the_grid_walk(request, monkeypatch):
+    # at 100 x MAP tau the p5 correlated zero pair (coordinates 2 and 3)
+    # disagrees between 33 and 65 nodes, so its curves solve every grid
+    # point; the other coordinates stop at 33 nodes
+    prob, sad = _gate_case(request, "p5_suite", 100)
+    solves = _recorded_solves(monkeypatch)
+    for j in range(5):
+        solves.clear()
+        curve = marginal_sp(prob, sad, j)
+        if j in (2, 3):
+            assert len(solves) > 65 + 201 - 3
+        else:
+            assert len(solves) == 33
+        assert _within_gate(prob, sad, curve)
+
+
+@pytest.mark.parametrize("size", [9, 17, 33])
+def test_marginal_small_explicit_grid_is_walked(request, monkeypatch, size):
+    # a grid with no more points than the next node level is solved at its
+    # own points, once each
+    prob, sad = _gate_case(request, "near_transition", 100)
+    j = 0
+    sd = float(bn.posterior_sd(prob, sad)[j])
+    grid = sad.x_tau[j] + np.linspace(-4.0 * sd, 4.0 * sd, size)
+    solves = _recorded_solves(monkeypatch)
+    curve = marginal_sp(prob, sad, j, grid_spec=GridSpec(points=grid))
+    others = np.delete(np.arange(prob.p), j)
+    sub, c_col = prob._restrict(others), prob._col(j)[others]
+    assert len(solves) == size
+    for g in grid:
+        assert any(np.array_equal(q.w, sub.w - g * c_col) for q in solves)
+    assert _within_gate(prob, sad, curve)
+
+
+def test_lobatto_interpolation_reproduces_polynomials():
+    # barycentric interpolation on m Chebyshev-Lobatto nodes is exact for
+    # degree m - 1, at the nodes themselves too
+    rng = np.random.default_rng(5)
+    poly = np.polynomial.Polynomial(rng.standard_normal(17), domain=[-0.3, 1.7])
+    nodes = bn.posterior._lobatto(-0.3, 1.7, 17)
+    x = np.concatenate([np.linspace(-0.3, 1.7, 201), nodes])
+    got = bn.posterior._barycentric(nodes, poly(nodes), x)
+    assert np.max(np.abs(got - poly(x))) < 1e-12 * np.max(np.abs(poly(x)))
+    assert np.array_equal(got[201:], poly(nodes))
 
 
 def test_marginal_matches_two_dim_quadrature():
