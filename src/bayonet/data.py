@@ -213,12 +213,15 @@ class PenalizedProblem:
         return np.einsum("ij,ij->j", f, f) / (2.0 * f.shape[0]) + self.lam
 
     def _matvec(self, x, idx=None):
-        """C x; given idx, for an x that is zero off idx."""
+        """C x, or row by row for a stack of rows x; given idx, for a vector
+        x that is zero off idx."""
+        # (C x')' rather than x C: a single row then takes the vector
+        # product's BLAS call, and its rounding
         f = self.low_rank_factor
         if f is None:
-            return self.c @ x if idx is None else x[idx] @ self.c[idx]
-        s = f @ x if idx is None else f[:, idx] @ x[idx]
-        return f.T @ s / (2.0 * f.shape[0]) + self.lam * x
+            return (self.c @ x.T).T if idx is None else x[idx] @ self.c[idx]
+        s = f @ x.T if idx is None else f[:, idx] @ x[idx]
+        return (f.T @ s).T / (2.0 * f.shape[0]) + self.lam * x
 
     def _quad(self, x):
         """x'C x."""

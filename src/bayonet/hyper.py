@@ -25,8 +25,8 @@ from .special import RngStream
 class HyperGrid:
     """Candidate (mu, tau) values; mus descending, taus ascending.
 
-    cross_validate solves each mu from a cold ML start and walks its tau
-    column as one warm-started path from the largest tau down."""
+    cross_validate solves each mu from a cold ML start and its tau column
+    as one lockstep tau_path from that ML minimizer."""
 
     mus: np.ndarray
     taus: np.ndarray
@@ -140,19 +140,20 @@ def map_tau(data, lam, mu, ml):
 
 
 def pearson(a, b):
-    """Pearson correlation; 0.0 when either argument is constant.
+    """Pearson correlation of a with b, or with each column of a 2-D b.
 
-    Constant predictions carry no linear association, and returning 0 keeps
-    grid search well defined for fully shrunk models.
+    A constant argument gives 0.0: constant predictions carry no linear
+    association, and returning 0 keeps grid search well defined for fully
+    shrunk models.  A 1-D b gives a float, a 2-D b an array of one
+    correlation per column.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     da = a - a.mean()
-    db = b - b.mean()
-    den = math.sqrt(float(da @ da) * float(db @ db))
-    if den == 0.0:
-        return 0.0
-    return float(da @ db) / den
+    db = b - b.mean(axis=0)
+    den = np.sqrt(float(da @ da) * (db * db).sum(axis=0))
+    out = np.divide(da @ db, den, out=np.zeros(den.shape), where=den != 0.0)
+    return float(out) if b.ndim == 1 else out
 
 
 def _screen(std, top):
@@ -168,10 +169,10 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
 
     Every training fold is centered/scaled from scratch and its statistics
     applied to the held-out rows, so no validation information reaches the
-    fit.  Within a fold and mu, the tau column is solved as one warm-started
-    descending path seeded at the ML minimizer.  A failed cell (solver
-    non-convergence or a degenerate fold matrix) scores NaN and simply drops
-    out of the medians.
+    fit.  Within a fold and mu, the tau column is solved as one lockstep
+    tau_path, every tau from the ML minimizer, and its predictions are
+    scored together.  A failed cell (solver non-convergence or a degenerate
+    fold matrix) scores NaN and simply drops out of the medians.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -227,12 +228,12 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
                 sols = tau_path(prob, taus_desc, init=ml.x_hat, tol=tol)
             except BayonetError:
                 continue
-            for k_desc, sol in enumerate(sols):
-                if not sol.converged:
-                    continue
-                k = n_tau - 1 - k_desc
-                pred = a_val @ sol.x_tau * std.response_scale + std.response_offset
-                scores[f, i, k] = pearson(y_val, pred)
+            # one column of predictions per tau, ascending like the grid
+            sols = sols[::-1]
+            x = np.array([sol.x_tau for sol in sols])
+            pred = a_val @ x.T * std.response_scale + std.response_offset
+            ok = np.array([sol.converged for sol in sols])
+            scores[f, i] = np.where(ok, pearson(y_val, pred), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median_scores = np.nanmedian(scores, axis=0)

@@ -57,7 +57,7 @@ def _cholesky(matrix):
     chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
     if info != 0:
         raise SingularMatrix(f"dpotrf info={info}: not positive definite")
-    if not np.isfinite(np.diagonal(chol)).all():
+    if not np.isfinite(chol.diagonal()).all():
         raise SingularMatrix("non-finite pivot in a Cholesky factor")
     return chol
 
@@ -93,7 +93,8 @@ class _CPlusD:
             matrix = np.eye(factor.shape[0]) + self._scaled @ self._scaled.T / self._two_n
         elif method == "direct":
             self._dp = None
-            matrix = problem.c + np.diag(e)
+            matrix = problem.c.copy()
+            matrix.ravel()[:: matrix.shape[0] + 1] += e
         else:
             raise ValueError(f"unknown method {method!r}")
         self._chol = _cholesky(matrix)

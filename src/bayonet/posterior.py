@@ -189,9 +189,9 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     (C_sub + D)^{-1} (w_eff' - w_eff), the derivative of the stationary
     point in the linear term.  The factor of C_sub + D that step solves
     with is the one behind the neighbor's log det, built at the neighbor's
-    polished solution.  (The factor a solve hands back predates its polish
-    step; log dets taken from it put near-transition curves at 100 and
-    1e4 x MAP tau 3e-6 to 8e-6 of the peak off.)  The inner problems are
+    polished solution.  (The polish step's own factor predates the step;
+    log dets taken from it put near-transition curves at 100 and 1e4 x MAP
+    tau 3e-6 to 8e-6 of the peak off.)  The inner problems are
     restrictions of problem (PenalizedProblem._restrict), so those still
     wider than n keep the n x n determinant route.
 
@@ -219,7 +219,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         at_g = sub._replace(w=sub.w - g * c_col)
         if c_plus_d is not None:
             x = x + c_plus_d.solve(at_g.w - w_prev)
-        x, u, cycles, _, ok, _ = _saddle_cd(at_g, x, tol)
+        [(x, u, cycles, _, ok)] = _saddle_cd(at_g, x, tol)
         if not ok:
             raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
         c_plus_d = _CPlusD(at_g, _d_diag(u, sub.mu, sub.tau))

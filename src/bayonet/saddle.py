@@ -15,9 +15,16 @@ inside the box and the plug-back residual falling; from the penalized ML
 minimizer a handful of steps take the residual down to rounding level.
 Every solve, a start that already meets the tolerance included, leaves
 through one exit: the cycle that finds the iterate converged takes one more
-Newton step to polish it and hands back that step's factor of C + D.  That
-factor is built before the polish step moves x, so log Z and the marginal
-curves factor C + D again at the polished point.
+Newton step to polish it.  No factor leaves the solver: log Z and the
+marginal curves factor C + D at the polished point.
+
+The one Newton loop, _saddle_cd, solves a stack of lanes: iterates of one
+problem that differ only in tau.  tau_path runs its whole grid as lanes from
+one start; solve_saddle and the marginal curves' inner solves are the
+one-lane case.  Each lane keeps its own factor of C + D and its own
+fallback sweep, while the residuals, box and b tests, backtracking and
+convergence tests are done once per cycle for all live lanes, which is
+where small problems spend their time.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
@@ -114,7 +121,9 @@ def coordinate_cubic(a, cjj, mu, tau):
 
 
 def _residual(x, u, mu, tau):
-    return float(np.max(np.abs((mu * mu - u * u) * x - u / tau)))
+    # l-inf norm of the stationarity conditions; row by row for a stack of
+    # iterates, tau then a column
+    return np.abs((mu * mu - u * u) * x - u / tau).max(axis=-1)
 
 
 def _sweep(problem, x, u):
@@ -153,78 +162,131 @@ def _sweep(problem, x, u):
     return x, u, _residual(x, u, mu, tau)
 
 
-def _newton_step(problem, x, u, res):
-    """Damped Newton step from (x, u); returns (step, c_plus_d).
+def _newton_step(problem, x, u, res, tau):
+    """Damped Newton steps for a stack of lanes, in place; returns moved.
 
-    The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with
-    a = mu^2 - u^2 and b = 2ux + 1/tau, so the step solves
-    (C + diag(a/b)) dx = -F/b on one factor of C + diag(a/b).  It is halved
-    until every |u| < mu and the plug-back residual falls below res.  A
-    start on or just outside the box (the ML minimizer has |u_j| = mu up to
-    its tolerance) uses max(a, 0), which keeps the matrix positive definite.
-    step is the new (x, u, res), or None if some b <= 0, the factor failed,
-    or the step shrank below _MIN_STEP.  c_plus_d is the factor used, or
-    None if none was built.
+    Row k of (x, u) is an iterate at inverse temperature tau[k] (a column)
+    with residual res[k].  The Jacobian of F(x) = a*x - u/tau is
+    diag(b) (C + diag(a/b)) with a = mu^2 - u^2 and b = 2ux + 1/tau, so
+    each lane solves (C + diag(a/b)) dx = -F/b on its own factor of
+    C + diag(a/b).  A lane on or just outside the box (the ML minimizer has
+    |u_j| = mu up to its tolerance) uses max(a, 0), which keeps the matrix
+    positive definite.  A lane keeps the longest of the steps t dx, t = 1,
+    1/2, 1/4, ... down to _MIN_STEP, that leaves every |u| < mu and its
+    plug-back residual below res.  The full step is tried for all rows at
+    once and taken almost always; the lanes it fails halve their steps
+    together.  moved is False, and the row is left as it was, where some
+    b <= 0, the factor failed or no step qualified.  Rows that cannot step
+    and trial points outside the box compute values that are never kept,
+    so the caller ignores their floating-point errors.
     """
-    w, mu, tau = problem.w, problem.mu, problem.tau
+    w, mu = problem.w, problem.mu
     a = mu * mu - u * u
     b = 2.0 * u * x + 1.0 / tau
-    if not np.all(b > 0.0):
-        return None, None
-    try:
-        c_plus_d = _CPlusD(problem, np.maximum(a, 0.0) / b)
-    except SingularMatrix:
-        return None, None
-    dx = c_plus_d.solve((u / tau - a * x) / b)
-    t = 1.0
-    while t >= _MIN_STEP:
-        xt = x + t * dx
+    stepping = (b > 0.0).all(axis=1)
+    e = np.maximum(a, 0.0) / b
+    dx = (u / tau - a * x) / b
+    for k in stepping.nonzero()[0]:
+        try:
+            dx[k] = _CPlusD(problem, e[k]).solve(dx[k])
+        except SingularMatrix:
+            stepping[k] = False
+    xt = x + dx
+    ut = w - problem._matvec(xt)
+    rt = _residual(xt, ut, mu, tau)
+    moved = stepping & (np.abs(ut).max(axis=1) < mu) & (rt < res)
+    np.copyto(x, xt, where=moved[:, None])
+    np.copyto(u, ut, where=moved[:, None])
+    np.copyto(res, rt, where=moved)
+    rest = (stepping ^ moved).nonzero()[0]
+    t = 0.5
+    while rest.size and t >= _MIN_STEP:
+        xt = x[rest] + t * dx[rest]
         ut = w - problem._matvec(xt)
-        if np.max(np.abs(ut)) < mu:
-            rt = _residual(xt, ut, mu, tau)
-            if rt < res:
-                return (xt, ut, rt), c_plus_d
+        rt = _residual(xt, ut, mu, tau[rest])
+        take = (np.abs(ut).max(axis=1) < mu) & (rt < res[rest])
+        lanes = rest[take]
+        x[lanes], u[lanes], res[lanes] = xt[take], ut[take], rt[take]
+        moved[lanes] = True
+        rest = rest[~take]
         t *= 0.5
-    return None, c_plus_d
+    return moved
 
 
-def _saddle_cd(problem, x0, tol):
-    """Solve from x0; returns (x, u, cycles, residual, converged, c_plus_d).
+def _saddle_cd(problem, x0, tol, taus=None):
+    """Solve from x0 at every tau of taus (default: the problem's own) in
+    lockstep; returns one (x, u, cycles, residual, converged) per tau.
 
-    Each cycle is a damped Newton step, or one coordinate sweep where no
-    Newton step can be taken.  Converged means the residual is below
-    tol * max(1, 1/tau) with every |u| < mu and every b = 2ux + 1/tau > 0.
-    At a stationary point x and u share a sign, so b >= 1/tau.  The b test
-    rejects starts such as x of the opposite sign to u with |u| within
-    rounding of mu: a ~ 0 there, and at large tau the residual |a x - u/tau|
-    is below tol far from the root.
+    The lanes are iterates of the one problem that differ only in tau.
+    Each cycle moves every live lane by a damped Newton step, or by one
+    coordinate sweep where it cannot take one.  A lane has converged when
+    its residual is below tol * max(1, 1/tau) with every |u| < mu and every
+    b = 2ux + 1/tau > 0.  At a stationary point x and u share a sign, so
+    b >= 1/tau.  The b test rejects starts such as x of the opposite sign
+    to u with |u| within rounding of mu: a ~ 0 there, and at large tau the
+    residual |a x - u/tau| is below tol far from the root.
 
-    The one exit of a converged solve is the cycle that finds it converged,
+    The one exit of a converged lane is the cycle that finds it converged,
     a start that already is included: that cycle's Newton step polishes the
-    iterate, kept only if it lowers the residual, so a converged solve
-    reports cycles >= 1.  c_plus_d is the polish step's factor of
-    C + diag(a/b), built at the converged point, where a/b is the curvature
-    diagonal D up to the tolerance; it is None only where that factor
-    failed.  A run that exhausts the budget returns converged=False, cycles
-    = _MAX_CYCLES and no factor.
+    iterate, kept only if it lowers the residual, and the lane leaves with
+    cycles set to that cycle's number, so cycles >= 1.  Lanes run
+    independently of each other: up to the rounding of the products they
+    share, each one's iterates are those it would take alone.  A lane still
+    live after _MAX_CYCLES cycles returns converged=False and cycles =
+    _MAX_CYCLES.
     """
-    mu, tau = problem.mu, problem.tau
-    tol = tol * max(1.0, 1.0 / tau)
-    x = np.array(x0, dtype=float)
+    mu = problem.mu
+    taus = np.array([problem.tau] if taus is None else taus, dtype=float)
+    tols = tol * np.maximum(1.0, 1.0 / taus)
+    tau = taus[:, None]
+    x = np.empty((taus.size, problem.p))
+    x[:] = x0
     u = problem.w - problem._matvec(x)
     res = _residual(x, u, mu, tau)
-    for cycles in range(1, _MAX_CYCLES + 1):
-        step, c_plus_d = _newton_step(problem, x, u, res)
-        if (
-            res < tol
-            and float(np.max(np.abs(u))) < mu
-            and bool(np.all(2.0 * u * x + 1.0 / tau > 0.0))
-        ):
-            if step is not None:
-                x, u, res = step
-            return x, u, cycles, res, True, c_plus_d
-        x, u, res = step if step is not None else _sweep(problem, x, u)
-    return x, u, _MAX_CYCLES, res, False, None
+    live = np.arange(taus.size)
+    out = [None] * taus.size
+    # the Newton steps' discarded trial values may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for cycles in range(1, _MAX_CYCLES + 1):
+            done = res < tols
+            exits = done.any()
+            if exits:
+                inside = np.abs(u).max(axis=1) < mu
+                done &= inside & (2.0 * u * x + 1.0 / tau > 0.0).all(axis=1)
+                exits = done.any()
+            moved = _newton_step(problem, x, u, res, tau)
+            for k in (~(done | moved)).nonzero()[0]:
+                at_k = problem._replace(tau=taus[live[k]])
+                x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
+            if exits:
+                for k in done.nonzero()[0]:
+                    out[live[k]] = (x[k], u[k], cycles, float(res[k]), True)
+                keep = ~done
+                if not keep.any():
+                    return out
+                x, u, res, tau = x[keep], u[keep], res[keep], tau[keep]
+                tols, live = tols[keep], live[keep]
+    for k, lane in enumerate(live):
+        out[lane] = (x[k], u[k], _MAX_CYCLES, float(res[k]), False)
+    return out
+
+
+def _check_start(problem, init, tol):
+    init = np.asarray(init, dtype=float)
+    if init.shape != (problem.p,):
+        raise ValueError(f"init must have length {problem.p}")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    return init
+
+
+def _solution(tau, lane):
+    x, u, cycles, res, ok = lane
+    return SaddleSolution(
+        u_tau=u, x_tau=x, tau=tau, cycles=cycles, residual=res, converged=ok
+    )
 
 
 def solve_saddle(problem, init, tol=1e-10):
@@ -237,38 +299,28 @@ def solve_saddle(problem, init, tol=1e-10):
     residual near eps*|w|/tau, so there tol bounds tau times it.  A run that
     exhausts the cycle budget returns converged=False with the last iterate.
     """
-    init = np.asarray(init, dtype=float)
-    if init.shape != (problem.p,):
-        raise ValueError(f"init must have length {problem.p}")
-    if not np.isfinite(init).all():
-        raise ValueError("init must be finite")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    x, u, cycles, res, ok, _ = _saddle_cd(problem, init, tol)
-    return SaddleSolution(
-        u_tau=u, x_tau=x, tau=problem.tau, cycles=cycles, residual=res, converged=ok
-    )
+    init = _check_start(problem, init, tol)
+    [lane] = _saddle_cd(problem, init, tol)
+    return _solution(problem.tau, lane)
 
 
 def tau_path(problem, taus, init=None, tol=1e-10):
-    """Solve along a strictly decreasing inverse-temperature grid.
+    """Solve at every tau of a strictly decreasing inverse-temperature grid.
 
-    Each solution warm-starts the next (the stationary point moves
-    continuously in tau, so the previous x is an excellent start).  init
-    seeds the first solve, the one at the largest tau; the sparse minimizer
-    is the natural choice there.  Omitted, it defaults to the zero vector.
+    Element k is solve_saddle(problem.with_tau(taus[k]), init, tol): every
+    tau starts from init, and the whole grid is solved in lockstep, one
+    lane per tau, so each cycle's bookkeeping (residuals, box tests,
+    backtracking, convergence tests) is done once for all lanes still
+    running.  The sparse minimizer is the natural init; omitted, it
+    defaults to the zero vector.
     """
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("empty tau grid")
-    if any(t <= 0.0 for t in taus):
-        raise ValueError("taus must be positive")
+    if not all(0.0 < t < math.inf for t in taus):
+        raise ValueError("taus must be positive and finite")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly decreasing")
-    x = np.zeros(problem.p) if init is None else np.asarray(init, dtype=float)
-    out = []
-    for t in taus:
-        sol = solve_saddle(problem.with_tau(t), x, tol=tol)
-        out.append(sol)
-        x = sol.x_tau
-    return out
+    init = _check_start(problem, np.zeros(problem.p) if init is None else init, tol)
+    lanes = _saddle_cd(problem, init, tol, taus)
+    return [_solution(t, lane) for t, lane in zip(taus, lanes)]

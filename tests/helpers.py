@@ -406,7 +406,7 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
         at_g = problem._replace(
             c=c_sub, w=w_sub - grid[k] * c_col, low_rank_factor=None
         )
-        x, u, _, _, ok, _ = _saddle_cd(at_g, x, tol)
+        [(x, u, _, _, ok)] = _saddle_cd(at_g, x, tol)
         assert ok
         e, ld, pref, _ = _core(at_g, x, u)
         log_dens[k] += e + ld + pref

@@ -1,5 +1,6 @@
 """Hyperparameter tests: grids, inverse-temperature estimate, CV harness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -210,6 +211,11 @@ def test_pearson_basic_and_degenerate():
     assert bn.hyper.pearson(a, 2.0 * a + 1.0) == pytest.approx(1.0, abs=1e-14)
     assert bn.hyper.pearson(a, -a) == pytest.approx(-1.0, abs=1e-14)
     assert bn.hyper.pearson(a, np.full(4, 3.3)) == 0.0
+    # a 2-D second argument: one correlation per column, constant columns 0
+    cols = np.column_stack([2.0 * a + 1.0, -a, np.full(4, 3.3), [1.0, 0.0, 2.0, 5.0]])
+    r = bn.hyper.pearson(a, cols)
+    assert r.shape == (4,) and r[2] == 0.0
+    assert r == pytest.approx([bn.hyper.pearson(a, c) for c in cols.T], abs=1e-14)
 
 
 # --- cross_validate ---------------------------------------------------------
@@ -249,6 +255,23 @@ def test_cv_reproducible_bit_for_bit():
     assert np.array_equal(a.fold_scores, b.fold_scores, equal_nan=True)
     c = bn.cross_validate(std, grid, folds=5, seed=10)
     assert not np.array_equal(a.fold_assignment, c.fold_assignment)
+
+
+def test_cv_unconverged_lane_scores_nan(monkeypatch):
+    # a lane of a path that did not converge drops out as NaN; the other
+    # lanes of the same path still score
+    std = helpers.random_standardized(31, 53, 4)
+    tau_path = bn.hyper.tau_path
+
+    def first_lane_fails(*args, **kwargs):
+        sols = tau_path(*args, **kwargs)
+        return [dataclasses.replace(sols[0], converged=False)] + sols[1:]
+
+    monkeypatch.setattr(bn.hyper, "tau_path", first_lane_fails)
+    rep = bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
+    # the first lane is the largest tau, the last grid column
+    assert np.isnan(rep.fold_scores[:, :, -1]).all()
+    assert np.isfinite(rep.fold_scores[:, :, :-1]).all()
 
 
 def test_cv_fold_partition_covers_all_rows():

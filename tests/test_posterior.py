@@ -9,7 +9,6 @@ import pytest
 
 import bayonet as bn
 from bayonet import GridSpec, expectation, marginal_ml_approx, marginal_sp
-from bayonet.partition import _CPlusD, _d_diag
 from bayonet.saddle import _saddle_cd
 
 import helpers
@@ -79,10 +78,9 @@ def test_marginal_inner_solve_free_at_center(p5_suite):
     idx = [k for k in range(5) if k != j]
     sub = prob._restrict(idx)
     at_center = sub._replace(w=sub.w - sad.x_tau[j] * prob.c[idx, j])
-    _, _, cycles, res, ok, c_plus_d = _saddle_cd(at_center, sad.x_tau[idx], 1e-10)
+    [(_, _, cycles, res, ok)] = _saddle_cd(at_center, sad.x_tau[idx], 1e-10)
     assert ok
     assert cycles == 1
-    assert c_plus_d is not None
 
 
 def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
@@ -133,16 +131,15 @@ def test_marginal_p5_needs_no_coordinate_sweeps(p5_suite, monkeypatch):
     assert sweeps == []
 
 
-def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
-    # every converged inner solve hands back a factor, starts already
-    # converged included; it is built at the point before the polish step,
-    # with a/b in place of D.  Each bench-shaped curve stops at the second
-    # node level: 17 + 16 solves.
+def test_every_inner_solve_converges_with_a_polish_step(monkeypatch):
+    # every inner solve converges, starts already converged included, and
+    # spends at least one cycle, its polish step.  Each bench-shaped curve
+    # stops at the second node level: 17 + 16 solves.
     solves = []
 
     def recorded(problem, x0, tol):
         out = _saddle_cd(problem, x0, tol)
-        solves.append((problem, out))
+        solves.extend(out)
         return out
 
     monkeypatch.setattr(bn.posterior, "_saddle_cd", recorded)
@@ -151,13 +148,8 @@ def test_every_converged_inner_solve_hands_back_its_factor(monkeypatch):
         for j in range(prob.p):
             marginal_sp(prob, sad, j)
     assert len(solves) == 2 * 10 * 33
-    worst = 0.0
-    for problem, (x, u, cycles, _, ok, c_plus_d) in solves:
+    for _, _, cycles, _, ok in solves:
         assert ok and cycles >= 1
-        assert c_plus_d is not None
-        fresh = _CPlusD(problem, _d_diag(u, problem.mu, problem.tau)).log_det()
-        worst = max(worst, abs(c_plus_d.log_det() - fresh) / abs(fresh))
-    assert worst < 1e-6
 
 
 def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):

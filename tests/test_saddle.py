@@ -164,11 +164,20 @@ def test_cycle_count_moderate_at_map_tau(p5_suite):
 
 
 def test_not_converged_flag(monkeypatch):
-    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
     std = helpers.random_standardized(33, 30, 6)
     prob = bn.build_problem(std, 0.05, 0.05, 100.0)
+    start = solve_saddle(prob, np.zeros(6), tol=1e-13).x_tau
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
     sol = solve_saddle(prob, np.zeros(6), tol=1e-14)
     assert not sol.converged
+    # each lane of a path spends its own budget: the lane started at its
+    # own solution leaves in its first cycle, lanes still running when the
+    # budget is spent return unconverged
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 3)
+    path = tau_path(prob, [100.0, 10.0, 1.0, 0.1], init=start)
+    assert path[0].converged and path[0].cycles == 1
+    assert not all(sol.converged for sol in path)
+    assert all(sol.cycles == 3 for sol in path if not sol.converged)
 
 
 def sweep_reference(prob, x0, tol=1e-13, max_sweeps=20000):
@@ -220,6 +229,22 @@ def test_fallback_sweep_runs_where_newton_cannot(monkeypatch):
     assert len(calls) >= prob.p
     ref = solve_saddle(prob, bn.solve_ml(prob, tol=1e-12).x_hat, tol=1e-11)
     assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 1e-9
+    # in a path from the same start the lanes at large tau need sweeps,
+    # while at tau = 1e-4 1/tau keeps every b > 0 and Newton steps suffice
+    swept, sweep_ = [], saddle._sweep
+
+    def sweep(problem, x, u):
+        swept.append(problem.tau)
+        return sweep_(problem, x, u)
+
+    monkeypatch.setattr(saddle, "_sweep", sweep)
+    taus = [100.0, 10.0, 1e-4]
+    tol = 1e-11
+    for t, sol in zip(taus, tau_path(prob, taus, init=start, tol=tol)):
+        ref = solve_saddle(prob.with_tau(t), start, tol=tol)
+        assert sol.converged and ref.converged
+        assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 10 * tol * max(1.0, 1.0 / t)
+    assert {100.0, 10.0} <= set(swept) and 1e-4 not in swept
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -318,6 +343,20 @@ def test_path_single_element_equals_direct_solve():
     path = tau_path(prob, [250.0], init=ml.x_hat, tol=1e-11)
     direct = solve_saddle(prob.with_tau(250.0), ml.x_hat, tol=1e-11)
     assert path[0].x_tau == pytest.approx(direct.x_tau, abs=1e-15)
+    # on a grid, every lane is the solve of its tau from the same start,
+    # on a direct and on a wide (p > n) problem
+    wide = helpers.random_standardized(39, 20, 50, beta=[1.0, -0.5] + [0.0] * 48, noise=0.5)
+    wide = bn.build_problem(wide, 0.1, 1.0, 1.0)
+    assert wide.low_rank_factor is not None
+    tol = 1e-11
+    taus = [1e6, 1e4, 250.0, 10.0, 1.0]
+    for base in (prob, wide):
+        base = base.with_mu(0.3 * float(np.abs(base.w).max()))
+        ml = bn.solve_ml(base, tol=1e-12)
+        for t, sol in zip(taus, tau_path(base, taus, init=ml.x_hat, tol=tol)):
+            ref = solve_saddle(base.with_tau(t), ml.x_hat, tol=tol)
+            assert sol.tau == t and sol.converged == ref.converged
+            assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 10 * tol
 
 
 def test_path_warm_equals_cold():
