@@ -410,15 +410,24 @@ def cmd_convergence(args):
     else:
         count, ratio = args.mu_grid
         mus = list(mu_grid(mu_max(base.w), count, ratio))
-    taus = tau_grid(*args.tau_grid)
-    rows = []
+    taus = list(tau_grid(*args.tau_grid)[::-1])
+    # the mus before the first unconverged ML fit are solved as one
+    # (mu, tau) grid; that fit's error follows their rows, as in mu order
+    mls, failed = [], None
     for mu in mus:
-        prob = base.with_mu(mu)
-        ml = solve_ml(prob, tol=args.tol)
+        ml = solve_ml(base.with_mu(mu), tol=args.tol)
         if not ml.converged:
-            raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
-        sols = tau_path(prob, list(taus[::-1]), init=ml.x_hat, tol=args.tol)
-        for sol in reversed(sols):
+            failed = ml
+            break
+        mls.append(ml)
+    sols = []
+    if mls:
+        inits = [ml.x_hat for ml in mls]
+        sols = tau_path(base, taus, init=inits, tol=args.tol, mus=mus[: len(mls)])
+    rows = []
+    for i, ml in enumerate(mls):
+        mu, prob = mus[i], base.with_mu(mus[i])
+        for sol in reversed(sols[i * len(taus) : (i + 1) * len(taus)]):
             if not sol.converged:
                 raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={mu}")
             lp = log_partition(prob.with_tau(sol.tau), sol)
@@ -429,6 +438,8 @@ def cmd_convergence(args):
                 )
             xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
             rows.append([sol.tau, mu, gap, xdiff])
+    if failed is not None:
+        raise NotConverged(failed.cycles, f"ML stage at mu={mus[len(mls)]}")
     _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], rows)
     return 0
 

@@ -331,6 +331,18 @@ def _cost(problem, x):
     )
 
 
+def _check_init(problem, init, rows=None):
+    # a solver's start as a fresh float array: one of length p, or with rows
+    # given one of length p per row; ValueError unless finite and that shape
+    init = np.array(init, dtype=float)
+    shape = (problem.p,) if rows is None else (rows, problem.p)
+    if init.shape != shape:
+        raise ValueError(f"init must have shape {shape}")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
+    return init
+
+
 def cost_h(problem, x):
     """Evaluate the penalized cost x'Cx - 2w'x + 2mu*||x||_1."""
     x = np.asarray(x, dtype=float)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_init
 from .exact1d import _half_line_logs, _prob_nonneg
 from .special import RngStream, _std_lower_truncated
 
@@ -68,11 +69,7 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     kept = (sweeps - burn_in) // thin
     if kept < 1:
         raise ValueError("the chain keeps no samples: need sweeps - burn_in >= thin")
-    x = np.array(init, dtype=float)  # a copy: the loop writes to it
-    if x.shape != (problem.p,):
-        raise ValueError(f"init must have length {problem.p}")
-    if not np.isfinite(x).all():
-        raise ValueError("init must be finite")
+    x = _check_init(problem, init)  # a copy: the loop writes to it
     c, mu, tau = problem.c, problem.mu, problem.tau
     p = problem.p
     rng = RngStream(seed)

@@ -25,8 +25,9 @@ from .special import RngStream
 class HyperGrid:
     """Candidate (mu, tau) values; mus descending, taus ascending.
 
-    cross_validate solves each mu from a cold ML start and its tau column
-    as one lockstep tau_path from that ML minimizer."""
+    cross_validate fits the mus in order, each ML fit from the previous
+    mu's minimizer, and solves a fold's whole grid as one lockstep
+    tau_path, every (mu, tau) cell from its mu's ML minimizer."""
 
     mus: np.ndarray
     taus: np.ndarray
@@ -164,15 +165,36 @@ def _screen(std, top):
     return keep
 
 
+def _fold_paths(problem, taus, mus, inits, tol):
+    """One tau_path over every (mu, tau) cell of a fold; one list of
+    solutions per mu, or None for a mu whose solve raised.
+
+    A BayonetError in the fold-wide call is narrowed down by solving each
+    mu on its own, so an error costs only its own mu's row.
+    """
+    try:
+        sols = tau_path(problem, taus, init=np.array(inits), tol=tol, mus=mus)
+    except BayonetError:
+        if len(mus) == 1:
+            return [None]
+        return [
+            _fold_paths(problem, taus, [mu], [x], tol)[0] for mu, x in zip(mus, inits)
+        ]
+    n = len(taus)
+    return [sols[i * n : (i + 1) * n] for i in range(len(mus))]
+
+
 def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     """Grid-search (mu, tau) by k-fold CV with per-fold standardization.
 
     Every training fold is centered/scaled from scratch and its statistics
     applied to the held-out rows, so no validation information reaches the
-    fit.  Within a fold and mu, the tau column is solved as one lockstep
-    tau_path, every tau from the ML minimizer, and its predictions are
-    scored together.  A failed cell (solver non-convergence or a degenerate
-    fold matrix) scores NaN and simply drops out of the medians.
+    fit.  Within a fold the ML fits run down the descending mus, each from
+    the previous converged minimizer (glmnet's pathwise warm start), and the
+    whole (mu, tau) grid is then solved as one lockstep tau_path, every cell
+    from its mu's ML minimizer.  A failed cell (solver non-convergence)
+    scores NaN and simply drops out of the medians; a mu whose ML fit fails
+    or whose solve raises loses its row, a degenerate fold matrix its fold.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -219,21 +241,29 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
             base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
         except BayonetError:
             continue
+        rows, inits = [], []
         for i, mu in enumerate(grid.mus):
-            prob = base.with_mu(mu)
+            start = inits[-1] if inits else None
             try:
-                ml = solve_ml(prob, tol=tol)
-                if not ml.converged:
-                    continue
-                sols = tau_path(prob, taus_desc, init=ml.x_hat, tol=tol)
+                ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
             except BayonetError:
                 continue
-            # one column of predictions per tau, ascending like the grid
-            sols = sols[::-1]
-            x = np.array([sol.x_tau for sol in sols])
-            pred = a_val @ x.T * std.response_scale + std.response_offset
-            ok = np.array([sol.converged for sol in sols])
-            scores[f, i] = np.where(ok, pearson(y_val, pred), np.nan)
+            if ml.converged:
+                rows.append(i)
+                inits.append(ml.x_hat)
+        if not rows:
+            continue
+        paths = _fold_paths(base, taus_desc, list(grid.mus[rows]), inits, tol)
+        solved = [(i, sols) for i, sols in zip(rows, paths) if sols is not None]
+        if not solved:
+            continue
+        # one column of predictions per cell, taus ascending like the grid
+        sols = [sol for _, path in solved for sol in path[::-1]]
+        x = np.array([sol.x_tau for sol in sols])
+        pred = a_val @ x.T * std.response_scale + std.response_offset
+        ok = np.array([sol.converged for sol in sols])
+        r = np.where(ok, pearson(y_val, pred), np.nan)
+        scores[f, [i for i, _ in solved]] = r.reshape(len(solved), n_tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median_scores = np.nanmedian(scores, axis=0)

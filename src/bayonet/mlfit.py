@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _cost
+from .data import _check_init, _cost
 
 _MAX_CYCLES = 100_000
 # relative move at which the sweeps over a just-grown active set stop and the
@@ -108,17 +108,21 @@ def _ml_cd(problem, x0, tol):
             return x, cycles, False
 
 
-def solve_ml(problem, tol=1e-10):
-    """Minimize the penalized cost of ``problem``, starting from x = 0.
+def solve_ml(problem, tol=1e-10, init=None):
+    """Minimize the penalized cost of ``problem``, starting from init.
 
-    Stops when a sweep over the active set moves no coordinate by more than
-    tol * max(1, ||x||_inf) and no zero coordinate violates its optimality
-    condition.  Runs the cycle budget out rather than raising; a
+    init (default: x = 0) is any finite start of length p; the minimizer of
+    a nearby l1 weight makes a good one, as glmnet's pathwise descent uses
+    it.  Stops when a sweep over the active set moves no coordinate by more
+    than tol * max(1, ||x||_inf) and no zero coordinate violates its
+    optimality condition.  Runs the cycle budget out rather than raising; a
     budget-exhausted result comes back with converged=False.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    x, cycles, ok = _ml_cd(problem, None, tol)
+    if init is not None:
+        init = _check_init(problem, init)
+    x, cycles, ok = _ml_cd(problem, init, tol)
     return MlSolution(
         x_hat=x,
         active_set=tuple(int(j) for j in np.nonzero(x)[0]),

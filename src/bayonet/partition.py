@@ -8,8 +8,9 @@ posterior standard deviations.  For wide designs (p > n) it is a Cholesky
 of an n x n core matrix (Woodbury identity and matrix determinant lemma)
 instead of a p x p one.
 
-_cholesky is the package's only Cholesky: _CPlusD (every C + D and the
-zero-temperature active block) and PenalizedProblem's check of C call it.
+_cholesky is the package's only Cholesky: _CPlusD (every C + D, a stack of
+them for the stationary-point solver's lanes, and the zero-temperature
+active block) and PenalizedProblem's check of C call it.
 """
 
 import math
@@ -21,6 +22,9 @@ from scipy import linalg as sla
 from .errors import NotConverged, NumericalOverflow, SingularMatrix, TransitionValue
 
 _TRANSITION_TOL = 1e-8
+# widest C + D factored as one stack: numpy's batched Cholesky costs more per
+# matrix than a direct dpotrf call from about p = 20 on (1 BLAS thread)
+_STACK_MAX_P = 16
 
 
 @dataclass(frozen=True)
@@ -46,20 +50,57 @@ def _d_diag(u, mu, tau):
 
 
 def _cholesky(matrix):
-    """Lower Cholesky factor of a symmetric matrix; SingularMatrix on failure.
+    """Lower Cholesky factor of a symmetric matrix, or of each of a stack.
 
-    LAPACK dpotrf is called directly: scipy's wrappers check their
+    One matrix goes to LAPACK dpotrf directly: scipy's wrappers check their
     arguments on every call, which costs several times the factorization
     itself at the sizes of the marginal curves' inner solves.  In their
     place, a NaN or inf fails the factorization or leaves a non-finite
-    pivot, checked in O(p).
+    pivot, checked in O(p); either raises SingularMatrix.
+
+    A stack (k, p, p) is factored in one batched call and gives (chol, ok):
+    ok[i] is False where matrix i would have raised, and chol[i] is then
+    unusable.  numpy refuses a whole stack for one failed matrix, so such a
+    stack is factored again matrix by matrix to find the failures.
     """
+    if matrix.ndim == 3:
+        try:
+            chol = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            chol = np.zeros_like(matrix)
+            ok = np.ones(matrix.shape[0], dtype=bool)
+            for i, one in enumerate(matrix):
+                try:
+                    chol[i] = _cholesky(one)
+                except SingularMatrix:
+                    ok[i] = False
+            return chol, ok
+        return chol, np.isfinite(np.diagonal(chol, axis1=1, axis2=2)).all(axis=1)
     chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
     if info != 0:
         raise SingularMatrix(f"dpotrf info={info}: not positive definite")
     if not np.isfinite(chol.diagonal()).all():
         raise SingularMatrix("non-finite pivot in a Cholesky factor")
     return chol
+
+
+def _cho_solve_stack(chol, rhs):
+    """Row k of (L_k L_k')^{-1} rhs[k] for a stack of lower factors L_k.
+
+    Forward then back substitution, each step vectorized across the stack
+    (lanes last, so every slice is contiguous over them): 4p numpy calls
+    in all, where one LAPACK solve per row would cost k calls.
+    """
+    lt = chol.transpose(1, 2, 0).copy()
+    y = rhs.T.copy()
+    p = y.shape[0]
+    for j in range(p):
+        y[j] /= lt[j, j]
+        y[j + 1 :] -= lt[j + 1 :, j] * y[j]
+    for j in range(p - 1, -1, -1):
+        y[j] /= lt[j, j]
+        y[:j] -= lt[j, :j] * y[j]
+    return y.T
 
 
 class _CPlusD:
@@ -98,6 +139,41 @@ class _CPlusD:
         else:
             raise ValueError(f"unknown method {method!r}")
         self._chol = _cholesky(matrix)
+
+    @staticmethod
+    def solve_stack(problem, e, rhs, ok):
+        """Row k of rhs becomes (C + diag(e[k]))^{-1} rhs[k], in place, for
+        every row with ok[k]; ok[k] is cleared where that row's
+        factorization fails, and rhs[k] is then meaningless.
+
+        On the direct route, with p <= _STACK_MAX_P and at least max(p, 2)
+        rows, the rows are factored by one batched _cholesky call and solved
+        by vectorized substitution, whose 4p numpy calls then cost less than
+        one factor and solve per row.  Otherwise every row gets its own
+        factor: so does a single row, whose solve is exactly
+        _CPlusD(problem, e[k]).solve(rhs[k]), and every row on the low-rank
+        route, where k n x n cores as one stack would cost k n^2 doubles and
+        the flops dominate anyway.
+        """
+        rows, p = ok.nonzero()[0], problem.p
+        if (
+            rows.size >= max(p, 2)
+            and p <= _STACK_MAX_P
+            and problem.low_rank_factor is None
+        ):
+            matrix = np.empty((rows.size, p, p))
+            matrix[:] = problem.c
+            matrix.reshape(rows.size, p * p)[:, :: p + 1] += e[rows]
+            chol, factored = _cholesky(matrix)
+            ok[rows[~factored]] = False
+            rows = rows[factored]
+            rhs[rows] = _cho_solve_stack(chol[factored], rhs[rows])
+            return
+        for k in rows:
+            try:
+                rhs[k] = _CPlusD(problem, e[k]).solve(rhs[k])
+            except SingularMatrix:
+                ok[k] = False
 
     def solve(self, rhs):
         """(C + diag(e))^{-1} rhs."""

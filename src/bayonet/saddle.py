@@ -19,12 +19,15 @@ Newton step to polish it.  No factor leaves the solver: log Z and the
 marginal curves factor C + D at the polished point.
 
 The one Newton loop, _saddle_cd, solves a stack of lanes: iterates of one
-problem that differ only in tau.  tau_path runs its whole grid as lanes from
-one start; solve_saddle and the marginal curves' inner solves are the
-one-lane case.  Each lane keeps its own factor of C + D and its own
-fallback sweep, while the residuals, box and b tests, backtracking and
-convergence tests are done once per cycle for all live lanes, which is
-where small problems spend their time.
+problem that differ only in tau and mu, each from its own start.  tau_path
+runs a whole tau grid, or a whole (mu, tau) grid (cross-validation's fold,
+the convergence sweep), as lanes; solve_saddle and the marginal curves'
+inner solves are the one-lane case.  The residuals, box and b tests,
+backtracking and convergence tests are done once per cycle for all live
+lanes, which is where small problems spend their time.  Each lane solves
+its own C + D system; on the direct route the stepping lanes' matrices are
+factored as one stack (partition._CPlusD.solve_stack), and a lane whose
+factor fails takes its own fallback sweep.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
@@ -44,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAdmissibleRoot, SingularMatrix
+from .data import _check_init
+from .errors import NoAdmissibleRoot
 from .partition import _CPlusD
 
 _MIN_STEP = 1e-4
@@ -162,39 +166,36 @@ def _sweep(problem, x, u):
     return x, u, _residual(x, u, mu, tau)
 
 
-def _newton_step(problem, x, u, res, tau):
+def _newton_step(problem, x, u, b, res, tau, mu):
     """Damped Newton steps for a stack of lanes, in place; returns moved.
 
     Row k of (x, u) is an iterate at inverse temperature tau[k] (a column)
-    with residual res[k].  The Jacobian of F(x) = a*x - u/tau is
-    diag(b) (C + diag(a/b)) with a = mu^2 - u^2 and b = 2ux + 1/tau, so
-    each lane solves (C + diag(a/b)) dx = -F/b on its own factor of
-    C + diag(a/b).  A lane on or just outside the box (the ML minimizer has
-    |u_j| = mu up to its tolerance) uses max(a, 0), which keeps the matrix
-    positive definite.  A lane keeps the longest of the steps t dx, t = 1,
-    1/2, 1/4, ... down to _MIN_STEP, that leaves every |u| < mu and its
-    plug-back residual below res.  The full step is tried for all rows at
+    and l1 weight mu (one float for all rows, or a column) with residual
+    res[k].  The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b))
+    with a = mu^2 - u^2 and b = 2ux + 1/tau (given: the caller's
+    convergence test reads it too), so each lane solves
+    (C + diag(a/b)) dx = -F/b; the stepping lanes' systems go to
+    partition._CPlusD.solve_stack together.  A lane on or just outside the
+    box (the ML minimizer has |u_j| = mu up to its tolerance) uses
+    max(a, 0), which keeps the matrix positive definite.  A lane keeps the
+    longest of the steps t dx, t = 1, 1/2, 1/4, ... down to _MIN_STEP,
+    that leaves every |u| < mu and its plug-back residual below res.  The full step is tried for all rows at
     once and taken almost always; the lanes it fails halve their steps
     together.  moved is False, and the row is left as it was, where some
     b <= 0, the factor failed or no step qualified.  Rows that cannot step
     and trial points outside the box compute values that are never kept,
     so the caller ignores their floating-point errors.
     """
-    w, mu = problem.w, problem.mu
+    w = problem.w
     a = mu * mu - u * u
-    b = 2.0 * u * x + 1.0 / tau
     stepping = (b > 0.0).all(axis=1)
     e = np.maximum(a, 0.0) / b
     dx = (u / tau - a * x) / b
-    for k in stepping.nonzero()[0]:
-        try:
-            dx[k] = _CPlusD(problem, e[k]).solve(dx[k])
-        except SingularMatrix:
-            stepping[k] = False
+    _CPlusD.solve_stack(problem, e, dx, stepping)
     xt = x + dx
     ut = w - problem._matvec(xt)
     rt = _residual(xt, ut, mu, tau)
-    moved = stepping & (np.abs(ut).max(axis=1) < mu) & (rt < res)
+    moved = stepping & (np.abs(ut) < mu).all(axis=1) & (rt < res)
     np.copyto(x, xt, where=moved[:, None])
     np.copyto(u, ut, where=moved[:, None])
     np.copyto(res, rt, where=moved)
@@ -203,8 +204,9 @@ def _newton_step(problem, x, u, res, tau):
     while rest.size and t >= _MIN_STEP:
         xt = x[rest] + t * dx[rest]
         ut = w - problem._matvec(xt)
-        rt = _residual(xt, ut, mu, tau[rest])
-        take = (np.abs(ut).max(axis=1) < mu) & (rt < res[rest])
+        mu_rest = mu if np.isscalar(mu) else mu[rest]
+        rt = _residual(xt, ut, mu_rest, tau[rest])
+        take = (np.abs(ut) < mu_rest).all(axis=1) & (rt < res[rest])
         lanes = rest[take]
         x[lanes], u[lanes], res[lanes] = xt[take], ut[take], rt[take]
         moved[lanes] = True
@@ -213,14 +215,16 @@ def _newton_step(problem, x, u, res, tau):
     return moved
 
 
-def _saddle_cd(problem, x0, tol, taus=None):
-    """Solve from x0 at every tau of taus (default: the problem's own) in
-    lockstep; returns one (x, u, cycles, residual, converged) per tau.
+def _saddle_cd(problem, x0, tol, taus=None, mus=None):
+    """Solve in lockstep from x0, one lane per entry of taus and mus
+    (defaults: one lane at the problem's own tau and mu); returns one
+    (x, u, cycles, residual, converged) per lane.
 
-    The lanes are iterates of the one problem that differ only in tau.
-    Each cycle moves every live lane by a damped Newton step, or by one
-    coordinate sweep where it cannot take one.  A lane has converged when
-    its residual is below tol * max(1, 1/tau) with every |u| < mu and every
+    The lanes are iterates of the one problem that differ only in tau and
+    mu; x0 is one start for all, or one row per lane.  Each cycle moves
+    every live lane by a damped Newton step, or by one coordinate sweep
+    where it cannot take one.  A lane has converged when its residual is
+    below tol * max(1, 1/tau) with every |u| < mu and every
     b = 2ux + 1/tau > 0.  At a stationary point x and u share a sign, so
     b >= 1/tau.  The b test rejects starts such as x of the opposite sign
     to u with |u| within rounding of mu: a ~ 0 there, and at large tau the
@@ -230,13 +234,15 @@ def _saddle_cd(problem, x0, tol, taus=None):
     a start that already is included: that cycle's Newton step polishes the
     iterate, kept only if it lowers the residual, and the lane leaves with
     cycles set to that cycle's number, so cycles >= 1.  Lanes run
-    independently of each other: up to the rounding of the products they
-    share, each one's iterates are those it would take alone.  A lane still
-    live after _MAX_CYCLES cycles returns converged=False and cycles =
-    _MAX_CYCLES.
+    independently of each other: up to the rounding of the products and
+    factorizations they share, each one's iterates are those it would take
+    alone.  A lane still live after _MAX_CYCLES cycles returns
+    converged=False and cycles = _MAX_CYCLES.
     """
-    mu = problem.mu
     taus = np.array([problem.tau] if taus is None else taus, dtype=float)
+    # without mus every lane has the problem's mu, kept a float: the one-lane
+    # solves of the marginal curves run many short loops
+    mu = problem.mu if mus is None else np.array(mus, dtype=float)[:, None]
     tols = tol * np.maximum(1.0, 1.0 / taus)
     tau = taus[:, None]
     x = np.empty((taus.size, problem.p))
@@ -248,15 +254,17 @@ def _saddle_cd(problem, x0, tol, taus=None):
     # the Newton steps' discarded trial values may overflow or divide by zero
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for cycles in range(1, _MAX_CYCLES + 1):
+            b = 2.0 * u * x + 1.0 / tau
             done = res < tols
             exits = done.any()
             if exits:
-                inside = np.abs(u).max(axis=1) < mu
-                done &= inside & (2.0 * u * x + 1.0 / tau > 0.0).all(axis=1)
+                inside = (np.abs(u) < mu).all(axis=1)
+                done &= inside & (b > 0.0).all(axis=1)
                 exits = done.any()
-            moved = _newton_step(problem, x, u, res, tau)
+            moved = _newton_step(problem, x, u, b, res, tau, mu)
             for k in (~(done | moved)).nonzero()[0]:
-                at_k = problem._replace(tau=taus[live[k]])
+                mu_k = mu if np.isscalar(mu) else float(mu[k, 0])
+                at_k = problem._replace(tau=float(tau[k, 0]), mu=mu_k)
                 x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
             if exits:
                 for k in done.nonzero()[0]:
@@ -266,17 +274,15 @@ def _saddle_cd(problem, x0, tol, taus=None):
                     return out
                 x, u, res, tau = x[keep], u[keep], res[keep], tau[keep]
                 tols, live = tols[keep], live[keep]
+                if not np.isscalar(mu):
+                    mu = mu[keep]
     for k, lane in enumerate(live):
         out[lane] = (x[k], u[k], _MAX_CYCLES, float(res[k]), False)
     return out
 
 
-def _check_start(problem, init, tol):
-    init = np.asarray(init, dtype=float)
-    if init.shape != (problem.p,):
-        raise ValueError(f"init must have length {problem.p}")
-    if not np.isfinite(init).all():
-        raise ValueError("init must be finite")
+def _check_start(problem, init, tol, rows=None):
+    init = _check_init(problem, init, rows)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     return init
@@ -304,7 +310,7 @@ def solve_saddle(problem, init, tol=1e-10):
     return _solution(problem.tau, lane)
 
 
-def tau_path(problem, taus, init=None, tol=1e-10):
+def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
     """Solve at every tau of a strictly decreasing inverse-temperature grid.
 
     Element k is solve_saddle(problem.with_tau(taus[k]), init, tol): every
@@ -313,6 +319,11 @@ def tau_path(problem, taus, init=None, tol=1e-10):
     backtracking, convergence tests) is done once for all lanes still
     running.  The sparse minimizer is the natural init; omitted, it
     defaults to the zero vector.
+
+    With mus (positive and finite) the grid is every (mu, tau) pair, mu
+    major: init has one row per mu (omitted, zeros), and element
+    i*len(taus)+k is solve_saddle(problem.with_mu(mus[i]).with_tau(taus[k]),
+    init[i], tol).  All len(mus)*len(taus) lanes run as one lockstep stack.
     """
     taus = [float(t) for t in taus]
     if not taus:
@@ -321,6 +332,20 @@ def tau_path(problem, taus, init=None, tol=1e-10):
         raise ValueError("taus must be positive and finite")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly decreasing")
-    init = _check_start(problem, np.zeros(problem.p) if init is None else init, tol)
-    lanes = _saddle_cd(problem, init, tol, taus)
-    return [_solution(t, lane) for t, lane in zip(taus, lanes)]
+    if mus is None:
+        init = _check_start(problem, np.zeros(problem.p) if init is None else init, tol)
+        lanes = _saddle_cd(problem, init, tol, taus)
+        return [_solution(t, lane) for t, lane in zip(taus, lanes)]
+    mus = [float(m) for m in mus]
+    if not mus:
+        raise ValueError("empty mu grid")
+    if not all(0.0 < m < math.inf for m in mus):
+        raise ValueError("mus must be positive and finite")
+    if init is None:
+        init = np.zeros((len(mus), problem.p))
+    init = _check_start(problem, init, tol, rows=len(mus))
+    n = len(taus)
+    lanes = _saddle_cd(
+        problem, np.repeat(init, n, axis=0), tol, taus * len(mus), np.repeat(mus, n)
+    )
+    return [_solution(t, lane) for t, lane in zip(taus * len(mus), lanes)]

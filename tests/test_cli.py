@@ -614,6 +614,40 @@ def test_convergence_negative_gap_is_a_numerical_error(tmp_path, monkeypatch):
     assert not isinstance(info.value, bn.NumericalOverflow)
 
 
+def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
+    # the whole --mu-grid is one tau_path call; an unconverged ML fit
+    # raises after the rows of the mus before it, with its own message
+    path_calls, solve_ml = [], cli.solve_ml
+    tau_path = cli.tau_path
+
+    def path(problem, taus, **kwargs):
+        path_calls.append(list(kwargs["mus"]))
+        return tau_path(problem, taus, **kwargs)
+
+    monkeypatch.setattr(cli, "tau_path", path)
+    csv, out = make_csv(tmp_path), tmp_path / "conv.csv"
+    argv = ["convergence", str(csv), "--response", "y", "--mu-grid", "4,0.1",
+            "--tau-grid", "6,3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, rows = read_curve(out)
+    assert len(path_calls) == 1 and len(path_calls[0]) == 4
+    # rows run mu by mu, taus ascending within each mu
+    assert rows[:, 1].tolist() == [m for m in path_calls[0] for _ in range(3)]
+    assert rows[:3, 0].tolist() == sorted(rows[:3, 0])
+
+    def third_fails(problem, tol=1e-10):
+        ml = solve_ml(problem, tol=tol)
+        if problem.mu == path_calls[0][2]:
+            ml = dataclasses.replace(ml, converged=False, cycles=7)
+        return ml
+
+    monkeypatch.setattr(cli, "solve_ml", third_fails)
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
+        cli.cmd_convergence(args)
+    assert path_calls[-1] == path_calls[0][:2]
+
+
 def test_convergence_requires_mu_or_grid(tmp_path, capsys):
     csv = make_csv(tmp_path)
     for extra in ([], ["--mu", "0.05", "--mu-grid", "3,0.1"]):

@@ -263,15 +263,73 @@ def test_cv_unconverged_lane_scores_nan(monkeypatch):
     std = helpers.random_standardized(31, 53, 4)
     tau_path = bn.hyper.tau_path
 
-    def first_lane_fails(*args, **kwargs):
-        sols = tau_path(*args, **kwargs)
-        return [dataclasses.replace(sols[0], converged=False)] + sols[1:]
+    def first_lane_fails(problem, taus, **kwargs):
+        # one fold-wide call, mu major: the first lane of every mu row
+        sols = tau_path(problem, taus, **kwargs)
+        return [
+            dataclasses.replace(sol, converged=False) if k % len(taus) == 0 else sol
+            for k, sol in enumerate(sols)
+        ]
 
     monkeypatch.setattr(bn.hyper, "tau_path", first_lane_fails)
     rep = bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
     # the first lane is the largest tau, the last grid column
     assert np.isnan(rep.fold_scores[:, :, -1]).all()
     assert np.isfinite(rep.fold_scores[:, :, :-1]).all()
+
+
+def test_cv_solver_error_costs_only_its_own_row(monkeypatch):
+    # every fold is one tau_path call; an error raised by one mu's lanes of
+    # one fold drops that (fold, mu) row only, not the fold
+    std = helpers.random_standardized(31, 53, 4)
+    grid = small_grid(std, 0.02)
+    clean = bn.cross_validate(std, grid, folds=5, seed=3)
+    tau_path, folds, calls = bn.hyper.tau_path, [], []
+
+    def one_row_raises(problem, taus, **kwargs):
+        w = problem.w.tobytes()
+        if w not in folds:
+            folds.append(w)
+        calls.append(len(kwargs["mus"]))
+        if folds.index(w) == 1 and grid.mus[2] in kwargs["mus"]:
+            raise bn.NoAdmissibleRoot("injected")
+        return tau_path(problem, taus, **kwargs)
+
+    monkeypatch.setattr(bn.hyper, "tau_path", one_row_raises)
+    rep = bn.cross_validate(std, grid, folds=5, seed=3)
+    lost = np.zeros(rep.fold_scores.shape, dtype=bool)
+    lost[1, 2] = True
+    assert np.isnan(rep.fold_scores[lost]).all()
+    assert np.max(np.abs(rep.fold_scores[~lost] - clean.fold_scores[~lost])) < 1e-12
+    # one fold-wide call per fold, plus one call per mu in the failing fold
+    assert calls == [4, 4, 1, 1, 1, 1, 4, 4, 4]
+
+
+def test_cv_ml_failure_costs_only_its_own_row(monkeypatch):
+    # the ML fits run down the mu column, each from the previous converged
+    # minimizer; a fit that does not converge drops its row and the next
+    # mu starts from the last converged one
+    std = helpers.random_standardized(31, 53, 4)
+    grid = small_grid(std, 0.02)
+    clean = bn.cross_validate(std, grid, folds=5, seed=3)
+    solve_ml, starts = bn.hyper.solve_ml, []
+
+    def second_mu_fails(problem, tol=1e-10, init=None):
+        starts.append(init)
+        ml = solve_ml(problem, tol=tol, init=init)
+        if problem.mu == grid.mus[1]:
+            ml = dataclasses.replace(ml, converged=False, x_hat=np.full(4, np.nan))
+        return ml
+
+    monkeypatch.setattr(bn.hyper, "solve_ml", second_mu_fails)
+    rep = bn.cross_validate(std, grid, folds=5, seed=3)
+    assert np.isnan(rep.fold_scores[:, 1]).all()
+    rest = np.delete(rep.fold_scores, 1, axis=1)
+    assert np.isfinite(rest).all()
+    assert np.max(np.abs(rest - np.delete(clean.fold_scores, 1, axis=1))) < 1e-12
+    # per fold: a cold first fit, then warm starts that skip the failed mu
+    assert all(x is None for x in starts[::4])
+    assert all(np.isfinite(x).all() for k, x in enumerate(starts) if k % 4)
 
 
 def test_cv_fold_partition_covers_all_rows():

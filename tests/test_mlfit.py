@@ -123,6 +123,27 @@ def test_path_warm_equals_cold():
         assert ok
         cold = bn.solve_ml(prob.with_mu(mu), tol=tol)
         assert np.max(np.abs(x - cold.x_hat)) < 10 * tol
+    # and the public warm start down a descending mu column, as
+    # cross_validate runs it: the same minimizers
+    warm = None
+    for mu in [0.3, 0.2, 0.1, 0.05, 0.02]:
+        cold = bn.solve_ml(prob.with_mu(mu), tol=tol)
+        sol = bn.solve_ml(prob.with_mu(mu), tol=tol, init=warm)
+        assert sol.converged and sol.active_set == cold.active_set
+        assert np.max(np.abs(sol.x_hat - cold.x_hat)) < 10 * tol
+        assert sol.h_min == pytest.approx(cold.h_min, abs=1e-12)
+        warm = sol.x_hat
+
+
+@pytest.mark.parametrize("bad", [np.zeros(4), np.zeros((1, 5)), [0.0, np.nan, 0.0, 0.0, 0.0]])
+def test_init_validation(bad):
+    std = helpers.random_standardized(27, 30, 5)
+    prob = bn.build_problem(std, 0.05, 0.1, 1.0)
+    with pytest.raises(ValueError, match="init"):
+        bn.solve_ml(prob, init=bad)
+    start = np.ones(5)
+    bn.solve_ml(prob, init=start)
+    assert np.array_equal(start, np.ones(5))
 
 
 def test_path_active_sets_nested_on_benchmark(diabetes):

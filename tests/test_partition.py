@@ -178,6 +178,44 @@ def test_factor_rejects_non_finite_input(bad):
         _CPlusD(prob._replace(low_rank_factor=f_bad), e, "lowrank")
 
 
+@pytest.mark.parametrize("lanes", [12, 3, 1])
+def test_stacked_solve_matches_one_factor_per_row(lanes):
+    # a stack of C + diag(e_k) factored at once solves every row as its own
+    # factor does; a row whose factor fails (NaN, inf, indefinite) is
+    # flagged, the others still solved, and rows not asked for stay as
+    # they were.  Below max(p, 2) rows each row has its own factor.
+    std = helpers.random_standardized(58, 40, 6)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    rng = np.random.default_rng(59)
+    e = rng.uniform(0.0, 5.0, size=(lanes, 6))
+    rhs = rng.standard_normal((lanes, 6))
+    refs = [_CPlusD(prob, row).solve(b) for row, b in zip(e, rhs)]
+    x, ok = rhs.copy(), np.ones(lanes, dtype=bool)
+    _CPlusD.solve_stack(prob, e, x, ok)
+    assert ok.all()
+    assert np.max(np.abs(x - refs)) < 1e-13
+    if lanes == 1:
+        assert np.array_equal(x[0], refs[0])
+        return
+    bad = e.copy()
+    bad[0, 1], bad[1, 2], bad[2, 3] = math.nan, math.inf, -1e3
+    asked = np.arange(lanes) != 4
+    x, ok = rhs.copy(), asked.copy()
+    _CPlusD.solve_stack(prob, bad, x, ok)
+    assert np.array_equal(ok, asked & (np.arange(lanes) > 2))
+    assert np.abs(x[ok] - np.array(refs)[ok]).max(initial=0.0) < 1e-13
+    assert lanes < 5 or np.array_equal(x[4], rhs[4])
+
+
+def test_cholesky_stack_flags_failed_matrices():
+    c = np.array([[2.0, 0.5], [0.5, 1.0]])
+    stack = np.array([c, -c, c + 1.0, np.full((2, 2), math.nan)])
+    chol, ok = bn.partition._cholesky(stack)
+    assert ok.tolist() == [True, False, True, False]
+    for i in (0, 2):
+        assert np.array_equal(chol[i], bn.partition._cholesky(stack[i]))
+
+
 def test_log_det_validation():
     std = helpers.random_standardized(47, 20, 3)
     prob = bn.build_problem(std, 0.1, 0.1, 1.0)

@@ -387,6 +387,114 @@ def test_path_approaches_sparse_minimizer():
     # path order is descending tau, so distances grow along the path
     assert np.all(np.diff(d_hat) > 0.0)
     assert np.all(np.diff(d_exact) > 0.0)
+    # a (mu, tau) grid in one call, each mu from its own sparse minimizer,
+    # active (mu < w) and inactive (mu > w): every mu row matches the exact
+    # mean to O(1/tau) and is that mu's own path
+    mus = [0.1, 0.25, 0.4, 0.6]
+    starts = [[max(w - m, 0.0) / c] for m in mus]
+    grid = tau_path(prob, taus, init=starts, tol=1e-13, mus=mus)
+    assert len(grid) == len(mus) * len(taus)
+    for i, m in enumerate(mus):
+        row = grid[i * len(taus) : (i + 1) * len(taus)]
+        alone = tau_path(prob.with_mu(m), taus, init=np.array(starts[i]), tol=1e-13)
+        gaps = []
+        for sol, ref in zip(row, alone):
+            e = expectation_exact(OneDimProblem(c=c, w=w, mu=m, tau=sol.tau))
+            assert sol.converged and sol.tau == ref.tau
+            assert abs(sol.x_tau[0] - ref.x_tau[0]) < 1e-15
+            gaps.append(abs(sol.x_tau[0] - e))
+            assert gaps[-1] * sol.tau < 10.0, (m, sol.tau)
+        assert np.all(np.diff(gaps) > 0.0)
+
+
+def test_mu_tau_grid_equals_cell_solves():
+    # every lane of a (mu, tau) grid is the solve of its own cell from its
+    # mu's start, on a direct and on a wide (p > n) problem
+    direct = helpers.random_standardized(34, 40, 3, beta=[1.0, 0.0, -0.3], noise=0.5)
+    wide = helpers.random_standardized(39, 20, 50, beta=[1.0, -0.5] + [0.0] * 48, noise=0.5)
+    taus = [1e6, 1e4, 250.0, 10.0, 1.0]
+    tol = 1e-10
+    for std in (direct, wide):
+        base = bn.build_problem(std, 0.1, 1.0, 1.0)
+        cap = float(np.abs(base.w).max())
+        mus = [0.6 * cap, 0.3 * cap, 0.05 * cap]
+        starts = [bn.solve_ml(base.with_mu(m), tol=1e-12).x_hat for m in mus]
+        grid = tau_path(base, taus, init=starts, tol=tol, mus=mus)
+        k = 0
+        for m, start in zip(mus, starts):
+            for t in taus:
+                ref = solve_saddle(base.with_mu(m).with_tau(t), start, tol=tol)
+                assert grid[k].tau == t and grid[k].converged == ref.converged
+                assert np.max(np.abs(grid[k].x_tau - ref.x_tau)) < 1e-12
+                k += 1
+
+
+def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
+    # one lane's C + D in a stacked factorization is made indefinite: that
+    # lane falls back to coordinate sweeps and still converges, while the
+    # other lanes take the steps of their one-lane solves
+    std = helpers.random_standardized(38, 40, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
+    base = bn.build_problem(std, 0.05, 1.0, 1.0)
+    cap = float(np.abs(base.w).max())
+    # e = (mu^2 - u^2)/b <= mu^2 tau: at most 1.4 in the lanes with mu <=
+    # 0.3 cap, above 30 in those with mu = 5 cap, which start at x = 0
+    mus = [0.3 * cap, 0.1 * cap, 5.0 * cap]
+    starts = [bn.solve_ml(base.with_mu(m), tol=1e-12).x_hat for m in mus]
+    taus = [100.0, 10.0]
+    cholesky, swept, stacked = bn.partition._cholesky, [], []
+
+    def poisoned(matrix):
+        # the mu = 5 cap lanes fail alone or in a stack; the others factor
+        excess = np.diagonal(matrix, axis1=-2, axis2=-1) - np.diag(base.c)
+        big = excess.max(axis=-1) > 10.0
+        if matrix.ndim == 2:
+            return cholesky(-np.eye(base.p) if big else matrix)
+        stacked.append(matrix.shape[0])
+        matrix = matrix.copy()
+        matrix[big] = -np.eye(base.p)
+        return cholesky(matrix)
+
+    def sweep(problem, x, u):
+        swept.append(problem.mu)
+        return sweep_(problem, x, u)
+
+    sweep_ = saddle._sweep
+    tol = 1e-11
+    refs = [
+        solve_saddle(base.with_mu(m).with_tau(t), start, tol=tol)
+        for m, start in zip(mus, starts)
+        for t in taus
+    ]
+    monkeypatch.setattr(bn.partition, "_cholesky", poisoned)
+    monkeypatch.setattr(saddle, "_sweep", sweep)
+    grid = tau_path(base, taus, init=starts, tol=tol, mus=mus)
+    assert stacked and set(swept) == {5.0 * cap}
+    for k, (sol, ref) in enumerate(zip(grid, refs)):
+        assert sol.converged and ref.converged
+        if k < 4:
+            assert sol.cycles == ref.cycles
+            assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 1e-12
+        else:
+            assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 10 * tol
+
+
+@pytest.mark.parametrize(
+    "mus,init",
+    [
+        ([], None),
+        ([0.1, -0.2], None),
+        ([0.1, math.inf], None),
+        ([0.1, math.nan], None),
+        ([0.1, 0.2], np.zeros(3)),
+        ([0.1, 0.2], np.zeros((3, 3))),
+        ([0.1, 0.2], np.zeros((2, 2))),
+        ([0.1, 0.2], [[0.0, 0.0, 0.0], [0.0, math.nan, 0.0]]),
+    ],
+)
+def test_mu_grid_validation(mus, init):
+    prob = bn.PenalizedProblem(c=np.eye(3), w=np.full(3, 0.5), mu=0.1, lam=0.0, tau=1.0)
+    with pytest.raises(ValueError):
+        tau_path(prob, [10.0, 1.0], init=init, mus=mus)
 
 
 def test_path_requires_decreasing_taus():
