@@ -193,8 +193,9 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     the previous converged minimizer (glmnet's pathwise warm start), and the
     whole (mu, tau) grid is then solved as one lockstep tau_path, every cell
     from its mu's ML minimizer.  A failed cell (solver non-convergence)
-    scores NaN and simply drops out of the medians; a mu whose ML fit fails
-    or whose solve raises loses its row, a degenerate fold matrix its fold.
+    scores NaN and simply drops out of the medians; a mu whose ML fit does
+    not converge or whose solve raises loses its row, a degenerate fold
+    matrix its fold.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -244,10 +245,7 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
         rows, inits = [], []
         for i, mu in enumerate(grid.mus):
             start = inits[-1] if inits else None
-            try:
-                ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
-            except BayonetError:
-                continue
+            ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
             if ml.converged:
                 rows.append(i)
                 inits.append(ml.x_hat)

@@ -8,9 +8,10 @@ posterior standard deviations.  For wide designs (p > n) it is a Cholesky
 of an n x n core matrix (Woodbury identity and matrix determinant lemma)
 instead of a p x p one.
 
-_cholesky is the package's only Cholesky: _CPlusD (every C + D, a stack of
-them for the stationary-point solver's lanes, and the zero-temperature
-active block) and PenalizedProblem's check of C call it.
+_cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
+the zero-temperature active block) and PenalizedProblem's check of C call
+it.  The stationary-point solver's lanes solve their small C + D systems by
+one batched LU solve, no factor kept (_CPlusD.solve_stack).
 """
 
 import math
@@ -22,9 +23,10 @@ from scipy import linalg as sla
 from .errors import NotConverged, NumericalOverflow, SingularMatrix, TransitionValue
 
 _TRANSITION_TOL = 1e-8
-# widest C + D factored as one stack: numpy's batched Cholesky costs more per
-# matrix than a direct dpotrf call from about p = 20 on (1 BLAS thread)
-_STACK_MAX_P = 16
+# widest C + D whose rows are solved by one batched LU solve: from p = 22 on,
+# with 5 rows, it costs more than a dpotrf and dpotrs call per row (1 BLAS
+# thread); with 13 or more rows it still wins at p = 32
+_STACK_MAX_P = 20
 
 
 @dataclass(frozen=True)
@@ -50,57 +52,22 @@ def _d_diag(u, mu, tau):
 
 
 def _cholesky(matrix):
-    """Lower Cholesky factor of a symmetric matrix, or of each of a stack.
+    """Lower Cholesky factor of a symmetric matrix.
 
-    One matrix goes to LAPACK dpotrf directly: scipy's wrappers check their
+    The matrix goes to LAPACK dpotrf directly: scipy's wrappers check their
     arguments on every call, which costs several times the factorization
     itself at the sizes of the marginal curves' inner solves.  In their
     place, a NaN or inf fails the factorization or leaves a non-finite
-    pivot, checked in O(p); either raises SingularMatrix.
-
-    A stack (k, p, p) is factored in one batched call and gives (chol, ok):
-    ok[i] is False where matrix i would have raised, and chol[i] is then
-    unusable.  numpy refuses a whole stack for one failed matrix, so such a
-    stack is factored again matrix by matrix to find the failures.
+    pivot, checked in O(p); either raises SingularMatrix.  A stack of C + D
+    systems does not come here: _CPlusD.solve_stack solves it by one
+    batched LU solve, no factor kept.
     """
-    if matrix.ndim == 3:
-        try:
-            chol = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            chol = np.zeros_like(matrix)
-            ok = np.ones(matrix.shape[0], dtype=bool)
-            for i, one in enumerate(matrix):
-                try:
-                    chol[i] = _cholesky(one)
-                except SingularMatrix:
-                    ok[i] = False
-            return chol, ok
-        return chol, np.isfinite(np.diagonal(chol, axis1=1, axis2=2)).all(axis=1)
     chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
     if info != 0:
         raise SingularMatrix(f"dpotrf info={info}: not positive definite")
     if not np.isfinite(chol.diagonal()).all():
         raise SingularMatrix("non-finite pivot in a Cholesky factor")
     return chol
-
-
-def _cho_solve_stack(chol, rhs):
-    """Row k of (L_k L_k')^{-1} rhs[k] for a stack of lower factors L_k.
-
-    Forward then back substitution, each step vectorized across the stack
-    (lanes last, so every slice is contiguous over them): 4p numpy calls
-    in all, where one LAPACK solve per row would cost k calls.
-    """
-    lt = chol.transpose(1, 2, 0).copy()
-    y = rhs.T.copy()
-    p = y.shape[0]
-    for j in range(p):
-        y[j] /= lt[j, j]
-        y[j + 1 :] -= lt[j + 1 :, j] * y[j]
-    for j in range(p - 1, -1, -1):
-        y[j] /= lt[j, j]
-        y[:j] -= lt[j, :j] * y[j]
-    return y.T
 
 
 class _CPlusD:
@@ -143,32 +110,34 @@ class _CPlusD:
     @staticmethod
     def solve_stack(problem, e, rhs, ok):
         """Row k of rhs becomes (C + diag(e[k]))^{-1} rhs[k], in place, for
-        every row with ok[k]; ok[k] is cleared where that row's
-        factorization fails, and rhs[k] is then meaningless.
+        every row with ok[k]; ok[k] is cleared where that row's system
+        cannot be solved, and rhs[k] is then meaningless.
 
-        On the direct route, with p <= _STACK_MAX_P and at least max(p, 2)
-        rows, the rows are factored by one batched _cholesky call and solved
-        by vectorized substitution, whose 4p numpy calls then cost less than
-        one factor and solve per row.  Otherwise every row gets its own
-        factor: so does a single row, whose solve is exactly
+        On the direct route, with p <= _STACK_MAX_P and at least 2 rows, the
+        rows are solved by one batched LU solve, no factor kept.  C was
+        verified positive definite when the problem was built, so a row
+        whose e is finite and nonnegative has a positive definite C +
+        diag(e); every other row is flagged before the solve.  Should the
+        batched solve still raise, every row gets its own factor, as it
+        does otherwise: so does a single row, whose solve is exactly
         _CPlusD(problem, e[k]).solve(rhs[k]), and every row on the low-rank
         route, where k n x n cores as one stack would cost k n^2 doubles and
         the flops dominate anyway.
         """
         rows, p = ok.nonzero()[0], problem.p
-        if (
-            rows.size >= max(p, 2)
-            and p <= _STACK_MAX_P
-            and problem.low_rank_factor is None
-        ):
+        if rows.size >= 2 and p <= _STACK_MAX_P and problem.low_rank_factor is None:
+            er = e[rows]
+            valid = ((er >= 0.0) & (er < math.inf)).all(axis=1)
+            ok[rows[~valid]] = False
+            rows, er = rows[valid], er[valid]
             matrix = np.empty((rows.size, p, p))
             matrix[:] = problem.c
-            matrix.reshape(rows.size, p * p)[:, :: p + 1] += e[rows]
-            chol, factored = _cholesky(matrix)
-            ok[rows[~factored]] = False
-            rows = rows[factored]
-            rhs[rows] = _cho_solve_stack(chol[factored], rhs[rows])
-            return
+            matrix.reshape(rows.size, p * p)[:, :: p + 1] += er
+            try:
+                rhs[rows] = np.linalg.solve(matrix, rhs[rows][..., None])[..., 0]
+                return
+            except np.linalg.LinAlgError:
+                pass
         for k in rows:
             try:
                 rhs[k] = _CPlusD(problem, e[k]).solve(rhs[k])

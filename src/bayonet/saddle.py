@@ -25,16 +25,16 @@ the convergence sweep), as lanes; solve_saddle and the marginal curves'
 inner solves are the one-lane case.  The residuals, box and b tests,
 backtracking and convergence tests are done once per cycle for all live
 lanes, which is where small problems spend their time.  Each lane solves
-its own C + D system; on the direct route the stepping lanes' matrices are
-factored as one stack (partition._CPlusD.solve_stack), and a lane whose
-factor fails takes its own fallback sweep.
+its own C + D system; on the direct route the stepping lanes' systems are
+one batched LU solve, no factor kept (partition._CPlusD.solve_stack), and a
+lane whose system cannot be solved takes its own fallback sweep.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
 cyclic sweep of these per-coordinate solves is the globalizer: it replaces
-the Newton step wherever that cannot be taken (some b <= 0, a failed
-factorization, or a backtrack that cannot keep u inside the box while
-lowering the residual, as from a warm start outside it).  A solve has
+the Newton step wherever that cannot be taken (some b <= 0, a C + D
+system that cannot be solved, or a backtrack that cannot keep u inside the
+box while lowering the residual, as from a warm start outside it).  A solve has
 converged only with every |u_j| < mu and every b_j > 0, as at every
 stationary point.  The iterate is x throughout (never u), which avoids
 forming C^{-1}.  The private solvers take the PenalizedProblem whole and
@@ -175,16 +175,18 @@ def _newton_step(problem, x, u, b, res, tau, mu):
     with a = mu^2 - u^2 and b = 2ux + 1/tau (given: the caller's
     convergence test reads it too), so each lane solves
     (C + diag(a/b)) dx = -F/b; the stepping lanes' systems go to
-    partition._CPlusD.solve_stack together.  A lane on or just outside the
+    partition._CPlusD.solve_stack together, on the direct route at small p
+    as one batched LU solve, no factor kept.  A lane on or just outside the
     box (the ML minimizer has |u_j| = mu up to its tolerance) uses
     max(a, 0), which keeps the matrix positive definite.  A lane keeps the
     longest of the steps t dx, t = 1, 1/2, 1/4, ... down to _MIN_STEP,
-    that leaves every |u| < mu and its plug-back residual below res.  The full step is tried for all rows at
-    once and taken almost always; the lanes it fails halve their steps
-    together.  moved is False, and the row is left as it was, where some
-    b <= 0, the factor failed or no step qualified.  Rows that cannot step
-    and trial points outside the box compute values that are never kept,
-    so the caller ignores their floating-point errors.
+    that leaves every |u| < mu and its plug-back residual below res.  The
+    full step is tried for all rows at once and taken almost always; the
+    lanes it fails halve their steps together.  moved is False, and the row
+    is left as it was, where some b <= 0, its system could not be solved or
+    no step qualified.  Rows that cannot step and trial points outside the
+    box compute values that are never kept, so the caller ignores their
+    floating-point errors.
     """
     w = problem.w
     a = mu * mu - u * u

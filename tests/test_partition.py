@@ -178,42 +178,53 @@ def test_factor_rejects_non_finite_input(bad):
         _CPlusD(prob._replace(low_rank_factor=f_bad), e, "lowrank")
 
 
-@pytest.mark.parametrize("lanes", [12, 3, 1])
-def test_stacked_solve_matches_one_factor_per_row(lanes):
-    # a stack of C + diag(e_k) factored at once solves every row as its own
-    # factor does; a row whose factor fails (NaN, inf, indefinite) is
-    # flagged, the others still solved, and rows not asked for stay as
-    # they were.  Below max(p, 2) rows each row has its own factor.
+@pytest.mark.parametrize(
+    "lanes,batch_raises",
+    [pytest.param(k, False, id=str(k)) for k in (12, 3, 2, 1)]
+    + [pytest.param(12, True, id="12-batch-raises")],
+)
+def test_stacked_solve_matches_one_factor_per_row(lanes, batch_raises, monkeypatch):
+    # a stack of C + diag(e_k) solved at once solves every row as its own
+    # factor does; a row whose e is not finite or has a negative entry (NaN,
+    # inf, -1e3) is flagged, the others still solved, and rows not asked
+    # for stay as they were.  From 2 rows on the rows are one batched
+    # solve; a single row, or every row once that solve raises, has its own
+    # factor, so its result is exactly the factor's.
     std = helpers.random_standardized(58, 40, 6)
     prob = bn.build_problem(std, 0.1, 0.1, 1.0)
     rng = np.random.default_rng(59)
     e = rng.uniform(0.0, 5.0, size=(lanes, 6))
     rhs = rng.standard_normal((lanes, 6))
-    refs = [_CPlusD(prob, row).solve(b) for row, b in zip(e, rhs)]
+    refs = np.array([_CPlusD(prob, row).solve(b) for row, b in zip(e, rhs)])
+    solve_, batches = np.linalg.solve, []
+
+    def solve(a, b):
+        batches.append(a.shape[0])
+        if batch_raises:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     x, ok = rhs.copy(), np.ones(lanes, dtype=bool)
     _CPlusD.solve_stack(prob, e, x, ok)
+    assert batches == ([lanes] if lanes > 1 else [])
     assert ok.all()
     assert np.max(np.abs(x - refs)) < 1e-13
+    if lanes == 1 or batch_raises:
+        assert np.array_equal(x, refs)
     if lanes == 1:
-        assert np.array_equal(x[0], refs[0])
         return
     bad = e.copy()
-    bad[0, 1], bad[1, 2], bad[2, 3] = math.nan, math.inf, -1e3
+    for k, j, v in zip(range(lanes), (1, 2, 3), (math.nan, math.inf, -1e3)):
+        bad[k, j] = v
     asked = np.arange(lanes) != 4
     x, ok = rhs.copy(), asked.copy()
     _CPlusD.solve_stack(prob, bad, x, ok)
     assert np.array_equal(ok, asked & (np.arange(lanes) > 2))
-    assert np.abs(x[ok] - np.array(refs)[ok]).max(initial=0.0) < 1e-13
+    assert np.abs(x[ok] - refs[ok]).max(initial=0.0) < 1e-13
+    if batch_raises:
+        assert np.array_equal(x[ok], refs[ok])
     assert lanes < 5 or np.array_equal(x[4], rhs[4])
-
-
-def test_cholesky_stack_flags_failed_matrices():
-    c = np.array([[2.0, 0.5], [0.5, 1.0]])
-    stack = np.array([c, -c, c + 1.0, np.full((2, 2), math.nan)])
-    chol, ok = bn.partition._cholesky(stack)
-    assert ok.tolist() == [True, False, True, False]
-    for i in (0, 2):
-        assert np.array_equal(chol[i], bn.partition._cholesky(stack[i]))
 
 
 def test_log_det_validation():

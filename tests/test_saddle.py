@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bayonet as bn
 from bayonet import OneDimProblem, expectation_exact, saddle, solve_saddle, tau_path
+from bayonet.partition import _CPlusD
 from bayonet.saddle import coordinate_cubic
 
 import helpers
@@ -430,7 +431,7 @@ def test_mu_tau_grid_equals_cell_solves():
 
 
 def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
-    # one lane's C + D in a stacked factorization is made indefinite: that
+    # one lane's C + D system in a batched solve is made unsolvable: that
     # lane falls back to coordinate sweeps and still converges, while the
     # other lanes take the steps of their one-lane solves
     std = helpers.random_standardized(38, 40, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
@@ -441,18 +442,17 @@ def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
     mus = [0.3 * cap, 0.1 * cap, 5.0 * cap]
     starts = [bn.solve_ml(base.with_mu(m), tol=1e-12).x_hat for m in mus]
     taus = [100.0, 10.0]
-    cholesky, swept, stacked = bn.partition._cholesky, [], []
+    solve_stack, solve = _CPlusD.solve_stack, np.linalg.solve
+    swept, stacked = [], []
 
-    def poisoned(matrix):
-        # the mu = 5 cap lanes fail alone or in a stack; the others factor
-        excess = np.diagonal(matrix, axis1=-2, axis2=-1) - np.diag(base.c)
-        big = excess.max(axis=-1) > 10.0
-        if matrix.ndim == 2:
-            return cholesky(-np.eye(base.p) if big else matrix)
+    def poisoned(problem, e, rhs, ok):
+        # the mu = 5 cap lanes get a non-finite e; the others are solved
+        big = e.max(axis=1, keepdims=True) > 10.0
+        return solve_stack(problem, np.where(big, math.nan, e), rhs, ok)
+
+    def batched(matrix, rhs):
         stacked.append(matrix.shape[0])
-        matrix = matrix.copy()
-        matrix[big] = -np.eye(base.p)
-        return cholesky(matrix)
+        return solve(matrix, rhs)
 
     def sweep(problem, x, u):
         swept.append(problem.mu)
@@ -465,7 +465,8 @@ def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
         for m, start in zip(mus, starts)
         for t in taus
     ]
-    monkeypatch.setattr(bn.partition, "_cholesky", poisoned)
+    monkeypatch.setattr(_CPlusD, "solve_stack", staticmethod(poisoned))
+    monkeypatch.setattr(np.linalg, "solve", batched)
     monkeypatch.setattr(saddle, "_sweep", sweep)
     grid = tau_path(base, taus, init=starts, tol=tol, mus=mus)
     assert stacked and set(swept) == {5.0 * cap}
