@@ -184,10 +184,6 @@ def _build_parser():
     return parser
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
 def _jsonify(obj):
     """Make obj JSON-clean: numpy to native, non-finite floats to null."""
     if isinstance(obj, dict):
@@ -257,11 +253,16 @@ def _write_json(path, payload):
     _write_text(path, _json_text(_jsonify(payload)) + "\n")
 
 
-def _write_csv(path, header, rows):
-    # names are quoted as the csv module quotes them; no %.17g number needs it
+def _write_csv(path, header, table):
+    """The 2-D float array table as CSV under header, every number %.17g.
+
+    Names are quoted as the csv module quotes them; no %.17g number needs
+    it.  nan and inf print as Python prints them.
+    """
     head = io.StringIO()
     csv.writer(head, lineterminator="\n").writerow(header)
-    body = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    body = "".join(row.format(*values) for values in table.tolist())
     _write_text(path, head.getvalue() + body)
 
 
@@ -380,24 +381,17 @@ def cmd_marginal(args):
     results = {j: _marginal_one(prob, ml, sad, j, sds[j], args) for j in coords}
     for j in coords:
         grid, cols = results[j]
-        header = ["x"] + list(cols)
-        rows = [
-            [grid[i]] + [cols[name][i] for name in cols]
-            for i in range(grid.size)
-        ]
-        _write_csv(f"{prefix}_coord{j}.csv", header, rows)
+        _write_csv(
+            f"{prefix}_coord{j}.csv", ["x", *cols], np.column_stack([grid, *cols.values()])
+        )
         if chain is not None:
             edges = grid
             counts, _ = np.histogram(chain.samples[:, j], bins=edges)
-            width = np.diff(edges)
-            dens = counts / (chain.samples.shape[0] * width)
+            dens = counts / (chain.samples.shape[0] * np.diff(edges))
             _write_csv(
                 f"{prefix}_coord{j}_gibbs.csv",
                 ["left", "right", "density"],
-                [
-                    [edges[i], edges[i + 1], dens[i]]
-                    for i in range(edges.size - 1)
-                ],
+                np.column_stack([edges[:-1], edges[1:], dens]),
             )
     return 0
 
@@ -440,7 +434,7 @@ def cmd_convergence(args):
             rows.append([sol.tau, mu, gap, xdiff])
     if failed is not None:
         raise NotConverged(failed.cycles, f"ML stage at mu={mus[len(mls)]}")
-    _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], rows)
+    _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], np.array(rows))
     return 0
 
 

@@ -5,11 +5,14 @@ With one coordinate the normalizing integral of exp(-tau*(c*x^2 - 2*w*x +
 is an erfcx evaluation.  Everything here is exact up to floating point and
 serves as the ground-truth oracle for the multivariate approximations.
 
-This module is the one place that posterior is written.  The private
-raw-scalar kernels below (half-line logs, the nonnegative-side probability,
-the unnormalized log density) also serve the Gibbs sampler, whose
-conditionals are this posterior, and the marginal curves, whose own-coordinate
-terms are its log density.
+This module is the one place that posterior is written, but for one pinned
+copy.  The private raw-scalar kernels below (half-line logs, the
+nonnegative-side probability, the unnormalized log density) also serve the
+marginal curves, whose own-coordinate terms are its log density.  The Gibbs
+sampler, whose conditionals are this posterior, inlines the half-line logs
+and the nonnegative-side probability in its flat per-draw kernel,
+gibbs._draw, for speed; the tests hold that copy bit for bit to these
+kernels.
 """
 
 import math

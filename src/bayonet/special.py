@@ -6,11 +6,12 @@ exp(x^2) erfc(x), and every caller needs its logarithm, so log_erfcx is the
 one special function the rest of the package imports.  On [-25, 5] it is
 x^2 + log(erfc(x)) from the math module, which keeps full relative accuracy
 there; above 5 it is the log of scipy.special's erfcx, and below -25 the
-erfc reflection keeps the log from overflowing.  The Gibbs sampler's
-one-sided draws reduce to _std_lower_truncated, a standard normal
-conditioned on Z >= a, which consumes uniforms only: scipy's erfc and ndtri
-for the inverse-CDF route, and -log(1 - U) for the exponential of the
-far-tail rejection route.
+erfc reflection keeps the log from overflowing.  _std_lower_truncated draws
+a standard normal conditioned on Z >= a and consumes uniforms only: scipy's
+erfc and ndtri for the inverse-CDF route, and -log(1 - U) for the
+exponential of the far-tail rejection route.  The Gibbs sampler's one-sided
+draws are that draw, shifted and scaled; gibbs._draw inlines it, and the
+tests hold the inlined copy to it bit for bit.
 """
 
 import math

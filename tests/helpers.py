@@ -2,7 +2,10 @@
 
 Everything here is coded independently of the library internals: brute-force
 quadrature, series expansions, golden-section minimization, tensor-grid
-integration.  Tests compare the fast library routines against these.
+integration.  Tests compare the fast library routines against these.  The
+one exception is the Gibbs reference, the sampler's plain loop composed from
+the library's own reference kernels, against which the flat sampler is held
+bit for bit.
 """
 
 import math
@@ -11,6 +14,8 @@ import numpy as np
 from scipy import integrate
 
 import bayonet as bn
+from bayonet.exact1d import _half_line_logs, _prob_nonneg
+from bayonet.special import _std_lower_truncated
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,51 @@ def ml_cd_full_cycle(problem, x0, tol):
         if dmax < tol * max(1.0, float(np.max(np.abs(x)))):
             return x, cycle, True
     return x, 100_000, False
+
+
+# ---------------------------------------------------------------------------
+# the Gibbs sampler composed from its reference kernels
+
+
+def gibbs_draw_reference(cjj, a, mu, s, sd, rng):
+    """bayonet.gibbs._draw as the composition of the library's reference
+    kernels: exact1d's nonnegative-side probability of the half-line logs,
+    then special's standard lower-truncated draw."""
+    sign = 1.0 if rng.uniform() < _prob_nonneg(*_half_line_logs(s, a, mu)) else -1.0
+    mean = (sign * a - mu) / cjj
+    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
+    return sign * (x if x > 0.0 else 0.0)
+
+
+def gibbs_reference(problem, init, sweeps, burn_in=None, thin=1, seed=0):
+    """Retained samples of bayonet.run_gibbs by a plain sweep loop.
+
+    x_j is read from the array, each partial residual is one fresh dot
+    with a contiguous copy of row j of C, and each draw is
+    gibbs_draw_reference.  The reference for run_gibbs's flat loop.
+    """
+    if burn_in is None:
+        burn_in = sweeps // 10
+    x = np.array(init, dtype=float)
+    c, mu, tau = problem.c, problem.mu, problem.tau
+    rng = bn.RngStream(seed)
+    d = np.diagonal(c)
+    diag = d.tolist()
+    w = problem.w.tolist()
+    row_dots = [np.array(c[j]).dot for j in range(problem.p)]
+    svals = np.sqrt(tau / d).tolist()
+    sds = (1.0 / np.sqrt(2.0 * tau * d)).tolist()
+    keep = []
+    for sweep in range(1, sweeps + 1):
+        for j in range(problem.p):
+            xj = x.item(j)
+            aj = w[j] - float(row_dots[j](x)) + diag[j] * xj
+            new = gibbs_draw_reference(diag[j], aj, mu, svals[j], sds[j], rng)
+            if new != xj:
+                x[j] = new
+        if sweep > burn_in and (sweep - burn_in) % thin == 0:
+            keep.append(x.copy())
+    return np.array(keep)
 
 
 # ---------------------------------------------------------------------------

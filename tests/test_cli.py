@@ -573,6 +573,22 @@ def test_json_writer_matches_indented_dumps(payload):
     assert cli._json_text(clean) == json.dumps(clean, indent=2)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+    elements=st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+))
+def test_csv_writer_matches_per_value_format(tmp_path_factory, table):
+    # one %.17g row format over table.tolist() writes the bytes of
+    # formatting every value by itself: nan, +-inf, -0 and subnormals too
+    out = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{k}" for k in range(table.shape[1])]
+    cli._write_csv(out, header, table)
+    body = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in table)
+    assert out.read_bytes() == (",".join(header) + "\n" + body).encode()
+
+
 # --- convergence --------------------------------------------------------
 
 def test_convergence_sweep_columns(tmp_path):

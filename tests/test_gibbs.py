@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bayonet as bn
+from bayonet.exact1d import _half_line_logs, _prob_nonneg
 from bayonet.gibbs import _draw
 import helpers
 
@@ -228,3 +229,116 @@ def test_huge_samples_at_tiny_tau_finite_and_deterministic():
     assert np.isfinite(a.samples).all()
     assert np.abs(a.samples).max() > 1e5
     assert a.samples.tobytes() == b.samples.tobytes()
+
+
+class CountingStream:
+    """An RngStream's uniforms, counted as they are read."""
+
+    def __init__(self, seed):
+        self._rng = bn.RngStream(seed)
+        self.count = 0
+
+    def uniform(self):
+        self.count += 1
+        return self._rng.uniform()
+
+
+def _erfcx_range(t):
+    # the three ranges of special.log_erfcx
+    return "above 5" if t > 5.0 else "[-25, 5]" if t >= -25.0 else "below -25"
+
+
+# c, a, mu, tau: between them the two half-line logs reach all three
+# log_erfcx ranges, lp - lm takes both signs, and the side's lower bound
+# reaches both truncated-normal routes
+DRAW_CASES = [
+    (1.0, 0.0, 5.0, 1.0),       # s*(mu -+ a) = 5.0 on both half-lines
+    (1.0, 26.0, 1.0, 1.0),      # -25.0 on x >= 0, 27 on x <= 0
+    (1.0, 40.0, 1.0, 1.0),      # -39 on x >= 0
+    (1.0, -40.0, 1.0, 1.0),     # -39 on x <= 0
+    (1.0, -26.0, 0.5, 1.0),     # -25.5 on x <= 0: side weight 4e-285
+    (1.0, 0.0, 0.25, 50.0),     # lp - lm = 0 exactly
+    (1.0, 0.5, 0.25, 50.0),
+    (0.7, -0.2, 0.25, 50.0),
+    (0.6, -0.2, 0.3, 100.0),    # 6.45 on x >= 0: side weight 0.19
+    (0.6, 0.22, 0.3, 100.0),    # 6.71 on x <= 0: side weight 0.83
+    (1.0, 0.0, 1.0, 40.0),      # lower bound sqrt(80) > 8: the tail route
+    (0.6, 0.03, 0.9, 50.0),
+]
+
+
+def _scales(c, tau):
+    return math.sqrt(tau / c), 1.0 / math.sqrt(2.0 * tau * c)
+
+
+def test_draw_equals_reference_composition():
+    # the flat _draw against _prob_nonneg(*_half_line_logs(...)) and
+    # _std_lower_truncated, bit for bit, on inputs that reach every branch
+    ranges, branches, reads = set(), set(), set()
+    for i, (c, a, mu, tau) in enumerate(DRAW_CASES):
+        s, sd = _scales(c, tau)
+        ranges |= {("+", _erfcx_range(s * (mu - a))), ("-", _erfcx_range(s * (mu + a)))}
+        lp, lm = _half_line_logs(s, a, mu)
+        branches.add(lp - lm >= 0.0)
+        rng, ref = bn.RngStream(40 + i), CountingStream(40 + i)
+        got, want = [], []
+        for _ in range(2000):
+            got.append(_draw(c, a, mu, s, sd, rng))
+            before = ref.count
+            want.append(helpers.gibbs_draw_reference(c, a, mu, s, sd, ref))
+            reads.add(ref.count - before)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (c, a, mu, tau)
+        # and the two read the same number of uniforms
+        assert rng.uniform() == ref.uniform()
+    assert ranges == {(h, r) for h in "+-" for r in ("above 5", "[-25, 5]", "below -25")}
+    assert branches == {True, False}
+    # 2 uniforms: side and inverse CDF; 3: side and one accepted tail
+    # proposal; 5 or more: at least one rejected proposal
+    assert {2, 3} <= reads
+    assert max(reads) >= 5
+
+
+@pytest.mark.parametrize("c, a, mu, tau", DRAW_CASES)
+def test_draw_side_weight_equals_reference_bit_for_bit(c, a, mu, tau):
+    # a side uniform at the reference weight, or one ulp below it, flips the
+    # side if the flat weight differs from it by an ulp either way
+    s, sd = _scales(c, tau)
+    alpha = _prob_nonneg(*_half_line_logs(s, a, mu))
+    for first in {alpha, math.nextafter(alpha, 0.0)}:
+        rng, ref = bn.RngStream(9), bn.RngStream(9)
+        got = [_draw(c, a, mu, s, sd, helpers.FirstUniform(first, rng)) for _ in range(20)]
+        want = [
+            helpers.gibbs_draw_reference(c, a, mu, s, sd, helpers.FirstUniform(first, ref))
+            for _ in range(20)
+        ]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), first
+
+
+def _case_101():
+    prob, sad = helpers.build_marginal_case(101)
+    return prob, sad.x_tau, 1500
+
+
+def _case_tiny_tau():
+    std = helpers.random_standardized(0, 60, 5)
+    return bn.build_problem(std, 0.1, 0.05, 1e-12), np.zeros(5), 300
+
+
+def _case_p1():
+    prob = bn.PenalizedProblem(
+        c=np.array([[0.7]]), w=np.array([0.3]), mu=0.2, lam=0.0, tau=45.0
+    )
+    return prob, np.zeros(1), 3000
+
+
+@pytest.mark.parametrize("case", [_case_101, _case_tiny_tau, _case_p1],
+                         ids=["marginal-case-101", "tau-1e-12", "p-1"])
+@pytest.mark.parametrize("burn_in, thin", [(None, 1), (7, 3)])
+def test_chain_matches_reference_loop(case, burn_in, thin):
+    # run_gibbs's per-coordinate tuples and list mirror of x leave every
+    # chain byte for byte that of the plain loop over the reference kernels
+    prob, init, sweeps = case()
+    ch = bn.run_gibbs(prob, init, sweeps, burn_in=burn_in, thin=thin, seed=5)
+    ref = helpers.gibbs_reference(prob, init, sweeps, burn_in=burn_in, thin=thin, seed=5)
+    assert ch.samples.shape == ref.shape
+    assert ch.samples.tobytes() == ref.tobytes()
