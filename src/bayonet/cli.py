@@ -9,8 +9,8 @@ Structured results go out as JSON, curves and chains as CSV; every file is
 written atomically (temp file + rename) and all numbers are emitted with
 full round-trip precision.
 
-Exit codes: 0 success, 2 input/parse error, 3 numerical failure, 4 bad
-configuration (including command-line usage errors).
+Exit codes: 0 success, 2 input/output or parse error, 3 numerical failure,
+4 bad configuration (including command-line usage errors).
 """
 
 import argparse
@@ -404,7 +404,7 @@ def cmd_convergence(args):
     else:
         count, ratio = args.mu_grid
         mus = list(mu_grid(mu_max(base.w), count, ratio))
-    taus = list(tau_grid(*args.tau_grid)[::-1])
+    taus = tau_grid(*args.tau_grid)
     # the mus before the first unconverged ML fit are solved as one
     # (mu, tau) grid; that fit's error follows their rows, as in mu order
     mls, failed = [], None
@@ -421,7 +421,7 @@ def cmd_convergence(args):
     rows = []
     for i, ml in enumerate(mls):
         mu, prob = mus[i], base.with_mu(mus[i])
-        for sol in reversed(sols[i * len(taus) : (i + 1) * len(taus)]):
+        for sol in sols[i * len(taus) : (i + 1) * len(taus)]:
             if not sol.converged:
                 raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={mu}")
             lp = log_partition(prob.with_tau(sol.tau), sol)
@@ -505,8 +505,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, ZeroVarianceColumn, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (ParseError, ZeroVarianceColumn, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

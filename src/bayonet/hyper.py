@@ -103,6 +103,9 @@ def tau_grid(offset, count):
     """Geometric inverse-temperature grid 10^(0.25*(m + offset - 1)), m=1..count."""
     if offset < 1 or count < 1:
         raise ValueError("offset and count must be >= 1")
+    # refused before any power is taken, so numpy cannot warn of overflow
+    if offset + count - 1 > 4.0 * math.log10(np.finfo(float).max):
+        raise ValueError("tau grid overflows: its largest value is not finite")
     m = np.arange(1, count + 1, dtype=float)
     return 10.0 ** (0.25 * (m + offset - 1.0))
 
@@ -211,7 +214,6 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
         assignment[part] = f
     n_mu, n_tau = grid.mus.size, grid.taus.size
     scores = np.full((folds, n_mu, n_tau), np.nan)
-    taus_desc = list(grid.taus[::-1])
     for f, val_idx in enumerate(parts):
         train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
         std = standardize(
@@ -251,12 +253,12 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
                 inits.append(ml.x_hat)
         if not rows:
             continue
-        paths = _fold_paths(base, taus_desc, list(grid.mus[rows]), inits, tol)
+        paths = _fold_paths(base, grid.taus, list(grid.mus[rows]), inits, tol)
         solved = [(i, sols) for i, sols in zip(rows, paths) if sols is not None]
         if not solved:
             continue
-        # one column of predictions per cell, taus ascending like the grid
-        sols = [sol for _, path in solved for sol in path[::-1]]
+        # one column of predictions per cell, in grid order
+        sols = [sol for _, path in solved for sol in path]
         x = np.array([sol.x_tau for sol in sols])
         pred = a_val @ x.T * std.response_scale + std.response_offset
         ok = np.array([sol.converged for sol in sols])

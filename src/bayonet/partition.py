@@ -2,11 +2,11 @@
 
 Everything is assembled and returned in log space.  The Gaussian-curvature
 correction enters through det(C + D) where D is a nonnegative diagonal built
-from the stationary point.  One factorization of C + D serves three users:
-this determinant, the Newton step of the stationary-point solver and the
-posterior standard deviations.  For wide designs (p > n) it is a Cholesky
-of an n x n core matrix (Woodbury identity and matrix determinant lemma)
-instead of a p x p one.
+from the stationary point.  One helper, _CPlusD, factors C + D for all
+three of its users: this determinant, the Newton step of the
+stationary-point solver and the posterior standard deviations.  For wide
+designs (p > n) it factors an n x n core matrix (Woodbury identity and
+matrix determinant lemma) instead of a p x p one.
 
 _cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
 the zero-temperature active block) and PenalizedProblem's check of C call

@@ -19,12 +19,13 @@ Newton step to polish it.  No factor leaves the solver: log Z and the
 marginal curves factor C + D at the polished point.
 
 The one Newton loop, _saddle_cd, solves a stack of lanes: iterates of one
-problem that differ only in tau and mu, each from its own start.  tau_path
-runs a whole tau grid, or a whole (mu, tau) grid (cross-validation's fold,
-the convergence sweep), as lanes; solve_saddle and the marginal curves'
-inner solves are the one-lane case.  The residuals, box and b tests,
-backtracking and convergence tests are done once per cycle for all live
-lanes, which is where small problems spend their time.  Each lane solves
+problem that differ only in tau and mu, one lane per (mu, tau) cell, each
+from its own start.  tau_path runs a whole (mu, tau) grid (a tau grid at
+the problem's own mu, cross-validation's fold, the convergence sweep) as
+lanes, in any order; solve_saddle and the marginal curves' inner solves are
+the one-lane case.  The residuals, box and b tests, backtracking and
+convergence tests are done once per cycle for all live lanes, which is
+where small problems spend their time.  Each lane solves
 its own C + D system; on the direct route the stepping lanes' systems are
 one batched LU solve, no factor kept (partition._CPlusD.solve_stack), and a
 lane whose system cannot be solved takes its own fallback sweep.
@@ -169,24 +170,23 @@ def _sweep(problem, x, u):
 def _newton_step(problem, x, u, b, res, tau, mu):
     """Damped Newton steps for a stack of lanes, in place; returns moved.
 
-    Row k of (x, u) is an iterate at inverse temperature tau[k] (a column)
-    and l1 weight mu (one float for all rows, or a column) with residual
-    res[k].  The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b))
-    with a = mu^2 - u^2 and b = 2ux + 1/tau (given: the caller's
-    convergence test reads it too), so each lane solves
-    (C + diag(a/b)) dx = -F/b; the stepping lanes' systems go to
-    partition._CPlusD.solve_stack together, on the direct route at small p
-    as one batched LU solve, no factor kept.  A lane on or just outside the
-    box (the ML minimizer has |u_j| = mu up to its tolerance) uses
-    max(a, 0), which keeps the matrix positive definite.  A lane keeps the
-    longest of the steps t dx, t = 1, 1/2, 1/4, ... down to _MIN_STEP,
-    that leaves every |u| < mu and its plug-back residual below res.  The
-    full step is tried for all rows at once and taken almost always; the
-    lanes it fails halve their steps together.  moved is False, and the row
-    is left as it was, where some b <= 0, its system could not be solved or
-    no step qualified.  Rows that cannot step and trial points outside the
-    box compute values that are never kept, so the caller ignores their
-    floating-point errors.
+    Row k of (x, u) is an iterate at inverse temperature tau[k] and l1
+    weight mu[k] (both columns) with residual res[k].  The Jacobian of
+    F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with a = mu^2 - u^2 and
+    b = 2ux + 1/tau (given: the caller's convergence test reads it too),
+    so each lane solves (C + diag(a/b)) dx = -F/b; the stepping lanes'
+    systems go to partition._CPlusD.solve_stack together, on the direct
+    route at small p as one batched LU solve, no factor kept.  A lane on or
+    just outside the box (the ML minimizer has |u_j| = mu up to its
+    tolerance) uses max(a, 0), which keeps the matrix positive definite.  A
+    lane keeps the longest of the steps t dx, t = 1, 1/2, 1/4, ... down to
+    _MIN_STEP, that leaves every |u| < mu and its plug-back residual below
+    res.  The full step is tried for all rows at once and taken almost
+    always; the lanes it fails halve their steps together.  moved is False,
+    and the row is left as it was, where some b <= 0, its system could not
+    be solved or no step qualified.  Rows that cannot step and trial points
+    outside the box compute values that are never kept, so the caller
+    ignores their floating-point errors.
     """
     w = problem.w
     a = mu * mu - u * u
@@ -206,9 +206,8 @@ def _newton_step(problem, x, u, b, res, tau, mu):
     while rest.size and t >= _MIN_STEP:
         xt = x[rest] + t * dx[rest]
         ut = w - problem._matvec(xt)
-        mu_rest = mu if np.isscalar(mu) else mu[rest]
-        rt = _residual(xt, ut, mu_rest, tau[rest])
-        take = (np.abs(ut) < mu_rest).all(axis=1) & (rt < res[rest])
+        rt = _residual(xt, ut, mu[rest], tau[rest])
+        take = (np.abs(ut) < mu[rest]).all(axis=1) & (rt < res[rest])
         lanes = rest[take]
         x[lanes], u[lanes], res[lanes] = xt[take], ut[take], rt[take]
         moved[lanes] = True
@@ -218,8 +217,8 @@ def _newton_step(problem, x, u, b, res, tau, mu):
 
 
 def _saddle_cd(problem, x0, tol, taus=None, mus=None):
-    """Solve in lockstep from x0, one lane per entry of taus and mus
-    (defaults: one lane at the problem's own tau and mu); returns one
+    """Solve in lockstep from x0, one lane per pair (taus[k], mus[k])
+    (default: one lane at the problem's own tau and mu); returns one
     (x, u, cycles, residual, converged) per lane.
 
     The lanes are iterates of the one problem that differ only in tau and
@@ -241,12 +240,11 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     alone.  A lane still live after _MAX_CYCLES cycles returns
     converged=False and cycles = _MAX_CYCLES.
     """
-    taus = np.array([problem.tau] if taus is None else taus, dtype=float)
-    # without mus every lane has the problem's mu, kept a float: the one-lane
-    # solves of the marginal curves run many short loops
-    mu = problem.mu if mus is None else np.array(mus, dtype=float)[:, None]
+    if taus is None:
+        taus, mus = [problem.tau], [problem.mu]
+    taus = np.array(taus, dtype=float)
     tols = tol * np.maximum(1.0, 1.0 / taus)
-    tau = taus[:, None]
+    tau, mu = taus[:, None], np.array(mus, dtype=float)[:, None]
     x = np.empty((taus.size, problem.p))
     x[:] = x0
     u = problem.w - problem._matvec(x)
@@ -265,8 +263,7 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
                 exits = done.any()
             moved = _newton_step(problem, x, u, b, res, tau, mu)
             for k in (~(done | moved)).nonzero()[0]:
-                mu_k = mu if np.isscalar(mu) else float(mu[k, 0])
-                at_k = problem._replace(tau=float(tau[k, 0]), mu=mu_k)
+                at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
             if exits:
                 for k in done.nonzero()[0]:
@@ -274,10 +271,8 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
                 keep = ~done
                 if not keep.any():
                     return out
-                x, u, res, tau = x[keep], u[keep], res[keep], tau[keep]
-                tols, live = tols[keep], live[keep]
-                if not np.isscalar(mu):
-                    mu = mu[keep]
+                x, u, res = x[keep], u[keep], res[keep]
+                tau, mu, tols, live = tau[keep], mu[keep], tols[keep], live[keep]
     for k, lane in enumerate(live):
         out[lane] = (x[k], u[k], _MAX_CYCLES, float(res[k]), False)
     return out
@@ -313,31 +308,26 @@ def solve_saddle(problem, init, tol=1e-10):
 
 
 def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
-    """Solve at every tau of a strictly decreasing inverse-temperature grid.
+    """Solve at every (mu, tau) cell of a grid, the taus in any order.
 
-    Element k is solve_saddle(problem.with_tau(taus[k]), init, tol): every
-    tau starts from init, and the whole grid is solved in lockstep, one
-    lane per tau, so each cycle's bookkeeping (residuals, box tests,
-    backtracking, convergence tests) is done once for all lanes still
-    running.  The sparse minimizer is the natural init; omitted, it
-    defaults to the zero vector.
-
-    With mus (positive and finite) the grid is every (mu, tau) pair, mu
-    major: init has one row per mu (omitted, zeros), and element
-    i*len(taus)+k is solve_saddle(problem.with_mu(mus[i]).with_tau(taus[k]),
-    init[i], tol).  All len(mus)*len(taus) lanes run as one lockstep stack.
+    Element i*len(taus)+k is
+    solve_saddle(problem.with_mu(mus[i]).with_tau(taus[k]), init[i], tol):
+    the grid is mu major, init has one row per mu (omitted, zeros), and all
+    len(mus)*len(taus) cells are solved in lockstep, one lane per cell, so
+    each cycle's bookkeeping (residuals, box tests, backtracking,
+    convergence tests) is done once for all lanes still running.  Without
+    mus the grid is the one mu [problem.mu], and init, a single start, is
+    its one row.  Taus and mus must be positive and finite.  The sparse
+    minimizer is the natural init.
     """
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("empty tau grid")
     if not all(0.0 < t < math.inf for t in taus):
         raise ValueError("taus must be positive and finite")
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau grid must be strictly decreasing")
     if mus is None:
-        init = _check_start(problem, np.zeros(problem.p) if init is None else init, tol)
-        lanes = _saddle_cd(problem, init, tol, taus)
-        return [_solution(t, lane) for t, lane in zip(taus, lanes)]
+        mus = [problem.mu]
+        init = None if init is None else [_check_init(problem, init)]
     mus = [float(m) for m in mus]
     if not mus:
         raise ValueError("empty mu grid")

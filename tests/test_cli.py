@@ -178,6 +178,38 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert cap.err != ""
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("fit", ["--mu", "0.1", "--tau", "10"]),
+    ("marginal", ["--mu", "0.1", "--tau", "10", "--coords", "0"]),
+])
+def test_output_path_under_a_file_exits_2(tmp_path, capsys, verb, flags):
+    # a path through a regular file raises NotADirectoryError, an OSError
+    csv = make_csv(tmp_path)
+    code, cap = run([verb, csv, "--response", "y", *flags,
+                     "--out", csv / "x.json"], capsys)
+    assert code == 2
+    assert cap.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("cv", ["--folds", "3"]),
+    ("convergence", ["--mu", "0.1"]),
+])
+def test_overflowing_tau_grid_exits_4_without_warning(tmp_path, verb, flags):
+    # 10^(0.25*2002) is no float: the grid is refused as bad configuration
+    # before numpy's power could print an overflow warning
+    env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]))
+    argv = [verb, make_csv(tmp_path), "--response", "y", *flags,
+            "--tau-grid", "2000,3", "--out", tmp_path / "out"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "bayonet.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert fresh.returncode == 4
+    assert fresh.stderr.startswith("error: ")
+    assert "RuntimeWarning" not in fresh.stderr
+
+
 def test_unstandardized_input_with_flag_exits_2(tmp_path, capsys):
     csv = make_csv(tmp_path)
     code, cap = run(["fit", csv, "--response", "y", "--no-standardize",

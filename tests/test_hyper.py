@@ -66,6 +66,16 @@ def test_tau_grid_validation():
         bn.tau_grid(3, 0)
 
 
+def test_tau_grid_refuses_overflow():
+    # the largest value must be a finite float; the grid is refused before
+    # a power is taken, so no overflow warning is raised on the way
+    assert bn.tau_grid(1233, 1)[0] == pytest.approx(1.7782794100389228e308, rel=1e-14)
+    assert np.isfinite(bn.tau_grid(1, 1233)).all()
+    for offset, count in ((2000, 3), (1234, 1), (1, 1234), (10**400, 1)):
+        with pytest.raises(ValueError, match="overflows"):
+            bn.tau_grid(offset, count)
+
+
 def test_default_grid_composition():
     w = np.array([0.4, -0.9, 0.2])
     grid = bn.default_grid(w, lam=0.07)
@@ -273,9 +283,9 @@ def test_cv_unconverged_lane_scores_nan(monkeypatch):
 
     monkeypatch.setattr(bn.hyper, "tau_path", first_lane_fails)
     rep = bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
-    # the first lane is the largest tau, the last grid column
-    assert np.isnan(rep.fold_scores[:, :, -1]).all()
-    assert np.isfinite(rep.fold_scores[:, :, :-1]).all()
+    # the first lane is the smallest tau, the first grid column
+    assert np.isnan(rep.fold_scores[:, :, 0]).all()
+    assert np.isfinite(rep.fold_scores[:, :, 1:]).all()
 
 
 def test_cv_solver_error_costs_only_its_own_row(monkeypatch):

@@ -498,9 +498,38 @@ def test_mu_grid_validation(mus, init):
         tau_path(prob, [10.0, 1.0], init=init, mus=mus)
 
 
-def test_path_requires_decreasing_taus():
+def test_path_requires_positive_finite_taus():
     prob = bn.PenalizedProblem(c=np.eye(2), w=np.zeros(2), mu=0.1, lam=0.0, tau=1.0)
     with pytest.raises(ValueError):
-        tau_path(prob, [10.0, 100.0])
-    with pytest.raises(ValueError):
         tau_path(prob, [])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tau_path(prob, [10.0, bad])
+
+
+def test_path_in_any_tau_order_equals_sorted():
+    # every lane is its own (mu, tau) cell: a shuffled tau grid gives the
+    # sorted grid's solves cell for cell, on a direct and on a wide (p > n)
+    # problem, with and without mus
+    direct = helpers.random_standardized(34, 40, 3, beta=[1.0, 0.0, -0.3], noise=0.5)
+    wide = helpers.random_standardized(39, 20, 50, beta=[1.0, -0.5] + [0.0] * 48, noise=0.5)
+    taus = [1.0, 10.0, 250.0, 1e4, 1e6]
+    order = [3, 0, 4, 2, 1]
+    n = len(taus)
+    for std in (direct, wide):
+        base = bn.build_problem(std, 0.1, 1.0, 1.0)
+        cap = float(np.abs(base.w).max())
+        mus = [0.6 * cap, 0.3 * cap, 0.05 * cap]
+        starts = [bn.solve_ml(base.with_mu(m), tol=1e-12).x_hat for m in mus]
+        for prob, init, grid_mus in ((base.with_mu(mus[1]), starts[1], None),
+                                     (base, starts, mus)):
+            ref = tau_path(prob, taus, init=init, tol=1e-10, mus=grid_mus)
+            got = tau_path(prob, [taus[k] for k in order], init=init, tol=1e-10,
+                           mus=grid_mus)
+            assert len(got) == len(ref) and all(sol.converged for sol in ref)
+            for i in range(len(ref) // n):
+                for j, k in enumerate(order):
+                    a, b = got[i * n + j], ref[i * n + k]
+                    assert a.tau == b.tau and a.converged == b.converged
+                    assert a.cycles == b.cycles
+                    assert np.max(np.abs(a.x_tau - b.x_tau)) <= 1e-12
