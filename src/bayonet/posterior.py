@@ -5,7 +5,7 @@ p-1 coordinates with the same stationary-phase machinery as the full
 problem: the log density at a grid value is the coordinate's own exact
 terms plus the inner log partition V, one small stationary-point solve
 (damped Newton steps, on the n x n core when the sub-problem is wider than
-the design is tall).  V is smooth, so it is solved on 17 to 65 nested
+the design is tall).  V is smooth, so it is solved on 5 to 65 nested
 Chebyshev-Lobatto nodes and interpolated onto the grid, or at every grid
 point when the levels disagree.  The stationary point moves smoothly with
 the fixed value, so each solve starts from a tangent prediction off its
@@ -34,7 +34,7 @@ _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
 # nested Chebyshev-Lobatto levels for the inner log Z, and how closely two
 # levels' normalized densities must agree, relative to the peak
-_LEVELS = (17, 33, 65)
+_LEVELS = (5, 9, 17, 33, 65)
 _AGREE = 1e-7
 
 
@@ -174,8 +174,8 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     to a constant that the trapezoid normalization removes.  The own terms
     are exact on the grid and carry the kink at 0; V is smooth in g.
 
-    So V is solved on nested Chebyshev-Lobatto nodes spanning the grid, 17,
-    then 33, then 65 of them, each level reusing the solves of the one
+    So V is solved on nested Chebyshev-Lobatto nodes spanning the grid, 5,
+    then 9, 17, 33 and 65 of them, each level reusing the solves of the one
     before, and put onto the grid by barycentric interpolation.  The curve
     is the first level whose normalized density agrees with the level
     before within 1e-7 of its peak.  When 65 nodes still disagree, or the

@@ -98,9 +98,10 @@ def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
 
 def test_marginal_builds_about_one_factor_per_grid_point(monkeypatch):
     # the factor of C_sub + D behind each log det is reused for the next
-    # tangent prediction, and the inner log Z is solved on 33 nodes: ten
-    # 201-point curves at 442x10 build at most 1.5 factors per grid point
-    # (about 0.5; 3.4-3.7 with plain neighbor warm starts at every point)
+    # tangent prediction, and the inner log Z is solved on 9 or 17 nodes:
+    # ten 201-point curves at 442x10 build at most 1.5 factors per grid
+    # point (about 0.2; 3.4-3.7 with plain neighbor warm starts at every
+    # point)
     prob, sad = helpers.build_marginal_case(101)
     built = []
     init = bn.partition._CPlusD.__init__
@@ -133,8 +134,8 @@ def test_marginal_p5_needs_no_coordinate_sweeps(p5_suite, monkeypatch):
 
 def test_every_inner_solve_converges_with_a_polish_step(monkeypatch):
     # every inner solve converges, starts already converged included, and
-    # spends at least one cycle, its polish step.  Each bench-shaped curve
-    # stops at the second node level: 17 + 16 solves.
+    # spends at least one cycle, its polish step.  Seventeen bench-shaped
+    # curves stop at 9 nodes (5 + 4 solves), three at 17 (9 + 8 more).
     solves = []
 
     def recorded(problem, x0, tol):
@@ -147,15 +148,15 @@ def test_every_inner_solve_converges_with_a_polish_step(monkeypatch):
         prob, sad = helpers.build_marginal_case(seed)
         for j in range(prob.p):
             marginal_sp(prob, sad, j)
-    assert len(solves) == 2 * 10 * 33
+    assert len(solves) == 17 * 9 + 3 * 17
     for _, _, cycles, _, ok in solves:
         assert ok and cycles >= 1
 
 
 def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):
     # with p - 1 > n every inner problem takes the n x n determinant route,
-    # and its curves match the dense route's plain walk.  Each curve solves
-    # at least two node levels (33 nodes), each solve building at least its
+    # and its curves match the dense route's plain walk.  Each curve stops
+    # at 33 nodes, the fourth node level, each solve building at least its
     # polish step's factor and the one at the polished point.
     std = helpers.random_standardized(59, 12, 30, beta=[1.0, -0.6, 0.4] + [0.0] * 27, noise=0.5)
     base = bn.build_problem(std, 0.1, 1.0, 1.0)
@@ -246,7 +247,7 @@ def test_marginal_within_gate_of_tight_plain_walk(request, name, scale):
 def test_marginal_falls_back_to_the_grid_walk(request, monkeypatch):
     # at 100 x MAP tau the p5 correlated zero pair (coordinates 2 and 3)
     # disagrees between 33 and 65 nodes, so its curves solve every grid
-    # point; the other coordinates stop at 33 nodes
+    # point; the other coordinates stop at 9 nodes
     prob, sad = _gate_case(request, "p5_suite", 100)
     solves = _recorded_solves(monkeypatch)
     for j in range(5):
@@ -255,25 +256,63 @@ def test_marginal_falls_back_to_the_grid_walk(request, monkeypatch):
         if j in (2, 3):
             assert len(solves) > 65 + 201 - 3
         else:
-            assert len(solves) == 33
+            assert len(solves) == 9
         assert _within_gate(prob, sad, curve)
 
 
-@pytest.mark.parametrize("size", [9, 17, 33])
-def test_marginal_small_explicit_grid_is_walked(request, monkeypatch, size):
-    # a grid with no more points than the next node level is solved at its
-    # own points, once each
+@pytest.mark.parametrize("w1", [0.165, 0.18, 0.31])
+def test_marginal_sharp_inner_bend_between_coarse_nodes(monkeypatch, w1):
+    # the inner coordinate crosses its transition, |w_1 - g C_10| = mu,
+    # well inside the grid and at least one sd from each of the 5 nodes,
+    # so V bends sharply where the coarsest levels see nothing.  Their
+    # curves must disagree rather than agree by accident: stopping at 9
+    # nodes puts these curves 5e-4 to 8e-3 of the peak off.
+    c = np.array([[0.5, 0.4], [0.4, 0.5]])
+    prob = bn.PenalizedProblem(c=c, w=np.array([0.4, w1]), mu=0.1, lam=0.0, tau=1e3)
+    sad = bn.solve_saddle(prob, np.zeros(2), tol=1e-12)
+    solves = _recorded_solves(monkeypatch)
+    curve = marginal_sp(prob, sad, 0)
+    grid = curve.grid
+    sd = float(bn.posterior_sd(prob, sad)[0])
+    bends = (w1 + np.array([-prob.mu, prob.mu])) / c[1, 0]
+    bend = bends[np.argmin(np.abs(bends - sad.x_tau[0]))]
+    assert grid[0] + sd < bend < grid[-1] - sd
+    assert np.min(np.abs(bn.posterior._lobatto(grid[0], grid[-1], 5) - bend)) > sd
+    assert len(solves) > 9
+    assert _within_gate(prob, sad, curve)
+
+
+def _explicit_grid_curve(request, monkeypatch, size):
+    # near-transition coordinate 0 at 100 x MAP tau on size points over
+    # +/- 4 sds, and the inner problems solved for it
     prob, sad = _gate_case(request, "near_transition", 100)
     j = 0
     sd = float(bn.posterior_sd(prob, sad)[j])
     grid = sad.x_tau[j] + np.linspace(-4.0 * sd, 4.0 * sd, size)
     solves = _recorded_solves(monkeypatch)
     curve = marginal_sp(prob, sad, j, grid_spec=GridSpec(points=grid))
+    return prob, sad, curve, solves
+
+
+@pytest.mark.parametrize("size", [5, 9])
+def test_marginal_small_explicit_grid_is_walked(request, monkeypatch, size):
+    # a grid with fewer than two node levels below its size is solved at
+    # its own points, once each
+    prob, sad, curve, solves = _explicit_grid_curve(request, monkeypatch, size)
+    grid, j = curve.grid, curve.coordinate
     others = np.delete(np.arange(prob.p), j)
     sub, c_col = prob._restrict(others), prob._col(j)[others]
     assert len(solves) == size
     for g in grid:
         assert any(np.array_equal(q.w, sub.w - g * c_col) for q in solves)
+    assert _within_gate(prob, sad, curve)
+
+
+def test_marginal_explicit_grid_of_33_points_gets_nodes(request, monkeypatch):
+    # 5, 9 and 17 nodes lie below 33 points; 9 and 17 agree, so the curve
+    # takes 17 node solves, not 33 point solves
+    prob, sad, curve, solves = _explicit_grid_curve(request, monkeypatch, 33)
+    assert len(solves) == 17
     assert _within_gate(prob, sad, curve)
 
 
