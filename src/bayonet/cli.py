@@ -335,7 +335,7 @@ def _coord_list(coords, p):
     try:
         coords = [int(c) for c in coords.split(",")]
     except ValueError:
-        raise ConfigError(f"--coords must be 'all' or a comma list of indices")
+        raise ConfigError("--coords must be 'all' or a comma list of indices")
     for j in coords:
         if not 0 <= j < p:
             raise ConfigError(f"coordinate {j} out of range for p={p}")

@@ -145,7 +145,7 @@ class PenalizedProblem:
     always matches C.
     """
 
-    c: np.ndarray
+    c: np.ndarray = field(repr=False)
     w: np.ndarray
     mu: float
     lam: float

@@ -48,7 +48,9 @@ class LogPartition:
 
 
 def _d_diag(u, mu, tau):
-    return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
+    # at an extreme mu or tau D overflows or is 0/0; _CPlusD refuses it
+    with np.errstate(all="ignore"):
+        return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
 
 
 def _cholesky(matrix):
@@ -73,23 +75,22 @@ def _cholesky(matrix):
 class _CPlusD:
     """One Cholesky factorization of the problem's C + diag(e), e >= 0.
 
-    The one place the determinant route is decided.  "auto" takes the
-    low-rank route exactly when the problem carries the design factor A of
-    C = A'A/(2n) + lam*I, which build_problem and _restrict keep exactly
-    while p > n (lam > 0 then): the n x n core I + A diag(1/(e +
-    lam)) A'/(2n) is factored, solves go through the Woodbury identity and
-    the determinant through the matrix determinant lemma.  "direct"
-    factors C + diag(e); any other method raises ValueError.  Factors come
-    from _cholesky; a non-finite e + lam also raises SingularMatrix.
+    The route is read from the problem alone.  One that carries the design
+    factor A of C = A'A/(2n) + lam*I, which build_problem and _restrict
+    keep exactly while p > n (lam > 0 then), has the n x n core I + A
+    diag(1/(e + lam)) A'/(2n) factored: solves go through the Woodbury
+    identity and the determinant through the matrix determinant lemma.  Any
+    other problem has the p x p C + diag(e) factored.  Factors come from
+    _cholesky; a non-finite e + lam also raises SingularMatrix.
     """
 
-    def __init__(self, problem, e, method="auto"):
+    def __init__(self, problem, e):
         factor = problem.low_rank_factor
-        if method == "auto":
-            method = "direct" if factor is None else "lowrank"
-        if method == "lowrank":
-            if factor is None:
-                raise ValueError("low-rank route needs the design factor")
+        if factor is None:
+            self._dp = None
+            matrix = problem.c.copy()
+            matrix.ravel()[:: matrix.shape[0] + 1] += e
+        else:
             self._factor = factor
             self._dp = e + problem.lam
             if not np.isfinite(self._dp).all():
@@ -99,12 +100,6 @@ class _CPlusD:
             self._scaled = factor / np.sqrt(self._dp)
             self._two_n = 2.0 * factor.shape[0]
             matrix = np.eye(factor.shape[0]) + self._scaled @ self._scaled.T / self._two_n
-        elif method == "direct":
-            self._dp = None
-            matrix = problem.c.copy()
-            matrix.ravel()[:: matrix.shape[0] + 1] += e
-        else:
-            raise ValueError(f"unknown method {method!r}")
         self._chol = _cholesky(matrix)
 
     @staticmethod
@@ -175,48 +170,54 @@ class _CPlusD:
 def log_det_c_plus_d(problem, d_tau, method="auto"):
     """log det(C + diag(d_tau)).
 
-    method "direct" factors the p x p matrix (on a wide problem, C built
-    from the design on first read), "lowrank" goes through the
-    n-dimensional determinant lemma (requires the problem to carry its
-    design factor), "auto" picks lowrank exactly when it is there, which
-    is when p > n.
+    method picks the problem whose C + D is factored: "auto" and "lowrank"
+    problem itself, which takes the n-dimensional route exactly when it
+    carries its design factor (p > n; "lowrank" requires it), "direct"
+    problem._replace(low_rank_factor=None), the p x p matrix (on a wide
+    problem, C built from the design on first read).
     """
     d = np.asarray(d_tau, dtype=float)
     if d.shape != (problem.p,):
         raise ValueError(f"d_tau must have length {problem.p}")
     if np.any(d < 0.0):
         raise ValueError("d_tau entries must be nonnegative")
-    return _CPlusD(problem, d, method).log_det()
+    if method == "direct":
+        problem = problem._replace(low_rank_factor=None)
+    elif method == "lowrank" and problem.low_rank_factor is None:
+        raise ValueError("low-rank route needs the design factor")
+    elif method not in ("auto", "lowrank"):
+        raise ValueError(f"unknown method {method!r}")
+    return _CPlusD(problem, d).log_det()
 
 
-def _core(problem, x, u, c_plus_d=None):
-    """(exp_term, log_det_term, prefactor_term, d) at the stationary (x, u).
+def _core(problem, x, u):
+    """(exp_term, log_det_term, prefactor_term, d, factor) at (x, u).
 
-    Unchecked, and shared with the marginal-density code.  c_plus_d, when
-    given, is a factor of C + D already at hand (the marginal curves build
-    one at each inner solution and reuse it for the next tangent
-    prediction); otherwise one is built.
+    Unchecked, and shared with the marginal-density code.  factor is the
+    _CPlusD of C + D that log_det_term comes from; the marginal curves
+    reuse it for the next inner solve's tangent prediction.
     """
     w, mu, tau, p = problem.w, problem.mu, problem.tau, problem.p
     d = _d_diag(u, mu, tau)
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
         raise NumericalOverflow(f"exponential term is {exp_term}")
-    if c_plus_d is None:
-        c_plus_d = _CPlusD(problem, d)
-    log_det_term = -0.5 * c_plus_d.log_det()
+    factor = _CPlusD(problem, d)
+    log_det_term = -0.5 * factor.log_det()
     prefactor_term = (
         p * math.log(mu)
         - 0.5 * p * math.log(tau)
         - 0.5 * float(np.sum(np.log(mu * mu + u * u)))
     )
-    return exp_term, log_det_term, prefactor_term, d
+    return exp_term, log_det_term, prefactor_term, d, factor
 
 
 def _check_saddle(problem, saddle):
-    """Refuse a stationary point solved at another tau or not converged."""
+    """Refuse a stationary point solved at another tau or mu, or unconverged."""
     if saddle.tau != problem.tau:
         raise ValueError("saddle was computed at a different tau")
+    if saddle.mu != problem.mu:
+        raise ValueError("saddle was computed at a different mu")
     if not saddle.converged:
         raise NotConverged(saddle.cycles, "stationary point not converged")
 
@@ -229,7 +230,7 @@ def log_partition(problem, saddle):
     x is exactly C^{-1}(w - u) at the stationary point.
     """
     _check_saddle(problem, saddle)
-    exp_term, log_det_term, prefactor_term, d = _core(
+    exp_term, log_det_term, prefactor_term, d, _ = _core(
         problem, saddle.x_tau, saddle.u_tau
     )
     total = exp_term + log_det_term + prefactor_term

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _cost
-from .errors import NotConverged
+from .errors import NotConverged, NumericalError
 from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
@@ -86,9 +86,13 @@ def posterior_sd(problem, saddle):
 def _make_grid(spec, center, sd):
     if spec is None or spec.points is None:
         hw = _GRID_HALF_WIDTH_SDS * sd
-        if not hw > 0.0:
-            raise ValueError("grid half-width must be positive")
-        return center + np.linspace(-hw, hw, _GRID_POINTS)
+        if 0.0 < hw < math.inf:
+            grid = center + np.linspace(-hw, hw, _GRID_POINTS)
+            if (np.diff(grid) > 0.0).all():
+                return grid
+        # at an extreme tau the sd underflows, overflows or is below the
+        # spacing of the floats near center
+        raise NumericalError(f"posterior sd {sd!r} lays out no grid around {center!r}")
     pts = np.asarray(spec.points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("explicit grid needs at least 2 points")
@@ -196,9 +200,11 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     wider than n keep the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
-    converged at problem's tau (else NotConverged or ValueError); an inner
-    solve that exhausts its cycle budget raises NotConverged.  An explicit
-    grid_spec skips the posterior sds, which only lay out the default grid.
+    converged at problem's mu and tau (else NotConverged or ValueError); an
+    inner solve that exhausts its cycle budget raises NotConverged.  An
+    explicit grid_spec skips the posterior sds, which only lay out the
+    default grid; a default grid the sds cannot lay out raises
+    NumericalError.
     """
     others, sub, c_col = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
@@ -219,12 +225,11 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         at_g = sub._replace(w=sub.w - g * c_col)
         if c_plus_d is not None:
             x = x + c_plus_d.solve(at_g.w - w_prev)
-        [(x, u, cycles, _, ok)] = _saddle_cd(at_g, x, tol)
-        if not ok:
-            raise NotConverged(cycles, f"marginal coordinate {j}, grid value {g}")
-        c_plus_d = _CPlusD(at_g, _d_diag(u, sub.mu, sub.tau))
-        e, ld, pref, _ = _core(at_g, x, u, c_plus_d)
-        solved[g] = out = (e + ld + pref, (x, c_plus_d, at_g.w))
+        [sol] = _saddle_cd(at_g, x, tol)
+        if not sol.converged:
+            raise NotConverged(sol.cycles, f"marginal coordinate {j}, grid value {g}")
+        e, ld, pref, _, c_plus_d = _core(at_g, sol.x_tau, sol.u_tau)
+        solved[g] = out = (e + ld + pref, (sol.x_tau, c_plus_d, at_g.w))
         return out
 
     center, seed = saddle.x_tau[j], (saddle.x_tau[others], None, None)

@@ -59,7 +59,7 @@ _BRACKET_STEPS = 200
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Stationary point at one inverse temperature.
+    """Stationary point at one (mu, tau) cell.
 
     x_tau is the posterior-mean vector, u_tau = w - C x_tau its dual; the
     residual is the l-inf norm of the stationarity conditions evaluated with
@@ -73,6 +73,7 @@ class SaddleSolution:
 
     u_tau: np.ndarray
     x_tau: np.ndarray
+    mu: float
     tau: float
     cycles: int
     residual: float
@@ -219,7 +220,7 @@ def _newton_step(problem, x, u, b, res, tau, mu):
 def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     """Solve in lockstep from x0, one lane per pair (taus[k], mus[k])
     (default: one lane at the problem's own tau and mu); returns one
-    (x, u, cycles, residual, converged) per lane.
+    SaddleSolution per lane, in lane order.
 
     The lanes are iterates of the one problem that differ only in tau and
     mu; x0 is one start for all, or one row per lane.  Each cycle moves
@@ -248,11 +249,20 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     x = np.empty((taus.size, problem.p))
     x[:] = x0
     u = problem.w - problem._matvec(x)
-    res = _residual(x, u, mu, tau)
     live = np.arange(taus.size)
     out = [None] * taus.size
-    # the Newton steps' discarded trial values may overflow or divide by zero
+
+    def leave(k, cycles, ok):
+        # row k of the live lanes' arrays, as they are when it leaves
+        out[live[k]] = SaddleSolution(
+            u_tau=u[k], x_tau=x[k], mu=float(mu[k, 0]), tau=float(tau[k, 0]),
+            cycles=cycles, residual=float(res[k]), converged=ok,
+        )
+
+    # the Newton steps' discarded trial values may overflow or divide by
+    # zero, and so may every residual at an l1 weight whose square is no float
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        res = _residual(x, u, mu, tau)
         for cycles in range(1, _MAX_CYCLES + 1):
             b = 2.0 * u * x + 1.0 / tau
             done = res < tols
@@ -267,14 +277,14 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
                 x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
             if exits:
                 for k in done.nonzero()[0]:
-                    out[live[k]] = (x[k], u[k], cycles, float(res[k]), True)
+                    leave(k, cycles, True)
                 keep = ~done
                 if not keep.any():
                     return out
                 x, u, res = x[keep], u[keep], res[keep]
                 tau, mu, tols, live = tau[keep], mu[keep], tols[keep], live[keep]
-    for k, lane in enumerate(live):
-        out[lane] = (x[k], u[k], _MAX_CYCLES, float(res[k]), False)
+    for k in range(live.size):
+        leave(k, _MAX_CYCLES, False)
     return out
 
 
@@ -283,13 +293,6 @@ def _check_start(problem, init, tol, rows=None):
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     return init
-
-
-def _solution(tau, lane):
-    x, u, cycles, res, ok = lane
-    return SaddleSolution(
-        u_tau=u, x_tau=x, tau=tau, cycles=cycles, residual=res, converged=ok
-    )
 
 
 def solve_saddle(problem, init, tol=1e-10):
@@ -303,8 +306,8 @@ def solve_saddle(problem, init, tol=1e-10):
     exhausts the cycle budget returns converged=False with the last iterate.
     """
     init = _check_start(problem, init, tol)
-    [lane] = _saddle_cd(problem, init, tol)
-    return _solution(problem.tau, lane)
+    [sol] = _saddle_cd(problem, init, tol)
+    return sol
 
 
 def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
@@ -337,7 +340,6 @@ def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
         init = np.zeros((len(mus), problem.p))
     init = _check_start(problem, init, tol, rows=len(mus))
     n = len(taus)
-    lanes = _saddle_cd(
+    return _saddle_cd(
         problem, np.repeat(init, n, axis=0), tol, taus * len(mus), np.repeat(mus, n)
     )
-    return [_solution(t, lane) for t, lane in zip(taus * len(mus), lanes)]

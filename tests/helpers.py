@@ -456,11 +456,11 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
         at_g = problem._replace(
             c=c_sub, w=w_sub - grid[k] * c_col, low_rank_factor=None
         )
-        [(x, u, _, _, ok)] = _saddle_cd(at_g, x, tol)
-        assert ok
-        e, ld, pref, _ = _core(at_g, x, u)
+        [sol] = _saddle_cd(at_g, x, tol)
+        assert sol.converged
+        e, ld, pref, _, _ = _core(at_g, sol.x_tau, sol.u_tau)
         log_dens[k] += e + ld + pref
-        return x
+        return sol.x_tau
 
     start = int(np.argmin(np.abs(grid - saddle.x_tau[j])))
     x = x_center = solve(start, saddle.x_tau[idx])

@@ -210,6 +210,43 @@ def test_overflowing_tau_grid_exits_4_without_warning(tmp_path, verb, flags):
     assert "RuntimeWarning" not in fresh.stderr
 
 
+def extreme_csv(tmp_path, standardized):
+    # 40x5 with three planted signals, as drawn or already standardized
+    rng = np.random.default_rng(3)
+    preds = rng.standard_normal((40, 5))
+    ys = preds @ np.array([1.0, 0.0, -0.5, 0.0, 0.3]) + rng.standard_normal(40)
+    if standardized:
+        std = bn.standardize(bn.Dataset(responses=ys, predictors=preds))
+        preds, ys = std.predictors, std.responses
+    path = tmp_path / "extreme.csv"
+    helpers.write_csv(path, [f"g{j}" for j in range(5)], preds, ys)
+    return path
+
+
+@pytest.mark.parametrize("standardized, argv", [
+    (True, ["fit", "--mu", "1e78", "--tau", "10"]),
+    (True, ["fit", "--mu", "1e10", "--tau", "1e290"]),
+    (False, ["fit", "--mu", "1e-170", "--tau", "10"]),
+    (True, ["fit", "--mu", "1e155", "--tau", "10"]),
+    (True, ["convergence", "--mu", "1e78", "--tau-grid", "1,2"]),
+    (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e100"]),
+    (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e200"]),
+    (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e300"]),
+], ids=["fit-mu78", "fit-tau290", "fit-mu-170", "fit-mu155", "convergence-mu78",
+        "marginal-tau100", "marginal-tau200", "marginal-tau300"])
+def test_extreme_mu_or_tau_exits_3_without_warning(tmp_path, capsys, standardized, argv):
+    # D overflowed or was 0/0, the first residual overflowed, or the default
+    # marginal grid collapsed onto one float: each printed a RuntimeWarning
+    # (a traceback under -W error) or exited 4 naming a grid nobody gave
+    verb, *flags = argv
+    csv = extreme_csv(tmp_path, standardized)
+    code, cap = run([verb, csv, "--response", "y", *flags, "--out", tmp_path / "out"],
+                    capsys)
+    assert code == 3
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert "RuntimeWarning" not in cap.err
+
+
 def test_unstandardized_input_with_flag_exits_2(tmp_path, capsys):
     csv = make_csv(tmp_path)
     code, cap = run(["fit", csv, "--response", "y", "--no-standardize",
@@ -554,7 +591,7 @@ def test_marginal_refuses_flags_it_would_not_read(tmp_path, capsys, flags):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
-@pytest.mark.parametrize("coords", ["1,1", "3"])
+@pytest.mark.parametrize("coords", ["1,1", "3", "0,x"])
 def test_marginal_checks_coords_before_the_fit(tmp_path, capsys, monkeypatch, coords):
     solves = counting(monkeypatch, "solve_saddle")
     builds = counting(monkeypatch, "build_problem")

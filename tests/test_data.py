@@ -156,6 +156,17 @@ def test_wide_problem_builds_c_on_first_read():
     assert np.array_equal(*chains)
 
 
+def test_wide_problem_repr_builds_no_c(monkeypatch):
+    # the generated repr read c, building a p x p matrix to print it
+    def refuse(self):
+        raise AssertionError("the p x p C was built")
+
+    monkeypatch.setattr(bn.PenalizedProblem, "_dense_c", refuse)
+    prob = bn.build_problem(helpers.random_standardized(1, 50, 3000), 0.1, 0.1, 10.0)
+    assert "mu=0.1" in repr(prob)
+    assert prob.__dict__["_lazy_c"] == []
+
+
 def test_wide_accessors_match_the_dense_matrix():
     std = helpers.random_standardized(14, 12, 40)
     wide = bn.build_problem(std, 0.3, 0.2, 1.0)

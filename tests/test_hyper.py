@@ -342,6 +342,58 @@ def test_cv_ml_failure_costs_only_its_own_row(monkeypatch):
     assert all(np.isfinite(x).all() for k, x in enumerate(starts) if k % 4)
 
 
+@pytest.mark.parametrize("stage", ["build_problem", "solve_ml", "tau_path"])
+def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
+    # a fold whose problem cannot be built, whose every ML fit fails or
+    # whose every mu's solve raises scores NaN throughout; the other folds
+    # score as they would alone
+    std = helpers.random_standardized(31, 53, 4)
+    grid = small_grid(std, 0.02)
+    clean = bn.cross_validate(std, grid, folds=5, seed=3)
+    build_problem, solve_ml, tau_path = (
+        bn.hyper.build_problem, bn.hyper.solve_ml, bn.hyper.tau_path
+    )
+    folds = []
+
+    def failing(name):
+        return stage == name and len(folds) == 2
+
+    def counted_build(*args):
+        folds.append(1)
+        if failing("build_problem"):
+            raise bn.SingularMatrix("injected")
+        return build_problem(*args)
+
+    def ml(problem, tol=1e-10, init=None):
+        out = solve_ml(problem, tol=tol, init=init)
+        return dataclasses.replace(out, converged=False) if failing("solve_ml") else out
+
+    def path(problem, taus, **kwargs):
+        if failing("tau_path"):
+            raise bn.NoAdmissibleRoot("injected")
+        return tau_path(problem, taus, **kwargs)
+
+    monkeypatch.setattr(bn.hyper, "build_problem", counted_build)
+    monkeypatch.setattr(bn.hyper, "solve_ml", ml)
+    monkeypatch.setattr(bn.hyper, "tau_path", path)
+    rep = bn.cross_validate(std, grid, folds=5, seed=3)
+    assert len(folds) == 5
+    assert np.isnan(rep.fold_scores[1]).all()
+    rest = np.delete(rep.fold_scores, 1, axis=0)
+    assert np.array_equal(rest, np.delete(clean.fold_scores, 1, axis=0))
+
+
+def test_cv_every_cell_failed_raises(monkeypatch):
+    std = helpers.random_standardized(31, 53, 4)
+
+    def path(problem, taus, **kwargs):
+        raise bn.NoAdmissibleRoot("injected")
+
+    monkeypatch.setattr(bn.hyper, "tau_path", path)
+    with pytest.raises(bn.NotConverged, match="every grid cell failed"):
+        bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
+
+
 def test_cv_fold_partition_covers_all_rows():
     std = helpers.random_standardized(31, 53, 4)
     rep = bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)

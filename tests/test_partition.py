@@ -90,6 +90,11 @@ def test_tau_mismatch_rejected():
     sad = bn.solve_saddle(prob, np.zeros(3), tol=1e-11)
     with pytest.raises(ValueError):
         log_partition(prob.with_tau(200.0), sad)
+    # a stationary point solved at another mu gave a wrong log Z without a
+    # word
+    with pytest.raises(ValueError, match="different mu"):
+        log_partition(prob.with_mu(0.05), sad)
+    assert sad.mu == prob.mu
 
 
 def test_unconverged_saddle_rejected(monkeypatch):
@@ -113,8 +118,8 @@ def test_log_det_null_design():
     ref = float(np.sum(np.log(d + lam)))
     prob = bn.PenalizedProblem(c=lam * np.eye(p), w=np.zeros(p), mu=1.0, lam=lam, tau=1.0)
     prob = prob._replace(low_rank_factor=np.zeros((n, p)))
-    for method in ("direct", "lowrank"):
-        factor = _CPlusD(prob, d, method)
+    for problem in (prob._replace(low_rank_factor=None), prob):
+        factor = _CPlusD(problem, d)
         assert factor.log_det() == pytest.approx(ref, rel=1e-14)
 
 
@@ -144,10 +149,9 @@ def test_factor_routes_agree_wide_design():
     rng = np.random.default_rng(56)
     e = rng.uniform(0.0, 5.0, size=60)
     rhs = rng.standard_normal(60)
-    direct = _CPlusD(prob, e, "direct")
-    lowrank = _CPlusD(prob, e, "lowrank")
-    auto = _CPlusD(prob, e)
-    assert auto.log_det() == lowrank.log_det()
+    direct = _CPlusD(prob._replace(low_rank_factor=None), e)
+    lowrank = _CPlusD(prob, e)
+    assert lowrank._dp is not None
     x_ref = direct.solve(rhs)
     assert np.max(np.abs(lowrank.solve(rhs) - x_ref)) / np.max(np.abs(x_ref)) < 1e-10
     assert abs(lowrank.log_det() - direct.log_det()) / abs(direct.log_det()) < 1e-10
@@ -169,13 +173,13 @@ def test_factor_rejects_non_finite_input(bad):
     c_bad[3, 5] = c_bad[5, 3] = bad
     f_bad = prob.low_rank_factor.copy()
     f_bad[2, 4] = bad
-    for method in ("direct", "lowrank"):
+    for problem in (prob._replace(low_rank_factor=None), prob):
         with pytest.raises(bn.SingularMatrix):
-            _CPlusD(prob, e_bad, method)
+            _CPlusD(problem, e_bad)
     with pytest.raises(bn.SingularMatrix):
         _CPlusD(prob._replace(c=c_bad, low_rank_factor=None), e)
     with pytest.raises(bn.SingularMatrix):
-        _CPlusD(prob._replace(low_rank_factor=f_bad), e, "lowrank")
+        _CPlusD(prob._replace(low_rank_factor=f_bad), e)
 
 
 @pytest.mark.parametrize(
@@ -234,16 +238,10 @@ def test_log_det_validation():
         log_det_c_plus_d(prob, np.zeros(2))
     with pytest.raises(ValueError):
         log_det_c_plus_d(prob, np.array([-0.1, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        log_det_c_plus_d(prob, np.zeros(3), method="magic")
-
-
-def test_factor_rejects_unknown_method():
-    # an unknown route name was factored directly, without a word
-    std = helpers.random_standardized(48, 20, 3)
-    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
     with pytest.raises(ValueError, match="unknown method 'magic'"):
-        _CPlusD(prob, np.zeros(3), "magic")
+        log_det_c_plus_d(prob, np.zeros(3), method="magic")
+    with pytest.raises(ValueError, match="needs the design factor"):
+        log_det_c_plus_d(prob, np.zeros(3), method="lowrank")
 
 
 # ---------------------------------------------------------------------------

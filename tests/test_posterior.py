@@ -78,9 +78,9 @@ def test_marginal_inner_solve_free_at_center(p5_suite):
     idx = [k for k in range(5) if k != j]
     sub = prob._restrict(idx)
     at_center = sub._replace(w=sub.w - sad.x_tau[j] * prob.c[idx, j])
-    [(_, _, cycles, res, ok)] = _saddle_cd(at_center, sad.x_tau[idx], 1e-10)
-    assert ok
-    assert cycles == 1
+    [sol] = _saddle_cd(at_center, sad.x_tau[idx], 1e-10)
+    assert sol.converged
+    assert sol.cycles == 1
 
 
 def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
@@ -149,8 +149,8 @@ def test_every_inner_solve_converges_with_a_polish_step(monkeypatch):
         for j in range(prob.p):
             marginal_sp(prob, sad, j)
     assert len(solves) == 17 * 9 + 3 * 17
-    for _, _, cycles, _, ok in solves:
-        assert ok and cycles >= 1
+    for sol in solves:
+        assert sol.converged and sol.cycles >= 1
 
 
 def test_marginal_wide_design_keeps_the_low_rank_route(monkeypatch):
@@ -420,6 +420,28 @@ def test_saddle_must_be_converged_at_the_problems_tau(p5_suite, call):
         call(prob, dataclasses.replace(sad, converged=False), *args)
     with pytest.raises(ValueError, match="different tau"):
         call(prob.with_tau(2.0 * prob.tau), sad, *args)
+    with pytest.raises(ValueError, match="different mu"):
+        call(prob.with_mu(0.5 * prob.mu), sad, *args)
+
+
+def test_default_grid_that_collapses_is_a_numerical_error(recwarn, monkeypatch):
+    # at tau = 1e100 the posterior sd is below the spacing of the floats
+    # near the mean, at 1e300 it underflows: the default grid had 201 equal
+    # points and an all-inf density, or was a ValueError (exit 4).  Both
+    # curves refuse it before any inner solve.
+    std = helpers.random_standardized(3, 40, 5, beta=[1, 0, -0.5, 0, 0.3])
+    monkeypatch.setattr(bn.posterior, "_saddle_cd", None)
+    monkeypatch.setattr(bn.posterior, "_ml_cd", None)
+    for tau in (1e100, 1e300):
+        prob = bn.build_problem(std, 0.0, 0.1, tau)
+        ml = bn.solve_ml(prob)
+        sad = bn.solve_saddle(prob, ml.x_hat)
+        assert sad.converged
+        with pytest.raises(bn.NumericalError, match="lays out no grid"):
+            marginal_sp(prob, sad, 0)
+        with pytest.raises(bn.NumericalError, match="lays out no grid"):
+            marginal_ml_approx(prob, ml, 0)
+    assert len(recwarn) == 0
 
 
 # ---------------------------------------------------------------------------
