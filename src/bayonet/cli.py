@@ -405,22 +405,16 @@ def cmd_convergence(args):
         count, ratio = args.mu_grid
         mus = list(mu_grid(mu_max(base.w), count, ratio))
     taus = tau_grid(*args.tau_grid)
-    # the mus before the first unconverged ML fit are solved as one
-    # (mu, tau) grid; that fit's error follows their rows, as in mu order
-    mls, failed = [], None
+    mls = []
     for mu in mus:
         ml = solve_ml(base.with_mu(mu), tol=args.tol)
         if not ml.converged:
-            failed = ml
-            break
+            raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
         mls.append(ml)
-    sols = []
-    if mls:
-        inits = [ml.x_hat for ml in mls]
-        sols = tau_path(base, taus, init=inits, tol=args.tol, mus=mus[: len(mls)])
+    sols = tau_path(base, taus, init=[ml.x_hat for ml in mls], tol=args.tol, mus=mus)
     rows = []
-    for i, ml in enumerate(mls):
-        mu, prob = mus[i], base.with_mu(mus[i])
+    for i, (mu, ml) in enumerate(zip(mus, mls)):
+        prob = base.with_mu(mu)
         for sol in sols[i * len(taus) : (i + 1) * len(taus)]:
             if not sol.converged:
                 raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={mu}")
@@ -432,8 +426,6 @@ def cmd_convergence(args):
                 )
             xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
             rows.append([sol.tau, mu, gap, xdiff])
-    if failed is not None:
-        raise NotConverged(failed.cycles, f"ML stage at mu={mus[len(mls)]}")
     _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], np.array(rows))
     return 0
 

@@ -122,7 +122,7 @@ def _check_scalars(mu, tau, lam):
         raise ValueError("lam must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenalizedProblem:
     """Cost x'Cx - 2w'x + 2mu*||x||_1 at inverse temperature tau.
 
@@ -142,7 +142,8 @@ class PenalizedProblem:
     shared with the problem's with_tau and with_mu copies.  _restrict keeps
     the design columns only while still wider than n, so the factor is
     present exactly when p > n.  It is not a constructor argument, so it
-    always matches C.
+    always matches C.  == and hash are by identity: a field-wise == would
+    compare arrays, and on such a problem build C.
     """
 
     c: np.ndarray = field(repr=False)

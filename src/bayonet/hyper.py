@@ -168,23 +168,51 @@ def _screen(std, top):
     return keep
 
 
-def _fold_paths(problem, taus, mus, inits, tol):
-    """One tau_path over every (mu, tau) cell of a fold; one list of
-    solutions per mu, or None for a mu whose solve raised.
-
-    A BayonetError in the fold-wide call is narrowed down by solving each
-    mu on its own, so an error costs only its own mu's row.
-    """
-    try:
-        sols = tau_path(problem, taus, init=np.array(inits), tol=tol, mus=mus)
-    except BayonetError:
-        if len(mus) == 1:
-            return [None]
-        return [
-            _fold_paths(problem, taus, [mu], [x], tol)[0] for mu, x in zip(mus, inits)
-        ]
-    n = len(taus)
-    return [sols[i * n : (i + 1) * n] for i in range(len(mus))]
+def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
+    """One fold's (n_mu, n_tau) block of held-out scores, NaN where a
+    cell's lane or its mu's ML fit did not converge."""
+    std = standardize(
+        Dataset(
+            responses=data.responses[train_idx],
+            predictors=data.predictors[train_idx],
+        )
+    )
+    cols = np.arange(data.p)
+    if screen_top is not None and screen_top < data.p:
+        cols = _screen(std, screen_top)
+        std = Dataset(
+            responses=std.responses,
+            predictors=std.predictors[:, cols],
+            standardized=True,
+            predictor_offset=std.predictor_offset[cols],
+            predictor_scale=std.predictor_scale[cols],
+            response_offset=std.response_offset,
+            response_scale=std.response_scale,
+        )
+    a_val = apply_standardization(
+        data.predictors[np.ix_(val_idx, cols)],
+        std.predictor_offset,
+        std.predictor_scale,
+    )
+    base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
+    block = np.full((grid.mus.size, grid.taus.size), np.nan)
+    rows, inits = [], []
+    for i, mu in enumerate(grid.mus):
+        start = inits[-1] if inits else None
+        ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
+        if ml.converged:
+            rows.append(i)
+            inits.append(ml.x_hat)
+    if not rows:
+        return block
+    sols = tau_path(base, grid.taus, init=np.array(inits), tol=tol, mus=grid.mus[rows])
+    # one column of predictions per cell, in grid order
+    x = np.array([sol.x_tau for sol in sols])
+    pred = a_val @ x.T * std.response_scale + std.response_offset
+    ok = np.array([sol.converged for sol in sols])
+    r = np.where(ok, pearson(data.responses[val_idx], pred), np.nan)
+    block[rows] = r.reshape(len(rows), grid.taus.size)
+    return block
 
 
 def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
@@ -195,10 +223,10 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     fit.  Within a fold the ML fits run down the descending mus, each from
     the previous converged minimizer (glmnet's pathwise warm start), and the
     whole (mu, tau) grid is then solved as one lockstep tau_path, every cell
-    from its mu's ML minimizer.  A failed cell (solver non-convergence)
-    scores NaN and simply drops out of the medians; a mu whose ML fit does
-    not converge or whose solve raises loses its row, a degenerate fold
-    matrix its fold.
+    from its mu's ML minimizer.  Failed scores are NaN and simply drop out
+    of the medians: a fold that cannot be standardized, built or solved
+    loses its fold, a mu whose ML fit does not converge its row, and a lane
+    that does not converge its cell.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -212,58 +240,13 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     assignment = np.empty(data.n, dtype=int)
     for f, part in enumerate(parts):
         assignment[part] = f
-    n_mu, n_tau = grid.mus.size, grid.taus.size
-    scores = np.full((folds, n_mu, n_tau), np.nan)
+    scores = np.full((folds, grid.mus.size, grid.taus.size), np.nan)
     for f, val_idx in enumerate(parts):
         train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
-        std = standardize(
-            Dataset(
-                responses=data.responses[train_idx],
-                predictors=data.predictors[train_idx],
-            )
-        )
-        cols = np.arange(data.p)
-        if screen_top is not None and screen_top < data.p:
-            cols = _screen(std, screen_top)
-            std = Dataset(
-                responses=std.responses,
-                predictors=std.predictors[:, cols],
-                standardized=True,
-                predictor_offset=std.predictor_offset[cols],
-                predictor_scale=std.predictor_scale[cols],
-                response_offset=std.response_offset,
-                response_scale=std.response_scale,
-            )
-        a_val = apply_standardization(
-            data.predictors[np.ix_(val_idx, cols)],
-            std.predictor_offset,
-            std.predictor_scale,
-        )
-        y_val = data.responses[val_idx]
         try:
-            base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
+            scores[f] = _fold_scores(data, grid, train_idx, val_idx, screen_top, tol)
         except BayonetError:
-            continue
-        rows, inits = [], []
-        for i, mu in enumerate(grid.mus):
-            start = inits[-1] if inits else None
-            ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
-            if ml.converged:
-                rows.append(i)
-                inits.append(ml.x_hat)
-        if not rows:
-            continue
-        paths = _fold_paths(base, grid.taus, list(grid.mus[rows]), inits, tol)
-        solved = [(i, sols) for i, sols in zip(rows, paths) if sols is not None]
-        if not solved:
-            continue
-        # one column of predictions per cell, in grid order
-        sols = [sol for _, path in solved for sol in path]
-        x = np.array([sol.x_tau for sol in sols])
-        pred = a_val @ x.T * std.response_scale + std.response_offset
-        ok = np.array([sol.converged for sol in sols])
-        r = np.where(ok, pearson(y_val, pred), np.nan)
-        scores[f, [i for i, _ in solved]] = r.reshape(len(solved), n_tau)
+            pass
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median_scores = np.nanmedian(scores, axis=0)

@@ -65,7 +65,9 @@ class SaddleSolution:
     residual is the l-inf norm of the stationarity conditions evaluated with
     a fresh u (no incremental bookkeeping involved).  cycles counts Newton
     steps plus fallback coordinate sweeps, the final polishing step
-    included, so a converged solve has cycles >= 1.  converged means the
+    included, so a converged solve has cycles >= 1; a lane whose mu * mu or
+    1 / tau is not a finite float returns unconverged with cycles = 0,
+    since no x gives it a finite residual.  converged means the
     residual met the tolerance of ``solve_saddle`` with u_tau strictly
     inside the box, |u_j| < mu, and every 2 u_j x_j + 1/tau > 0, as at
     every stationary point.
@@ -239,7 +241,10 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     independently of each other: up to the rounding of the products and
     factorizations they share, each one's iterates are those it would take
     alone.  A lane still live after _MAX_CYCLES cycles returns
-    converged=False and cycles = _MAX_CYCLES.
+    converged=False and cycles = _MAX_CYCLES.  A doomed lane, one whose
+    mu * mu or 1 / tau is not a finite float, has no x with a finite
+    residual: it returns its start unconverged with cycles = 0, before the
+    first cycle.
     """
     if taus is None:
         taus, mus = [problem.tau], [problem.mu]
@@ -252,17 +257,27 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     live = np.arange(taus.size)
     out = [None] * taus.size
 
-    def leave(k, cycles, ok):
-        # row k of the live lanes' arrays, as they are when it leaves
-        out[live[k]] = SaddleSolution(
-            u_tau=u[k], x_tau=x[k], mu=float(mu[k, 0]), tau=float(tau[k, 0]),
-            cycles=cycles, residual=float(res[k]), converged=ok,
-        )
+    def leave(gone, cycles, ok):
+        # the live lanes' rows where gone holds leave as they are; False
+        # once no lane is left
+        nonlocal x, u, res, tau, mu, tols, live
+        for k in gone.nonzero()[0]:
+            out[live[k]] = SaddleSolution(
+                u_tau=u[k], x_tau=x[k], mu=float(mu[k, 0]), tau=float(tau[k, 0]),
+                cycles=cycles, residual=float(res[k]), converged=ok,
+            )
+        keep = ~gone
+        x, u, res = x[keep], u[keep], res[keep]
+        tau, mu, tols, live = tau[keep], mu[keep], tols[keep], live[keep]
+        return live.size > 0
 
     # the Newton steps' discarded trial values may overflow or divide by
-    # zero, and so may every residual at an l1 weight whose square is no float
+    # zero, and so may every residual of a doomed lane
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         res = _residual(x, u, mu, tau)
+        doomed = ~(np.isfinite(mu * mu) & np.isfinite(1.0 / tau))[:, 0]
+        if doomed.any() and not leave(doomed, 0, False):
+            return out
         for cycles in range(1, _MAX_CYCLES + 1):
             b = 2.0 * u * x + 1.0 / tau
             done = res < tols
@@ -275,16 +290,9 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
             for k in (~(done | moved)).nonzero()[0]:
                 at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
-            if exits:
-                for k in done.nonzero()[0]:
-                    leave(k, cycles, True)
-                keep = ~done
-                if not keep.any():
-                    return out
-                x, u, res = x[keep], u[keep], res[keep]
-                tau, mu, tols, live = tau[keep], mu[keep], tols[keep], live[keep]
-    for k in range(live.size):
-        leave(k, _MAX_CYCLES, False)
+            if exits and not leave(done, cycles, True):
+                return out
+    leave(np.ones(live.size, dtype=bool), _MAX_CYCLES, False)
     return out
 
 

@@ -337,6 +337,17 @@ def random_standardized(seed, n, p, beta=None, noise=1.0):
     return bn.standardize(bn.Dataset(responses=y, predictors=a))
 
 
+def one_row_column_dataset(seed=0, n=40, p=4, col=2):
+    """Raw dataset whose column col is zero except in row 0 and y is
+    column 0 plus noise: it standardizes as a whole, but that column is
+    constant in the training fold that holds row 0 out."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, p))
+    a[1:, col] = 0.0
+    y = a[:, 0] + rng.standard_normal(n)
+    return bn.Dataset(responses=y, predictors=a)
+
+
 def build_p5_suite():
     """Frozen five-predictor suite: two strong signals, one correlated pair
     among the three pure-noise columns, noise orthogonalized against the

@@ -723,7 +723,7 @@ def test_convergence_negative_gap_is_a_numerical_error(tmp_path, monkeypatch):
 
 def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     # the whole --mu-grid is one tau_path call; an unconverged ML fit
-    # raises after the rows of the mus before it, with its own message
+    # raises with its own message before any solve
     path_calls, solve_ml = [], cli.solve_ml
     tau_path = cli.tau_path
 
@@ -752,7 +752,7 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     args = cli._build_parser().parse_args(argv)
     with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
         cli.cmd_convergence(args)
-    assert path_calls[-1] == path_calls[0][:2]
+    assert len(path_calls) == 1
 
 
 def test_convergence_requires_mu_or_grid(tmp_path, capsys):
@@ -886,6 +886,21 @@ def test_cv_json_schema(tmp_path):
     assert best["mu"] in payload["grid"]["mus"]
     assert best["tau"] in payload["grid"]["taus"]
     assert best["median_r"] > 0.9
+
+
+def test_cv_fold_with_a_constant_column_exits_0(tmp_path):
+    # column 2 is constant in one training fold only: that fold's scores
+    # print as null and the command still exits 0
+    data = helpers.one_row_column_dataset()
+    path = tmp_path / "one_row.csv"
+    helpers.write_csv(path, [f"g{j}" for j in range(4)], data.predictors, data.responses)
+    out = tmp_path / "cv.json"
+    assert run(["cv", path, "--response", "y", "--lambda", "0.1", "--folds", "5",
+                "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    lost = [all(v is None for row in fold for v in row) for fold in payload["fold_scores"]]
+    assert sum(lost) == 1
+    assert all(v is not None for row in payload["scores"] for v in row)
 
 
 def test_cv_builds_no_full_problem(tmp_path, monkeypatch):

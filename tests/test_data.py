@@ -167,6 +167,20 @@ def test_wide_problem_repr_builds_no_c(monkeypatch):
     assert prob.__dict__["_lazy_c"] == []
 
 
+def test_problem_equality_is_identity(monkeypatch):
+    # the generated == compared the array fields: two problems built from
+    # one dataset raised, and a wide problem's == built its p x p C
+    def refuse(self):
+        raise AssertionError("the p x p C was built")
+
+    monkeypatch.setattr(bn.PenalizedProblem, "_dense_c", refuse)
+    for p in (5, 3000):
+        std = helpers.random_standardized(1, 50, p)
+        a, b = (bn.build_problem(std, 0.1, 0.1, 10.0) for _ in range(2))
+        assert a == a and a != b and a != a.with_tau(10.0)
+        assert len({a, b}) == 2
+
+
 def test_wide_accessors_match_the_dense_matrix():
     std = helpers.random_standardized(14, 12, 40)
     wide = bn.build_problem(std, 0.3, 0.2, 1.0)

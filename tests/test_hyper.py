@@ -288,33 +288,6 @@ def test_cv_unconverged_lane_scores_nan(monkeypatch):
     assert np.isfinite(rep.fold_scores[:, :, 1:]).all()
 
 
-def test_cv_solver_error_costs_only_its_own_row(monkeypatch):
-    # every fold is one tau_path call; an error raised by one mu's lanes of
-    # one fold drops that (fold, mu) row only, not the fold
-    std = helpers.random_standardized(31, 53, 4)
-    grid = small_grid(std, 0.02)
-    clean = bn.cross_validate(std, grid, folds=5, seed=3)
-    tau_path, folds, calls = bn.hyper.tau_path, [], []
-
-    def one_row_raises(problem, taus, **kwargs):
-        w = problem.w.tobytes()
-        if w not in folds:
-            folds.append(w)
-        calls.append(len(kwargs["mus"]))
-        if folds.index(w) == 1 and grid.mus[2] in kwargs["mus"]:
-            raise bn.NoAdmissibleRoot("injected")
-        return tau_path(problem, taus, **kwargs)
-
-    monkeypatch.setattr(bn.hyper, "tau_path", one_row_raises)
-    rep = bn.cross_validate(std, grid, folds=5, seed=3)
-    lost = np.zeros(rep.fold_scores.shape, dtype=bool)
-    lost[1, 2] = True
-    assert np.isnan(rep.fold_scores[lost]).all()
-    assert np.max(np.abs(rep.fold_scores[~lost] - clean.fold_scores[~lost])) < 1e-12
-    # one fold-wide call per fold, plus one call per mu in the failing fold
-    assert calls == [4, 4, 1, 1, 1, 1, 4, 4, 4]
-
-
 def test_cv_ml_failure_costs_only_its_own_row(monkeypatch):
     # the ML fits run down the mu column, each from the previous converged
     # minimizer; a fit that does not converge drops its row and the next
@@ -345,8 +318,8 @@ def test_cv_ml_failure_costs_only_its_own_row(monkeypatch):
 @pytest.mark.parametrize("stage", ["build_problem", "solve_ml", "tau_path"])
 def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
     # a fold whose problem cannot be built, whose every ML fit fails or
-    # whose every mu's solve raises scores NaN throughout; the other folds
-    # score as they would alone
+    # whose solve raises scores NaN throughout; the other folds score as
+    # they would alone
     std = helpers.random_standardized(31, 53, 4)
     grid = small_grid(std, 0.02)
     clean = bn.cross_validate(std, grid, folds=5, seed=3)
@@ -381,6 +354,19 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
     assert np.isnan(rep.fold_scores[1]).all()
     rest = np.delete(rep.fold_scores, 1, axis=0)
     assert np.array_equal(rest, np.delete(clean.fold_scores, 1, axis=0))
+
+
+def test_cv_fold_with_a_constant_column_loses_only_its_fold():
+    # the data standardize as a whole, but column 2 is constant in the
+    # training fold that holds row 0 out: that fold scores NaN and every
+    # other fold scores
+    data = helpers.one_row_column_dataset()
+    grid = small_grid(bn.standardize(data), 0.1)
+    rep = bn.cross_validate(data, grid, folds=5, seed=0)
+    lost = rep.fold_assignment[0]
+    assert np.isnan(rep.fold_scores[lost]).all()
+    assert np.isfinite(np.delete(rep.fold_scores, lost, axis=0)).all()
+    assert np.isfinite(rep.median_scores).all()
 
 
 def test_cv_every_cell_failed_raises(monkeypatch):

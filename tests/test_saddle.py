@@ -479,6 +479,31 @@ def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
             assert np.max(np.abs(sol.x_tau - ref.x_tau)) < 10 * tol
 
 
+def test_doomed_lanes_leave_before_their_first_cycle():
+    # no x gives a finite residual where mu * mu overflows: those lanes
+    # return unconverged after 0 cycles, and the other lanes take their
+    # iterates bit for bit
+    std = helpers.random_standardized(40, 60, 6, beta=[1.0, -0.5, 0.3, 0.0, 0.0, 0.0])
+    base = bn.build_problem(std, 0.1, 1.0, 1.0)
+    taus = [1.0, 100.0]
+    mus = [0.05, 1e155, 0.1]
+    starts = [bn.solve_ml(base.with_mu(m)).x_hat for m in mus]
+    grid = tau_path(base, taus, init=starts, mus=mus)
+    clean = tau_path(base, taus, init=starts[::2], mus=mus[::2])
+    for sol in grid[2:4]:
+        assert sol.mu == 1e155 and not sol.converged and sol.cycles == 0
+    for sol, ref in zip(grid[:2] + grid[4:], clean):
+        assert sol.converged and sol.cycles == ref.cycles
+        assert np.array_equal(sol.x_tau, ref.x_tau)
+
+
+def test_doomed_wide_solve_takes_no_cycle():
+    std = helpers.random_standardized(41, 100, 400)
+    prob = bn.build_problem(std, 0.1, 1e155, 10.0)
+    sol = solve_saddle(prob, bn.solve_ml(prob).x_hat)
+    assert not sol.converged and sol.cycles == 0
+
+
 @pytest.mark.parametrize(
     "mus,init",
     [
