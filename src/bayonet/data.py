@@ -138,12 +138,14 @@ class PenalizedProblem:
     the solvers read it through the private accessors (_matvec, _quad,
     _col, _block, _diag) at O(np) or less, and determinants of C +
     diagonal reduce to an n x n computation.  problem.c stays readable:
-    on such a problem it is built on first read, by that expression, and
-    shared with the problem's with_tau and with_mu copies.  _restrict keeps
-    the design columns only while still wider than n, so the factor is
-    present exactly when p > n.  It is not a constructor argument, so it
-    always matches C.  == and hash are by identity: a field-wise == would
-    compare arrays, and on such a problem build C.
+    on such a problem it is built by that expression on every read and
+    never stored.  A problem holds its fields and nothing else: c and w
+    (or w and the design), the scalars and low_rank_factor, so a copy is
+    those fields with some swapped.  _restrict keeps the design columns
+    only while still wider than n, so the factor is present exactly when
+    p > n.  It is not a constructor argument, so it always matches C.  ==
+    and hash are by identity: a field-wise == would compare arrays, and on
+    such a problem build C.
     """
 
     c: np.ndarray = field(repr=False)
@@ -180,21 +182,15 @@ class PenalizedProblem:
         if not 0.0 < lam < math.inf:
             raise ValueError("lam must be positive and finite without C")
         out = object.__new__(cls)
-        out.__dict__.update(
-            w=_readonly(w), mu=mu, lam=lam, tau=tau, low_rank_factor=a, _lazy_c=[]
-        )
+        out.__dict__.update(w=_readonly(w), mu=mu, lam=lam, tau=tau, low_rank_factor=a)
         return out
 
     def __getattr__(self, name):
         # reached only for attributes never set: the c of a problem that
-        # holds its design instead, built on first read into a cache its
-        # copies share
-        lazy = self.__dict__.get("_lazy_c")
-        if name != "c" or lazy is None:
+        # holds its design instead, built on every read
+        if name != "c" or self.low_rank_factor is None:
             raise AttributeError(name)
-        if not lazy:
-            lazy.append(self._dense_c())
-        return lazy[0]
+        return self._dense_c()
 
     def _dense_c(self):
         a = self.low_rank_factor
@@ -250,20 +246,13 @@ class PenalizedProblem:
         return sub.T @ sub / (2.0 * f.shape[0]) + self.lam * np.eye(len(idx))
 
     def _replace(self, **fields):
-        # an unchecked copy with fields swapped in: the solvers' restrictions
-        # and shifted linear terms are built from validated parts.  C goes
-        # with the design factor: a new factor's C is built on its first
-        # read, and a copy that drops the factor takes C as an array
+        # an unchecked copy holding self's fields with `fields` swapped in:
+        # the solvers' restrictions and shifted linear terms are built from
+        # validated parts.  A wide problem holds no c, so a copy that drops
+        # the factor must pass c as well; one that swaps the factor reads
+        # its own C from it
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
-        if "low_rank_factor" in fields:
-            if fields["low_rank_factor"] is None:
-                fields.setdefault("c", self.c)
-                out.__dict__.pop("_lazy_c", None)
-            else:
-                out.__dict__.pop("c", None)
-                fields["_lazy_c"] = []
-        out.__dict__.update(fields)
+        out.__dict__.update(self.__dict__, **fields)
         return out
 
     def _restrict(self, idx):

@@ -10,7 +10,7 @@ on the original response scale.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,14 +180,11 @@ def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
     cols = np.arange(data.p)
     if screen_top is not None and screen_top < data.p:
         cols = _screen(std, screen_top)
-        std = Dataset(
-            responses=std.responses,
+        std = replace(
+            std,
             predictors=std.predictors[:, cols],
-            standardized=True,
             predictor_offset=std.predictor_offset[cols],
             predictor_scale=std.predictor_scale[cols],
-            response_offset=std.response_offset,
-            response_scale=std.response_scale,
         )
     a_val = apply_standardization(
         data.predictors[np.ix_(val_idx, cols)],
@@ -226,14 +223,17 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     from its mu's ML minimizer.  Failed scores are NaN and simply drop out
     of the medians: a fold that cannot be standardized, built or solved
     loses its fold, a mu whose ML fit does not converge its row, and a lane
-    that does not converge its cell.
+    that does not converge its cell; when every cell fails, the
+    NotConverged raised names the last fold error, if any.  folds runs from
+    2 to n // 2: a held-out fold of one row would score every cell 0, the
+    Pearson r of one point.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if screen_top is not None and screen_top < 1:
         raise ValueError("screen_top must be >= 1")
-    if data.n < folds:
-        raise ValueError("more folds than samples")
+    if folds > data.n // 2:
+        raise ValueError("each held-out fold needs at least 2 samples")
     rng = RngStream(seed)
     order = rng.permutation(data.n)
     parts = np.array_split(order, folds)
@@ -241,17 +241,19 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     for f, part in enumerate(parts):
         assignment[part] = f
     scores = np.full((folds, grid.mus.size, grid.taus.size), np.nan)
+    raised = None
     for f, val_idx in enumerate(parts):
         train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
         try:
             scores[f] = _fold_scores(data, grid, train_idx, val_idx, screen_top, tol)
-        except BayonetError:
-            pass
+        except BayonetError as exc:
+            raised = exc
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median_scores = np.nanmedian(scores, axis=0)
     if np.all(np.isnan(median_scores)):
-        raise NotConverged(0, "every grid cell failed")
+        cause = "" if raised is None else f"; a fold raised: {raised}"
+        raise NotConverged(0, f"every grid cell failed{cause}") from raised
     flat = np.nanargmax(median_scores)
     bi, bk = np.unravel_index(flat, median_scores.shape)
     return CvReport(

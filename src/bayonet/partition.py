@@ -173,8 +173,7 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
     method picks the problem whose C + D is factored: "auto" and "lowrank"
     problem itself, which takes the n-dimensional route exactly when it
     carries its design factor (p > n; "lowrank" requires it), "direct"
-    problem._replace(low_rank_factor=None), the p x p matrix (on a wide
-    problem, C built from the design on first read).
+    the p x p matrix problem.c (on a wide problem, built from the design).
     """
     d = np.asarray(d_tau, dtype=float)
     if d.shape != (problem.p,):
@@ -182,7 +181,7 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
     if np.any(d < 0.0):
         raise ValueError("d_tau entries must be nonnegative")
     if method == "direct":
-        problem = problem._replace(low_rank_factor=None)
+        problem = problem._replace(c=problem.c, low_rank_factor=None)
     elif method == "lowrank" and problem.low_rank_factor is None:
         raise ValueError("low-rank route needs the design factor")
     elif method not in ("auto", "lowrank"):

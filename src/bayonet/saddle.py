@@ -123,7 +123,8 @@ def coordinate_cubic(a, cjj, mu, tau):
     x = math.copysign(hi, a)
     if not abs(a - cjj * x) < mu:
         raise NoAdmissibleRoot(
-            f"a={a!r} cjj={cjj!r} mu={mu!r} tau={tau!r}: no interior root"
+            f"a={float(a)!r} cjj={float(cjj)!r} mu={float(mu)!r} "
+            f"tau={float(tau)!r}: no interior root"
         )
     return x
 

@@ -137,7 +137,7 @@ def test_restrict_keeps_the_factor_only_while_wide():
             assert sub.low_rank_factor is None
 
 
-def test_wide_problem_builds_c_on_first_read():
+def test_wide_problem_builds_c_on_every_read():
     std = helpers.random_standardized(12, 10, 30)
     prob = bn.build_problem(std, 0.1, 0.2, 50.0)
     assert "c" not in vars(prob)
@@ -145,7 +145,7 @@ def test_wide_problem_builds_c_on_first_read():
     a = std.predictors
     # the bytes of the expression the dense route assembles C by
     assert np.array_equal(prob.c, a.T @ a / (2.0 * 10) + 0.1 * np.eye(30))
-    assert other.c is prob.c
+    assert np.array_equal(other.c, prob.c)
     assert not prob.c.flags.writeable
     d = np.random.default_rng(13).uniform(0.0, 3.0, 30)
     direct = bn.log_det_c_plus_d(prob, d, method="direct")
@@ -164,7 +164,22 @@ def test_wide_problem_repr_builds_no_c(monkeypatch):
     monkeypatch.setattr(bn.PenalizedProblem, "_dense_c", refuse)
     prob = bn.build_problem(helpers.random_standardized(1, 50, 3000), 0.1, 0.1, 10.0)
     assert "mu=0.1" in repr(prob)
-    assert prob.__dict__["_lazy_c"] == []
+    assert "c" not in vars(prob)
+
+
+def test_wide_problem_and_its_copies_never_hold_c():
+    # a copy is its source's fields with some swapped, so C must never be
+    # stored where a copy with a new design would inherit it: read C, then
+    # restrict to columns still wider than n, and the copy reads its own
+    std = helpers.random_standardized(10, 10, 30)
+    prob = bn.build_problem(std, 0.1, 0.2, 1.0)
+    full = prob.c
+    idx = np.arange(25)[::-1]
+    for q in (prob, prob.with_tau(3.0), prob.with_mu(0.05), prob._restrict(idx)):
+        assert q.c.shape == (q.p, q.p) and "c" not in vars(q)
+    sub = prob._restrict(idx)
+    assert sub.low_rank_factor is not None and sub.c.shape == (25, 25)
+    assert np.max(np.abs(sub.c - full[np.ix_(idx, idx)])) < 1e-15
 
 
 def test_problem_equality_is_identity(monkeypatch):
@@ -218,7 +233,7 @@ def test_with_tau_and_mu_share_data_and_check_the_scalar():
     std = helpers.random_standardized(9, 10, 30)
     prob = bn.build_problem(std, 0.1, 0.2, 1.0)
     for other in (prob.with_tau(7.0), prob.with_mu(0.05)):
-        assert other.c is prob.c
+        assert np.array_equal(other.c, prob.c)
         assert other.w is prob.w
         assert other.low_rank_factor is prob.low_rank_factor
     assert (prob.with_tau(7.0).tau, prob.with_mu(0.05).mu) == (7.0, 0.05)

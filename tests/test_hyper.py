@@ -376,8 +376,9 @@ def test_cv_every_cell_failed_raises(monkeypatch):
         raise bn.NoAdmissibleRoot("injected")
 
     monkeypatch.setattr(bn.hyper, "tau_path", path)
-    with pytest.raises(bn.NotConverged, match="every grid cell failed"):
+    with pytest.raises(bn.NotConverged, match="every grid cell failed") as info:
         bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
+    assert isinstance(info.value.__cause__, bn.NoAdmissibleRoot)
 
 
 def test_cv_fold_partition_covers_all_rows():
@@ -420,7 +421,11 @@ def test_cv_validation():
     grid = small_grid(std, 0.02)
     with pytest.raises(ValueError):
         bn.cross_validate(std, grid, folds=1, seed=0)
-    with pytest.raises(ValueError):
-        bn.cross_validate(std, grid, folds=31, seed=0)
+    # every held-out fold needs 2 rows to score: 30 rows take 15 folds
+    for folds in (30, 31, 16):
+        with pytest.raises(ValueError, match="each held-out fold needs at least 2"):
+            bn.cross_validate(std, grid, folds=folds, seed=0)
+    rep = bn.cross_validate(std, grid, folds=15, seed=0)
+    assert np.bincount(rep.fold_assignment).min() == 2
     with pytest.raises(ValueError, match="screen_top"):
         bn.cross_validate(std, grid, folds=3, seed=0, screen_top=0)

@@ -149,7 +149,7 @@ def test_factor_routes_agree_wide_design():
     rng = np.random.default_rng(56)
     e = rng.uniform(0.0, 5.0, size=60)
     rhs = rng.standard_normal(60)
-    direct = _CPlusD(prob._replace(low_rank_factor=None), e)
+    direct = _CPlusD(prob._replace(c=prob.c, low_rank_factor=None), e)
     lowrank = _CPlusD(prob, e)
     assert lowrank._dp is not None
     x_ref = direct.solve(rhs)
@@ -173,7 +173,7 @@ def test_factor_rejects_non_finite_input(bad):
     c_bad[3, 5] = c_bad[5, 3] = bad
     f_bad = prob.low_rank_factor.copy()
     f_bad[2, 4] = bad
-    for problem in (prob._replace(low_rank_factor=None), prob):
+    for problem in (prob._replace(c=prob.c, low_rank_factor=None), prob):
         with pytest.raises(bn.SingularMatrix):
             _CPlusD(problem, e_bad)
     with pytest.raises(bn.SingularMatrix):
