@@ -6,8 +6,8 @@ estimates and log-partition value), ``marginal`` (density curves),
 (hyperparameter search) and ``maptau`` (inverse-temperature estimate).
 Each verb takes only the flags it reads; any other flag is a usage error.
 Structured results go out as JSON, curves and chains as CSV; every file is
-written atomically (temp file + rename) and all numbers are emitted with
-full round-trip precision.
+written atomically (temp file + rename) as UTF-8, and all numbers are
+emitted with full round-trip precision.
 
 Exit codes: 0 success, 2 input/output or parse error, 3 numerical failure,
 4 bad configuration (including command-line usage errors).
@@ -214,7 +214,7 @@ def _write_text(path, text):
         dir=os.path.dirname(path), prefix="." + os.path.basename(path) + "."
     )
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

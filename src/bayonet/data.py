@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ParseError, SingularMatrix, ZeroVarianceColumn
 from .partition import _cholesky
 
-_STD_TOL = 1e-10  # absolute, per column, on both the sum and sum of squares
+# per column, relative to n, on both the sum and the sum of squares minus n:
+# the rounding of a sum of n unit-scale terms grows with n
+_STD_TOL = 1e-10
 # least pivot^2 / C_jj a Cholesky of C may leave; rounding leaves ~1e-16 there
 # when a column is an exact combination of others
 _PIVOT_TOL = 1e-12
@@ -30,14 +32,31 @@ def _readonly(a):
     return a
 
 
+def _positive(name, values):
+    """values, a number or a 1-D sequence of numbers, as a new 1-D float array;
+    ValueError unless nonempty and all positive and finite.  The one check of
+    mu, tau, tol, their grids and the wide route's lam."""
+    a = np.asarray(values)
+    if a.ndim > 1 or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a number or a 1-D sequence of numbers")
+    if a.size == 0:
+        raise ValueError(f"{name} is empty")
+    a = a.astype(float).reshape(-1)
+    if not ((a > 0.0) & (a < math.inf)).all():
+        raise ValueError(f"{name} must be positive and finite")
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response vector plus predictor matrix, one row per sample.
 
     When ``standardized`` is set the columns are required to actually satisfy
-    the centering/scaling convention; construction fails otherwise.  The
-    offset/scale fields record the affine map that produced a standardized
-    dataset so predictions can be carried back to the original units.
+    the centering/scaling convention, up to _STD_TOL * n on each column's
+    sum and on its sum of squares minus n; construction fails otherwise,
+    naming the first column that does not.  The offset/scale fields record
+    the affine map that produced a standardized dataset so predictions can
+    be carried back to the original units.
     """
 
     responses: np.ndarray
@@ -66,8 +85,11 @@ class Dataset:
             cols = np.column_stack([a, y])
             sums = cols.sum(axis=0)
             sq = (cols * cols).sum(axis=0)
-            if np.max(np.abs(sums)) > _STD_TOL or np.max(np.abs(sq - n)) > _STD_TOL:
-                raise ValueError("data marked standardized but fails the check")
+            bad = np.maximum(np.abs(sums), np.abs(sq - n)) > _STD_TOL * n
+            if bad.any():
+                j = int(np.argmax(bad))
+                col = "response" if j == p else f"predictor {j}"
+                raise ValueError(f"data marked standardized but {col} fails the check")
 
     @property
     def n(self):
@@ -115,11 +137,10 @@ def apply_standardization(predictors, offset, scale):
 
 
 def _check_scalars(mu, tau, lam):
-    for name, value in (("mu", mu), ("tau", tau)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    _positive("mu", mu)
+    _positive("tau", tau)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +149,9 @@ class PenalizedProblem:
 
     C must be symmetric positive definite; a C passed in is verified at
     construction by partition._cholesky and a least-pivot test, either
-    failing with SingularMatrix.  mu and tau must be positive and finite.
-    lam records the l2 weight used to build C from data (it is part of C
-    already and never applied twice).
+    failing with SingularMatrix.  mu and tau must be positive and finite,
+    lam nonnegative and finite.  lam records the l2 weight used to build C
+    from data (it is part of C already and never applied twice).
 
     When build_problem makes the problem from a dataset with p > n, it
     keeps the standardized design A in low_rank_factor and forms no C:
@@ -176,11 +197,9 @@ class PenalizedProblem:
 
     @classmethod
     def _from_design(cls, a, w, mu, lam, tau):
-        # the wide route: C is implicit in the design a and lam > 0, so
-        # there is no matrix to scan or factor
-        _check_scalars(mu, tau, lam)
-        if not 0.0 < lam < math.inf:
-            raise ValueError("lam must be positive and finite without C")
+        # the wide route, whose scalars build_problem checked: C is implicit
+        # in the design a and lam > 0, so there is no matrix to scan or factor
+        _positive("lam", lam)
         out = object.__new__(cls)
         out.__dict__.update(w=_readonly(w), mu=mu, lam=lam, tau=tau, low_rank_factor=a)
         return out
@@ -266,8 +285,7 @@ class PenalizedProblem:
     def _with_scalar(self, name, value):
         # C (or the design), w and the factor are shared with self and were
         # validated when it was built; only the new scalar needs checking
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
+        _positive(name, value)
         return self._replace(**{name: value})
 
     def with_tau(self, tau):
@@ -293,8 +311,7 @@ def build_problem(data, lam, mu, tau):
     """
     if not data.standardized:
         raise ValueError("build_problem requires standardized data")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    _check_scalars(mu, tau, lam)
     a = data.predictors
     n, p = a.shape
     if lam == 0.0 and n < p:
@@ -405,32 +422,38 @@ def load_csv(path, response_column):
     or one holding a non-finite cell, is read again by the per-row reader,
     which accepts whatever float() does (quoted numbers, underscores) and
     raises a ParseError carrying the 1-based line number of the first faulty
-    line for any missing, non-numeric or non-finite cell.  Returns
-    (dataset, predictor_names).
+    line for any missing, non-numeric or non-finite cell.  The file is read
+    as UTF-8 whatever the locale, and a leading byte-order mark (as Excel's
+    "CSV UTF-8" writes) is not part of the first column's name; a file that
+    is not UTF-8 raises ParseError.  Returns (dataset, predictor_names).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise ParseError("line 1: duplicate column names")
-        try:
-            y_col = header.index(response_column)
-        except ValueError:
-            raise ParseError(
-                f"line 1: response column {response_column!r} not found"
-            ) from None
-        if len(header) < 2:
-            raise ParseError("line 1: need at least one predictor column")
-        table = _loadtxt_table(fh, len(header))
-        if table is None:
-            fh.seek(0)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            next(reader)
-            table = _rows_table(reader, header)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("line 1: empty file") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise ParseError("line 1: duplicate column names")
+            try:
+                y_col = header.index(response_column)
+            except ValueError:
+                raise ParseError(
+                    f"line 1: response column {response_column!r} not found"
+                ) from None
+            if len(header) < 2:
+                raise ParseError("line 1: need at least one predictor column")
+            table = _loadtxt_table(fh, len(header))
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                table = _rows_table(reader, header)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ParseError(f"not UTF-8 text: {exc.reason} 0x{bad:02x}") from None
     if table.shape[0] < 2:
         raise ParseError("need at least 2 data rows")
     mask = np.ones(len(header), dtype=bool)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, apply_standardization, build_problem, standardize
+from .data import Dataset, _positive, apply_standardization, build_problem, standardize
 from .errors import AllZeroW, BayonetError, DegenerateDenominator, NotConverged
 from .mlfit import solve_ml
 from .saddle import tau_path
@@ -34,13 +34,8 @@ class HyperGrid:
     lam: float
 
     def __post_init__(self):
-        mus = np.array(self.mus, dtype=float)
-        taus = np.array(self.taus, dtype=float)
-        for name, vals in (("mus", mus), ("taus", taus)):
-            if vals.ndim != 1 or vals.size < 1 or not np.all(
-                (vals > 0.0) & (vals < math.inf)
-            ):
-                raise ValueError(f"{name} must be positive and finite")
+        mus = _positive("mus", self.mus)
+        taus = _positive("taus", self.taus)
         if np.any(np.diff(mus) >= 0.0):
             raise ValueError("mus must be strictly decreasing")
         if np.any(np.diff(taus) <= 0.0):

@@ -12,12 +12,11 @@ The minimizer doubles as the warm start every other solver in the package
 builds on, hence the tight default tolerance.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_init, _cost
+from .data import _check_init, _cost, _positive
 
 _MAX_CYCLES = 100_000
 # relative move at which the sweeps over a just-grown active set stop and the
@@ -118,8 +117,7 @@ def solve_ml(problem, tol=1e-10, init=None):
     optimality condition.  Runs the cycle budget out rather than raising; a
     budget-exhausted result comes back with converged=False.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive("tol", tol)
     if init is not None:
         init = _check_init(problem, init)
     x, cycles, ok = _ml_cd(problem, init, tol)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_init
+from .data import _check_init, _positive
 from .errors import NoAdmissibleRoot
 from .partition import _CPlusD
 
@@ -297,13 +297,6 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     return out
 
 
-def _check_start(problem, init, tol, rows=None):
-    init = _check_init(problem, init, rows)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    return init
-
-
 def solve_saddle(problem, init, tol=1e-10):
     """Find the stationary point of ``problem`` starting from ``init``.
 
@@ -313,42 +306,33 @@ def solve_saddle(problem, init, tol=1e-10):
     tau < 1 the rounding of u = w - Cx, magnified by 1/tau, keeps the
     residual near eps*|w|/tau, so there tol bounds tau times it.  A run that
     exhausts the cycle budget returns converged=False with the last iterate.
+    It is the one-cell tau_path, at the problem's own mu and tau.
     """
-    init = _check_start(problem, init, tol)
-    [sol] = _saddle_cd(problem, init, tol)
+    [sol] = tau_path(problem, [problem.tau], init, tol)
     return sol
 
 
 def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
     """Solve at every (mu, tau) cell of a grid, the taus in any order.
 
-    Element i*len(taus)+k is
-    solve_saddle(problem.with_mu(mus[i]).with_tau(taus[k]), init[i], tol):
-    the grid is mu major, init has one row per mu (omitted, zeros), and all
-    len(mus)*len(taus) cells are solved in lockstep, one lane per cell, so
-    each cycle's bookkeeping (residuals, box tests, backtracking,
+    The grid is mu major: element i*len(taus)+k is the stationary point of
+    problem.with_mu(mus[i]).with_tau(taus[k]) from init[i], converged in
+    the sense of solve_saddle.  init has one row per mu (omitted, zeros),
+    and all len(mus)*len(taus) cells are solved in lockstep, one lane per
+    cell, so each cycle's bookkeeping (residuals, box tests, backtracking,
     convergence tests) is done once for all lanes still running.  Without
     mus the grid is the one mu [problem.mu], and init, a single start, is
-    its one row.  Taus and mus must be positive and finite.  The sparse
-    minimizer is the natural init.
+    its one row.  Taus, mus and tol must be positive and finite.  The
+    sparse minimizer is the natural init.
     """
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ValueError("empty tau grid")
-    if not all(0.0 < t < math.inf for t in taus):
-        raise ValueError("taus must be positive and finite")
+    taus = _positive("taus", taus)
+    _positive("tol", tol)
     if mus is None:
         mus = [problem.mu]
-        init = None if init is None else [_check_init(problem, init)]
-    mus = [float(m) for m in mus]
-    if not mus:
-        raise ValueError("empty mu grid")
-    if not all(0.0 < m < math.inf for m in mus):
-        raise ValueError("mus must be positive and finite")
-    if init is None:
-        init = np.zeros((len(mus), problem.p))
-    init = _check_start(problem, init, tol, rows=len(mus))
-    n = len(taus)
+        init = None if init is None else [init]
+    mus = _positive("mus", mus)
+    m, n = mus.size, taus.size
+    init = np.zeros((m, problem.p)) if init is None else _check_init(problem, init, m)
     return _saddle_cd(
-        problem, np.repeat(init, n, axis=0), tol, taus * len(mus), np.repeat(mus, n)
+        problem, np.repeat(init, n, axis=0), tol, np.tile(taus, m), np.repeat(mus, n)
     )

@@ -337,6 +337,17 @@ def random_standardized(seed, n, p, beta=None, noise=1.0):
     return bn.standardize(bn.Dataset(responses=y, predictors=a))
 
 
+def latitude_dataset(seed=0, n=442):
+    """Raw dataset whose column 1 sits at 40.7 +- 0.05, as a latitude does;
+    centering leaves rounding of about eps * 40.7 / 0.05 in each entry of
+    that standardized column."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 4))
+    a[:, 1] = 40.7 + 0.05 * rng.standard_normal(n)
+    y = a[:, 0] - 2.0 * (a[:, 1] - 40.7) + rng.standard_normal(n)
+    return bn.Dataset(responses=y, predictors=a)
+
+
 def one_row_column_dataset(seed=0, n=40, p=4, col=2):
     """Raw dataset whose column col is zero except in row 0 and y is
     column 0 plus noise: it standardizes as a whole, but that column is

@@ -258,6 +258,59 @@ def test_unstandardized_input_with_flag_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_on_a_latitude_column_exits_0(tmp_path, capsys):
+    # standardize refused its own output here, as "data marked standardized
+    # but fails the check", a flag nobody set: centering 40.7 +- 0.05 left
+    # more rounding in the column's sums over 5000 rows than an absolute 1e-10
+    raw = helpers.latitude_dataset(n=5000)
+    path = tmp_path / "lat.csv"
+    helpers.write_csv(path, ["g0", "lat", "g2", "g3"], raw.predictors, raw.responses)
+    code, cap = run(["fit", path, "--response", "y", "--lambda", "0.1",
+                     "--mu", "0.05", "--tau", "100", "--out", tmp_path / "fit.json"],
+                    capsys)
+    assert code == 0, cap.err
+
+
+@pytest.mark.parametrize("response", ["g0", "y"])
+def test_byte_order_mark_is_not_part_of_a_name(tmp_path, response):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    plain = make_csv(tmp_path)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    out = tmp_path / "fit.json"
+    assert run(["fit", path, "--response", response, "--mu", "0.1",
+                "--tau", "10", "--out", out]) == 0
+    names = json.loads(out.read_bytes())["predictors"]
+    assert names == [n for n in ("g0", "g1", "g2", "y") if n != response]
+
+
+def test_latin1_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("gr\u00f6\u00dfe,b,y\n1,2,3\n4,5,7\n2,9,1\n".encode("latin-1"))
+    code, cap = run(["fit", path, "--response", "y", "--mu", "0.1",
+                     "--tau", "10"], capsys)
+    assert code == 2
+    assert "not UTF-8" in cap.err
+
+
+def test_utf8_names_under_an_ascii_locale(tmp_path):
+    # the CSV is read and written as UTF-8 whatever the locale says
+    name = "gr\u00f6\u00dfe"
+    plain = make_csv(tmp_path)
+    path = tmp_path / "utf8.csv"
+    path.write_bytes(plain.read_bytes().replace(b"g1", name.encode("utf-8")))
+    out = tmp_path / "chain.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    argv = ["gibbs", path, "--response", "y", "--mu", "0.1", "--tau", "10",
+            "--gibbs-sweeps", "20", "--out", out]
+    proc = subprocess.run([sys.executable, "-m", "bayonet.cli", *map(str, argv)],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    head = out.read_bytes().split(b"\n")[0]
+    assert head == ",".join(["g0", name, "g2"]).encode("utf-8")
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # p > n with lambda = 0 gives a rank-deficient quadratic form
     rng = np.random.default_rng(2)

@@ -59,6 +59,31 @@ def test_standardize_diabetes_all_columns(diabetes):
         assert abs((col**2).sum() - n) < 1e-6
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(lambda: bn.Dataset(
+        responses=np.random.default_rng(0).standard_normal(20_000),
+        predictors=np.random.default_rng(1).standard_normal((20_000, 10)),
+    ), id="20000x10"),
+    pytest.param(helpers.latitude_dataset, id="latitude"),
+])
+def test_standardize_accepts_its_own_output(raw):
+    # the rounding of a column's sum of n unit-scale terms grows with n, and
+    # centering a column far from zero leaves eps * |mean| / sd in each entry:
+    # both exceeded an absolute 1e-10 and refused standardize's own output
+    std = bn.standardize(raw())
+    assert std.standardized
+
+
+def test_standardized_check_names_the_column():
+    std = helpers.random_standardized(14, 30, 3)
+    with pytest.raises(ValueError, match="predictor 1 fails the check"):
+        bn.Dataset(responses=std.responses, predictors=std.predictors * [1.0, 1.1, 1.0],
+                   standardized=True)
+    with pytest.raises(ValueError, match="response fails the check"):
+        bn.Dataset(responses=std.responses + 0.01, predictors=std.predictors,
+                   standardized=True)
+
+
 def test_standardize_zero_variance_column():
     a = np.column_stack([np.ones(10), np.arange(10.0)])
     y = np.arange(10.0)
@@ -269,11 +294,21 @@ _INF = float("inf")
     lambda prob: bn.solve_ml(prob, tol=_INF),
     lambda prob: bn.solve_saddle(prob, np.zeros(prob.p), tol=_INF),
     lambda prob: bn.tau_path(prob, [10.0, 1.0], tol=_INF),
+    lambda prob: bn.PenalizedProblem(c=prob.c, w=prob.w, mu=0.2, lam=math.nan, tau=1.0),
+    lambda prob: bn.PenalizedProblem(c=prob.c, w=prob.w, mu=0.2, lam=_INF, tau=1.0),
+    lambda prob: bn.build_problem(helpers.random_standardized(11, 40, 4), 0.1, _INF, 1.0),
+    lambda prob: bn.build_problem(helpers.random_standardized(11, 40, 4), 0.1, 0.2, math.nan),
+    lambda prob: bn.build_problem(helpers.random_standardized(11, 40, 4), _INF, 0.2, 1.0),
+    lambda prob: bn.HyperGrid(mus=[0.2, 0.1], taus=[10.0, _INF], lam=0.1),
+    lambda prob: bn.HyperGrid(mus=[], taus=[10.0, 100.0], lam=0.1),
 ], ids=["problem-mu", "problem-tau", "with_tau", "with_mu", "solve_ml-tol",
-        "solve_saddle-tol", "tau_path-tol"])
+        "solve_saddle-tol", "tau_path-tol", "problem-lam-nan", "problem-lam-inf",
+        "build-mu", "build-tau", "build-lam-narrow", "grid-taus", "grid-empty"])
 def test_non_finite_scalars_rejected(make):
+    # a lam of inf on a narrow design is refused by name before C is formed,
+    # not as the non-finite C it would make
     prob = bn.build_problem(helpers.random_standardized(11, 40, 4), 0.1, 0.2, 1.0)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"must be (positive|nonnegative) and finite$|is empty$"):
         make(prob)
 
 

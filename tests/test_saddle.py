@@ -515,6 +515,7 @@ def test_doomed_wide_solve_takes_no_cycle():
         ([0.1, 0.2], np.zeros((3, 3))),
         ([0.1, 0.2], np.zeros((2, 2))),
         ([0.1, 0.2], [[0.0, 0.0, 0.0], [0.0, math.nan, 0.0]]),
+        ([[0.1, 0.2]], None),
     ],
 )
 def test_mu_grid_validation(mus, init):
@@ -525,8 +526,13 @@ def test_mu_grid_validation(mus, init):
 
 def test_path_requires_positive_finite_taus():
     prob = bn.PenalizedProblem(c=np.eye(2), w=np.zeros(2), mu=0.1, lam=0.0, tau=1.0)
+    for grid in ([], np.array([])):
+        with pytest.raises(ValueError, match="taus is empty"):
+            tau_path(prob, grid)
+        with pytest.raises(ValueError, match="mus is empty"):
+            tau_path(prob, [10.0], mus=grid)
     with pytest.raises(ValueError):
-        tau_path(prob, [])
+        tau_path(prob, [[10.0, 1.0]])
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             tau_path(prob, [10.0, bad])
