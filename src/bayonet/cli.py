@@ -6,8 +6,8 @@ estimates and log-partition value), ``marginal`` (density curves),
 (hyperparameter search) and ``maptau`` (inverse-temperature estimate).
 Each verb takes only the flags it reads; any other flag is a usage error.
 Structured results go out as JSON, curves and chains as CSV; every file is
-written atomically (temp file + rename) as UTF-8, and all numbers are
-emitted with full round-trip precision.
+written atomically (temp file + rename) as UTF-8, stdout is UTF-8 too, and
+all numbers are emitted with full round-trip precision.
 
 Exit codes: 0 success, 2 input/output or parse error, 3 numerical failure,
 4 bad configuration (including command-line usage errors).
@@ -207,7 +207,9 @@ def _jsonify(obj):
 
 def _write_text(path, text):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
         return
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(

@@ -2,11 +2,12 @@
 
 Everything is assembled and returned in log space.  The Gaussian-curvature
 correction enters through det(C + D) where D is a nonnegative diagonal built
-from the stationary point.  One helper, _CPlusD, factors C + D for all
-three of its users: this determinant, the Newton step of the
-stationary-point solver and the posterior standard deviations.  For wide
-designs (p > n) it factors an n x n core matrix (Woodbury identity and
-matrix determinant lemma) instead of a p x p one.
+from the stationary point.  _core is the one evaluation at a point: D, the
+three terms of log Z and the factor of C + D, which log_partition,
+posterior_sd and every node of a marginal curve read.  _CPlusD factors C +
+D there and in the stationary-point solver's Newton step; for wide designs
+(p > n) it factors an n x n core matrix (Woodbury identity and matrix
+determinant lemma) instead of a p x p one.
 
 _cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
 the zero-temperature active block) and PenalizedProblem's check of C call
@@ -45,12 +46,6 @@ class LogPartition:
     log_det_term: float
     prefactor_term: float
     d_tau: np.ndarray
-
-
-def _d_diag(u, mu, tau):
-    # at an extreme mu or tau D overflows or is 0/0; _CPlusD refuses it
-    with np.errstate(all="ignore"):
-        return tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
 
 
 def _cholesky(matrix):
@@ -170,10 +165,11 @@ class _CPlusD:
 def log_det_c_plus_d(problem, d_tau, method="auto"):
     """log det(C + diag(d_tau)).
 
-    method picks the problem whose C + D is factored: "auto" and "lowrank"
-    problem itself, which takes the n-dimensional route exactly when it
-    carries its design factor (p > n; "lowrank" requires it), "direct"
-    the p x p matrix problem.c (on a wide problem, built from the design).
+    method picks the route.  "auto" factors problem's own C + D, which
+    takes the n-dimensional route exactly when problem carries its design
+    factor (p > n).  "lowrank" does the same but requires that factor.
+    "direct" factors the p x p matrix problem.c + D (on a wide problem, c
+    is built from the design).
     """
     d = np.asarray(d_tau, dtype=float)
     if d.shape != (problem.p,):
@@ -190,25 +186,28 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
 
 
 def _core(problem, x, u):
-    """(exp_term, log_det_term, prefactor_term, d, factor) at (x, u).
+    """The one evaluation of log Z at a point (x, u): (LogPartition, factor).
 
-    Unchecked, and shared with the marginal-density code.  factor is the
-    _CPlusD of C + D that log_det_term comes from; the marginal curves
-    reuse it for the next inner solve's tangent prediction.
+    log_partition, posterior_sd and every node of a marginal curve read it.
+    factor is the _CPlusD of C + D behind log_det_term: posterior_sd takes
+    its inverse diagonal, a curve's next inner solve its tangent step.
+    Unchecked; at an extreme mu or tau D overflows or is 0/0, and _CPlusD
+    refuses it.
     """
     w, mu, tau, p = problem.w, problem.mu, problem.tau, problem.p
-    d = _d_diag(u, mu, tau)
+    with np.errstate(all="ignore"):
+        d = tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
         raise NumericalOverflow(f"exponential term is {exp_term}")
     factor = _CPlusD(problem, d)
-    log_det_term = -0.5 * factor.log_det()
-    prefactor_term = (
+    log_det = -0.5 * factor.log_det()
+    pref = (
         p * math.log(mu)
         - 0.5 * p * math.log(tau)
         - 0.5 * float(np.sum(np.log(mu * mu + u * u)))
     )
-    return exp_term, log_det_term, prefactor_term, d, factor
+    return LogPartition(exp_term + log_det + pref, exp_term, log_det, pref, d), factor
 
 
 def _check_saddle(problem, saddle):
@@ -229,17 +228,7 @@ def log_partition(problem, saddle):
     x is exactly C^{-1}(w - u) at the stationary point.
     """
     _check_saddle(problem, saddle)
-    exp_term, log_det_term, prefactor_term, d, _ = _core(
-        problem, saddle.x_tau, saddle.u_tau
-    )
-    total = exp_term + log_det_term + prefactor_term
-    return LogPartition(
-        log_z=total,
-        exp_term=exp_term,
-        log_det_term=log_det_term,
-        prefactor_term=prefactor_term,
-        d_tau=d,
-    )
+    return _core(problem, saddle.x_tau, saddle.u_tau)[0]
 
 
 def log_partition_zero_temp(problem, ml):

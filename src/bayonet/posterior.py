@@ -27,13 +27,13 @@ from .errors import NotConverged, NumericalError
 from .exact1d import _log_density
 from .mlfit import _ml_cd
 # log_partition is not called here; perfbench/tracing.py wraps this binding
-from .partition import _check_saddle, _core, _CPlusD, _d_diag, log_partition
+from .partition import _check_saddle, _core, log_partition
 from .saddle import _saddle_cd
 
 _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
 # nested Chebyshev-Lobatto levels for the inner log Z, and how closely two
-# levels' normalized densities must agree, relative to the peak
+# levels' normalized densities must agree, relative to the peak (or 1e3 * tol)
 _LEVELS = (5, 9, 17, 33, 65)
 _AGREE = 1e-7
 
@@ -75,12 +75,11 @@ def posterior_sd(problem, saddle):
 
     Taken from the diagonal of (C + D)^{-1}/(2 tau); this is the width scale
     the marginal grids are built on, not an exact posterior moment.  The
-    diagonal comes from the same factorization route as log det(C + D).
+    diagonal is read from the factor behind log det(C + D) in log Z.
     """
     _check_saddle(problem, saddle)
-    d = _d_diag(saddle.u_tau, problem.mu, problem.tau)
-    inv_diag = _CPlusD(problem, d).inv_diag()
-    return np.sqrt(inv_diag / (2.0 * problem.tau))
+    factor = _core(problem, saddle.x_tau, saddle.u_tau)[1]
+    return np.sqrt(factor.inv_diag() / (2.0 * problem.tau))
 
 
 def _make_grid(spec, center, sd):
@@ -182,9 +181,9 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     then 9, 17, 33 and 65 of them, each level reusing the solves of the one
     before, and put onto the grid by barycentric interpolation.  The curve
     is the first level whose normalized density agrees with the level
-    before within 1e-7 of its peak.  When 65 nodes still disagree, or the
-    grid has too few points for two levels, V is solved at every grid
-    point instead.
+    before within max(1e-7, 1e3 * tol) of its peak, as node values are only
+    as accurate as tol.  When 65 nodes still disagree, or the grid has too
+    few points for two levels, V is solved at every grid point instead.
 
     Node sets and grid points are walked outward from the point nearest
     the posterior mean.  The first solve starts from the restriction of the
@@ -228,8 +227,8 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         [sol] = _saddle_cd(at_g, x, tol)
         if not sol.converged:
             raise NotConverged(sol.cycles, f"marginal coordinate {j}, grid value {g}")
-        e, ld, pref, _, c_plus_d = _core(at_g, sol.x_tau, sol.u_tau)
-        solved[g] = out = (e + ld + pref, (sol.x_tau, c_plus_d, at_g.w))
+        lp, c_plus_d = _core(at_g, sol.x_tau, sol.u_tau)
+        solved[g] = out = (lp.log_z, (sol.x_tau, c_plus_d, at_g.w))
         return out
 
     center, seed = saddle.x_tau[j], (saddle.x_tau[others], None, None)
@@ -239,6 +238,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     if len(levels) < 2:
         levels = []
     fine = _lobatto(grid[0], grid[-1], _LEVELS[-1])
+    agree = max(_AGREE, 1e3 * tol)
     curve = None
     for m in levels:
         nodes = fine[:: (fine.size - 1) // (m - 1)]
@@ -246,7 +246,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         prev, curve = curve, _curve(j, grid, log_dens + values)
         if prev is not None:
             gap = np.max(np.abs(curve.density - prev.density))
-            if gap <= _AGREE * curve.density.max():
+            if gap <= agree * curve.density.max():
                 return curve
     return _curve(j, grid, log_dens + _walk(grid, center, seed, inner))
 

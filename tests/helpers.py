@@ -480,8 +480,7 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
         )
         [sol] = _saddle_cd(at_g, x, tol)
         assert sol.converged
-        e, ld, pref, _, _ = _core(at_g, sol.x_tau, sol.u_tau)
-        log_dens[k] += e + ld + pref
+        log_dens[k] += _core(at_g, sol.x_tau, sol.u_tau)[0].log_z
         return sol.x_tau
 
     start = int(np.argmin(np.abs(grid - saddle.x_tau[j])))

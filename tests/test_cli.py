@@ -293,22 +293,39 @@ def test_latin1_csv_exits_2(tmp_path, capsys):
     assert "not UTF-8" in cap.err
 
 
-def test_utf8_names_under_an_ascii_locale(tmp_path):
-    # the CSV is read and written as UTF-8 whatever the locale says
-    name = "gr\u00f6\u00dfe"
+_UTF8_NAME = "gr\u00f6\u00dfe"
+
+
+def _gibbs_under_an_ascii_locale(tmp_path, *extra):
+    # gibbs in a fresh process on a CSV whose header holds a non-ASCII name;
+    # returns the process, whose stdout is kept as bytes
     plain = make_csv(tmp_path)
     path = tmp_path / "utf8.csv"
-    path.write_bytes(plain.read_bytes().replace(b"g1", name.encode("utf-8")))
-    out = tmp_path / "chain.csv"
+    path.write_bytes(plain.read_bytes().replace(b"g1", _UTF8_NAME.encode("utf-8")))
     env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]),
                LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     argv = ["gibbs", path, "--response", "y", "--mu", "0.1", "--tau", "10",
-            "--gibbs-sweeps", "20", "--out", out]
-    proc = subprocess.run([sys.executable, "-m", "bayonet.cli", *map(str, argv)],
+            "--gibbs-sweeps", "20", *extra]
+    return subprocess.run([sys.executable, "-m", "bayonet.cli", *map(str, argv)],
                           capture_output=True, env=env)
+
+
+def test_utf8_names_under_an_ascii_locale(tmp_path):
+    # the CSV is read and written as UTF-8 whatever the locale says
+    out = tmp_path / "chain.csv"
+    proc = _gibbs_under_an_ascii_locale(tmp_path, "--out", out)
     assert proc.returncode == 0, proc.stderr
     head = out.read_bytes().split(b"\n")[0]
-    assert head == ",".join(["g0", name, "g2"]).encode("utf-8")
+    assert head == ",".join(["g0", _UTF8_NAME, "g2"]).encode("utf-8")
+
+
+def test_utf8_names_on_stdout_under_an_ascii_locale(tmp_path):
+    # without --out the same bytes go to stdout, past its ASCII text layer,
+    # which would raise UnicodeEncodeError (a ValueError, so exit 4)
+    proc = _gibbs_under_an_ascii_locale(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    head = proc.stdout.split(b"\n")[0]
+    assert head == ",".join(["g0", _UTF8_NAME, "g2"]).encode("utf-8")
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

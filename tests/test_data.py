@@ -312,6 +312,38 @@ def test_non_finite_scalars_rejected(make):
         make(prob)
 
 
+@pytest.mark.parametrize("fields,message", [
+    (dict(responses=np.zeros((3, 1)), predictors=np.zeros((3, 2))),
+     "responses must be 1-D, predictors 2-D"),
+    (dict(responses=np.zeros(3), predictors=np.zeros(3)),
+     "responses must be 1-D, predictors 2-D"),
+    (dict(responses=np.zeros(4), predictors=np.zeros((3, 2))),
+     "responses and predictors disagree on n"),
+    (dict(responses=np.zeros(1), predictors=np.zeros((1, 2))),
+     "need n >= 2 samples and p >= 1 predictors"),
+    (dict(responses=[0.0, math.nan, 1.0], predictors=np.zeros((3, 2))),
+     "non-finite values in data"),
+    (dict(responses=np.zeros(3), predictors=[[0.0, 1.0], [_INF, 0.0], [1.0, 0.0]]),
+     "non-finite values in data"),
+], ids=["responses-2d", "predictors-1d", "n-mismatch", "one-row", "nan-response",
+        "inf-predictor"])
+def test_dataset_refuses_malformed_input(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bn.Dataset(**fields)
+
+
+@pytest.mark.parametrize("c,w,message", [
+    (np.ones((2, 3)), np.zeros(2), "C must be a square matrix"),
+    (np.eye(3), np.zeros(2), "w length must match C"),
+    (np.diag([1.0, math.nan]), np.zeros(2), "non-finite C or w"),
+    (np.eye(2), [0.0, _INF], "non-finite C or w"),
+    (np.array([[1.0, 0.1], [0.2, 1.0]]), np.zeros(2), "C is not symmetric"),
+], ids=["not-square", "w-length", "nan-c", "inf-w", "not-symmetric"])
+def test_problem_refuses_malformed_input(c, w, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bn.PenalizedProblem(c=c, w=w, mu=0.1, lam=0.0, tau=1.0)
+
+
 def test_build_problem_requires_standardized():
     rng = np.random.default_rng(8)
     raw = bn.Dataset(responses=rng.standard_normal(10), predictors=rng.standard_normal((10, 2)))
@@ -424,6 +456,8 @@ def test_load_csv_response_position_free(tmp_path):
         ("g1,y\nnan,2.0\n", "line 2: non-finite"),
         ("g1,g1,y\n1.0,2.0,3.0\n", "duplicate"),
         ("g1,g2\n1.0,2.0\n", "response"),
+        ("", "line 1: empty file"),
+        ("y\n1.0\n2.0\n", "line 1: need at least one predictor column"),
     ],
 )
 def test_load_csv_diagnostics(tmp_path, body, fragment):

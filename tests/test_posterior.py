@@ -244,6 +244,19 @@ def test_marginal_within_gate_of_tight_plain_walk(request, name, scale):
         assert _within_gate(prob, sad, marginal_sp(prob, sad, j))
 
 
+def test_marginal_ladder_stops_at_the_callers_tol(monkeypatch):
+    # node values at tol 1e-6 are only that accurate: with the fixed 1e-7
+    # threshold case 101 fell back to the grid walk (967 solves); levels
+    # that agree within 1e3 * tol of the peak stop it at 9 nodes a curve
+    prob, sad = _marginal_case(101)
+    solves = _recorded_solves(monkeypatch)
+    curves = [marginal_sp(prob, sad, j, tol=1e-6) for j in range(prob.p)]
+    assert len(solves) == 90
+    for curve in curves:
+        ref = helpers.marginal_plain_walk(prob, sad, curve.coordinate, curve.grid, 1e-13)
+        assert np.max(np.abs(curve.density - ref)) < 1e-5 * ref.max()
+
+
 def test_marginal_falls_back_to_the_grid_walk(request, monkeypatch):
     # at 100 x MAP tau the p5 correlated zero pair (coordinates 2 and 3)
     # disagrees between 33 and 65 nodes, so its curves solve every grid
@@ -383,6 +396,27 @@ def test_marginal_rejects_single_point_grid(p5_suite):
             0,
             grid_spec=GridSpec(points=np.array([0.5])),
         )
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda prob, ml, sad: marginal_sp(
+        prob, sad, 0, grid_spec=GridSpec(points=np.array([0.0, 0.2, 0.1]))),
+     ValueError, "explicit grid must be strictly ascending"),
+    (lambda prob, ml, sad: marginal_sp(
+        prob, sad, 0, grid_spec=GridSpec(points=np.array([0.0, 0.1, 0.1]))),
+     ValueError, "explicit grid must be strictly ascending"),
+    (lambda prob, ml, sad: marginal_sp(prob, sad, 5),
+     ValueError, "coordinate 5 out of range"),
+    (lambda prob, ml, sad: marginal_sp(prob, sad, -1),
+     ValueError, "coordinate -1 out of range"),
+    (lambda prob, ml, sad: marginal_ml_approx(
+        prob, dataclasses.replace(ml, converged=False), 0),
+     bn.NotConverged, r"\(ML solution not converged\)"),
+], ids=["grid-descends", "grid-repeats", "j-past-p", "j-negative", "ml-unconverged"])
+def test_marginal_refuses_bad_requests(p5_suite, call, error, message):
+    prob, ml, sad = p5_suite["problem"], p5_suite["ml"], p5_suite["saddle"]
+    with pytest.raises(error, match=message):
+        call(prob, ml, sad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
