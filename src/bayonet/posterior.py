@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _cost
+from .data import _cost, _positive
 from .errors import NotConverged, NumericalError
 from .exact1d import _log_density
 from .mlfit import _ml_cd
@@ -199,12 +199,14 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     wider than n keep the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
-    converged at problem's mu and tau (else NotConverged or ValueError); an
-    inner solve that exhausts its cycle budget raises NotConverged.  An
+    converged at problem's mu and tau (else NotConverged or ValueError) and
+    tol positive and finite (else ValueError, before any solve); an inner
+    solve that exhausts its cycle budget raises NotConverged.  An
     explicit grid_spec skips the posterior sds, which only lay out the
     default grid; a default grid the sds cannot lay out raises
     NumericalError.
     """
+    _positive("tol", tol)
     others, sub, c_col = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
     explicit = grid_spec is not None and grid_spec.points is not None
@@ -259,8 +261,9 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     grid point from its neighbor's minimizer, and the grid is centered on
     the ML value.  Cheap, and exact in neither tails nor width when p > 1;
     kept as the comparison baseline.  With p = 1 the curve is the exact
-    density on the grid.
+    density on the grid.  tol must be positive and finite (else ValueError).
     """
+    _positive("tol", tol)
     others, sub, c_col = _fix_coordinate(problem, j)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")

@@ -23,12 +23,14 @@ problem that differ only in tau and mu, one lane per (mu, tau) cell, each
 from its own start.  tau_path runs a whole (mu, tau) grid (a tau grid at
 the problem's own mu, cross-validation's fold, the convergence sweep) as
 lanes, in any order; solve_saddle and the marginal curves' inner solves are
-the one-lane case.  The residuals, box and b tests, backtracking and
-convergence tests are done once per cycle for all live lanes, which is
-where small problems spend their time.  Each lane solves
-its own C + D system; on the direct route the stepping lanes' systems are
-one batched LU solve, no factor kept (partition._CPlusD.solve_stack), and a
-lane whose system cannot be solved takes its own fallback sweep.
+the one-lane case.  Lane k keeps row k of the stack throughout, and one
+mask tells the live lanes.  The residuals, box and b tests, the damped step
+(one loop over t = 1, 1/2, ...) and the convergence tests are done once per
+cycle for the whole stack, which is where small problems spend their time.
+Each lane solves its own C + D system; on the direct route the stepping
+lanes' systems are one batched LU solve, no factor kept
+(partition._CPlusD.solve_stack), and a lane whose system cannot be solved
+takes its own fallback sweep.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
@@ -171,53 +173,48 @@ def _sweep(problem, x, u):
     return x, u, _residual(x, u, mu, tau)
 
 
-def _newton_step(problem, x, u, b, res, tau, mu):
-    """Damped Newton steps for a stack of lanes, in place; returns moved.
+def _newton_step(problem, x, u, b, res, tau, mu, live):
+    """Damped Newton steps for the live rows of a stack, in place; returns
+    moved.
 
     Row k of (x, u) is an iterate at inverse temperature tau[k] and l1
-    weight mu[k] (both columns) with residual res[k].  The Jacobian of
-    F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with a = mu^2 - u^2 and
-    b = 2ux + 1/tau (given: the caller's convergence test reads it too),
-    so each lane solves (C + diag(a/b)) dx = -F/b; the stepping lanes'
+    weight mu[k] (both columns) with residual res[k], live where live[k].
+    The Jacobian of F(x) = a*x - u/tau is diag(b) (C + diag(a/b)) with
+    a = mu^2 - u^2 and b = 2ux + 1/tau (given: the caller's convergence test
+    reads it too), so each live row solves (C + diag(a/b)) dx = -F/b; the
     systems go to partition._CPlusD.solve_stack together, on the direct
-    route at small p as one batched LU solve, no factor kept.  A lane on or
+    route at small p as one batched LU solve, no factor kept.  A row on or
     just outside the box (the ML minimizer has |u_j| = mu up to its
     tolerance) uses max(a, 0), which keeps the matrix positive definite.  A
-    lane keeps the longest of the steps t dx, t = 1, 1/2, 1/4, ... down to
+    row keeps the longest of the steps t dx, t = 1, 1/2, 1/4, ... down to
     _MIN_STEP, that leaves every |u| < mu and its plug-back residual below
-    res.  The full step is tried for all rows at once and taken almost
-    always; the lanes it fails halve their steps together.  moved is False,
-    and the row is left as it was, where some b <= 0, its system could not
-    be solved or no step qualified.  Rows that cannot step and trial points
-    outside the box compute values that are never kept, so the caller
-    ignores their floating-point errors.
+    res: one loop tries each t on the whole stack, and a row still trying
+    takes it where it qualifies (the full step, almost always).  moved is
+    False, and the row left as it was, where it is not live, some b <= 0,
+    its system could not be solved or no step qualified.  Rows that cannot
+    step and trial points outside the box compute values that are never
+    kept, so the caller ignores their floating-point errors.
     """
     w = problem.w
     a = mu * mu - u * u
-    stepping = (b > 0.0).all(axis=1)
+    stepping = live & (b > 0.0).all(axis=1)
     e = np.maximum(a, 0.0) / b
     dx = (u / tau - a * x) / b
     _CPlusD.solve_stack(problem, e, dx, stepping)
-    xt = x + dx
-    ut = w - problem._matvec(xt)
-    rt = _residual(xt, ut, mu, tau)
-    moved = stepping & (np.abs(ut) < mu).all(axis=1) & (rt < res)
-    np.copyto(x, xt, where=moved[:, None])
-    np.copyto(u, ut, where=moved[:, None])
-    np.copyto(res, rt, where=moved)
-    rest = (stepping ^ moved).nonzero()[0]
-    t = 0.5
-    while rest.size and t >= _MIN_STEP:
-        xt = x[rest] + t * dx[rest]
+    trying, t = stepping, 1.0
+    while True:
+        xt = x + dx
         ut = w - problem._matvec(xt)
-        rt = _residual(xt, ut, mu[rest], tau[rest])
-        take = (np.abs(ut) < mu[rest]).all(axis=1) & (rt < res[rest])
-        lanes = rest[take]
-        x[lanes], u[lanes], res[lanes] = xt[take], ut[take], rt[take]
-        moved[lanes] = True
-        rest = rest[~take]
+        rt = _residual(xt, ut, mu, tau)
+        take = trying & (np.abs(ut) < mu).all(axis=1) & (rt < res)
+        np.copyto(x, xt, where=take[:, None])
+        np.copyto(u, ut, where=take[:, None])
+        np.copyto(res, rt, where=take)
+        trying = trying ^ take
         t *= 0.5
-    return moved
+        if t < _MIN_STEP or not trying.any():
+            return stepping ^ trying
+        dx *= 0.5
 
 
 def _saddle_cd(problem, x0, tol, taus=None, mus=None):
@@ -238,14 +235,16 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     The one exit of a converged lane is the cycle that finds it converged,
     a start that already is included: that cycle's Newton step polishes the
     iterate, kept only if it lowers the residual, and the lane leaves with
-    cycles set to that cycle's number, so cycles >= 1.  Lanes run
-    independently of each other: up to the rounding of the products and
-    factorizations they share, each one's iterates are those it would take
-    alone.  A lane still live after _MAX_CYCLES cycles returns
-    converged=False and cycles = _MAX_CYCLES.  A doomed lane, one whose
-    mu * mu or 1 / tau is not a finite float, has no x with a finite
-    residual: it returns its start unconverged with cycles = 0, before the
-    first cycle.
+    cycles set to that cycle's number, so cycles >= 1.  Lane k keeps row k
+    of the stacked arrays throughout, and one mask tells the live lanes; a
+    lane that leaves clears its bit, and its row, which its SaddleSolution's
+    x_tau and u_tau view, is never written again.  Lanes run independently
+    of each other: up to the rounding of the products and factorizations
+    they share, each one's iterates are those it would take alone.  A lane
+    still live after _MAX_CYCLES cycles returns converged=False and
+    cycles = _MAX_CYCLES.  A doomed lane, one whose mu * mu or 1 / tau is
+    not a finite float, has no x with a finite residual: it returns its
+    start unconverged with cycles = 0, before the first cycle.
     """
     if taus is None:
         taus, mus = [problem.tau], [problem.mu]
@@ -255,22 +254,18 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     x = np.empty((taus.size, problem.p))
     x[:] = x0
     u = problem.w - problem._matvec(x)
-    live = np.arange(taus.size)
+    live = np.ones(taus.size, dtype=bool)
     out = [None] * taus.size
 
     def leave(gone, cycles, ok):
-        # the live lanes' rows where gone holds leave as they are; False
-        # once no lane is left
-        nonlocal x, u, res, tau, mu, tols, live
+        # the lanes in gone leave as they are; False once none is live
         for k in gone.nonzero()[0]:
-            out[live[k]] = SaddleSolution(
+            out[k] = SaddleSolution(
                 u_tau=u[k], x_tau=x[k], mu=float(mu[k, 0]), tau=float(tau[k, 0]),
                 cycles=cycles, residual=float(res[k]), converged=ok,
             )
-        keep = ~gone
-        x, u, res = x[keep], u[keep], res[keep]
-        tau, mu, tols, live = tau[keep], mu[keep], tols[keep], live[keep]
-        return live.size > 0
+        live[gone] = False
+        return live.any()
 
     # the Newton steps' discarded trial values may overflow or divide by
     # zero, and so may every residual of a doomed lane
@@ -281,19 +276,20 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
             return out
         for cycles in range(1, _MAX_CYCLES + 1):
             b = 2.0 * u * x + 1.0 / tau
-            done = res < tols
+            done = live & (res < tols)
             exits = done.any()
             if exits:
                 inside = (np.abs(u) < mu).all(axis=1)
                 done &= inside & (b > 0.0).all(axis=1)
                 exits = done.any()
-            moved = _newton_step(problem, x, u, b, res, tau, mu)
-            for k in (~(done | moved)).nonzero()[0]:
+            moved = _newton_step(problem, x, u, b, res, tau, mu, live)
+            # done and moved are live: the rest of the live lanes sweep
+            for k in (live ^ (done | moved)).nonzero()[0]:
                 at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
             if exits and not leave(done, cycles, True):
                 return out
-    leave(np.ones(live.size, dtype=bool), _MAX_CYCLES, False)
+    leave(live, _MAX_CYCLES, False)
     return out
 
 

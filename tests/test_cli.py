@@ -191,6 +191,18 @@ def test_output_path_under_a_file_exits_2(tmp_path, capsys, verb, flags):
     assert cap.err.startswith("error: ")
 
 
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    # the output is written to a temporary file beside it and renamed; a
+    # rename onto a directory fails, and the temporary file is removed
+    csv, out = make_csv(tmp_path), tmp_path / "fit.json"
+    out.mkdir()
+    code, cap = run(["fit", csv, "--response", "y", "--mu", "0.1", "--tau", "10",
+                     "--out", out], capsys)
+    assert code == 2
+    assert cap.err.startswith("error: ")
+    assert out.is_dir() and not list(tmp_path.glob(".fit.json.*"))
+
+
 @pytest.mark.parametrize("verb, flags", [
     ("cv", ["--folds", "3"]),
     ("convergence", ["--mu", "0.1"]),
@@ -256,6 +268,31 @@ def test_unstandardized_input_with_flag_exits_2(tmp_path, capsys):
     code, cap = run(["fit", csv, "--response", "y", "--no-standardize",
                      "--mu", "0.1", "--tau", "10"], capsys)
     assert code == 2
+
+
+def test_standardized_input_with_flag_fits_as_without(tmp_path):
+    # a CSV holding standardize's output passes the check as it is; without
+    # the flag it is standardized again, which moves it by rounding only
+    data, _ = bn.load_csv(str(make_csv(tmp_path)), "y")
+    std = bn.standardize(data)
+    path = tmp_path / "std.csv"
+    helpers.write_csv(path, ["g0", "g1", "g2"], std.predictors, std.responses)
+    argv = ["fit", path, "--response", "y", "--lambda", "0.05", "--mu", "0.1",
+            "--tau", "50", "--out"]
+    assert run([*argv, tmp_path / "flag.json", "--no-standardize"]) == 0
+    assert run([*argv, tmp_path / "plain.json"]) == 0
+    flag, plain = (json.loads((tmp_path / f"{name}.json").read_text())
+                   for name in ("flag", "plain"))
+    assert np.max(np.abs(np.subtract(flag["x_tau"], plain["x_tau"]))) < 1e-12
+    assert flag["log_z"] == plain["log_z"]
+
+
+def test_unconverged_ml_stage_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1)
+    code, cap = run(["fit", make_csv(tmp_path), "--response", "y", "--mu", "0.1",
+                     "--tau", "10"], capsys)
+    assert code == 3
+    assert "ML stage" in cap.err
 
 
 def test_fit_on_a_latitude_column_exits_0(tmp_path, capsys):
@@ -827,6 +864,16 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
         cli.cmd_convergence(args)
     assert len(path_calls) == 1
+
+
+def test_unconverged_convergence_lane_exits_3(tmp_path, capsys, monkeypatch):
+    # one saddle cycle is not enough for any lane from its ML start
+    monkeypatch.setattr(bn.saddle, "_MAX_CYCLES", 1)
+    code, cap = run(["convergence", make_csv(tmp_path), "--response", "y",
+                     "--mu", "0.1", "--tau-grid", "4,3"], capsys)
+    assert code == 3
+    assert "no convergence after 1 cycles (tau=" in cap.err
+    assert "mu=0.1)" in cap.err
 
 
 def test_convergence_requires_mu_or_grid(tmp_path, capsys):

@@ -398,6 +398,11 @@ def test_marginal_rejects_single_point_grid(p5_suite):
         )
 
 
+# a tol no inner solve can meet, or one every solve meets at once, is
+# refused before the first solve spends its cycle budget
+_BAD_TOLS = {"negative": -1.0, "zero": 0.0, "nan": math.nan, "inf": math.inf}
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda prob, ml, sad: marginal_sp(
         prob, sad, 0, grid_spec=GridSpec(points=np.array([0.0, 0.2, 0.1]))),
@@ -412,7 +417,14 @@ def test_marginal_rejects_single_point_grid(p5_suite):
     (lambda prob, ml, sad: marginal_ml_approx(
         prob, dataclasses.replace(ml, converged=False), 0),
      bn.NotConverged, r"\(ML solution not converged\)"),
-], ids=["grid-descends", "grid-repeats", "j-past-p", "j-negative", "ml-unconverged"])
+] + [
+    (lambda prob, ml, sad, tol=tol: marginal_sp(prob, sad, 0, tol=tol),
+     ValueError, "tol must be positive and finite") for tol in _BAD_TOLS.values()
+] + [
+    (lambda prob, ml, sad, tol=tol: marginal_ml_approx(prob, ml, 0, tol=tol),
+     ValueError, "tol must be positive and finite") for tol in _BAD_TOLS.values()
+], ids=["grid-descends", "grid-repeats", "j-past-p", "j-negative", "ml-unconverged"]
+    + [f"{f}-tol-{name}" for f in ("sp", "ml") for name in _BAD_TOLS])
 def test_marginal_refuses_bad_requests(p5_suite, call, error, message):
     prob, ml, sad = p5_suite["problem"], p5_suite["ml"], p5_suite["saddle"]
     with pytest.raises(error, match=message):

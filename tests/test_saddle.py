@@ -564,3 +564,93 @@ def test_path_in_any_tau_order_equals_sorted():
                     assert a.tau == b.tau and a.converged == b.converged
                     assert a.cycles == b.cycles
                     assert np.max(np.abs(a.x_tau - b.x_tau)) <= 1e-12
+
+
+def test_departed_lanes_rows_are_never_written(monkeypatch):
+    # lane k keeps row k of the stack, and its SaddleSolution's x_tau and
+    # u_tau are views of that row: once it has left, no Newton step and no
+    # fallback sweep may touch the row.  One lane starts converged and leaves
+    # at cycle 1, while the lanes from -10 x the ML start still sweep
+    std = helpers.random_standardized(38, 40, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
+    prob = bn.build_problem(std, 0.05, 0.05, 100.0)
+    start = -10.0 * bn.solve_ml(prob, tol=1e-12).x_hat
+    converged = solve_saddle(prob, start, tol=1e-12).x_tau
+    step_, sweep_ = saddle._newton_step, saddle._sweep
+    stack, gone, swept_after = {}, {}, []
+
+    def unchanged():
+        x, u, res = stack["rows"]
+        for k, (xk, uk, rk) in gone.items():
+            assert np.array_equal(x[k], xk) and np.array_equal(u[k], uk) and res[k] == rk
+
+    def step(problem, x, u, b, res, tau, mu, live):
+        stack["rows"] = (x, u, res)
+        for k in (~live).nonzero()[0]:
+            gone.setdefault(k, (x[k].copy(), u[k].copy(), res[k]))
+        unchanged()
+        moved = step_(problem, x, u, b, res, tau, mu, live)
+        unchanged()
+        assert not (moved & ~live).any()
+        return moved
+
+    def sweep(problem, x, u):
+        rows = stack["rows"][0]
+        assert not any(np.shares_memory(x, rows[k]) for k in gone)
+        if gone:
+            swept_after.append(problem.mu)
+        return sweep_(problem, x, u)
+
+    monkeypatch.setattr(saddle, "_newton_step", step)
+    monkeypatch.setattr(saddle, "_sweep", sweep)
+    taus = [100.0, 10.0, 1.0, 1e-4]
+    grid = tau_path(prob, taus, init=[converged, start], tol=1e-11, mus=[0.05, 0.06])
+    unchanged()
+    assert all(sol.converged for sol in grid)
+    assert grid[0].cycles == 1 and len({sol.cycles for sol in grid}) >= 4
+    assert swept_after
+    for k, (xk, uk, _) in gone.items():
+        assert np.array_equal(grid[k].x_tau, xk) and np.array_equal(grid[k].u_tau, uk)
+
+
+def test_stacked_newton_step_equals_one_row_steps(monkeypatch):
+    # one stacked call holds a row that backtracks, one that takes the full
+    # step, one that finds no step and one that is not live: each live row
+    # takes its one-row step, and the row that is not live is left as it was
+    std = helpers.random_standardized(38, 40, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
+    prob = bn.build_problem(std, 0.05, 0.05, 1.0)
+    ml = bn.solve_ml(prob, tol=1e-12).x_hat
+    # row 3 would take the full step were it live
+    x0 = np.array([2.0 * ml, ml, 0.5 * ml, ml])
+    tau = np.array([[1.0], [1.0], [100.0], [10.0]])
+    mu = np.full((4, 1), 0.05)
+    live = np.array([True, True, True, False])
+    residual, trials = saddle._residual, []
+
+    def counted(*args):
+        trials[-1] += 1
+        return residual(*args)
+
+    def newton(rows):
+        x = x0[rows].copy()
+        u = prob.w - prob._matvec(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            res = residual(x, u, mu[rows], tau[rows])
+            b = 2.0 * u * x + 1.0 / tau[rows]
+            trials.append(0)
+            moved = saddle._newton_step(prob, x, u, b, res, tau[rows], mu[rows], live[rows])
+        return x, u, res, moved
+
+    monkeypatch.setattr(saddle, "_residual", counted)
+    stack = newton(slice(None))
+    assert stack[3].tolist() == [True, True, False, False]
+    for k in range(3):
+        one = newton(slice(k, k + 1))
+        assert one[3][0] == stack[3][k]
+        for got, ref in zip(stack[:3], one[:3]):
+            assert np.max(np.abs(got[k] - ref[0])) < 1e-12, k
+    # t = 1/2 for row 0, the full step for row 1, and every t down to
+    # _MIN_STEP for row 2
+    assert trials[1:] == [2, 1, 14]
+    u0 = prob.w - prob._matvec(x0)
+    assert np.array_equal(stack[0][3], x0[3]) and np.array_equal(stack[1][3], u0[3])
+    assert stack[2][3] == residual(x0, u0, mu, tau)[3]
