@@ -228,16 +228,14 @@ class PenalizedProblem:
             return np.diagonal(self.c)
         return np.einsum("ij,ij->j", f, f) / (2.0 * f.shape[0]) + self.lam
 
-    def _matvec(self, x, idx=None):
-        """C x, or row by row for a stack of rows x; given idx, for a vector
-        x that is zero off idx."""
+    def _matvec(self, x):
+        """C x, or row by row for a stack of rows x."""
         # (C x')' rather than x C: a single row then takes the vector
         # product's BLAS call, and its rounding
         f = self.low_rank_factor
         if f is None:
-            return (self.c @ x.T).T if idx is None else x[idx] @ self.c[idx]
-        s = f @ x.T if idx is None else f[:, idx] @ x[idx]
-        return (f.T @ s).T / (2.0 * f.shape[0]) + self.lam * x
+            return (self.c @ x.T).T
+        return (f.T @ (f @ x.T)).T / (2.0 * f.shape[0]) + self.lam * x
 
     def _quad(self, x):
         """x'C x."""

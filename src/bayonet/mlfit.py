@@ -3,11 +3,11 @@
 Minimizes x'Cx - 2w'x + 2mu*||x||_1 by soft-thresholded coordinate updates,
 cycling only over an active set, after glmnet (Friedman, Hastie & Tibshirani
 2010).  Each outer step takes the residual r = w - Cx from one product with
-the nonzero rows of C and makes the active set the nonzero coordinates plus
-the zero ones that violate |r_j| <= mu; the sweeps then touch only the
-active block of C, so a sweep costs O(|A|^2) rather than O(p^2).  Within a
-sweep each coordinate's partial residual is computed afresh from its row of
-the block, so no running residual carries rounding from update to update.
+C and makes the active set the nonzero coordinates plus the zero ones that
+violate |r_j| <= mu; the sweeps then touch only the active block of C, so a
+sweep costs O(|A|^2) rather than O(p^2).  Within a sweep each coordinate's
+partial residual is computed afresh from its row of the block, so no
+running residual carries rounding from update to update.
 The minimizer doubles as the warm start every other solver in the package
 builds on, hence the tight default tolerance.
 """
@@ -82,15 +82,11 @@ def _ml_cd(problem, x0, tol):
     diag = problem._diag
     cycles, settled = 0, False
     while True:
-        nz = np.flatnonzero(x)
-        grown = (np.abs(w - problem._matvec(x, nz)) > mu) & (x == 0.0)
-        if not grown.any():
-            if settled:
-                return x, cycles, True
-            eps = tol
-        else:
-            nz = np.union1d(nz, np.flatnonzero(grown))
-            eps = max(tol, _LOOSE_TOL)
+        grown = (np.abs(w - problem._matvec(x)) > mu) & (x == 0.0)
+        if settled and not grown.any():
+            return x, cycles, True
+        nz = np.flatnonzero((x != 0.0) | grown)
+        eps = max(tol, _LOOSE_TOL) if grown.any() else tol
         row_dots = [row.dot for row in problem._block(nz)]
         wa, da, xa = w[nz].tolist(), diag[nz].tolist(), x[nz]
         settled = False

@@ -4,10 +4,11 @@ Everything is assembled and returned in log space.  The Gaussian-curvature
 correction enters through det(C + D) where D is a nonnegative diagonal built
 from the stationary point.  _core is the one evaluation at a point: D, the
 three terms of log Z and the factor of C + D, which log_partition,
-posterior_sd and every node of a marginal curve read.  _CPlusD factors C +
-D there and in the stationary-point solver's Newton step; for wide designs
+posterior_sd and every node of a marginal curve read.  _CPlusD factors C + D
+there and in the stationary-point solver's Newton step; for wide designs
 (p > n) it factors an n x n core matrix (Woodbury identity and matrix
-determinant lemma) instead of a p x p one.
+determinant lemma) instead of a p x p one.  Neither route keeps a copy of
+the design, and both take the inverse diagonal from LAPACK dpotri.
 
 _cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
 the zero-temperature active block) and PenalizedProblem's check of C call
@@ -55,9 +56,7 @@ def _cholesky(matrix):
     arguments on every call, which costs several times the factorization
     itself at the sizes of the marginal curves' inner solves.  In their
     place, a NaN or inf fails the factorization or leaves a non-finite
-    pivot, checked in O(p); either raises SingularMatrix.  A stack of C + D
-    systems does not come here: _CPlusD.solve_stack solves it by one
-    batched LU solve, no factor kept.
+    pivot, checked in O(p); either raises SingularMatrix.
     """
     chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
     if info != 0:
@@ -76,7 +75,8 @@ class _CPlusD:
     diag(1/(e + lam)) A'/(2n) factored: solves go through the Woodbury
     identity and the determinant through the matrix determinant lemma.  Any
     other problem has the p x p C + diag(e) factored.  Factors come from
-    _cholesky; a non-finite e + lam also raises SingularMatrix.
+    _cholesky; a non-finite e + lam also raises SingularMatrix.  A factor
+    keeps its Cholesky factor and, on the low-rank route, dp = e + lam and A.
     """
 
     def __init__(self, problem, e):
@@ -92,9 +92,9 @@ class _CPlusD:
                 raise SingularMatrix("non-finite entry in C + diag(e)")
             # B = A diag(dp)^{-1/2}, so the core I + B B'/(2n) is one
             # symmetric rank-p update
-            self._scaled = factor / np.sqrt(self._dp)
+            scaled = factor / np.sqrt(self._dp)
             self._two_n = 2.0 * factor.shape[0]
-            matrix = np.eye(factor.shape[0]) + self._scaled @ self._scaled.T / self._two_n
+            matrix = np.eye(factor.shape[0]) + scaled @ scaled.T / self._two_n
         self._chol = _cholesky(matrix)
 
     @staticmethod
@@ -150,16 +150,18 @@ class _CPlusD:
         return out
 
     def inv_diag(self):
-        """Diagonal of (C + diag(e))^{-1}."""
+        """Diagonal of (C + diag(e))^{-1}, from one dpotri inverse of the
+        factored matrix: on the low-rank route of the core K, whence entry j
+        is (1 - a_j' K^{-1} a_j / (2n dp_j)) / dp_j (Woodbury), A' K^{-1}
+        one dsymm call that reads only the lower triangle dpotri fills."""
+        inv, info = sla.lapack.dpotri(self._chol, lower=1)
+        if info != 0:
+            raise SingularMatrix(f"dpotri info={info}")
         if self._dp is None:
-            inv, info = sla.lapack.dpotri(self._chol, lower=1)
-            if info != 0:
-                raise SingularMatrix(f"dpotri info={info}")
             return np.diagonal(inv).copy()
-        m = sla.solve_triangular(
-            self._chol, self._scaled, lower=True, check_finite=False
-        )
-        return (1.0 - np.sum(m * m, axis=0) / self._two_n) / self._dp
+        at_kinv = sla.blas.dsymm(1.0, inv, self._factor.T, side=1, lower=1)
+        quad = np.einsum("ij,ji->j", self._factor, at_kinv)
+        return (1.0 - quad / (self._two_n * self._dp)) / self._dp
 
 
 def log_det_c_plus_d(problem, d_tau, method="auto"):

@@ -75,7 +75,8 @@ def posterior_sd(problem, saddle):
 
     Taken from the diagonal of (C + D)^{-1}/(2 tau); this is the width scale
     the marginal grids are built on, not an exact posterior moment.  The
-    diagonal is read from the factor behind log det(C + D) in log Z.
+    diagonal is read from the factor behind log det(C + D) in log Z by one
+    dpotri inverse, n x n and one n x p product when p > n.
     """
     _check_saddle(problem, saddle)
     factor = _core(problem, saddle.x_tau, saddle.u_tau)[1]

@@ -203,6 +203,25 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert out.is_dir() and not list(tmp_path.glob(".fit.json.*"))
 
 
+def test_failed_rename_and_cleanup_exit_2_with_the_rename_error(tmp_path, capsys,
+                                                              monkeypatch):
+    # the temporary file cannot be removed either: the rename's error is
+    # the one reported, and the output path is never written
+    def refuse(message):
+        def call(*args, **kwargs):
+            raise OSError(message)
+        return call
+
+    csv, out = make_csv(tmp_path), tmp_path / "fit.json"
+    monkeypatch.setattr(cli.os, "replace", refuse("rename refused"))
+    monkeypatch.setattr(cli.os, "unlink", refuse("unlink refused"))
+    code, cap = run(["fit", csv, "--response", "y", "--mu", "0.1", "--tau", "10",
+                     "--out", out], capsys)
+    assert code == 2
+    assert cap.err == "error: rename refused\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, flags", [
     ("cv", ["--folds", "3"]),
     ("convergence", ["--mu", "0.1"]),

@@ -15,7 +15,7 @@ from bayonet import (
     log_z_exact,
 )
 
-from bayonet.partition import _CPlusD
+from bayonet.partition import _CPlusD, _core
 
 import helpers
 
@@ -158,6 +158,34 @@ def test_factor_routes_agree_wide_design():
     inv_ref = np.diagonal(np.linalg.inv(prob.c + np.diag(e)))
     assert np.max(np.abs(direct.inv_diag() / inv_ref - 1.0)) < 1e-10
     assert np.max(np.abs(lowrank.inv_diag() / inv_ref - 1.0)) < 1e-10
+    # the low-rank factor keeps no n x p array of its own: the design it
+    # reads is the problem's
+    n, p = prob.low_rank_factor.shape
+    big = [v for v in vars(lowrank).values() if np.ndim(v) and np.size(v) >= n * p]
+    assert len(big) == 1 and big[0] is prob.low_rank_factor
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["direct", "lowrank"])
+def test_inverse_diagonal_refuses_a_zero_pivot(wide):
+    # dpotri reports a zero on the factor's diagonal; _cholesky never leaves
+    # one, so it is planted, on either route
+    std = helpers.random_standardized(55, 12, 60 if wide else 8)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    factor = _CPlusD(prob, np.ones(prob.p))
+    assert (factor._dp is not None) == wide
+    factor._chol[3, 3] = 0.0
+    with pytest.raises(bn.SingularMatrix, match="dpotri info=4"):
+        factor.inv_diag()
+
+
+def test_core_refuses_an_overflowing_exponential_term():
+    # tau (w - u)'x past the largest float: NumericalOverflow before any
+    # factor is built
+    std = helpers.random_standardized(44, 30, 5)
+    prob = bn.build_problem(std, 0.05, 0.05, 1e300)
+    x = np.full(5, 1e300)
+    with pytest.raises(bn.NumericalOverflow, match="exponential term is"):
+        _core(prob, x, np.zeros(5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -302,6 +330,16 @@ def test_zero_temp_meets_leading_order_when_inactive():
         lp = log_partition(prob, sad)
         lz0 = log_partition_zero_temp(prob, ml)
         assert abs(lp.log_z - lz0) < 0.1
+
+
+def test_zero_temp_refuses_an_unconverged_ml_solution(monkeypatch):
+    monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1)
+    std = helpers.random_standardized(44, 30, 5)
+    prob = bn.build_problem(std, 0.05, 0.05, 100.0)
+    ml = bn.solve_ml(prob, tol=1e-14)
+    assert not ml.converged
+    with pytest.raises(bn.NotConverged, match="ML solution not converged"):
+        log_partition_zero_temp(prob, ml)
 
 
 def test_zero_temp_transition_detected(near_transition):

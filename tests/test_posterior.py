@@ -96,6 +96,15 @@ def test_marginal_inner_solve_budget_raises(near_transition, monkeypatch):
     assert info.value.cycles == 0
 
 
+def test_ml_marginal_inner_solve_budget_raises(p5_suite, monkeypatch):
+    # the outer ML fit is converged; a zero budget leaves the first inner
+    # minimizer unconverged, which surfaces as NotConverged naming the point
+    prob, ml = p5_suite["problem"], p5_suite["ml"]
+    monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 0)
+    with pytest.raises(bn.NotConverged, match=r"inner minimizer, coordinate 2, grid value"):
+        marginal_ml_approx(prob, ml, 2)
+
+
 def test_marginal_builds_about_one_factor_per_grid_point(monkeypatch):
     # the factor of C_sub + D behind each log det is reused for the next
     # tangent prediction, and the inner log Z is solved on 9 or 17 nodes:
