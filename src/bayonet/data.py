@@ -100,6 +100,16 @@ class Dataset:
         return self.predictors.shape[1]
 
 
+def _center(v):
+    # (v minus its column means, the means) in two passes: one leaves a
+    # column far from zero with a mean of about eps * |mean| / sd, which
+    # the standardized check can refuse, so that mean is taken off again
+    off = v.mean(axis=0)
+    vc = v - off
+    again = vc.mean(axis=0)
+    return vc - again, off + again
+
+
 def standardize(data):
     """Center every column and rescale to squared norm n; same for the response.
 
@@ -108,15 +118,11 @@ def standardize(data):
     and raise ZeroVarianceColumn rather than being dropped silently (dropping
     would renumber the remaining coefficients).
     """
-    a = data.predictors
-    y = data.responses
-    off = a.mean(axis=0)
-    ac = a - off
+    ac, off = _center(data.predictors)
     scale = np.sqrt(np.mean(ac * ac, axis=0))
     for j in np.nonzero(scale == 0.0)[0]:
         raise ZeroVarianceColumn(int(j))
-    y_off = float(y.mean())
-    yc = y - y_off
+    yc, y_off = _center(data.responses)
     y_scale = float(np.sqrt(np.mean(yc * yc)))
     if y_scale == 0.0:
         raise ZeroVarianceColumn("response")
@@ -126,7 +132,7 @@ def standardize(data):
         standardized=True,
         predictor_offset=_readonly(off),
         predictor_scale=_readonly(scale),
-        response_offset=y_off,
+        response_offset=float(y_off),
         response_scale=y_scale,
     )
 

@@ -337,14 +337,14 @@ def random_standardized(seed, n, p, beta=None, noise=1.0):
     return bn.standardize(bn.Dataset(responses=y, predictors=a))
 
 
-def latitude_dataset(seed=0, n=442):
-    """Raw dataset whose column 1 sits at 40.7 +- 0.05, as a latitude does;
-    centering leaves rounding of about eps * 40.7 / 0.05 in each entry of
-    that standardized column."""
+def latitude_dataset(seed=0, n=442, p=4, center=40.7, spread=0.05):
+    """Raw dataset whose column 1 sits at center +- spread, by default
+    40.7 +- 0.05 as a latitude does; one-pass centering leaves rounding of
+    about eps * center / spread in each entry of that standardized column."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, 4))
-    a[:, 1] = 40.7 + 0.05 * rng.standard_normal(n)
-    y = a[:, 0] - 2.0 * (a[:, 1] - 40.7) + rng.standard_normal(n)
+    a = rng.standard_normal((n, p))
+    a[:, 1] = center + spread * rng.standard_normal(n)
+    y = a[:, 0] - 2.0 * (a[:, 1] - center) + rng.standard_normal(n)
     return bn.Dataset(responses=y, predictors=a)
 
 

@@ -1043,6 +1043,18 @@ def test_cv_fold_with_a_constant_column_exits_0(tmp_path):
     assert all(v is not None for row in payload["scores"] for v in row)
 
 
+def test_cv_on_a_column_far_from_zero_exits_0(tmp_path, capsys):
+    # fit accepted this file, but a training fold's own standardize output
+    # failed the standardized check at 1e6 sds from zero and cv exited 4
+    raw = helpers.latitude_dataset(seed=1, n=50, center=1e6, spread=1.0)
+    path = tmp_path / "offset.csv"
+    helpers.write_csv(path, [f"g{j}" for j in range(4)], raw.predictors, raw.responses)
+    for verb, flags in (("fit", ["--mu", "0.05", "--tau", "100"]), ("cv", ["--folds", "2"])):
+        code, cap = run([verb, path, "--response", "y", "--lambda", "0.1", *flags,
+                         "--out", tmp_path / f"{verb}.json"], capsys)
+        assert code == 0, cap.err
+
+
 @pytest.mark.parametrize("n, folds", [(20, 20), (2, 2)], ids=["loo", "two-rows"])
 def test_cv_refuses_folds_of_one_sample(tmp_path, capsys, n, folds):
     # leave-one-out scored every cell 0.0 (the Pearson r of one point) and

@@ -65,11 +65,14 @@ def test_standardize_diabetes_all_columns(diabetes):
         predictors=np.random.default_rng(1).standard_normal((20_000, 10)),
     ), id="20000x10"),
     pytest.param(helpers.latitude_dataset, id="latitude"),
+    pytest.param(lambda: helpers.latitude_dataset(p=3, center=1e6, spread=1.0),
+                 id="offset-1e6"),
 ])
 def test_standardize_accepts_its_own_output(raw):
     # the rounding of a column's sum of n unit-scale terms grows with n, and
     # centering a column far from zero leaves eps * |mean| / sd in each entry:
-    # both exceeded an absolute 1e-10 and refused standardize's own output
+    # both exceeded an absolute 1e-10 and refused standardize's own output.
+    # At 1e6 sds from zero one-pass centering still failed the relative check
     std = bn.standardize(raw())
     assert std.standardized
 
