@@ -150,10 +150,10 @@ class _CPlusD:
         return out
 
     def inv_diag(self):
-        """Diagonal of (C + diag(e))^{-1}, from one dpotri inverse of the
-        factored matrix: on the low-rank route of the core K, whence entry j
-        is (1 - a_j' K^{-1} a_j / (2n dp_j)) / dp_j (Woodbury), A' K^{-1}
-        one dsymm call that reads only the lower triangle dpotri fills."""
+        """Diagonal of (C + diag(e))^{-1} from one dpotri inverse of the
+        factored matrix.  On the low-rank route that is the core K: entry j
+        is (1 - a_j' K^{-1} a_j / (2n dp_j)) / dp_j by Woodbury, A' K^{-1}
+        one dsymm call on the lower triangle that dpotri fills."""
         inv, info = sla.lapack.dpotri(self._chol, lower=1)
         if info != 0:
             raise SingularMatrix(f"dpotri info={info}")
