@@ -404,12 +404,14 @@ def cmd_convergence(args):
         count, ratio = args.mu_grid
         mus = list(mu_grid(mu_max(base.w), count, ratio))
     taus = tau_grid(*args.tau_grid)
-    mls = []
-    for mu in mus:
-        ml = solve_ml(base.with_mu(mu), tol=args.tol)
+    # the ML fits run down the mus from the largest, each from the previous
+    # minimizer, as cross_validate's do; the rows keep the mus' order
+    mls, warm = [None] * len(mus), None
+    for i in sorted(range(len(mus)), key=lambda i: -mus[i]):
+        ml = solve_ml(base.with_mu(mus[i]), tol=args.tol, init=warm)
         if not ml.converged:
-            raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
-        mls.append(ml)
+            raise NotConverged(ml.cycles, f"ML stage at mu={mus[i]}")
+        mls[i], warm = ml, ml.x_hat
     sols = tau_path(base, taus, init=[ml.x_hat for ml in mls], tol=args.tol, mus=mus)
     rows = []
     for i, (mu, ml) in enumerate(zip(mus, mls)):

@@ -1,15 +1,21 @@
-"""Penalized maximum-likelihood solver (coordinate descent over an active set).
+"""Penalized maximum-likelihood solver (active-set orthant solves).
 
-Minimizes x'Cx - 2w'x + 2mu*||x||_1 by soft-thresholded coordinate updates,
-cycling only over an active set, after glmnet (Friedman, Hastie & Tibshirani
-2010).  Each outer step takes the residual r = w - Cx from one product with
-C and makes the active set the nonzero coordinates plus the zero ones that
-violate |r_j| <= mu; the sweeps then touch only the active block of C, so a
-sweep costs O(|A|^2) rather than O(p^2).  Within a sweep each coordinate's
-partial residual is computed afresh from its row of the block, so no
+Minimizes x'Cx - 2w'x + 2mu*||x||_1.  For a fixed support A and sign
+vector s the minimizer is exact: x_A = C_AA^{-1}(w_A - mu s_A), the
+classical active-set lasso solve (Osborne, Presnell & Turlach 2000).  Each
+outer step takes the residual r = w - Cx from one product with C, makes
+the active set the nonzero coordinates plus the zero ones that violate
+|r_j| <= mu, and solves on that orthant through the package's one Cholesky
+(partition._CPlusD, which takes the n x n route while |A| > n).  A result
+whose signs all agree with s is kept; down a descending mu column the warm
+start almost always has the right support and signs, and one solve ends
+the fit.  Where the signs disagree or the factor fails, glmnet-style
+soft-thresholded coordinate sweeps over the active block (Friedman, Hastie
+& Tibshirani 2010) are the globalizer, at O(|A|^2) per sweep; each
+coordinate's partial residual comes afresh from its row of the block, so no
 running residual carries rounding from update to update.
 The minimizer doubles as the warm start every other solver in the package
-builds on, hence the tight default tolerance.
+builds on, hence the tight default tolerance of the sweeps.
 """
 
 from dataclasses import dataclass
@@ -17,12 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _check_init, _cost, _positive
+from .errors import SingularMatrix
+from .partition import _CPlusD
 
 _MAX_CYCLES = 100_000
 # relative move at which the sweeps over a just-grown active set stop and the
 # optimality conditions are checked again; converging each intermediate set
 # fully costs more sweeps than it saves when the solution is dense
 _LOOSE_TOL = 1e-3
+# a failed orthant solve on k coordinates costs about k / _SOLVE_SWEEPS
+# sweeps of that block from k = 100 on, and one to three below (1 BLAS
+# thread, dense and wide): after one, that many sweeps, at least one, run
+# before the next solve
+_SOLVE_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -65,42 +78,87 @@ def _block_sweep(row_dots, w, diag, mu, x):
     return dmax
 
 
+def _orthant_solve(sub, mu, s):
+    """The minimizer on the orthant of signs s of the restricted problem
+    sub, x_A = C_AA^{-1}(w_A - mu s_A), or None when a sign of it disagrees
+    with s or C_AA cannot be factored."""
+    if not s.size:
+        return s
+    try:
+        xa = _CPlusD(sub, np.zeros(s.size)).solve(sub.w - mu * s)
+    except SingularMatrix:
+        return None
+    return xa if (np.sign(xa) == s).all() else None
+
+
 def _ml_cd(problem, x0, tol):
-    """Active-set coordinate descent core; returns (x, cycles, converged).
+    """Active-set solver core; returns (x, cycles, converged).
 
     x0 is the start (None: the zero vector); marginal_ml_approx warm-starts
-    each grid point at its neighbor's minimizer.  cycles counts sweeps over
-    an active set, at most _MAX_CYCLES and at least 1.  The solve converges
-    when a sweep at the full tolerance moves no coordinate more than
-    tol * max(1, ||x||_inf) and, at the fresh residual after it, every zero
-    coordinate satisfies |r_j| <= mu.  A set that has just grown is swept
-    only to a move of _LOOSE_TOL relative before the conditions are checked
-    again, and a sweep that zeroes a coordinate ends the set's sweeps early.
+    each grid point at its neighbor's minimizer.  Each outer step takes the
+    residual r = w - Cx, the active set A of nonzeros and violators and the
+    signs s (of x, or of r for a violator), and solves on that orthant; a
+    result whose signs all agree with s is kept.  Otherwise the block of A
+    is swept until a sweep moves no coordinate more than tol *
+    max(1, ||x||_inf); a set that has just grown is swept only to a move of
+    _LOOSE_TOL relative, and a sweep that leaves a zero in the block ends
+    the set's sweeps early.  After a failed solve on k coordinates the
+    next one waits for max(1, k // _SOLVE_SWEEPS) sweeps, fewer if a sweep
+    meets its tolerance first, and the sweeps stop when the wait is over:
+    failed solves on a large set that is still shedding coordinates cost
+    no more than the sweeps, and a set whose signs came right is not swept
+    on to the tolerance.  tol governs only the sweeps; a kept solve is
+    exact to rounding.
+
+    A cycle is one solve or one sweep; cycles counts both, at most
+    _MAX_CYCLES.  The solver converges at the first residual after a kept
+    solve, or after a sweep that met tol, at which no zero coordinate
+    violates |r_j| <= mu.  A zero coordinate of that sweep's block is
+    exempt: the sweep's own soft-threshold test put it inside, and the
+    residual of the product with C may round it just outside, which would
+    send the solver back and forth between solve and sweep at such a kink.
     """
     w, mu = problem.w, problem.mu
     x = np.zeros(problem.p) if x0 is None else np.array(x0, dtype=float)
-    diag = problem._diag
-    cycles, settled = 0, False
+    cycles, done, wait = 0, None, 0
     while True:
-        grown = (np.abs(w - problem._matvec(x)) > mu) & (x == 0.0)
-        if settled and not grown.any():
-            return x, cycles, True
+        r = w - problem._matvec(x)
+        grown = (np.abs(r) > mu) & (x == 0.0)
+        if done is not None:
+            grown[done] = False
+            if not grown.any():
+                return x, cycles, True
+        if cycles == _MAX_CYCLES:
+            return x, cycles, False
         nz = np.flatnonzero((x != 0.0) | grown)
+        sub = problem._restrict(nz)
+        if wait <= 0:
+            cycles += 1
+            s = np.sign(np.where(grown[nz], r[nz], x[nz]))
+            xa = _orthant_solve(sub, mu, s)
+            if xa is not None:
+                x[nz] = xa
+                done = nz
+                continue
+            wait = max(1, nz.size // _SOLVE_SWEEPS)
+        done = None
         eps = max(tol, _LOOSE_TOL) if grown.any() else tol
-        row_dots = [row.dot for row in problem._block(nz)]
-        wa, da, xa = w[nz].tolist(), diag[nz].tolist(), x[nz]
-        settled = False
+        # sub holds the block unless it kept the design columns (|A| > n)
+        block = problem._block(nz) if sub.low_rank_factor is not None else sub.c
+        row_dots = [row.dot for row in block]
+        wa, da, xa = sub.w.tolist(), np.diagonal(block).tolist(), x[nz]
         while cycles < _MAX_CYCLES:
             cycles += 1
+            wait -= 1
             dmax = _block_sweep(row_dots, wa, da, mu, xa)
-            if dmax < eps * max(1.0, float(np.abs(xa).max(initial=0.0))):
-                settled = eps == tol
-                break
-            if not xa.all():
+            scale = max(1.0, float(np.abs(xa).max(initial=0.0)))
+            if dmax < tol * scale:
+                done = nz
+            if dmax < eps * scale:
+                wait = 0
+            if not wait or not xa.all():
                 break
         x[nz] = xa
-        if cycles == _MAX_CYCLES and not settled:
-            return x, cycles, False
 
 
 def solve_ml(problem, tol=1e-10, init=None):
@@ -108,10 +166,14 @@ def solve_ml(problem, tol=1e-10, init=None):
 
     init (default: x = 0) is any finite start of length p; the minimizer of
     a nearby l1 weight makes a good one, as glmnet's pathwise descent uses
-    it.  Stops when a sweep over the active set moves no coordinate by more
-    than tol * max(1, ||x||_inf) and no zero coordinate violates its
-    optimality condition.  Runs the cycle budget out rather than raising; a
-    budget-exhausted result comes back with converged=False.
+    it, and then one orthant solve usually ends the fit.  Stops when a solve
+    on the active set keeps the signs it was given, or a coordinate sweep
+    over the active set moves no coordinate by more than tol *
+    max(1, ||x||_inf), and no zero coordinate violates its optimality
+    condition.  tol governs only the sweeps, the fallback where a solve's
+    signs disagree; cycles counts solves plus sweeps.  Runs the cycle budget
+    out rather than raising; a budget-exhausted result comes back with
+    converged=False.
     """
     _positive("tol", tol)
     if init is not None:

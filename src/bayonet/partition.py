@@ -10,9 +10,9 @@ there and in the stationary-point solver's Newton step; for wide designs
 determinant lemma) instead of a p x p one.  Neither route keeps a copy of
 the design, and both take the inverse diagonal from LAPACK dpotri.
 
-_cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
-the zero-temperature active block) and PenalizedProblem's check of C call
-it.  The stationary-point solver's lanes solve their small C + D systems by
+_cholesky is the package's only Cholesky: _CPlusD (every factored C + D, the
+zero-temperature active block and the ML solver's orthant solves) and
+PenalizedProblem's check of C call it.  The stationary-point solver's lanes solve their small C + D systems by
 one batched LU solve, no factor kept (_CPlusD.solve_stack).
 """
 

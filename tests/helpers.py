@@ -363,6 +363,18 @@ def random_standardized(seed, n, p, beta=None, noise=1.0):
     return bn.standardize(bn.Dataset(responses=y, predictors=a))
 
 
+def suppressor_dataset(seed=5, n=80):
+    """Raw 3-predictor dataset whose g1 nearly copies g0 but enters y with
+    the opposite sign: w_1 > 0, while the minimizer on {0, 1} with both
+    signs positive has x_1 < 0 at every mu below w_1 and lam up to 0.05.  So
+    the first orthant solve of a cold ML fit has inconsistent signs."""
+    rng = np.random.default_rng(seed)
+    g0 = rng.normal(size=n)
+    a = np.column_stack([g0, g0 + 0.3 * rng.normal(size=n), rng.normal(size=n)])
+    y = a @ [1.0, -0.5, 0.0] + 0.3 * rng.normal(size=n)
+    return bn.Dataset(responses=y, predictors=a)
+
+
 def latitude_dataset(seed=0, n=442, p=4, center=40.7, spread=0.05):
     """Raw dataset whose column 1 sits at center +- spread, by default
     40.7 +- 0.05 as a latitude does; one-pass centering leaves rounding of

@@ -307,8 +307,12 @@ def test_standardized_input_with_flag_fits_as_without(tmp_path):
 
 
 def test_unconverged_ml_stage_exits_3(tmp_path, capsys, monkeypatch):
+    # the first orthant solve's signs disagree, so one cycle cannot converge
     monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1)
-    code, cap = run(["fit", make_csv(tmp_path), "--response", "y", "--mu", "0.1",
+    raw = helpers.suppressor_dataset()
+    path = tmp_path / "suppressor.csv"
+    helpers.write_csv(path, ["g0", "g1", "g2"], raw.predictors, raw.responses)
+    code, cap = run(["fit", path, "--response", "y", "--mu", "0.1",
                      "--tau", "10"], capsys)
     assert code == 3
     assert "ML stage" in cap.err
@@ -872,8 +876,8 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     assert rows[:, 1].tolist() == [m for m in path_calls[0] for _ in range(3)]
     assert rows[:3, 0].tolist() == sorted(rows[:3, 0])
 
-    def third_fails(problem, tol=1e-10):
-        ml = solve_ml(problem, tol=tol)
+    def third_fails(problem, tol=1e-10, init=None):
+        ml = solve_ml(problem, tol=tol, init=init)
         if problem.mu == path_calls[0][2]:
             ml = dataclasses.replace(ml, converged=False, cycles=7)
         return ml
@@ -883,6 +887,34 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
         cli.cmd_convergence(args)
     assert len(path_calls) == 1
+
+
+def test_convergence_warm_ml_fits_match_cold(tmp_path, monkeypatch):
+    # the ML fits run down the mus, each from the previous minimizer, and
+    # the rows match a run whose every fit starts cold (equal to the bit
+    # here: warm and cold fits end in the same orthant solve)
+    beta = np.array([1.0, -0.5, 0.3, 0.0, 0.2, 0.0, -0.4, 0.0])
+    csv = make_csv(tmp_path, n=60, p=8, beta=beta)
+    argv = ["convergence", csv, "--response", "y", "--lambda", "0.1",
+            "--mu-grid", "5,0.05", "--tau-grid", "6,3"]
+    calls, solve_ml = [], cli.solve_ml
+
+    def record(problem, tol=1e-10, init=None):
+        calls.append((problem.mu, init))
+        return solve_ml(problem, tol=tol, init=init)
+
+    monkeypatch.setattr(cli, "solve_ml", record)
+    assert run([*argv, "--out", tmp_path / "warm.csv"]) == 0
+    mus = [mu for mu, _ in calls]
+    assert len(mus) == 5 and mus == sorted(mus, reverse=True)
+    assert calls[0][1] is None and all(init is not None for _, init in calls[1:])
+    monkeypatch.setattr(cli, "solve_ml", lambda problem, tol=1e-10, init=None:
+                        solve_ml(problem, tol=tol))
+    assert run([*argv, "--out", tmp_path / "cold.csv"]) == 0
+    _, warm = read_curve(tmp_path / "warm.csv")
+    _, cold = read_curve(tmp_path / "cold.csv")
+    assert np.array_equal(warm[:, :2], cold[:, :2])
+    assert np.max(np.abs(warm[:, 2:] - cold[:, 2:])) <= 1e-12
 
 
 def test_unconverged_convergence_lane_exits_3(tmp_path, capsys, monkeypatch):

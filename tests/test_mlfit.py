@@ -1,5 +1,7 @@
 """Penalized maximum-likelihood solver and the regularization path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +235,98 @@ def test_active_set_solution_satisfies_kkt(seed, n, p, lam, log_frac):
     zero = x == 0.0
     assert np.all(np.abs(r[zero]) <= mu * (1.0 + 1e-9))
     assert np.all(np.abs(r[~zero] - mu * np.sign(x[~zero])) <= 1e-9 * max(1.0, mu))
+
+
+# ---------------------------------------------------------------------------
+# the orthant solve and its fallback sweeps
+
+
+def _count_sweeps(monkeypatch):
+    # the list that every _block_sweep call appends its arguments to
+    sweeps, sweep = [], bn.mlfit._block_sweep
+
+    def counting(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(bn.mlfit, "_block_sweep", counting)
+    return sweeps
+
+
+def _kkt_on_nonzeros(prob, x):
+    # largest |r_j - mu sign(x_j)| over the nonzero coordinates
+    r = prob.w - prob.c @ x
+    nz = x != 0.0
+    return float(np.max(np.abs(r[nz] - prob.mu * np.sign(x[nz])), initial=0.0))
+
+
+@pytest.mark.parametrize("seed,n,p", [(46, 60, 8), (47, 30, 50), (48, 20, 120)])
+def test_warm_start_on_the_same_orthant_takes_one_solve(seed, n, p, monkeypatch):
+    prob = _random_problem(seed, n, p)
+    mu_max = bn.mu_max(prob.w)
+    sweeps = _count_sweeps(monkeypatch)
+    # a descending mu column over which the support and signs do not change
+    # and no zero coordinate of one minimizer violates at the next mu
+    mus = np.linspace(0.30, 0.29, 5) * mu_max
+    refs = [helpers.ml_cd_full_cycle(prob.with_mu(mu), None, 1e-13)[0] for mu in mus]
+    assert all(np.array_equal(np.sign(r), np.sign(refs[0])) for r in refs)
+    assert np.count_nonzero(refs[0]) >= 2
+    x = refs[0]
+    for mu, ref in zip(mus[1:], refs[1:]):
+        at = prob.with_mu(mu)
+        assert np.all(np.abs(at.w - at.c @ x)[x == 0.0] <= mu)
+        x, cycles, ok = _ml_cd(at, x, 1e-10)
+        assert ok and cycles == 1
+        assert np.array_equal(np.sign(x), np.sign(ref))
+        assert np.max(np.abs(x - ref)) < 1e-10
+        # stationarity on the nonzeros holds to rounding: at most 8.3e-17
+        # measured over these designs
+        assert _kkt_on_nonzeros(at, x) <= 1e-14
+    assert not sweeps
+
+
+def test_inconsistent_first_solve_falls_back_to_sweeps(monkeypatch):
+    # g1 nearly copies g0 but enters y with the opposite sign: from x = 0
+    # the first orthant solve, on the signs of w, gives x_1 < 0 where s_1 > 0
+    prob = bn.build_problem(bn.standardize(helpers.suppressor_dataset()), 0.0, 0.01, 1.0)
+    assert prob.w[0] > prob.mu and prob.w[1] > prob.mu
+    sweeps = _count_sweeps(monkeypatch)
+    x, cycles, ok = _ml_cd(prob, None, 1e-12)
+    assert ok and sweeps and cycles > len(sweeps)
+    ref, _, ref_ok = helpers.ml_cd_full_cycle(prob, None, 1e-13)
+    assert ref_ok and ref[1] < 0.0
+    assert np.max(np.abs(x - ref)) < 1e-9
+    assert np.array_equal(np.sign(x), np.sign(ref))
+    assert _kkt_on_nonzeros(prob, x) <= 1e-14
+
+
+# designs with a zero coordinate j of their minimizer where the product
+# w - Cx and the sweep's rows can round |r_j| - mu to opposite signs: on the
+# first two a solver that checks a converged sweep's zeros against the
+# product again cycles, on the last two plain coordinate descent does
+@pytest.mark.parametrize("seed,n,p,j", [(4, 30, 20, 1), (9, 60, 8, 2), (2, 60, 8, 1), (3, 60, 8, 2)])
+def test_zero_coordinate_at_its_kink_converges(seed, n, p, j, monkeypatch):
+    monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1000)
+    beta = np.where(np.arange(p) % 3 == 0, 1.0, 0.0)
+    std = helpers.random_standardized(seed, n, p, beta=beta, noise=0.5)
+    base = bn.build_problem(std, 0.05, 1.0, 1.0)
+    prob = base.with_mu(0.2 * bn.mu_max(base.w))
+    x = bn.solve_ml(prob, tol=1e-12).x_hat
+    assert x[j] == 0.0
+    # moving w_j puts |r_j| at mu, k ulps either way, with x still the
+    # minimizer: coordinate j enters no other condition
+    cx = prob.c @ x
+    side = np.sign(prob.w[j] - cx[j])
+    for k in range(-4, 5):
+        wj = side * prob.mu + cx[j]
+        for _ in range(abs(k)):
+            wj = np.nextafter(wj, math.copysign(math.inf, k))
+        w = prob.w.copy()
+        w[j] = wj
+        at = bn.PenalizedProblem(c=prob.c, w=w, mu=prob.mu, lam=prob.lam, tau=1.0)
+        ref, _, ref_ok = helpers.ml_cd_full_cycle(at, None, 1e-13)
+        assert ref_ok
+        for x0 in (None, x, 0.5 * x):
+            xs, cycles, ok = _ml_cd(at, x0, 1e-12)
+            assert ok and cycles < 100
+            assert np.max(np.abs(xs - ref)) < 1e-9

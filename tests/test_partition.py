@@ -336,7 +336,9 @@ def test_zero_temp_refuses_an_unconverged_ml_solution(monkeypatch):
     monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 1)
     std = helpers.random_standardized(44, 30, 5)
     prob = bn.build_problem(std, 0.05, 0.05, 100.0)
-    ml = bn.solve_ml(prob, tol=1e-14)
+    # a start of the signs opposite to w's: the first orthant solve's signs
+    # disagree, so one cycle cannot converge
+    ml = bn.solve_ml(prob, tol=1e-14, init=-np.sign(prob.w))
     assert not ml.converged
     with pytest.raises(bn.NotConverged, match="ML solution not converged"):
         log_partition_zero_temp(prob, ml)
