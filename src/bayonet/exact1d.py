@@ -5,15 +5,14 @@ With one coordinate the normalizing integral of exp(-tau*(c*x^2 - 2*w*x +
 is an erfcx evaluation.  Everything here is exact up to floating point and
 serves as the ground-truth oracle for the multivariate approximations.
 
-This module is the one place that posterior is written, but for one pinned
-copy.  The private raw-scalar kernels below (half-line logs, the
-nonnegative-side probability, the unnormalized log density) also serve the
-marginal curves, whose own-coordinate terms are its log density.  The Gibbs
-sampler, whose conditionals are this posterior, draws most of them by
-accept-reject under an envelope and needs no kernel here; only in the band
-near the transition does it inline the half-line logs and the
-nonnegative-side probability, in its flat per-draw kernel gibbs._draw, for
-speed.  The tests hold that copy bit for bit to these kernels.
+This module is the one place that posterior is written.  The private
+raw-scalar kernels below (half-line logs, the nonnegative-side probability,
+the unnormalized log density) also serve the marginal curves, whose
+own-coordinate terms are its log density.  The Gibbs sampler, whose
+conditionals are this posterior, draws most of them by accept-reject under
+an envelope and needs no kernel here; in the band near the transition,
+gibbs._draw picks its side with the half-line logs and the
+nonnegative-side probability.
 """
 
 import math
@@ -72,7 +71,7 @@ def log_z_exact(p):
     positive tau.
     """
     lp, lm = _logs(p)
-    half = 0.5 * (math.log(math.pi) - math.log(p.tau * p.c))
+    half = 0.5 * (math.log(math.pi) - math.log(p.tau) - math.log(p.c))
     return float(np.logaddexp(lm, lp)) + half - math.log(2.0)
 
 

@@ -18,13 +18,10 @@ conditional's sd times sqrt(2):
   probability (mu + a)/(2*mu), its magnitude is Exp(2*tau*(mu -+ a)), and
   the proposal is kept with probability exp(-tau*c*x^2).
 - in the band between, where neither envelope keeps enough proposals: the
-  closed-form draw, _draw.  It picks the side of zero with the exact
+  closed-form draw, _draw.  It picks the side of zero with exact1d's
   nonnegative-side probability, then draws the normal restricted to that
-  side.  It is written out flat on Python floats, since a Python call costs
-  more than its arithmetic here: exact1d's half-line logs and
-  nonnegative-side probability followed by special's standard
-  lower-truncated draw, and the tests hold it to that composition bit for
-  bit, so the sampler and the closed-form oracle still share one formula.
+  side by special's standard lower-truncated draw, so the sampler and the
+  closed-form oracle share one formula.
 
 At _K = 0.5 the Gaussian keeps at least Phi(sqrt(2)*_K) ~ 0.76 of its
 proposals, and at _L = 1.5 the Laplace keeps at least ~0.85.  This is an
@@ -33,13 +30,13 @@ sampler: no adaptation and no diagnostics.
 """
 
 from dataclasses import dataclass
-from math import erfc as _merfc, exp as _exp, log as _log, log1p as _log1p, sqrt as _sqrt
+from math import exp as _exp, log1p as _log1p
 
 import numpy as np
-from scipy.special import erfc as _erfc, erfcx as _erfcx, ndtri as _ndtri
 
 from .data import _check_init
-from .special import SQRT2, RngStream
+from .exact1d import _half_line_logs, _prob_nonneg
+from .special import RngStream, _std_lower_truncated
 
 # the band's edges in t = s*(|a| - mu): the Gaussian envelope at t >= _K, the
 # Laplace envelope at t <= -_L
@@ -66,55 +63,15 @@ def _draw(cjj, a, mu, s, sd, rng):
     """One draw from the single-coordinate conditional posterior.
 
     s = sqrt(tau/c) and sd = 1/sqrt(2*tau*c) are passed in precomputed.  The
-    first uniform picks x >= 0 when it falls below the exact nonnegative-side
+    first uniform picks x >= 0 when it falls below exact1d's nonnegative-side
     probability; that side's normal, mirrored onto x >= 0 for x <= 0, is
-    then drawn by one standard lower-truncated draw.  The sign constraint
-    holds exactly: a draw that rounds across zero comes back as a zero of
-    the chosen side's sign.
-
-    The body is exact1d._prob_nonneg(*exact1d._half_line_logs(s, a, mu))
-    and special._std_lower_truncated inlined on Python floats, with the same
-    branches, the same operations in the same order and the same uniforms,
-    so its draws are theirs bit for bit.
+    then drawn by special's standard lower-truncated draw.  The sign
+    constraint holds exactly: a draw that rounds across zero comes back as a
+    zero of the chosen side's sign.
     """
-    u = rng.uniform()
-    # log_erfcx at s*(mu - a) and s*(mu + a): the x >= 0 and x <= 0
-    # half-line logs, each on its three ranges
-    t = s * (mu - a)
-    if t > 5.0:
-        lp = _log(_erfcx(t))
-    elif t >= -25.0:
-        lp = t * t + _log(_merfc(t))
-    else:
-        lp = t * t + _log(2.0 - float(_erfc(-t)))
-    t = s * (mu + a)
-    if t > 5.0:
-        lm = _log(_erfcx(t))
-    elif t >= -25.0:
-        lm = t * t + _log(_merfc(t))
-    else:
-        lm = t * t + _log(2.0 - float(_erfc(-t)))
-    # the side: u below expit(lp - lm), each branch exact in its own tail
-    d = lp - lm
-    if d >= 0.0:
-        sign = 1.0 if u < 1.0 / (1.0 + _exp(-d)) else -1.0
-    else:
-        e = _exp(d)
-        sign = 1.0 if u < e / (1.0 + e) else -1.0
+    sign = 1.0 if rng.uniform() < _prob_nonneg(*_half_line_logs(s, a, mu)) else -1.0
     mean = (sign * a - mu) / cjj
-    # Z ~ N(0, 1) given Z >= t: the inverse CDF on the upper-tail mass up
-    # to t = 8, shifted-exponential rejection past it
-    t = -mean / sd
-    if t <= 8.0:
-        z = -float(_ndtri((1.0 - rng.uniform()) * (0.5 * float(_erfc(t / SQRT2)))))
-    else:
-        alpha = 0.5 * (t + _sqrt(t * t + 4.0))
-        while True:
-            z = t - _log(1.0 - rng.uniform()) / alpha
-            d = z - alpha
-            if rng.uniform() <= _exp(-0.5 * d * d):
-                break
-    x = mean + sd * z
+    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
     return sign * (x if x > 0.0 else 0.0)
 
 

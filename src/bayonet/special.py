@@ -11,9 +11,9 @@ a standard normal conditioned on Z >= a and consumes uniforms only: scipy's
 erfc and ndtri for the inverse-CDF route, and -log(1 - U) for the
 exponential of the far-tail rejection route.  The Gibbs sampler's one-sided
 draws in the band near the transition, where neither of its envelopes
-accepts often enough, are that draw, shifted and scaled; gibbs._draw
-inlines it, and the tests hold the inlined copy to it bit for bit.  The
-sampler's envelope draws read RngStream's normals as well as its uniforms.
+accepts often enough, are that draw, shifted and scaled by gibbs._draw.
+The sampler's envelope draws read RngStream's normals as well as its
+uniforms.
 """
 
 import math
@@ -56,7 +56,9 @@ class RngStream:
     as they were.  permutation()
     draws from the uniforms' generator directly, so a stream that has never
     served a uniform permutes exactly as a fresh Generator on the same
-    seed.  Each stream is meant to be owned by a single consumer;
+    seed.  All three read numpy Generator streams, which numpy does not
+    promise across versions, so same seed, same draws holds for one numpy
+    version.  Each stream is meant to be owned by a single consumer;
     concurrent samplers should each get their own stream with a distinct
     seed.
     """
@@ -103,7 +105,7 @@ def _std_lower_truncated(a, rng):
     < 1.
     """
     if a <= 8.0:
-        qa = 0.5 * _sp.erfc(a / SQRT2)
+        qa = 0.5 * float(_sp.erfc(a / SQRT2))
         return -float(_sp.ndtri((1.0 - rng.uniform()) * qa))
     alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:

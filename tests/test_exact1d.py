@@ -50,6 +50,17 @@ def test_free_energy_gap_closes():
     assert 0.0 < gap < 1e-5
 
 
+def test_log_z_finite_where_tau_times_c_overflows():
+    # tau * c = 1e309 overflows, but log Z is about tau*(w - mu)^2/c = 1.6e306
+    p = OneDimProblem(c=10.0, w=0.5, mu=0.1, tau=1e308)
+    val = log_z_exact(p)
+    lead = p.tau * (p.w - p.mu) ** 2 / p.c
+    assert math.isfinite(val)
+    assert val == pytest.approx(lead, rel=1e-12)
+    # the density at 0 is exp(-log Z), which underflows to 0, not inf
+    assert density_exact(p, 0.0) == 0.0
+
+
 def test_sign_mass_balanced_at_zero_w():
     p = OneDimProblem(c=1.0, w=0.0, mu=0.3, tau=40.0)
     assert prob_nonnegative(p) == pytest.approx(0.5, abs=1e-14)

@@ -90,10 +90,17 @@ def test_chain_is_seed_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_chain_matches_stored_reference():
+def test_chain_matches_stored_reference(monkeypatch):
     # the sweep loop's bookkeeping (Python floats, fresh-row partial
     # residuals, block-drawn uniforms and normals, thinning) must leave the
-    # chain bit for bit as recorded
+    # chain bit for bit as recorded, the band's closed-form draws included
+    band = []
+
+    def counted(*args):
+        band.append(args)
+        return _draw(*args)
+
+    monkeypatch.setattr(gibbs, "_draw", counted)
     prob = bn.PenalizedProblem(
         c=np.array([[0.6, 0.2, -0.1], [0.2, 0.5, 0.15], [-0.1, 0.15, 0.7]]),
         w=np.array([0.3, -0.02, 0.1]),
@@ -103,6 +110,7 @@ def test_chain_matches_stored_reference():
     )
     ch = bn.run_gibbs(prob, np.zeros(3), 300, burn_in=50, thin=2, seed=11)
     assert ch.samples.shape == (125, 3)
+    assert len(band) == 41  # of the 900 draws
     assert ch.samples[-1].tolist() == [
         0.6190936755904628, -0.1399568846042609, 0.48190051621300484
     ]
@@ -278,8 +286,9 @@ def _scales(c, tau):
 
 
 def test_draw_equals_reference_composition():
-    # the flat _draw against _prob_nonneg(*_half_line_logs(...)) and
-    # _std_lower_truncated, bit for bit, on inputs that reach every branch
+    # _draw against helpers.gibbs_draw_reference, bit for bit, on inputs
+    # that reach every branch of _half_line_logs, _prob_nonneg and
+    # _std_lower_truncated
     ranges, branches, reads = set(), set(), set()
     for i, (c, a, mu, tau) in enumerate(DRAW_CASES):
         s, sd = _scales(c, tau)
@@ -307,7 +316,7 @@ def test_draw_equals_reference_composition():
 @pytest.mark.parametrize("c, a, mu, tau", DRAW_CASES)
 def test_draw_side_weight_equals_reference_bit_for_bit(c, a, mu, tau):
     # a side uniform at the reference weight, or one ulp below it, flips the
-    # side if the flat weight differs from it by an ulp either way
+    # side if _draw's weight differs from it by an ulp either way
     s, sd = _scales(c, tau)
     alpha = _prob_nonneg(*_half_line_logs(s, a, mu))
     for first in {alpha, math.nextafter(alpha, 0.0)}:
