@@ -27,13 +27,7 @@ import tempfile
 import numpy as np
 
 from .data import _linear_term, build_problem, load_csv, standardize
-from .errors import (
-    ConfigError,
-    NotConverged,
-    NumericalError,
-    ParseError,
-    ZeroVarianceColumn,
-)
+from .errors import NotConverged, NumericalError, ParseError, ZeroVarianceColumn
 from .gibbs import run_gibbs
 from .hyper import HyperGrid, cross_validate, map_tau, mu_grid, mu_max, tau_grid
 from .mlfit import solve_ml
@@ -55,7 +49,7 @@ _SAMPLER = {"gibbs_sweeps": 10000, "burn_in": None, "thin": 1, "seed": 0}
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 4, not argparse's default 2
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _number(reject, what, kind=float):
@@ -334,12 +328,12 @@ def _coord_list(coords, p):
     try:
         coords = [int(c) for c in coords.split(",")]
     except ValueError:
-        raise ConfigError("--coords must be 'all' or a comma list of indices")
+        raise ValueError("--coords must be 'all' or a comma list of indices")
     for j in coords:
         if not 0 <= j < p:
-            raise ConfigError(f"coordinate {j} out of range for p={p}")
+            raise ValueError(f"coordinate {j} out of range for p={p}")
     if len(set(coords)) != len(coords):
-        raise ConfigError("--coords names a coordinate more than once")
+        raise ValueError("--coords names a coordinate more than once")
     return coords
 
 
@@ -368,7 +362,7 @@ def _chain(prob, ml, args):
 
 def cmd_marginal(args):
     if not args.gibbs and _SAMPLER.keys() & vars(args).keys():
-        raise ConfigError("--gibbs-sweeps, --burn-in, --thin and --seed need --gibbs")
+        raise ValueError("--gibbs-sweeps, --burn-in, --thin and --seed need --gibbs")
     std, names = _load_data(args)
     # p is known once the data are in: a refused list costs no fit
     coords = _coord_list(args.coords, std.p)
@@ -491,9 +485,6 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (ParseError, ZeroVarianceColumn, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -335,7 +335,8 @@ def _linear_term(data):
 
 
 def _cost(problem, x):
-    # unchecked; shared with the solvers
+    # the penalized cost x'Cx - 2w'x + 2mu*||x||_1; unchecked, shared with
+    # the solvers
     w = problem.w
     return float(
         problem._quad(x) - 2.0 * (w @ x) + 2.0 * problem.mu * np.sum(np.abs(x))
@@ -352,14 +353,6 @@ def _check_init(problem, init, rows=None):
     if not np.isfinite(init).all():
         raise ValueError("init must be finite")
     return init
-
-
-def cost_h(problem, x):
-    """Evaluate the penalized cost x'Cx - 2w'x + 2mu*||x||_1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.p,):
-        raise ValueError(f"x must have length {problem.p}")
-    return _cost(problem, x)
 
 
 def _cell_error(header, row, lineno):

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all bayonet modules."""
+"""Exception hierarchy shared by all bayonet modules.
+
+Six classes, and the CLI exit code each one maps to:
+
+- ``BayonetError``: the base of the other five; never raised itself.
+- ``ParseError`` and ``ZeroVarianceColumn``: the input file cannot be
+  read or standardized; exit 2, as for an ``OSError``.
+- ``NumericalError``: a computation failed numerically; exit 3.  It is
+  raised directly, with a message that names what failed, and through
+  its two subclasses ``NotConverged`` and ``SingularMatrix``.
+
+A bad argument or configuration is a plain ``ValueError``; exit 4.
+"""
 
 
 class BayonetError(Exception):
@@ -6,7 +18,8 @@ class BayonetError(Exception):
 
 
 class NumericalError(BayonetError):
-    """A computation failed numerically; the CLI exits 3 on any subclass."""
+    """A computation failed numerically; the CLI exits 3 on it and on any
+    subclass."""
 
 
 class ParseError(BayonetError):
@@ -36,34 +49,3 @@ class NotConverged(NumericalError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class NoAdmissibleRoot(NumericalError):
-    """No cubic root gave an interior dual value; indicates a numerical bug."""
-
-
-class TransitionValue(NumericalError):
-    """The l1 weight sits exactly at a coordinate's inclusion boundary."""
-
-    def __init__(self, coordinate):
-        self.coordinate = coordinate
-        super().__init__(
-            f"coordinate {coordinate} is at a transition point; "
-            "the zero-temperature formula is invalid here"
-        )
-
-
-class AllZeroW(NumericalError):
-    """The linear coefficient vector is identically zero."""
-
-
-class DegenerateDenominator(NumericalError):
-    """The inverse-temperature estimate divides by an underflowed value."""
-
-
-class NumericalOverflow(NumericalError):
-    """A partition-function component left the finite floating-point range."""
-
-
-class ConfigError(BayonetError):
-    """Inconsistent or invalid command-line configuration."""

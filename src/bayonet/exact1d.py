@@ -13,6 +13,11 @@ conditionals are this posterior, draws most of them by accept-reject under
 an envelope and needs no kernel here; in the band near the transition,
 gibbs._draw picks its side with the half-line logs and the
 nonnegative-side probability.
+
+density_exact does not divide the unnormalized density by Z: near the mode
+both carry a term of size tau*h_min, whose rounding swamps their O(log tau)
+difference at large tau.  It writes both logs relative to the peak exponent
+of w's side instead, so that term cancels exactly, before any rounding.
 """
 
 import math
@@ -97,7 +102,33 @@ def expectation_exact(p):
 
 
 def density_exact(p, x):
-    """Normalized posterior density at x (scalar or array)."""
+    """Normalized posterior density at x (scalar or array).
+
+    The log density and log Z are both written relative to the peak
+    exponent P = tau*b^2/c of w's side, b = |w| - mu (P = 0 when b <= 0,
+    where the mode is 0).  Terms of size P are never formed on w's side, so
+    they cannot cancel, and the density keeps its relative accuracy near
+    the mode at any tau.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.exp(_log_density(p.c, p.w, p.mu, p.tau, x) - log_z_exact(p))
+    c, mu, tau = p.c, p.mu, p.tau
+    aw = abs(p.w)
+    b = aw - mu
+    s = math.sqrt(tau / c)
+    y = np.abs(x)
+    # log density - P on w's side (either side when w = 0), and the log of
+    # that side's half-line integral less P
+    if b > 0.0:
+        peak = tau * b * b / c
+        near = -tau * (c * y - b) ** 2 / c
+        l_near = math.log(math.erfc(-s * b))
+    else:
+        peak = 0.0
+        near = -tau * y * (c * y - 2.0 * b)
+        l_near = log_erfcx(-s * b)
+    far = -tau * y * (c * y + 2.0 * (aw + mu)) - peak
+    l_far = log_erfcx(s * (mu + aw)) - peak
+    half = 0.5 * (math.log(math.pi) - math.log(tau) - math.log(c))
+    log_z = float(np.logaddexp(l_near, l_far)) + half - math.log(2.0)
+    out = np.exp(np.where(x * p.w < 0.0, far, near) - log_z)
     return float(out) if out.ndim == 0 else out

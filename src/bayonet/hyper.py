@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, _positive, apply_standardization, build_problem, standardize
-from .errors import AllZeroW, BayonetError, DegenerateDenominator, NotConverged
+from .errors import BayonetError, NotConverged, NumericalError
 from .mlfit import solve_ml
 from .saddle import tau_path
 from .special import RngStream
@@ -74,8 +74,10 @@ class CvReport:
 def mu_max(w):
     """Smallest l1 weight at which the penalized ML solution is all zero."""
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("w must be finite")
     if w.size == 0 or np.all(w == 0.0):
-        raise AllZeroW("w has no nonzero entry")
+        raise NumericalError("w has no nonzero entry")
     return float(np.max(np.abs(w)))
 
 
@@ -132,7 +134,7 @@ def map_tau(data, lam, mu, ml):
         + 2.0 * mu * float(np.sum(np.abs(x)))
     )
     if den < 1e-300:
-        raise DegenerateDenominator(
+        raise NumericalError(
             "perfect fit with no penalty; tau estimate diverges"
         )
     return (data.p + data.n / 2.0) / den

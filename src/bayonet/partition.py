@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import NotConverged, NumericalOverflow, SingularMatrix, TransitionValue
+from .errors import NotConverged, NumericalError, SingularMatrix
 
 _TRANSITION_TOL = 1e-8
 # widest C + D whose rows are solved by one batched LU solve: from p = 22 on,
@@ -176,8 +176,8 @@ def log_det_c_plus_d(problem, d_tau, method="auto"):
     d = np.asarray(d_tau, dtype=float)
     if d.shape != (problem.p,):
         raise ValueError(f"d_tau must have length {problem.p}")
-    if np.any(d < 0.0):
-        raise ValueError("d_tau entries must be nonnegative")
+    if not (np.isfinite(d) & (d >= 0.0)).all():
+        raise ValueError("d_tau entries must be nonnegative and finite")
     if method == "direct":
         problem = problem._replace(c=problem.c, low_rank_factor=None)
     elif method == "lowrank" and problem.low_rank_factor is None:
@@ -201,7 +201,7 @@ def _core(problem, x, u):
         d = tau * (mu * mu - u * u) ** 2 / (mu * mu + u * u)
     exp_term = tau * float((w - u) @ x)
     if not math.isfinite(exp_term):
-        raise NumericalOverflow(f"exponential term is {exp_term}")
+        raise NumericalError(f"exponential term is {exp_term}")
     factor = _CPlusD(problem, d)
     log_det = -0.5 * factor.log_det()
     pref = (
@@ -241,7 +241,7 @@ def log_partition_zero_temp(problem, ml):
     dual vector, which is w - C x_hat by optimality.
     Diagnostic only: the limit is discontinuous at l1 weights where a
     coordinate sits exactly on its inclusion boundary, and such points are
-    rejected via TransitionValue rather than papered over.
+    rejected with a NumericalError rather than papered over.
     """
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
@@ -250,7 +250,10 @@ def log_partition_zero_temp(problem, ml):
     mu, tau = problem.mu, problem.tau
     for j in range(problem.p):
         if abs(x[j]) < _TRANSITION_TOL and mu - abs(u[j]) < _TRANSITION_TOL:
-            raise TransitionValue(j)
+            raise NumericalError(
+                f"coordinate {j} is at a transition point; "
+                "the zero-temperature formula is invalid here"
+            )
     active = np.array(ml.active_set, dtype=int)
     inactive = np.setdiff1d(np.arange(problem.p), active)
     n_act = active.size

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _check_init, _positive
-from .errors import NoAdmissibleRoot
+from .errors import NumericalError
 from .partition import _CPlusD
 
 _MIN_STEP = 1e-4
@@ -140,7 +140,7 @@ def coordinate_cubic(a, cjj, mu, tau):
         x = xn
     x = math.copysign(hi, a)
     if not abs(a - cjj * x) < mu:
-        raise NoAdmissibleRoot(
+        raise NumericalError(
             f"a={float(a)!r} cjj={float(cjj)!r} mu={float(mu)!r} "
             f"tau={float(tau)!r}: no interior root"
         )

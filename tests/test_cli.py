@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -581,23 +583,80 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
 
 
-_NUMERICAL = (bn.NotConverged, bn.NoAdmissibleRoot,
-              bn.SingularMatrix, bn.NumericalOverflow, bn.TransitionValue,
-              bn.DegenerateDenominator, bn.AllZeroW)
+def _raise(cls):
+    def fail():
+        raise cls(7)
+    return fail
 
 
-@pytest.mark.parametrize("cls", _NUMERICAL, ids=lambda c: c.__name__)
-def test_numerical_error_classes_exit_3(capsys, monkeypatch, cls):
-    assert issubclass(cls, bn.NumericalError)
+def _all_zero_w():
+    bn.mu_max(np.zeros(4))
+
+
+def _perfect_fit():
+    # the response planted as a predictor column fits perfectly, and with
+    # lam = mu = 0 map_tau's denominator vanishes
+    std = helpers.random_standardized(53, 40, 3)
+    preds = std.predictors.copy()
+    preds[:, 0] = std.responses
+    data = bn.Dataset(responses=std.responses, predictors=preds, standardized=True)
+    perfect = bn.MlSolution(
+        x_hat=np.array([1.0, 0.0, 0.0]), active_set=(0,), h_min=0.0, cycles=1,
+        converged=True,
+    )
+    bn.map_tau(data, 0.0, 0.0, perfect)
+
+
+def _no_interior_root():
+    from bayonet.saddle import coordinate_cubic
+    coordinate_cubic(math.nan, 1.0, 0.1, 10.0)
+
+
+def _overflow():
+    from bayonet.partition import _core
+    std = helpers.random_standardized(57, 8, 5)
+    prob = bn.build_problem(std, 0.05, 0.05, 1e300)
+    _core(prob, np.full(5, 1e300), np.zeros(5))
+
+
+def _transition():
+    # at mu = max|w| the ML solution is zero and the largest |w_j| sits
+    # exactly on its inclusion boundary
+    from bayonet.partition import log_partition_zero_temp
+    std = helpers.random_standardized(44, 30, 5)
+    w = bn.build_problem(std, 0.05, 0.05, 100.0).w
+    prob = bn.build_problem(std, 0.05, bn.mu_max(w), 100.0)
+    log_partition_zero_temp(prob, bn.solve_ml(prob, tol=1e-12))
+
+
+# the classes that remain, then each raise site of the five one-site classes
+# that were folded into NumericalError, under the old class's name
+_NUMERICAL = {
+    "NotConverged": (_raise(bn.NotConverged), "no convergence after 7 cycles"),
+    "SingularMatrix": (_raise(bn.SingularMatrix), "7"),
+    "NumericalError": (_raise(bn.NumericalError), "7"),
+    "AllZeroW": (_all_zero_w, "w has no nonzero entry"),
+    "DegenerateDenominator": (_perfect_fit, "perfect fit with no penalty"),
+    "NoAdmissibleRoot": (_no_interior_root, "a=nan cjj=1.0 .*no interior root"),
+    "NumericalOverflow": (_overflow, "exponential term is inf"),
+    "TransitionValue": (_transition, r"coordinate \d+ is at a transition point"),
+}
+
+
+@pytest.mark.parametrize("reach, message", _NUMERICAL.values(), ids=_NUMERICAL)
+def test_numerical_error_classes_exit_3(capsys, monkeypatch, reach, message):
+    with pytest.raises(bn.NumericalError, match=message):
+        reach()
 
     def fail(args):
-        raise cls(7)
+        reach()
 
     monkeypatch.setitem(cli._COMMANDS, "fit", fail)
     code, cap = run(["fit", "data.csv", "--response", "y", "--mu", "0.1",
                      "--tau", "10"], capsys)
     assert code == 3
     assert cap.err.startswith("error: ")
+    assert re.search(message, cap.err)
 
 
 # --- marginal ---------------------------------------------------------------

@@ -127,6 +127,18 @@ def test_density_matches_quadrature_pointwise():
     assert density_exact(p, xs) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("w", [0.5, -0.5])
+@pytest.mark.parametrize("tau", [1e8, 1e14, 1e16, 1e20])
+def test_density_at_the_mode_keeps_its_accuracy_at_large_tau(tau, w):
+    # the mode (|w| - mu)/c = 0.04 sits so far from 0 that the other side's
+    # mass is below rounding: the density there is sqrt(tau c / pi).  log Z
+    # is about -tau h_min = 0.016 tau, so exp(log density - log Z) would lose
+    # every digit by tau 1e20
+    p = OneDimProblem(c=10.0, w=w, mu=0.1, tau=tau)
+    ref = math.sqrt(tau * 10.0 / math.pi)
+    assert density_exact(p, math.copysign(0.04, w)) == pytest.approx(ref, rel=1e-12)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OneDimProblem(c=0.0, w=0.5, mu=0.1, tau=1.0)

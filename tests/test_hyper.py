@@ -18,10 +18,17 @@ def test_mu_max_is_largest_abs_entry():
 
 
 def test_mu_max_rejects_all_zero():
-    with pytest.raises(bn.AllZeroW):
+    with pytest.raises(bn.NumericalError, match="w has no nonzero entry"):
         bn.mu_max(np.zeros(4))
-    with pytest.raises(bn.AllZeroW):
+    with pytest.raises(bn.NumericalError, match="w has no nonzero entry"):
         bn.mu_max(np.array([]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mu_max_rejects_non_finite_w(bad):
+    # checked before the zeros test, which a NaN would pass
+    with pytest.raises(ValueError, match="w must be finite"):
+        bn.mu_max(np.array([bad, 0.0]))
 
 
 # --- grids ------------------------------------------------------------------
@@ -201,7 +208,7 @@ def test_map_tau_degenerate_denominator():
         x_hat=np.array([1.0, 0.0, 0.0]), active_set=(0,), h_min=0.0, cycles=1,
         converged=True,
     )
-    with pytest.raises(bn.DegenerateDenominator):
+    with pytest.raises(bn.NumericalError, match="perfect fit with no penalty"):
         bn.map_tau(data, 0.0, 0.0, perfect)
 
 
@@ -343,7 +350,7 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
 
     def path(problem, taus, **kwargs):
         if failing("tau_path"):
-            raise bn.NoAdmissibleRoot("injected")
+            raise bn.NumericalError("injected")
         return tau_path(problem, taus, **kwargs)
 
     monkeypatch.setattr(bn.hyper, "build_problem", counted_build)
@@ -373,12 +380,12 @@ def test_cv_every_cell_failed_raises(monkeypatch):
     std = helpers.random_standardized(31, 53, 4)
 
     def path(problem, taus, **kwargs):
-        raise bn.NoAdmissibleRoot("injected")
+        raise bn.NumericalError("injected")
 
     monkeypatch.setattr(bn.hyper, "tau_path", path)
     with pytest.raises(bn.NotConverged, match="every grid cell failed") as info:
         bn.cross_validate(std, small_grid(std, 0.02), folds=5, seed=3)
-    assert isinstance(info.value.__cause__, bn.NoAdmissibleRoot)
+    assert isinstance(info.value.__cause__, bn.NumericalError)
 
 
 def test_cv_fold_partition_covers_all_rows():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bayonet as bn
+from bayonet.data import _cost
 from bayonet.mlfit import _ml_cd
 
 import helpers
@@ -87,7 +88,7 @@ def test_elastic_net_convention_identity():
     a, y = std.predictors, std.responses
     for _ in range(20):
         x = rng.standard_normal(4)
-        lhs = bn.cost_h(prob, x) + np.dot(y, y) / (2 * n)
+        lhs = _cost(prob, x) + np.dot(y, y) / (2 * n)
         rhs = np.sum((y - a @ x) ** 2) / (2 * n) + lam_t * (
             (1 - alpha) / 2 * np.dot(x, x) + alpha * np.abs(x).sum()
         )
@@ -165,7 +166,7 @@ def test_h_min_matches_cost():
     std = helpers.random_standardized(28, 45, 4, beta=[0.9, 0.0, -0.2, 0.0], noise=0.4)
     prob = bn.build_problem(std, 0.03, 0.05, 1.0)
     sol = bn.solve_ml(prob, tol=1e-12)
-    assert sol.h_min == pytest.approx(bn.cost_h(prob, sol.x_hat), abs=1e-14)
+    assert sol.h_min == pytest.approx(_cost(prob, sol.x_hat), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

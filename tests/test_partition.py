@@ -11,11 +11,10 @@ from bayonet import (
     OneDimProblem,
     log_det_c_plus_d,
     log_partition,
-    log_partition_zero_temp,
     log_z_exact,
 )
 
-from bayonet.partition import _CPlusD, _core
+from bayonet.partition import _CPlusD, _core, log_partition_zero_temp
 
 import helpers
 
@@ -179,12 +178,12 @@ def test_inverse_diagonal_refuses_a_zero_pivot(wide):
 
 
 def test_core_refuses_an_overflowing_exponential_term():
-    # tau (w - u)'x past the largest float: NumericalOverflow before any
+    # tau (w - u)'x past the largest float: a NumericalError before any
     # factor is built
     std = helpers.random_standardized(44, 30, 5)
     prob = bn.build_problem(std, 0.05, 0.05, 1e300)
     x = np.full(5, 1e300)
-    with pytest.raises(bn.NumericalOverflow, match="exponential term is"):
+    with pytest.raises(bn.NumericalError, match="exponential term is"):
         _core(prob, x, np.zeros(5))
 
 
@@ -272,6 +271,15 @@ def test_log_det_validation():
         log_det_c_plus_d(prob, np.zeros(3), method="lowrank")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_log_det_refuses_non_finite_d(bad):
+    # refused as a bad argument, before any factor is built
+    std = helpers.random_standardized(47, 20, 3)
+    prob = bn.build_problem(std, 0.1, 0.1, 1.0)
+    with pytest.raises(ValueError, match="d_tau entries must be nonnegative and finite"):
+        log_det_c_plus_d(prob, np.array([0.0, bad, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # observable numerator
 
@@ -349,6 +357,6 @@ def test_zero_temp_transition_detected(near_transition):
     # ill-posed and must be refused
     prob = near_transition["problem"].with_mu(near_transition["mu_critical"])
     ml = bn.solve_ml(prob, tol=1e-12)
-    with pytest.raises(bn.TransitionValue) as exc:
+    coord = near_transition["coord"]
+    with pytest.raises(bn.NumericalError, match=f"^coordinate {coord} is at a transition point;"):
         log_partition_zero_temp(prob, ml)
-    assert exc.value.coordinate == near_transition["coord"]

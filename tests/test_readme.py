@@ -1,7 +1,8 @@
 """The README's library tour and CLI examples run as written.
 
 The tour is the public API, so every name it or its list of extras uses
-must be exported, and both code blocks must run on a small design.
+must be exported, every exported name must be named there, and both code
+blocks must run on a small design.
 """
 
 import re
@@ -36,6 +37,15 @@ def test_every_readme_name_is_exported():
     names = set(re.findall(r"\bbn\.(\w+)", README))
     assert names
     assert sorted(names - set(bn.__all__)) == []
+
+
+def test_every_export_is_named_in_readme():
+    # the other direction: nothing is exported that README does not name,
+    # no name is listed twice, and every exported name resolves
+    names = set(re.findall(r"\bbn\.(\w+)", README))
+    assert set(bn.__all__) == names
+    assert len(bn.__all__) == len(names)
+    assert [n for n in bn.__all__ if not hasattr(bn, n)] == []
 
 
 def test_library_tour_runs():

@@ -133,7 +133,7 @@ def test_cubic_root_where_rounding_freezes_u(a, c, mu, tau):
 
 def test_cubic_non_finite_input_has_no_root():
     for a in (math.inf, -math.inf, math.nan):
-        with pytest.raises(bn.NoAdmissibleRoot):
+        with pytest.raises(bn.NumericalError, match="no interior root"):
             coordinate_cubic(a, 1.0, 0.1, 10.0)
 
 

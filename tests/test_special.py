@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
-from bayonet import RngStream, log_erfcx
+from bayonet import RngStream
 from bayonet.gibbs import _draw
-from bayonet.special import _std_lower_truncated
+from bayonet.special import _std_lower_truncated, log_erfcx
 
 import helpers
 
