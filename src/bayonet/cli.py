@@ -29,7 +29,7 @@ import numpy as np
 from .data import _linear_term, build_problem, load_csv, standardize
 from .errors import NotConverged, NumericalError, ParseError, ZeroVarianceColumn
 from .gibbs import run_gibbs
-from .hyper import HyperGrid, cross_validate, map_tau, mu_grid, mu_max, tau_grid
+from .hyper import HyperGrid, _ml_path, cross_validate, map_tau, mu_grid, mu_max, tau_grid
 from .mlfit import solve_ml
 from .partition import log_partition
 from .posterior import (
@@ -395,28 +395,22 @@ def cmd_convergence(args):
     if args.mu is not None:
         mus = [args.mu]
     else:
-        count, ratio = args.mu_grid
-        mus = list(mu_grid(mu_max(base.w), count, ratio))
+        mus = list(mu_grid(mu_max(base.w), *args.mu_grid))
     taus = tau_grid(*args.tau_grid)
-    # the ML fits run down the mus from the largest, each from the previous
-    # minimizer, as cross_validate's do; the rows keep the mus' order
-    mls, warm = [None] * len(mus), None
-    for i in sorted(range(len(mus)), key=lambda i: -mus[i]):
-        ml = solve_ml(base.with_mu(mus[i]), tol=args.tol, init=warm)
+    mls = _ml_path(base, mus, args.tol)
+    for ml, mu in sorted(zip(mls, mus), key=lambda pair: -pair[1]):
         if not ml.converged:
-            raise NotConverged(ml.cycles, f"ML stage at mu={mus[i]}")
-        mls[i], warm = ml, ml.x_hat
+            raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
     sols = tau_path(base, taus, init=[ml.x_hat for ml in mls], tol=args.tol, mus=mus)
     rows = []
-    for i, (mu, ml) in enumerate(zip(mus, mls)):
-        prob = base.with_mu(mu)
-        for sol in sols[i * len(taus) : (i + 1) * len(taus)]:
-            if not sol.converged:
-                raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={mu}")
-            lp = log_partition(prob.with_tau(sol.tau), sol)
-            gap = (-lp.log_z / sol.tau - ml.h_min) / prob.p
-            xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
-            rows.append([sol.tau, mu, gap, xdiff])
+    for k, sol in enumerate(sols):
+        if not sol.converged:
+            raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={sol.mu}")
+        ml = mls[k // len(taus)]
+        lp = log_partition(base.with_mu(sol.mu).with_tau(sol.tau), sol)
+        gap = (-lp.log_z / sol.tau - ml.h_min) / base.p
+        xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
+        rows.append([sol.tau, sol.mu, gap, xdiff])
     _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], np.array(rows))
     return 0
 
@@ -431,9 +425,8 @@ def cmd_gibbs(args):
 def cmd_cv(args):
     data, names = load_csv(args.input, args.response)
     std_all = standardize(data)
-    n_mu, ratio = args.mu_grid
     grid = HyperGrid(
-        mus=mu_grid(mu_max(_linear_term(std_all)), n_mu, ratio)[::-1].copy(),
+        mus=mu_grid(mu_max(_linear_term(std_all)), *args.mu_grid)[::-1].copy(),
         taus=tau_grid(*args.tau_grid),
         lam=args.lam,
     )

@@ -339,7 +339,7 @@ def _cost(problem, x):
     # the solvers
     w = problem.w
     return float(
-        problem._quad(x) - 2.0 * (w @ x) + 2.0 * problem.mu * np.sum(np.abs(x))
+        problem._quad(x) - 2.0 * (w @ x) + 2.0 * (problem.mu * np.sum(np.abs(x)))
     )
 
 

@@ -25,9 +25,8 @@ from .special import RngStream
 class HyperGrid:
     """Candidate (mu, tau) values; mus descending, taus ascending.
 
-    cross_validate fits the mus in order, each ML fit from the previous
-    mu's minimizer, and solves a fold's whole grid as one lockstep
-    tau_path, every (mu, tau) cell from its mu's ML minimizer."""
+    cross_validate solves a fold's whole grid as one lockstep tau_path,
+    every (mu, tau) cell from its mu's minimizer on _ml_path."""
 
     mus: np.ndarray
     taus: np.ndarray
@@ -131,7 +130,7 @@ def map_tau(data, lam, mu, ml):
     den = (
         float(resid @ resid) / (2.0 * data.n)
         + lam * float(x @ x)
-        + 2.0 * mu * float(np.sum(np.abs(x)))
+        + 2.0 * (mu * float(np.sum(np.abs(x))))
     )
     if den < 1e-300:
         raise NumericalError(
@@ -165,9 +164,23 @@ def _screen(std, top):
     return keep
 
 
+def _ml_path(base, mus, tol):
+    """One ML fit of base per mu, in mus' order: glmnet's pathwise warm start.
+
+    The fits run down the mus from the largest, each from the last converged
+    minimizer; a fit that does not converge is returned as is and starts none.
+    """
+    mls, warm = [None] * len(mus), None
+    for i in sorted(range(len(mus)), key=lambda i: -mus[i]):
+        mls[i] = solve_ml(base.with_mu(mus[i]), tol=tol, init=warm)
+        if mls[i].converged:
+            warm = mls[i].x_hat
+    return mls
+
+
 def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
     """One fold's (n_mu, n_tau) block of held-out scores, NaN where a
-    cell's lane or its mu's ML fit did not converge."""
+    cell's lane or its mu's fit on _ml_path did not converge."""
     std = standardize(
         Dataset(
             responses=data.responses[train_idx],
@@ -190,16 +203,12 @@ def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
     )
     base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
     block = np.full((grid.mus.size, grid.taus.size), np.nan)
-    rows, inits = [], []
-    for i, mu in enumerate(grid.mus):
-        start = inits[-1] if inits else None
-        ml = solve_ml(base.with_mu(mu), tol=tol, init=start)
-        if ml.converged:
-            rows.append(i)
-            inits.append(ml.x_hat)
+    mls = _ml_path(base, grid.mus, tol)
+    rows = [i for i, ml in enumerate(mls) if ml.converged]
     if not rows:
         return block
-    sols = tau_path(base, grid.taus, init=np.array(inits), tol=tol, mus=grid.mus[rows])
+    inits = np.array([mls[i].x_hat for i in rows])
+    sols = tau_path(base, grid.taus, init=inits, tol=tol, mus=grid.mus[rows])
     # one column of predictions per cell, in grid order
     x = np.array([sol.x_tau for sol in sols])
     pred = a_val @ x.T * std.response_scale + std.response_offset
@@ -214,16 +223,14 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
 
     Every training fold is centered/scaled from scratch and its statistics
     applied to the held-out rows, so no validation information reaches the
-    fit.  Within a fold the ML fits run down the descending mus, each from
-    the previous converged minimizer (glmnet's pathwise warm start), and the
-    whole (mu, tau) grid is then solved as one lockstep tau_path, every cell
-    from its mu's ML minimizer.  Failed scores are NaN and simply drop out
-    of the medians: a fold that cannot be standardized, built or solved
-    loses its fold, a mu whose ML fit does not converge its row, and a lane
-    that does not converge its cell; when every cell fails, the
-    NotConverged raised names the last fold error, if any.  folds runs from
-    2 to n // 2: a held-out fold of one row would score every cell 0, the
-    Pearson r of one point.
+    fit.  Within a fold the whole (mu, tau) grid is one lockstep tau_path,
+    every cell from its mu's ML minimizer on _ml_path.  Failed scores are
+    NaN and simply drop out of the medians: a fold that cannot be
+    standardized, built or solved loses its fold, a mu whose ML fit does not
+    converge its row, and a lane that does not converge its cell; when every
+    cell fails, the NotConverged raised names the last fold error, if any.
+    folds runs from 2 to n // 2: a held-out fold of one row would score
+    every cell 0, the Pearson r of one point.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")

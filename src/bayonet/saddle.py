@@ -20,10 +20,10 @@ marginal curves factor C + D at the polished point.
 
 The one Newton loop, _saddle_cd, solves a stack of lanes: iterates of one
 problem that differ only in tau and mu, one lane per (mu, tau) cell, each
-from its own start.  tau_path runs a whole (mu, tau) grid (a tau grid at
-the problem's own mu, cross-validation's fold, the convergence sweep) as
-lanes, in any order; solve_saddle and the marginal curves' inner solves are
-the one-lane case.  Lane k keeps row k of the stack throughout, and one
+from its own start.  tau_path runs a whole (mu, tau) grid as lanes, in any
+order: a tau grid at the problem's own mu, or cross-validation's fold and
+the convergence sweep, each lane from its mu's minimizer on hyper._ml_path;
+solve_saddle and the marginal curves' inner solves are the one-lane case.  Lane k keeps row k of the stack throughout, and one
 mask tells the live lanes.  The residuals, box and b tests, the damped step
 (one loop over t = 1, 1/2, ...) and the convergence tests are done once per
 cycle for the whole stack, which is where small problems spend their time.

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,31 @@ def test_fit_huge_mu_gives_all_zero_ml(tmp_path):
                 "--mu", "50.0", "--tau", "100", "--out", out]) == 0
     payload = json.loads(out.read_text())
     assert payload["x_ml"] == [0.0, 0.0, 0.0]
+
+
+def test_maptau_at_a_huge_mu_is_finite(tmp_path):
+    # 2 * mu overflowed to inf, and inf * ||x||_1 = inf * 0 gave NaN: the
+    # fit and its residual are those of x = 0
+    csv = make_csv(tmp_path)
+    out = tmp_path / "tau.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["maptau", csv, "--response", "y", "--mu", "1e308",
+                    "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    y = bn.standardize(bn.load_csv(str(csv), "y")[0]).responses
+    assert payload["active_set"] == [] and payload["h_min"] == 0.0
+    assert payload["map_tau"] == (3 + 80 / 2.0) / (float(y @ y) / (2.0 * 80))
+
+
+def test_fit_at_a_huge_mu_and_map_tau_exits_3(tmp_path, capsys):
+    # the ML stage and map_tau succeed; the saddle lane has no finite mu^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, cap = run(["fit", make_csv(tmp_path), "--response", "y",
+                         "--mu", "1e308", "--tau", "map"], capsys)
+    assert code == 3
+    assert "no convergence after 0 cycles" in cap.err
 
 
 def test_fit_small_tau_converges(tmp_path):
@@ -917,7 +943,7 @@ def test_convergence_gap_can_be_negative_at_small_tau(tmp_path):
 def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     # the whole --mu-grid is one tau_path call; an unconverged ML fit
     # raises with its own message before any solve
-    path_calls, solve_ml = [], cli.solve_ml
+    path_calls, solve_ml = [], bn.hyper.solve_ml
     tau_path = cli.tau_path
 
     def path(problem, taus, **kwargs):
@@ -941,7 +967,7 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
             ml = dataclasses.replace(ml, converged=False, cycles=7)
         return ml
 
-    monkeypatch.setattr(cli, "solve_ml", third_fails)
+    monkeypatch.setattr(bn.hyper, "solve_ml", third_fails)
     args = cli._build_parser().parse_args(argv)
     with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
         cli.cmd_convergence(args)
@@ -956,24 +982,52 @@ def test_convergence_warm_ml_fits_match_cold(tmp_path, monkeypatch):
     csv = make_csv(tmp_path, n=60, p=8, beta=beta)
     argv = ["convergence", csv, "--response", "y", "--lambda", "0.1",
             "--mu-grid", "5,0.05", "--tau-grid", "6,3"]
-    calls, solve_ml = [], cli.solve_ml
+    calls, solve_ml = [], bn.hyper.solve_ml
 
     def record(problem, tol=1e-10, init=None):
         calls.append((problem.mu, init))
         return solve_ml(problem, tol=tol, init=init)
 
-    monkeypatch.setattr(cli, "solve_ml", record)
+    monkeypatch.setattr(bn.hyper, "solve_ml", record)
     assert run([*argv, "--out", tmp_path / "warm.csv"]) == 0
     mus = [mu for mu, _ in calls]
     assert len(mus) == 5 and mus == sorted(mus, reverse=True)
     assert calls[0][1] is None and all(init is not None for _, init in calls[1:])
-    monkeypatch.setattr(cli, "solve_ml", lambda problem, tol=1e-10, init=None:
+    monkeypatch.setattr(bn.hyper, "solve_ml", lambda problem, tol=1e-10, init=None:
                         solve_ml(problem, tol=tol))
     assert run([*argv, "--out", tmp_path / "cold.csv"]) == 0
     _, warm = read_curve(tmp_path / "warm.csv")
     _, cold = read_curve(tmp_path / "cold.csv")
     assert np.array_equal(warm[:, :2], cold[:, :2])
     assert np.max(np.abs(warm[:, 2:] - cold[:, 2:])) <= 1e-12
+
+
+def test_convergence_ml_failures_raise_at_the_largest_mu(tmp_path, capsys, monkeypatch):
+    # the 2nd and 3rd fits down the path fail: every fit still runs, each
+    # later one from the last converged minimizer, the error names the
+    # larger failed mu and no lane is solved
+    calls, path_calls, solve_ml = [], [], bn.hyper.solve_ml
+
+    def two_fail(problem, tol=1e-10, init=None):
+        ml = solve_ml(problem, tol=tol, init=init)
+        if len(calls) in (1, 2):
+            ml = dataclasses.replace(ml, converged=False, cycles=7 + len(calls),
+                                     x_hat=np.full(problem.p, np.nan))
+        calls.append((problem.mu, init, ml))
+        return ml
+
+    monkeypatch.setattr(bn.hyper, "solve_ml", two_fail)
+    monkeypatch.setattr(cli, "tau_path", lambda *args, **kwargs: path_calls.append(1))
+    code, cap = run(["convergence", make_csv(tmp_path), "--response", "y",
+                     "--mu-grid", "4,0.1", "--tau-grid", "6,3"], capsys)
+    assert code == 3
+    mus = [mu for mu, _, _ in calls]
+    assert len(mus) == 4 and mus == sorted(mus, reverse=True)
+    assert f"no convergence after 8 cycles (ML stage at mu={mus[1]})" in cap.err
+    first = calls[0][2].x_hat
+    assert calls[0][1] is None and np.array_equal(calls[1][1], first)
+    assert np.array_equal(calls[2][1], first) and np.array_equal(calls[3][1], first)
+    assert path_calls == []
 
 
 def test_unconverged_convergence_lane_exits_3(tmp_path, capsys, monkeypatch):
@@ -1117,6 +1171,21 @@ def test_cv_json_schema(tmp_path):
     assert best["mu"] in payload["grid"]["mus"]
     assert best["tau"] in payload["grid"]["taus"]
     assert best["median_r"] > 0.9
+
+
+def test_cv_default_grid_is_default_grid(tmp_path):
+    # README: bn.default_grid(prob.w, lam) on the full standardized data is
+    # cv's grid when no grid flag is given
+    csv = make_csv(tmp_path)
+    out = tmp_path / "cv.json"
+    assert run(["cv", csv, "--response", "y", "--lambda", "0.05", "--folds", "3",
+                "--out", out]) == 0
+    grid = json.loads(out.read_text())["grid"]
+    std = bn.standardize(bn.load_csv(str(csv), "y")[0])
+    want = bn.default_grid(bn.build_problem(std, 0.05, 1.0, 1.0).w, 0.05)
+    assert grid["mus"] == want.mus.tolist()
+    assert grid["taus"] == want.taus.tolist()
+    assert grid["lambda"] == want.lam
 
 
 def test_cv_fold_with_a_constant_column_exits_0(tmp_path):

@@ -163,10 +163,19 @@ def test_path_active_sets_nested_on_benchmark(diabetes):
 
 
 def test_h_min_matches_cost():
+    # h_min against the cost in residual form, built from the data and not
+    # from C and w: ||y - Ax||^2/(2n) - ||y||^2/(2n) + lam||x||^2 + 2mu||x||_1
     std = helpers.random_standardized(28, 45, 4, beta=[0.9, 0.0, -0.2, 0.0], noise=0.4)
-    prob = bn.build_problem(std, 0.03, 0.05, 1.0)
-    sol = bn.solve_ml(prob, tol=1e-12)
-    assert sol.h_min == pytest.approx(_cost(prob, sol.x_hat), abs=1e-14)
+    lam, mu = 0.03, 0.05
+    sol = bn.solve_ml(bn.build_problem(std, lam, mu, 1.0), tol=1e-12)
+    x, a, y, n = sol.x_hat, std.predictors, std.responses, std.n
+    direct = (
+        np.sum((y - a @ x) ** 2) / (2 * n)
+        - np.dot(y, y) / (2 * n)
+        + lam * np.dot(x, x)
+        + 2 * mu * np.abs(x).sum()
+    )
+    assert sol.h_min == pytest.approx(direct, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
