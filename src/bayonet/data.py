@@ -163,16 +163,17 @@ class PenalizedProblem:
     keeps the standardized design A in low_rank_factor and forms no C:
     C = A'A/(2n) + lam*I (lam > 0) is positive definite by construction,
     the solvers read it through the private accessors (_matvec, _quad,
-    _col, _block, _diag) at O(np) or less, and determinants of C +
-    diagonal reduce to an n x n computation.  problem.c stays readable:
-    on such a problem it is built by that expression on every read and
-    never stored.  A problem holds its fields and nothing else: c and w
-    (or w and the design), the scalars and low_rank_factor, so a copy is
-    those fields with some swapped.  _restrict keeps the design columns
-    only while still wider than n, so the factor is present exactly when
-    p > n.  It is not a constructor argument, so it always matches C.  ==
-    and hash are by identity: a field-wise == would compare arrays, and on
-    such a problem build C.
+    _col, _diag, _restrict and the coordinate loops' _partial_residuals)
+    at O(np) or less, and partition reduces determinants of C + diagonal
+    to an n x n computation; no other module reads the layout.  problem.c
+    stays readable: on such a problem it is built by that expression on
+    every read and never stored.  A problem holds its fields and nothing
+    else: c and w (or w and the design), the scalars and low_rank_factor,
+    so a copy is those fields with some swapped.  _restrict keeps the
+    design columns only while still wider than n, so the factor is present
+    exactly when p > n.  It is not a constructor argument, so it always
+    matches C.  == and hash are by identity: a field-wise == would compare
+    arrays, and on such a problem build C.
     """
 
     c: np.ndarray = field(repr=False)
@@ -260,13 +261,34 @@ class PenalizedProblem:
         col[j] += self.lam
         return col
 
-    def _block(self, idx):
-        """The principal block C[idx, idx]."""
+    def _partial_residuals(self):
+        """(dots, own, start, move): the one rule by which a coordinate loop
+        reads its partial residuals a_j = w_j - sum_{k != j} C_jk x_k.
+
+        Each sweep takes v = start(x); then a_j = w_j - dots[j](v) + own[j] *
+        x_j from the current x, and a move of x_j by dx is followed by
+        move(j, dx) unless move is None.  Dense: C's rows, v = x, own =
+        diag(C).  With the design A: A's columns, v = A x / (2n) afresh from
+        each start, so no rounding builds up over a chain, own = diag(C) -
+        lam, and move keeps v current at O(n); no p x p C is formed.
+        """
         f = self.low_rank_factor
         if f is None:
-            return self.c[np.ix_(idx, idx)]
-        sub = f[:, idx]
-        return sub.T @ sub / (2.0 * f.shape[0]) + self.lam * np.eye(len(idx))
+            rows = np.ascontiguousarray(self.c)
+            own = np.diagonal(rows).tolist()
+            return [row.dot for row in rows], own, lambda x: x, None
+        cols = np.ascontiguousarray(f.T)
+        two_n = 2.0 * f.shape[0]
+        s = np.empty(f.shape[0])
+
+        def start(x):
+            return np.divide(f @ x, two_n, out=s)
+
+        def move(j, dx):
+            np.add(s, cols[j] * (dx / two_n), out=s)
+
+        own = np.einsum("ij,ij->j", f, f) / two_n  # as _diag, less lam
+        return [col.dot for col in cols], own.tolist(), start, move
 
     def _replace(self, **fields):
         # an unchecked copy holding self's fields with `fields` swapped in:
@@ -282,9 +304,13 @@ class PenalizedProblem:
         """The problem on coordinates idx: the w entries and the principal
         block of C, or while len(idx) > n the design columns in its place."""
         f = self.low_rank_factor
-        if f is not None and len(idx) > f.shape[0]:
-            return self._replace(w=self.w[idx], low_rank_factor=f[:, idx])
-        return self._replace(c=self._block(idx), w=self.w[idx], low_rank_factor=None)
+        if f is None:
+            return self._replace(c=self.c[np.ix_(idx, idx)], w=self.w[idx])
+        sub = f[:, idx]
+        if len(idx) > f.shape[0]:
+            return self._replace(w=self.w[idx], low_rank_factor=sub)
+        c = sub.T @ sub / (2.0 * f.shape[0]) + self.lam * np.eye(len(idx))
+        return self._replace(c=c, w=self.w[idx], low_rank_factor=None)
 
     def _with_scalar(self, name, value):
         # C (or the design), w and the factor are shared with self and were

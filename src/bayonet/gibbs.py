@@ -78,10 +78,11 @@ def _draw(cjj, a, mu, s, sd, rng):
 def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     """Cyclic Gibbs sweeps over all coordinates.
 
-    Each coordinate's partial residual a = w_j - sum_{k != j} C_jk x_k is
-    computed afresh from row j of C and the current x (one O(p) dot), so no
-    running residual is carried from draw to draw and rounding cannot
-    accumulate however large the samples grow.  The draw then takes the
+    Each coordinate's partial residual a = w_j - sum_{k != j} C_jk x_k comes
+    from the problem's one rule, PenalizedProblem._partial_residuals: a
+    fresh O(p) dot of row j of C, or on a wide problem an O(n) one of
+    column j of the design against A x, which each sweep recomputes, so
+    rounding cannot build up and no p x p C is formed.  The draw takes the
     route the module docstring describes: the two envelopes are written out
     here, reading the stream's normals and uniforms, and the band calls
     _draw.  A zero drawn on either envelope keeps the sign of its side, as
@@ -100,20 +101,21 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     if kept < 1:
         raise ValueError("the chain keeps no samples: need sweeps - burn_in >= thin")
     x = _check_init(problem, init)  # a copy: the loop writes to it
-    c, tau = problem.c, problem.tau
+    tau = problem.tau
     mu = float(problem.mu)
     rng = RngStream(seed)
     uniform, normal = rng.uniform, rng.normal
     two_mu, two_tau, four_tau_mu = 2.0 * mu, 2.0 * tau, 4.0 * tau * mu
+    dots, own, start, move = problem._partial_residuals()
     # Python floats are cheaper to index and combine than numpy scalars: one
-    # tuple per coordinate (w_j, the bound dot method of a contiguous copy of
-    # row j, C_jj, s_j, sd_j, tau*C_jj), and x_j read from a list that
-    # mirrors x; x stays an array, the operand of each row's dot
-    d = np.diagonal(c)
+    # tuple per coordinate (j, w_j, the rule's dot and own weight, C_jj, s_j,
+    # sd_j, tau*C_jj), and x_j read from a list that mirrors the array x
+    d = problem._diag
     coords = list(zip(
         range(problem.p),
         problem.w.tolist(),
-        [np.array(row).dot for row in c],
+        dots,
+        own,
         d.tolist(),
         np.sqrt(tau / d).tolist(),
         (1.0 / np.sqrt(2.0 * tau * d)).tolist(),
@@ -123,9 +125,10 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     keep = np.empty((kept, problem.p))
     k = 0
     for sweep in range(1, sweeps + 1):
-        for j, wj, dot, cjj, sj, sdj, tcj in coords:
+        v = start(x)
+        for j, wj, dot, oj, cjj, sj, sdj, tcj in coords:
             xj = xs[j]
-            a = wj - float(dot(x)) + cjj * xj
+            a = wj - float(dot(v)) + oj * xj
             excess = abs(a) - mu
             t = sj * excess
             if t >= _K:
@@ -151,6 +154,8 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
                 new = _draw(cjj, a, mu, sj, sdj, rng)
             if new != xj:
                 x[j] = xs[j] = new
+                if move is not None:
+                    move(j, new - xj)
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             keep[k] = x
             k += 1

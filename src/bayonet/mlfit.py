@@ -11,11 +11,12 @@ whose signs all agree with s is kept; down a descending mu column the warm
 start almost always has the right support and signs, and one solve ends
 the fit.  Where the signs disagree or the factor fails, glmnet-style
 soft-thresholded coordinate sweeps over the active block (Friedman, Hastie
-& Tibshirani 2010) are the globalizer, at O(|A|^2) per sweep; each
-coordinate's partial residual comes afresh from its row of the block, so no
-running residual carries rounding from update to update.
-The minimizer doubles as the warm start every other solver in the package
-builds on, hence the tight default tolerance of the sweeps.
+& Tibshirani 2010) are the globalizer.  They read the partial residuals
+by the problem's one rule, PenalizedProblem._partial_residuals: fresh rows
+of the block, or while |A| > n columns of the design, at O(|A| min(|A|,
+n)) per sweep with no |A| x |A| block formed.  The minimizer doubles as
+the warm start every other solver in the package builds on, hence the
+tight default tolerance of the sweeps.
 """
 
 from dataclasses import dataclass
@@ -54,18 +55,21 @@ class MlSolution:
     converged: bool
 
 
-def _block_sweep(row_dots, w, diag, mu, x):
+def _block_sweep(rule, w, diag, mu, x):
     """One soft-thresholded pass over a block in place; returns the largest
     move.
 
-    Runs on Python floats: each coordinate's partial residual comes afresh
-    from its row's bound dot method, whose operand x stays an array.
+    rule is the block's PenalizedProblem._partial_residuals, taken once per
+    block; the pass starts it afresh.  Runs on Python floats; x stays an
+    array, the dots' operand on a dense block.
     """
+    dots, own, start, move = rule
+    v = start(x)
     dmax = 0.0
-    for k, dot in enumerate(row_dots):
+    for k, dot in enumerate(dots):
         xk = x.item(k)
         dk = diag[k]
-        ak = w[k] - float(dot(x)) + dk * xk
+        ak = w[k] - float(dot(v)) + own[k] * xk
         if ak > mu:
             new = (ak - mu) / dk
         elif ak < -mu:
@@ -74,6 +78,8 @@ def _block_sweep(row_dots, w, diag, mu, x):
             new = 0.0
         if new != xk:
             x[k] = new
+            if move is not None:
+                move(k, new - xk)
             dmax = max(dmax, abs(new - xk))
     return dmax
 
@@ -143,14 +149,12 @@ def _ml_cd(problem, x0, tol):
             wait = max(1, nz.size // _SOLVE_SWEEPS)
         done = None
         eps = max(tol, _LOOSE_TOL) if grown.any() else tol
-        # sub holds the block unless it kept the design columns (|A| > n)
-        block = problem._block(nz) if sub.low_rank_factor is not None else sub.c
-        row_dots = [row.dot for row in block]
-        wa, da, xa = sub.w.tolist(), np.diagonal(block).tolist(), x[nz]
+        rule = sub._partial_residuals()
+        wa, da, xa = sub.w.tolist(), sub._diag.tolist(), x[nz]
         while cycles < _MAX_CYCLES:
             cycles += 1
             wait -= 1
-            dmax = _block_sweep(row_dots, wa, da, mu, xa)
+            dmax = _block_sweep(rule, wa, da, mu, xa)
             scale = max(1.0, float(np.abs(xa).max(initial=0.0)))
             if dmax < tol * scale:
                 done = nz

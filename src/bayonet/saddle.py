@@ -41,8 +41,8 @@ box while lowering the residual, as from a warm start outside it).  A solve has
 converged only with every |u_j| < mu and every b_j > 0, as at every
 stationary point.  The iterate is x throughout (never u), which avoids
 forming C^{-1}.  The private solvers take the PenalizedProblem whole and
-read C through its accessors, so a wide problem's C is never formed; which
-factorization route C + D takes is read from it in partition._CPlusD only.
+read C through its accessors and one partial-residual rule, so a wide
+problem's C is never formed; the layout is read in data and partition only.
 """
 
 import math
@@ -153,38 +153,21 @@ def _residual(x, u, mu, tau):
     return np.abs((mu * mu - u * u) * x - u / tau).max(axis=-1)
 
 
-def _sweep(problem, x, u):
-    """One cyclic coordinate sweep from (x, u = w - Cx); returns (x, u, res).
-
-    The partial residuals come from r = w - Cx, kept current by columns of
-    C, or, on a problem that holds its design A instead of C, from s = A x,
-    kept current by columns of A at O(n) per coordinate.  The returned u is
-    recomputed from scratch, never the incrementally updated one.
-    """
+def _sweep(problem, x):
+    """One cyclic coordinate sweep from x, the partial residuals by
+    PenalizedProblem._partial_residuals; returns (x, u = w - Cx, res)."""
     w, mu, tau = problem.w, problem.mu, problem.tau
-    f = problem.low_rank_factor
+    dots, own, start, move = problem._partial_residuals()
     diag = problem._diag
     x = x.copy()
-    if f is None:
-        r = u.copy()
-        for j in range(w.shape[0]):
-            xj = coordinate_cubic(r[j] + diag[j] * x[j], diag[j], mu, tau)
-            dx = xj - x[j]
-            if dx != 0.0:
-                r -= problem._col(j) * dx
-                x[j] = xj
-    else:
-        cols = np.ascontiguousarray(f.T)
-        two_n = 2.0 * f.shape[0]
-        own = diag - problem.lam  # the A'A/(2n) part of C_jj
-        s = f @ x
-        for j in range(w.shape[0]):
-            aj = w[j] - cols[j] @ s / two_n + own[j] * x[j]
-            xj = coordinate_cubic(aj, diag[j], mu, tau)
-            dx = xj - x[j]
-            if dx != 0.0:
-                s += cols[j] * dx
-                x[j] = xj
+    v = start(x)
+    for j in range(w.shape[0]):
+        xj = coordinate_cubic(w[j] - dots[j](v) + own[j] * x[j], diag[j], mu, tau)
+        dx = xj - x[j]
+        if dx != 0.0:
+            x[j] = xj
+            if move is not None:
+                move(j, dx)
     u = w - problem._matvec(x)
     return x, u, _residual(x, u, mu, tau)
 
@@ -302,7 +285,7 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
             # done and moved are live: the rest of the live lanes sweep
             for k in (live ^ (done | moved)).nonzero()[0]:
                 at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
-                x[k], u[k], res[k] = _sweep(at_k, x[k], u[k])
+                x[k], u[k], res[k] = _sweep(at_k, x[k])
             if exits and not leave(done, cycles, True):
                 return out
     leave(live, _MAX_CYCLES, False)

@@ -491,6 +491,7 @@ def test_wide_verbs_never_build_c(tmp_path, monkeypatch):
         ("convergence", ["--mu", "0.1", "--tau-grid", "12,2"]),
         ("marginal", ["--mu", "0.1", "--tau", "map", "--coords", "0", "--ml-curve"]),
         ("cv", ["--screen-top", "150", *_BASE_ARGS["cv"]]),
+        ("gibbs", _BASE_ARGS["gibbs"]),
     ):
         out = tmp_path / verb
         assert run([verb, csv, *common, *flags, "--out", out]) == 0, verb

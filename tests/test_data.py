@@ -178,10 +178,13 @@ def test_wide_problem_builds_c_on_every_read():
     d = np.random.default_rng(13).uniform(0.0, 3.0, 30)
     direct = bn.log_det_c_plus_d(prob, d, method="direct")
     assert direct == pytest.approx(bn.log_det_c_plus_d(prob, d), rel=1e-12)
-    # the sampler reads C itself, so its chain is the dense twin's
+    # the sampler reads the design's columns, not C: the same uniforms and
+    # normals drive the dense twin's chain, so only rounding separates them
     dense = bn.PenalizedProblem(c=prob.c, w=prob.w, mu=0.2, lam=0.1, tau=50.0)
-    chains = [bn.run_gibbs(q, np.zeros(30), 40, seed=3).samples for q in (prob, dense)]
-    assert np.array_equal(*chains)
+    wide_chain, dense_chain = (
+        bn.run_gibbs(q, np.zeros(30), 40, seed=3).samples for q in (prob, dense)
+    )
+    assert np.max(np.abs(wide_chain - dense_chain)) <= 1e-12
 
 
 def test_wide_problem_repr_builds_no_c(monkeypatch):
@@ -224,19 +227,36 @@ def test_problem_equality_is_identity(monkeypatch):
         assert len({a, b}) == 2
 
 
+def _partials_along(prob, x, y):
+    # the partial residuals a coordinate loop reads by the problem's rule
+    # while it moves x to y one coordinate at a time
+    dots, own, start, move = prob._partial_residuals()
+    x = x.copy()
+    v = start(x)
+    out = []
+    for j in range(prob.p):
+        out.append(prob.w[j] - dots[j](v) + own[j] * x[j])
+        dx = y[j] - x[j]
+        x[j] = y[j]
+        if move is not None:
+            move(j, dx)
+    return np.array(out)
+
+
 def test_wide_accessors_match_the_dense_matrix():
     std = helpers.random_standardized(14, 12, 40)
     wide = bn.build_problem(std, 0.3, 0.2, 1.0)
     dense = bn.PenalizedProblem(c=wide.c, w=wide.w, mu=0.2, lam=0.3, tau=1.0)
     rng = np.random.default_rng(15)
-    x = rng.standard_normal(40)
+    x, y = rng.standard_normal((2, 40))
     idx = np.array([3, 17, 29])
     for got, want in (
         (wide._diag, dense._diag),
         (wide._matvec(x), dense._matvec(x)),
         (wide._col(5), dense._col(5)),
-        (wide._block(idx), dense._block(idx)),
+        (wide._restrict(idx).c, dense._restrict(idx).c),
         (wide._quad(x), dense._quad(x)),
+        (_partials_along(wide, x, y), _partials_along(dense, x, y)),
     ):
         assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
     assert _cost(wide, x) == pytest.approx(_cost(dense, x), rel=1e-14)

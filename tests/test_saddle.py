@@ -222,10 +222,9 @@ def sweep_reference(prob, x0, tol=1e-13, max_sweeps=20000):
     """Stationary point by repeated coordinate sweeps alone, the solver the
     Newton iteration replaced."""
     x = np.array(x0, dtype=float)
-    u = prob.w - prob.c @ x
     res = math.inf
     for _ in range(max_sweeps):
-        x, u, res = saddle._sweep(prob, x, u)
+        x, _, res = saddle._sweep(prob, x)
         if res < tol:
             return x
     raise AssertionError(f"reference sweep stalled at residual {res}")
@@ -271,9 +270,9 @@ def test_fallback_sweep_runs_where_newton_cannot(monkeypatch):
     # while at tau = 1e-4 1/tau keeps every b > 0 and Newton steps suffice
     swept, sweep_ = [], saddle._sweep
 
-    def sweep(problem, x, u):
+    def sweep(problem, x):
         swept.append(problem.tau)
-        return sweep_(problem, x, u)
+        return sweep_(problem, x)
 
     monkeypatch.setattr(saddle, "_sweep", sweep)
     taus = [100.0, 10.0, 1e-4]
@@ -491,9 +490,9 @@ def test_failed_stack_factor_sweeps_only_that_lane(monkeypatch):
         stacked.append(matrix.shape[0])
         return solve(matrix, rhs)
 
-    def sweep(problem, x, u):
+    def sweep(problem, x):
         swept.append(problem.mu)
-        return sweep_(problem, x, u)
+        return sweep_(problem, x)
 
     sweep_ = saddle._sweep
     tol = 1e-11
@@ -630,12 +629,12 @@ def test_departed_lanes_rows_are_never_written(monkeypatch):
         assert not (moved & ~live).any()
         return moved
 
-    def sweep(problem, x, u):
+    def sweep(problem, x):
         rows = stack["rows"][0]
         assert not any(np.shares_memory(x, rows[k]) for k in gone)
         if gone:
             swept_after.append(problem.mu)
-        return sweep_(problem, x, u)
+        return sweep_(problem, x)
 
     monkeypatch.setattr(saddle, "_newton_step", step)
     monkeypatch.setattr(saddle, "_sweep", sweep)
