@@ -5,14 +5,13 @@ With one coordinate the normalizing integral of exp(-tau*(c*x^2 - 2*w*x +
 is an erfcx evaluation.  Everything here is exact up to floating point and
 serves as the ground-truth oracle for the multivariate approximations.
 
-This module is the one place that posterior is written.  The private
-raw-scalar kernels below (half-line logs, the nonnegative-side probability,
-the unnormalized log density) also serve the marginal curves, whose
+This module is the one place that posterior is written.  The half-line
+logs and the nonnegative-side probability below are used by this module
+alone; the unnormalized log density also serves the marginal curves, whose
 own-coordinate terms are its log density.  The Gibbs sampler, whose
-conditionals are this posterior, draws most of them by accept-reject under
-an envelope and needs no kernel here; in the band near the transition,
-gibbs._draw picks its side with the half-line logs and the
-nonnegative-side probability.
+conditionals are this posterior, draws them by accept-reject under an
+envelope and shares no code with this module, so the two check the
+multivariate approximations independently.
 
 density_exact does not divide the unnormalized density by Z: near the mode
 both carry a term of size tau*h_min, whose rounding swamps their O(log tau)

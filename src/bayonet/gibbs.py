@@ -3,29 +3,29 @@
 Conditioned on the other coordinates, each coefficient has the exact
 single-coordinate posterior exp(-tau*(c*x^2 - 2*a*x + 2*mu*|x|)), with a
 its partial residual, so a sweep is p draws from that posterior.  Each draw
-is exact, by one of three routes picked from t = s*(|a| - mu), s =
-sqrt(tau/c), the distance past the transition in units of the
-conditional's sd times sqrt(2):
+is exact, by accept-reject under one of two envelopes picked from t =
+s*(|a| - mu), s = sqrt(tau/c), the distance past the transition in units of
+the conditional's sd times sqrt(2):
 
-- t >= _K, clearly active: accept-reject under the Gaussian
-  N(sign(a)*(|a| - mu)/c, 1/(2*tau*c)).  Its exponent replaces 2*mu*|x| by
-  the smaller 2*mu*sign(a)*x, so it dominates the conditional; a proposal
-  on a's side of zero is always kept, and one on the other side with
-  probability exp(-4*tau*mu*|x|), the ratio of the two there.
-- t <= -_L, clearly inactive (|a| < mu): accept-reject under the
-  asymmetric Laplace exp(-tau*(2*mu*|x| - 2*a*x)), which drops the
-  quadratic term and so dominates too.  Its side is x >= 0 with
-  probability (mu + a)/(2*mu), its magnitude is Exp(2*tau*(mu -+ a)), and
-  the proposal is kept with probability exp(-tau*c*x^2).
-- in the band between, where neither envelope keeps enough proposals: the
-  closed-form draw, _draw.  It picks the side of zero with exact1d's
-  nonnegative-side probability, then draws the normal restricted to that
-  side by special's standard lower-truncated draw, so the sampler and the
-  closed-form oracle share one formula.
+- t >= _T: the Gaussian N(sign(a)*(|a| - mu)/c, 1/(2*tau*c)).  Its
+  exponent replaces 2*mu*|x| by the smaller 2*mu*sign(a)*x, so it
+  dominates the conditional; a proposal on a's side of zero is always
+  kept, and one on the other side with probability exp(-4*tau*mu*|x|),
+  the ratio of the two there.
+- t < _T, so |a| < mu: the asymmetric Laplace exp(-tau*(2*mu*|x| -
+  2*a*x)), which drops the quadratic term and so dominates too.  Its side
+  is x >= 0 with probability (mu + a)/(2*mu), its magnitude is
+  Exp(2*tau*(mu -+ a)), and the proposal is kept with probability
+  exp(-tau*c*x^2).
 
-At _K = 0.5 the Gaussian keeps at least Phi(sqrt(2)*_K) ~ 0.76 of its
-proposals, and at _L = 1.5 the Laplace keeps at least ~0.85.  This is an
-oracle for validating the deterministic approximations, not a production
+Each envelope's acceptance depends on the conditional through t and m0 =
+s*mu alone.  The Gaussian keeps more than Phi(sqrt(2)*t) of its proposals,
+its limit as m0 grows; the Laplace keeps at least |t|*sqrt(pi)*erfcx(|t|),
+reached at a = 0.  The first bound rises with t and the second falls, and
+they meet at _T, where each is 0.355, so no conditional takes more than
+2.82 proposals a draw on average.  The sampler shares no code with the
+closed-form posterior of exact1d, so the two are independent oracles for
+validating the deterministic approximations.  It is not a production
 sampler: no adaptation and no diagnostics.
 """
 
@@ -35,13 +35,12 @@ from math import exp as _exp, log1p as _log1p
 import numpy as np
 
 from .data import _check_init
-from .exact1d import _half_line_logs, _prob_nonneg
-from .special import RngStream, _std_lower_truncated
+from .errors import NumericalError
+from .special import RngStream
 
-# the band's edges in t = s*(|a| - mu): the Gaussian envelope at t >= _K, the
-# Laplace envelope at t <= -_L
-_K = 0.5
-_L = 1.5
+# where the envelopes' worst-case acceptances in t = s*(|a| - mu) cross: the
+# Gaussian at t >= _T, the Laplace below
+_T = -0.2632
 
 
 @dataclass(frozen=True)
@@ -59,22 +58,6 @@ class GibbsChain:
     seed: int
 
 
-def _draw(cjj, a, mu, s, sd, rng):
-    """One draw from the single-coordinate conditional posterior.
-
-    s = sqrt(tau/c) and sd = 1/sqrt(2*tau*c) are passed in precomputed.  The
-    first uniform picks x >= 0 when it falls below exact1d's nonnegative-side
-    probability; that side's normal, mirrored onto x >= 0 for x <= 0, is
-    then drawn by special's standard lower-truncated draw.  The sign
-    constraint holds exactly: a draw that rounds across zero comes back as a
-    zero of the chosen side's sign.
-    """
-    sign = 1.0 if rng.uniform() < _prob_nonneg(*_half_line_logs(s, a, mu)) else -1.0
-    mean = (sign * a - mu) / cjj
-    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
-    return sign * (x if x > 0.0 else 0.0)
-
-
 def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     """Cyclic Gibbs sweeps over all coordinates.
 
@@ -82,14 +65,16 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     from the problem's one rule, PenalizedProblem._partial_residuals: a
     fresh O(p) dot of row j of C, or on a wide problem an O(n) one of
     column j of the design against A x, which each sweep recomputes, so
-    rounding cannot build up and no p x p C is formed.  The draw takes the
-    route the module docstring describes: the two envelopes are written out
-    here, reading the stream's normals and uniforms, and the band calls
-    _draw.  A zero drawn on either envelope keeps the sign of its side, as
-    _draw's do.  The rest of a draw's inputs are precomputed per coordinate
-    as Python floats.  burn_in defaults to 10% of sweeps.  Retained count
-    is (sweeps - burn_in) // thin, and a chain that would retain nothing
-    raises ValueError.
+    rounding cannot build up and no p x p C is formed.  The draw is by the
+    envelope the module docstring describes, reading the stream's normals
+    and uniforms; a zero drawn on either keeps the sign of its side.  The
+    rest of a draw's inputs are precomputed per coordinate as Python
+    floats, and a tau at which one of them overflows (s_j, sd_j or
+    tau*C_jj not finite) raises NumericalError before the first sweep:
+    with s_j infinite, t is NaN at a = mu, and no proposal is ever kept.
+    burn_in defaults to 10% of sweeps.  Retained count is (sweeps -
+    burn_in) // thin, and a chain that would retain nothing raises
+    ValueError.
     """
     if burn_in is None:
         burn_in = sweeps // 10
@@ -111,15 +96,17 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     # tuple per coordinate (j, w_j, the rule's dot and own weight, C_jj, s_j,
     # sd_j, tau*C_jj), and x_j read from a list that mirrors the array x
     d = problem._diag
+    with np.errstate(over="ignore", divide="ignore"):
+        scales = np.sqrt(tau / d), 1.0 / np.sqrt(2.0 * tau * d), tau * d
+    if not all(np.isfinite(v).all() for v in scales):
+        raise NumericalError(f"tau={float(tau)!r}: a conditional's scale overflows")
     coords = list(zip(
         range(problem.p),
         problem.w.tolist(),
         dots,
         own,
         d.tolist(),
-        np.sqrt(tau / d).tolist(),
-        (1.0 / np.sqrt(2.0 * tau * d)).tolist(),
-        (tau * d).tolist(),
+        *(v.tolist() for v in scales),
     ))
     xs = x.tolist()
     keep = np.empty((kept, problem.p))
@@ -131,7 +118,7 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
             a = wj - float(dot(v)) + oj * xj
             excess = abs(a) - mu
             t = sj * excess
-            if t >= _K:
+            if t >= _T:
                 # Gaussian envelope, mirrored so that a's side is y >= 0
                 m = excess / cjj
                 while True:
@@ -139,7 +126,7 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
                     if y >= 0.0 or uniform() < _exp(four_tau_mu * y):
                         break
                 new = y if a > 0.0 else -y
-            elif t <= -_L:
+            else:
                 # Laplace envelope; -log1p(-U) is +0.0 at U = 0, so a zero
                 # magnitude keeps its side's sign
                 side = (mu + a) / two_mu
@@ -150,8 +137,6 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
                         new = _log1p(-uniform()) / (two_tau * (mu + a))
                     if uniform() < _exp(-tcj * new * new):
                         break
-            else:
-                new = _draw(cjj, a, mu, sj, sdj, rng)
             if new != xj:
                 x[j] = xs[j] = new
                 if move is not None:

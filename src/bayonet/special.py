@@ -1,4 +1,4 @@
-"""log(erfcx), seeded RNG streams and the standard truncated-normal draw.
+"""log(erfcx) and seeded RNG streams.
 
 The half-Gaussian integrals that appear throughout this package are all
 expressed through the scaled complementary error function erfcx(x) =
@@ -6,14 +6,9 @@ exp(x^2) erfc(x), and every caller needs its logarithm, so log_erfcx is the
 one special function the rest of the package imports.  On [-25, 5] it is
 x^2 + log(erfc(x)) from the math module, which keeps full relative accuracy
 there; above 5 it is the log of scipy.special's erfcx, and below -25 the
-erfc reflection keeps the log from overflowing.  _std_lower_truncated draws
-a standard normal conditioned on Z >= a and consumes uniforms only: scipy's
-erfc and ndtri for the inverse-CDF route, and -log(1 - U) for the
-exponential of the far-tail rejection route.  The Gibbs sampler's one-sided
-draws in the band near the transition, where neither of its envelopes
-accepts often enough, are that draw, shifted and scaled by gibbs._draw.
-The sampler's envelope draws read RngStream's normals as well as its
-uniforms.
+erfc reflection keeps the log from overflowing.  RngStream serves the
+Gibbs sampler's envelope draws, which read its normals as well as its
+uniforms, and the cross-validation folds, which read its permutation.
 """
 
 import math
@@ -22,7 +17,6 @@ import operator
 import numpy as np
 from scipy import special as _sp
 
-SQRT2 = math.sqrt(2.0)
 _BLOCK = 1024  # uniforms or normals drawn from a generator per refill
 
 
@@ -91,25 +85,3 @@ class RngStream:
         """A uniformly random permutation of range(n)."""
         return self._gen.permutation(n)
 
-
-def _std_lower_truncated(a, rng):
-    """Draw Z ~ N(0,1) conditioned on Z >= a, from rng's uniforms only.
-
-    Two regimes.  For a <= 8 the inverse-CDF route is exact and uses the
-    upper-tail mass directly (never 1 - tiny, which would lose all
-    precision): with q_a = P(Z >= a) computed via erfc, the draw is
-    -ndtri(U * q_a) for U uniform.  Far in the tail the double-precision
-    quantile function runs out of resolution, so for a > 8 we switch to the
-    classic shifted-exponential rejection sampler whose acceptance rate
-    tends to 1 as a grows; its exponential is -log(1 - U), finite because U
-    < 1.
-    """
-    if a <= 8.0:
-        qa = 0.5 * float(_sp.erfc(a / SQRT2))
-        return -float(_sp.ndtri((1.0 - rng.uniform()) * qa))
-    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-    while True:
-        z = a - math.log(1.0 - rng.uniform()) / alpha
-        d = z - alpha
-        if rng.uniform() <= math.exp(-0.5 * d * d):
-            return z

@@ -3,9 +3,8 @@
 Everything here is coded independently of the library internals: brute-force
 quadrature, series expansions, golden-section minimization, tensor-grid
 integration.  Tests compare the fast library routines against these.  The
-one exception is the Gibbs reference, the sampler's plain loop over its
-three routes, the band's composed from the library's own reference kernels,
-against which the flat sampler is held bit for bit.
+one exception is the Gibbs reference, the sampler's plain loop over its two
+envelopes, against which the flat sampler is held bit for bit.
 """
 
 import math
@@ -14,9 +13,7 @@ import numpy as np
 from scipy import integrate
 
 import bayonet as bn
-from bayonet.exact1d import _half_line_logs, _prob_nonneg
-from bayonet.gibbs import _K, _L
-from bayonet.special import _std_lower_truncated
+from bayonet.gibbs import _T
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +205,6 @@ def golden_min(f, lo, hi, iters=200):
 # Monte-Carlo statistics
 
 
-class FirstUniform:
-    """Stub RngStream for one Gibbs draw: the first uniform, the one that
-    picks the side of zero, is fixed; every later draw comes from rng."""
-
-    def __init__(self, first, rng):
-        self._first = first
-        self._rng = rng
-
-    def uniform(self):
-        if self._first is None:
-            return self._rng.uniform()
-        u, self._first = self._first, None
-        return u
-
-
 def batch_se(samples, nbatch=100):
     """Batch-means standard error of the mean, per column."""
     samples = np.asarray(samples)
@@ -279,42 +261,29 @@ def ml_cd_full_cycle(problem, x0, tol):
 
 
 # ---------------------------------------------------------------------------
-# the Gibbs sampler composed from its reference kernels
-
-
-def gibbs_draw_reference(cjj, a, mu, s, sd, rng):
-    """bayonet.gibbs._draw as the composition of the library's reference
-    kernels: exact1d's nonnegative-side probability of the half-line logs,
-    then special's standard lower-truncated draw."""
-    sign = 1.0 if rng.uniform() < _prob_nonneg(*_half_line_logs(s, a, mu)) else -1.0
-    mean = (sign * a - mu) / cjj
-    x = mean + sd * _std_lower_truncated(-mean / sd, rng)
-    return sign * (x if x > 0.0 else 0.0)
+# the Gibbs sampler as a plain loop
 
 
 def gibbs_conditional_reference(c, a, mu, tau, s, sd, rng):
     """One draw of bayonet.run_gibbs from exp(-tau*(c*x^2 - 2*a*x +
-    2*mu*|x|)), by the route t = s*(|a| - mu) picks."""
-    t = s * (abs(a) - mu)
-    if t >= _K:
+    2*mu*|x|)), by the envelope t = s*(|a| - mu) picks."""
+    if s * (abs(a) - mu) >= _T:
         # propose N(sign(a)*(|a| - mu)/c, sd^2), written for a's side as
         # y >= 0; keep y < 0 with probability exp(-4*tau*mu*|y|)
         while True:
             y = (abs(a) - mu) / c + sd * rng.normal()
             if y >= 0.0 or rng.uniform() < math.exp(4.0 * tau * mu * y):
                 return y if a > 0.0 else -y
-    if t <= -_L:
-        # propose the asymmetric Laplace exp(-tau*(2*mu*|x| - 2*a*x)): x >= 0
-        # with probability (mu + a)/(2*mu), then an exponential magnitude
-        # signed for its side; keep it with probability exp(-tau*c*x^2)
-        while True:
-            if rng.uniform() < (mu + a) / (2.0 * mu):
-                x = -math.log1p(-rng.uniform()) / (2.0 * tau * (mu - a))
-            else:
-                x = math.log1p(-rng.uniform()) / (2.0 * tau * (mu + a))
-            if rng.uniform() < math.exp(-tau * c * x * x):
-                return x
-    return gibbs_draw_reference(c, a, mu, s, sd, rng)
+    # propose the asymmetric Laplace exp(-tau*(2*mu*|x| - 2*a*x)): x >= 0
+    # with probability (mu + a)/(2*mu), then an exponential magnitude
+    # signed for its side; keep it with probability exp(-tau*c*x^2)
+    while True:
+        if rng.uniform() < (mu + a) / (2.0 * mu):
+            x = -math.log1p(-rng.uniform()) / (2.0 * tau * (mu - a))
+        else:
+            x = math.log1p(-rng.uniform()) / (2.0 * tau * (mu + a))
+        if rng.uniform() < math.exp(-tau * c * x * x):
+            return x
 
 
 def gibbs_reference(problem, init, sweeps, burn_in=None, thin=1, seed=0):

@@ -292,14 +292,16 @@ def extreme_csv(tmp_path, standardized):
     (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e100"]),
     (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e200"]),
     (True, ["marginal", "--lambda", "0", "--mu", "0.1", "--tau", "1e300"]),
+    (True, ["gibbs", "--mu", "0.1", "--tau", "1.7e308"]),
 ], ids=["fit-mu78", "fit-tau290", "fit-mu-170", "fit-mu155", "fit-mu-20", "convergence-mu78",
-        "marginal-tau100", "marginal-tau200", "marginal-tau300"])
+        "marginal-tau100", "marginal-tau200", "marginal-tau300", "gibbs-tau308"])
 def test_extreme_mu_or_tau_exits_3_without_warning(tmp_path, capsys, standardized, argv):
     # D overflowed or was 0/0, the first residual overflowed, or the default
     # marginal grid collapsed onto one float: each printed a RuntimeWarning
     # (a traceback under -W error) or exited 4 naming a grid nobody gave.
     # At mu 1e-20 no cubic root is interior, and its message printed the
-    # numpy scalars' reprs
+    # numpy scalars' reprs.  A chain whose tau/C_jj overflows warned, then
+    # sampled from NaN conditionals and exited 0
     verb, *flags = argv
     csv = extreme_csv(tmp_path, standardized)
     code, cap = run([verb, csv, "--response", "y", *flags, "--out", tmp_path / "out"],

@@ -5,21 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import bayonet as bn
 from bayonet import gibbs
-from bayonet.exact1d import _half_line_logs, _prob_nonneg
-from bayonet.gibbs import _K, _L, _draw
+from bayonet.gibbs import _T
 import helpers
 
 
 def draws_1d(c, a, mu, tau, n, seed=11):
-    """n draws from the single-coordinate conditional run_gibbs samples."""
-    rng = bn.RngStream(seed)
-    s = math.sqrt(tau / c)
-    sd = 1.0 / math.sqrt(2.0 * tau * c)
-    return np.array([_draw(c, a, mu, s, sd, rng) for _ in range(n)])
+    """n draws from the single-coordinate conditional run_gibbs samples: with
+    p = 1 the partial residual is a, so a chain's draws are i.i.d."""
+    prob = bn.PenalizedProblem(c=np.array([[c]]), w=np.array([a]), mu=mu, lam=0.0, tau=tau)
+    return bn.run_gibbs(prob, np.zeros(1), n, burn_in=0, seed=seed).samples[:, 0]
 
 
 def test_conditional_symmetric_at_zero_drift():
@@ -48,33 +46,6 @@ def test_conditional_sign_split_matches_exact_formula():
     assert abs(frac - alpha) <= 3.0 * se
 
 
-@pytest.mark.parametrize("c, a, mu, tau", [
-    (1.0, 0.5, 0.25, 50.0),
-    (0.7, -0.2, 0.25, 50.0),
-    (1.0, 2.8, 0.1, 100.0),   # log-weight difference +734: weight exactly 1
-    (1.0, -2.8, 0.1, 100.0),  # -734: weight 2.4e-319, which a clamp at 700 zeroed
-    (1.0, -3.0, 0.1, 100.0),  # -846: weight underflows to 0
-])
-def test_draw_side_follows_prob_nonnegative(c, a, mu, tau):
-    # the side of the draw (the sign bit, so a zero still tells) is x >= 0
-    # exactly when the first uniform is below prob_nonnegative
-    alpha = bn.prob_nonnegative(bn.OneDimProblem(c=c, w=a, mu=mu, tau=tau))
-    s = math.sqrt(tau / c)
-    sd = 1.0 / math.sqrt(2.0 * tau * c)
-    rng = bn.RngStream(3)
-
-    def side(first):
-        x = _draw(c, a, mu, s, sd, helpers.FirstUniform(first, rng))
-        return math.copysign(1.0, x)
-
-    if alpha > 0.0:
-        assert side(math.nextafter(alpha, 0.0)) == 1.0
-        assert side(0.0) == 1.0
-    if alpha < 1.0:
-        assert side(alpha) == -1.0
-        assert side(math.nextafter(1.0, 0.0)) == -1.0
-
-
 def small_problem(seed=3, n=80, p=3, mu=0.2, lam=0.05, tau=40.0):
     std = helpers.random_standardized(seed, n, p, beta=np.array([0.8, -0.4, 0.0]))
     return bn.build_problem(std, lam=lam, mu=mu, tau=tau)
@@ -90,17 +61,10 @@ def test_chain_is_seed_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_chain_matches_stored_reference(monkeypatch):
+def test_chain_matches_stored_reference():
     # the sweep loop's bookkeeping (Python floats, fresh-row partial
     # residuals, block-drawn uniforms and normals, thinning) must leave the
-    # chain bit for bit as recorded, the band's closed-form draws included
-    band = []
-
-    def counted(*args):
-        band.append(args)
-        return _draw(*args)
-
-    monkeypatch.setattr(gibbs, "_draw", counted)
+    # chain bit for bit as recorded
     prob = bn.PenalizedProblem(
         c=np.array([[0.6, 0.2, -0.1], [0.2, 0.5, 0.15], [-0.1, 0.15, 0.7]]),
         w=np.array([0.3, -0.02, 0.1]),
@@ -110,19 +74,30 @@ def test_chain_matches_stored_reference(monkeypatch):
     )
     ch = bn.run_gibbs(prob, np.zeros(3), 300, burn_in=50, thin=2, seed=11)
     assert ch.samples.shape == (125, 3)
-    assert len(band) == 41  # of the 900 draws
     assert ch.samples[-1].tolist() == [
-        0.6190936755904628, -0.1399568846042609, 0.48190051621300484
+        0.5052973014761255, -0.37100240651487437, 0.34712908799709585
     ]
     assert hashlib.sha256(ch.samples.tobytes()).hexdigest() == (
-        "c0d4fa2a83d2d36eda652af0fddbc708f01326d1625b93a354c424c2951b7557"
+        "dc9360aa2dc4b802c1eeaf806ce48fb194564b9430ae4615ccf66656d0c97f49"
     )
     # the row recorded with the incrementally updated residual: the same
     # uniforms and normals drive the chain, so only rounding separates the two
     assert ch.samples[-1] == pytest.approx(
-        [0.6190936755904625, -0.139956884604261, 0.48190051621300467],
+        [0.5052973014761251, -0.3710024065148746, 0.34712908799709585],
         rel=0.0, abs=1e-12,
     )
+
+
+@pytest.mark.parametrize("tau", [1e308, 1.7e308])
+def test_chain_at_an_overflowing_tau_raises_numerical_error(tau):
+    # tau/C_jj overflows, so s = inf and t = inf*0 is NaN at a = mu, where
+    # no proposal is ever kept: the chain refuses before its first sweep,
+    # and with no overflow warning
+    prob = bn.PenalizedProblem(
+        c=np.array([[0.5]]), w=np.array([0.05]), mu=0.05, lam=0.0, tau=tau
+    )
+    with pytest.raises(bn.NumericalError, match="overflows"):
+        bn.run_gibbs(prob, np.zeros(1), sweeps=20)
 
 
 def test_chain_bookkeeping_fields():
@@ -167,8 +142,9 @@ def test_chain_validates_arguments():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_chain_rejects_non_finite_init(bad):
-    # a non-finite start used to reach the truncated-normal rejection loop,
-    # which can never accept with a NaN bound, and hang there
+    # a non-finite start makes a partial residual NaN, so t is NaN and the
+    # draw falls to the Laplace envelope, whose acceptance test a NaN
+    # proposal never passes: the loop would hang there
     std = helpers.random_standardized(58, 60, 4)
     prob = bn.build_problem(std, 0.1, 0.1, 50.0)
     with pytest.raises(ValueError, match="init must be finite"):
@@ -257,78 +233,6 @@ class CountingStream:
         return self._rng.normal()
 
 
-def _erfcx_range(t):
-    # the three ranges of special.log_erfcx
-    return "above 5" if t > 5.0 else "[-25, 5]" if t >= -25.0 else "below -25"
-
-
-# c, a, mu, tau: between them the two half-line logs reach all three
-# log_erfcx ranges, lp - lm takes both signs, and the side's lower bound
-# reaches both truncated-normal routes
-DRAW_CASES = [
-    (1.0, 0.0, 5.0, 1.0),       # s*(mu -+ a) = 5.0 on both half-lines
-    (1.0, 26.0, 1.0, 1.0),      # -25.0 on x >= 0, 27 on x <= 0
-    (1.0, 40.0, 1.0, 1.0),      # -39 on x >= 0
-    (1.0, -40.0, 1.0, 1.0),     # -39 on x <= 0
-    (1.0, -26.0, 0.5, 1.0),     # -25.5 on x <= 0: side weight 4e-285
-    (1.0, 0.0, 0.25, 50.0),     # lp - lm = 0 exactly
-    (1.0, 0.5, 0.25, 50.0),
-    (0.7, -0.2, 0.25, 50.0),
-    (0.6, -0.2, 0.3, 100.0),    # 6.45 on x >= 0: side weight 0.19
-    (0.6, 0.22, 0.3, 100.0),    # 6.71 on x <= 0: side weight 0.83
-    (1.0, 0.0, 1.0, 40.0),      # lower bound sqrt(80) > 8: the tail route
-    (0.6, 0.03, 0.9, 50.0),
-]
-
-
-def _scales(c, tau):
-    return math.sqrt(tau / c), 1.0 / math.sqrt(2.0 * tau * c)
-
-
-def test_draw_equals_reference_composition():
-    # _draw against helpers.gibbs_draw_reference, bit for bit, on inputs
-    # that reach every branch of _half_line_logs, _prob_nonneg and
-    # _std_lower_truncated
-    ranges, branches, reads = set(), set(), set()
-    for i, (c, a, mu, tau) in enumerate(DRAW_CASES):
-        s, sd = _scales(c, tau)
-        ranges |= {("+", _erfcx_range(s * (mu - a))), ("-", _erfcx_range(s * (mu + a)))}
-        lp, lm = _half_line_logs(s, a, mu)
-        branches.add(lp - lm >= 0.0)
-        rng, ref = bn.RngStream(40 + i), CountingStream(40 + i)
-        got, want = [], []
-        for _ in range(2000):
-            got.append(_draw(c, a, mu, s, sd, rng))
-            before = ref.count
-            want.append(helpers.gibbs_draw_reference(c, a, mu, s, sd, ref))
-            reads.add(ref.count - before)
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (c, a, mu, tau)
-        # and the two read the same number of uniforms
-        assert rng.uniform() == ref.uniform()
-    assert ranges == {(h, r) for h in "+-" for r in ("above 5", "[-25, 5]", "below -25")}
-    assert branches == {True, False}
-    # 2 uniforms: side and inverse CDF; 3: side and one accepted tail
-    # proposal; 5 or more: at least one rejected proposal
-    assert {2, 3} <= reads
-    assert max(reads) >= 5
-
-
-@pytest.mark.parametrize("c, a, mu, tau", DRAW_CASES)
-def test_draw_side_weight_equals_reference_bit_for_bit(c, a, mu, tau):
-    # a side uniform at the reference weight, or one ulp below it, flips the
-    # side if _draw's weight differs from it by an ulp either way
-    s, sd = _scales(c, tau)
-    alpha = _prob_nonneg(*_half_line_logs(s, a, mu))
-    for first in {alpha, math.nextafter(alpha, 0.0)}:
-        rng, ref = bn.RngStream(9), bn.RngStream(9)
-        got = [_draw(c, a, mu, s, sd, helpers.FirstUniform(first, rng)) for _ in range(20)]
-        want = [
-            helpers.gibbs_draw_reference(c, a, mu, s, sd, helpers.FirstUniform(first, ref))
-            for _ in range(20)
-        ]
-        assert np.array(got).tobytes() == np.array(want).tobytes(), first
-
-
 def _case_101():
     prob, sad = helpers.build_marginal_case(101)
     return prob, sad.x_tau, 1500
@@ -360,22 +264,23 @@ def test_chain_matches_reference_loop(case, burn_in, thin):
 
 
 # ---------------------------------------------------------------------------
-# the three routes of run_gibbs's draw
+# the two envelopes of run_gibbs's draw
 
 
 def _route_case(t, m0, tau, sign, c=0.7):
     """The p = 1 problem whose conditional sits at t = s*(|a| - mu), with mu
-    = m0/s: in units of 1/s the conditional depends on (t, m0) alone, and tau
-    only moves it across floating-point scales."""
+    = m0/s: in units of 1/(s*c) the conditional depends on (t, m0) alone,
+    and tau only moves it across floating-point scales."""
     s = math.sqrt(tau / c)
     mu, a = m0 / s, sign * (m0 + t) / s
     prob = bn.PenalizedProblem(c=np.array([[c]]), w=np.array([a]), mu=mu, lam=0.0, tau=tau)
     return prob, bn.OneDimProblem(c=c, w=a, mu=mu, tau=tau)
 
 
-# t just past and just short of each switch point, and deep inside each
-# route; m0 = s*mu sets how much the envelopes' dropped terms weigh
-ROUTE_TS = [_K + 0.1, _K - 0.1, -_L + 0.1, -_L - 0.1, 4.0, 0.0, -5.0]
+# t just past and just short of the switch point, far and then a little
+# inside each envelope; m0 = s*mu sets how much the envelopes' dropped terms
+# weigh
+ROUTE_TS = [_T + 0.1, _T - 0.1, 4.0, 0.0, -5.0, 0.6, 0.4, -1.4, -1.6]
 ROUTE_TAUS = [1e-2, 1.0, 1e4, 1e10]
 
 
@@ -400,17 +305,18 @@ def test_route_draws_follow_the_exact_conditional(t, tau):
     assert abs(xs.mean() - bn.expectation_exact(one)) <= 4.0 * xs.std(ddof=1) / math.sqrt(n)
 
 
-@pytest.mark.parametrize("t, m0", [(_K + 1e-9, 20.0), (-_L - 1e-9, _L + 1e-9)],
+@pytest.mark.parametrize("t, m0", [(_T + 1e-9, 20.0), (_T - 1e-9, -(_T - 1e-9))],
                          ids=["gaussian", "laplace"])
 def test_envelopes_keep_enough_proposals_at_their_switch_points(monkeypatch, t, m0):
-    # t sits just past each switch point, so rounding cannot put it in the
-    # band.  Each Gaussian proposal reads one normal, each Laplace proposal
-    # three uniforms (side, magnitude, acceptance); the band reads no normal
-    # and two uniforms a draw, so at least one proposal a draw shows that the
-    # envelope ran.  m0 = 20 makes nearly every Gaussian proposal on the
-    # wrong side a rejection, and a = 0 is the Laplace envelope's worst case,
-    # so these are the least accepting conditionals each envelope meets; a
-    # band too narrow for its envelope fails here
+    # t sits just past the switch point on each side, so rounding cannot
+    # move it to the other envelope.  Each Gaussian proposal reads one
+    # normal, each Laplace proposal three uniforms (side, magnitude,
+    # acceptance) and no normal.  m0 = 20 makes nearly every Gaussian
+    # proposal on the wrong side a rejection, and m0 = -t puts a at 0, the
+    # Laplace envelope's worst case, so these are the least accepting
+    # conditionals each envelope meets.  Each keeps at least its worst-case
+    # share of proposals, Phi(sqrt(2)*t) and |t|*sqrt(pi)*erfcx(|t|): on
+    # average at most the inverse of that share are drawn per sample
     streams = []
 
     def stream(seed):
@@ -422,16 +328,22 @@ def test_envelopes_keep_enough_proposals_at_their_switch_points(monkeypatch, t, 
     n = 20_000
     bn.run_gibbs(prob, np.zeros(1), n, burn_in=0, seed=4)
     [rng] = streams
-    proposals = rng.normals if t > 0.0 else rng.count / 3
-    assert 1.0 <= proposals / n <= 1.35
+    if t >= _T:
+        bound, proposals = special.ndtr(math.sqrt(2.0) * t), rng.normals
+    else:
+        bound, proposals = -t * math.sqrt(math.pi) * special.erfcx(-t), rng.count / 3
+        assert rng.normals == 0
+    # the number of proposals a draw is geometric with success probability
+    # at least bound
+    se = math.sqrt((1.0 - bound) / n) / bound
+    assert 1.0 <= proposals / n <= 1.0 / bound + 4.0 * se
 
 
-def test_chain_taking_all_three_routes_matches_quadrature_moments():
-    # coordinate 0 moves between the Laplace envelope and the band as the
-    # strongly correlated coordinate 1 moves between the band and the
-    # Gaussian envelope
+def test_chain_taking_both_routes_matches_quadrature_moments():
+    # each coordinate's conditional crosses the switch point as the strongly
+    # correlated other coordinate moves
     cmat = np.array([[1.0, 0.9], [0.9, 1.0]])
-    w = np.array([0.2, 0.3])
+    w = np.array([0.26, 0.28])
     mu, tau = 0.25, 300.0
     prob = bn.PenalizedProblem(c=cmat, w=w, mu=mu, lam=0.0, tau=tau)
     ch = bn.run_gibbs(prob, np.zeros(2), sweeps=44_000, burn_in=0, seed=12)
@@ -443,8 +355,8 @@ def test_chain_taking_all_three_routes_matches_quadrature_moments():
         w[1] - cmat[1, 0] * xs[:, 0],
     ])
     t = np.sqrt(tau / np.diagonal(cmat)) * (np.abs(a) - mu)
-    shares = [np.mean(t >= _K), np.mean(t <= -_L), np.mean((-_L < t) & (t < _K))]
-    assert min(shares) > 0.1, shares
+    gaussian = np.mean(t >= _T, axis=0)
+    assert (gaussian > 0.1).all() and (gaussian < 0.9).all(), gaussian
     kept = xs[4_000:]
     mean_ref, cov_ref = helpers.grid_moments_2d(cmat, w, mu, tau)
     for j in range(2):

@@ -1,23 +1,19 @@
-"""Error-function kernels, truncated-normal sampling, RNG stream.
+"""Error-function kernels and the RNG stream.
 
-log_erfcx and the standard truncated-normal draw evaluate erfc and erfcx from
-scipy.special and the math module; the first tests hold scipy's to the
-independent oracles in helpers.  The sampler tests draw a one-sided normal the
-way the Gibbs draw does: shift and scale one standard lower-truncated draw.
+log_erfcx evaluates erfc and erfcx from scipy.special and the math module;
+the first tests hold scipy's to the independent oracles in helpers.
 """
 
 import math
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
 from bayonet import RngStream
-from bayonet.gibbs import _draw
-from bayonet.special import _std_lower_truncated, log_erfcx
+from bayonet.special import log_erfcx
 
 import helpers
 
@@ -106,100 +102,6 @@ def test_log_erfcx_branches_agree_at_switch():
     assert log_erfcx(x) == pytest.approx(direct, rel=1e-13)
     assert log_erfcx(x) == pytest.approx(shifted, rel=1e-13)
     assert log_erfcx(0.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# truncated-normal sampler
-
-
-def truncated(mean, sd, rng):
-    """N(mean, sd^2) restricted to x >= 0, drawn as gibbs._draw draws a side."""
-    return mean + sd * _std_lower_truncated(-mean / sd, rng)
-
-
-def test_truncated_sampler_far_from_boundary():
-    rng = RngStream(11)
-    sd = 1.0
-    draws = np.array([truncated(10.0, sd, rng) for _ in range(100_000)])
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - 10.0) < 3.0 * se
-
-
-def test_truncated_sampler_half_normal_mean():
-    rng = RngStream(12)
-    sd = 2.0
-    draws = np.array([truncated(0.0, sd, rng) for _ in range(100_000)])
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - sd * math.sqrt(2.0 / math.pi)) < 3.0 * se
-
-
-def test_truncated_sampler_sign_constraints():
-    # through the Gibbs draw, with its side forced by the first uniform: 0.0
-    # picks x >= 0 whenever that side has any weight, and the largest uniform
-    # below 1 picks x <= 0 here.  mean is the chosen side's untruncated mean.
-    rng = RngStream(13)
-    mu = 0.1
-    top = math.nextafter(1.0, 0.0)
-    for mean, sd, side in [(-4.0, 1.0, 1.0), (3.0, 0.5, -1.0), (0.0, 2.0, 1.0)]:
-        tau = 1.0 / (2.0 * sd * sd)  # with c = 1, so s = sqrt(tau)
-        a = mean + side * mu
-        first = 0.0 if side > 0.0 else top
-        draws = np.array([
-            _draw(1.0, a, mu, math.sqrt(tau), sd, helpers.FirstUniform(first, rng))
-            for _ in range(2000)
-        ])
-        assert np.all(np.copysign(1.0, draws) == side)
-
-
-@pytest.mark.parametrize("mean,sd", [(0.0, 1.0), (2.0, 0.5), (-3.0, 2.0)])
-def test_truncated_sampler_ks(mean, sd):
-    # KS test at significance 0.01 against the analytic truncated CDF
-    rng = RngStream(77)
-    draws = np.array([truncated(mean, sd, rng) for _ in range(10_000)])
-    dist = scipy.stats.truncnorm((0.0 - mean) / sd, np.inf, loc=mean, scale=sd)
-    res = scipy.stats.kstest(draws, dist.cdf)
-    assert res.pvalue > 0.01
-
-
-def test_truncated_sampler_deep_tail_finite():
-    # mean far inside the excluded region exercises the rejection branch
-    rng = RngStream(14)
-    draws = np.array([truncated(-30.0, 1.0, rng) for _ in range(500)])
-    assert np.all(draws >= 0.0)
-    assert np.all(np.isfinite(draws))
-    # conditional mass sits just above zero: E ~ 1/a for standard a=30
-    assert draws.mean() < 0.2
-
-
-@pytest.mark.parametrize("a", [9.0, 15.0])
-def test_truncated_sampler_tail_branch_ks(a):
-    # lower bounds past 8 take the shifted-exponential rejection branch; KS
-    # test at significance 0.01 against the analytic truncated CDF
-    rng = RngStream(78)
-    draws = np.array([_std_lower_truncated(a, rng) for _ in range(10_000)])
-    assert np.all(draws >= a)
-    res = scipy.stats.kstest(draws, scipy.stats.truncnorm(a, np.inf).cdf)
-    assert res.pvalue > 0.01
-
-
-class UniformOnly:
-    """A stream with nothing but uniform(), from a scalar Philox generator."""
-
-    def __init__(self, seed):
-        self._gen = np.random.Generator(np.random.Philox(seed))
-
-    def uniform(self):
-        return self._gen.random()
-
-
-def test_truncated_sampler_needs_only_uniforms():
-    # both branches draw through uniform() alone, and with the same uniforms
-    # a stub stream gives exactly the draws of an RngStream
-    for a in (-3.0, 0.0, 8.0, 8.5, 15.0, 40.0):
-        stub, rng = UniformOnly(5), RngStream(5)
-        got = [_std_lower_truncated(a, stub) for _ in range(200)]
-        assert got == [_std_lower_truncated(a, rng) for _ in range(200)]
-        assert min(got) >= a
 
 
 # ---------------------------------------------------------------------------
