@@ -10,10 +10,10 @@ there and in the stationary-point solver's Newton step; for wide designs
 determinant lemma) instead of a p x p one.  Neither route keeps a copy of
 the design, and both take the inverse diagonal from LAPACK dpotri.
 
-_cholesky is the package's only Cholesky: _CPlusD (every factored C + D, the
-zero-temperature active block and the ML solver's orthant solves) and
-PenalizedProblem's check of C call it.  The stationary-point solver's lanes solve their small C + D systems by
-one batched LU solve, no factor kept (_CPlusD.solve_stack).
+_cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
+the ML solver's orthant solves) and PenalizedProblem's check of C call it.
+The stationary-point solver's lanes solve their small C + D systems by one
+batched LU solve, no factor kept (_CPlusD.solve_stack).
 """
 
 import math
@@ -24,7 +24,6 @@ from scipy import linalg as sla
 
 from .errors import NotConverged, NumericalError, SingularMatrix
 
-_TRANSITION_TOL = 1e-8
 # widest C + D whose rows are solved by one batched LU solve: from p = 22 on,
 # with 5 rows, it costs more than a dpotrf and dpotrs call per row (1 BLAS
 # thread); with 13 or more rows it still wins at p = 32
@@ -232,38 +231,3 @@ def log_partition(problem, saddle):
     _check_saddle(problem, saddle)
     return _core(problem, saddle.x_tau, saddle.u_tau)[0]
 
-
-def log_partition_zero_temp(problem, ml):
-    """Infinite-tau limit of log Z from the penalized ML solution alone.
-
-    The active coordinates contribute a Gaussian block, the zero coordinates
-    a product of shifted two-sided exponentials evaluated at the limiting
-    dual vector, which is w - C x_hat by optimality.
-    Diagnostic only: the limit is discontinuous at l1 weights where a
-    coordinate sits exactly on its inclusion boundary, and such points are
-    rejected with a NumericalError rather than papered over.
-    """
-    if not ml.converged:
-        raise NotConverged(ml.cycles, "ML solution not converged")
-    x = ml.x_hat
-    u = problem.w - problem._matvec(x)
-    mu, tau = problem.mu, problem.tau
-    for j in range(problem.p):
-        if abs(x[j]) < _TRANSITION_TOL and mu - abs(u[j]) < _TRANSITION_TOL:
-            raise NumericalError(
-                f"coordinate {j} is at a transition point; "
-                "the zero-temperature formula is invalid here"
-            )
-    active = np.array(ml.active_set, dtype=int)
-    inactive = np.setdiff1d(np.arange(problem.p), active)
-    n_act = active.size
-    out = -(0.5 * n_act + inactive.size) * math.log(tau)
-    out -= 0.5 * n_act * math.log(2.0)
-    if n_act:
-        f = _CPlusD(problem._restrict(active), np.zeros(n_act))
-        v = problem.w[active] - mu * np.sign(u[active])
-        out += tau * float(v @ f.solve(v)) - 0.5 * f.log_det()
-    if inactive.size:
-        uz = u[inactive]
-        out += float(np.sum(np.log(mu / (mu * mu - uz * uz))))
-    return out

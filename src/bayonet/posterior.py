@@ -40,14 +40,10 @@ _AGREE = 1e-7
 
 @dataclass(frozen=True)
 class GridSpec:
-    """How to lay out a marginal-density grid.
+    """An explicit marginal-density grid: points, used verbatim (at least
+    2, finite and strictly ascending)."""
 
-    points, when given, is used verbatim (must be ascending).  Otherwise the
-    grid is 201 equally spaced values over the coordinate's posterior
-    location +/- 6 posterior standard deviations.
-    """
-
-    points: np.ndarray | None = None
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ def posterior_sd(problem, saddle):
 
 
 def _make_grid(spec, center, sd):
-    if spec is None or spec.points is None:
+    if spec is None:
         hw = _GRID_HALF_WIDTH_SDS * sd
         if 0.0 < hw < math.inf:
             grid = center + np.linspace(-hw, hw, _GRID_POINTS)
@@ -202,15 +198,16 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     With p = 1 the curve is the exact density on the grid.  saddle must be
     converged at problem's mu and tau (else NotConverged or ValueError) and
     tol positive and finite (else ValueError, before any solve); an inner
-    solve that exhausts its cycle budget raises NotConverged.  An
-    explicit grid_spec skips the posterior sds, which only lay out the
-    default grid; a default grid the sds cannot lay out raises
-    NumericalError.
+    solve that exhausts its cycle budget raises NotConverged.  With no
+    grid_spec the grid is 201 equally spaced values over the coordinate's
+    posterior location +/- 6 posterior standard deviations; a default grid
+    the sds cannot lay out raises NumericalError.  An explicit grid_spec
+    skips the posterior sds, which only lay out the default grid.
     """
     _positive("tol", tol)
     others, sub, c_col = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
-    explicit = grid_spec is not None and grid_spec.points is not None
+    explicit = grid_spec is not None
     sd = None if explicit else float(posterior_sd(problem, saddle)[j])
     grid = _make_grid(grid_spec, float(saddle.x_tau[j]), sd)
     log_dens = _own_terms(problem, j, grid)

@@ -1,10 +1,18 @@
 """Shared oracles and instance builders for the test suite.
 
-Everything here is coded independently of the library internals: brute-force
+The oracles are coded independently of the library internals: brute-force
 quadrature, series expansions, golden-section minimization, tensor-grid
-integration.  Tests compare the fast library routines against these.  The
-one exception is the Gibbs reference, the sampler's plain loop over its two
-envelopes, against which the flat sampler is held bit for bit.
+integration, the tau -> infinity limit of log Z in plain numpy
+(zero_temp_log_z) and a log Z at any p by thermodynamic integration over
+run_gibbs chains (ti_log_z).  Tests compare the fast library routines
+against these.
+
+Two references are not oracles: each is a plainer form of one library loop
+and reads its private names.  gibbs_reference is the sampler's plain loop
+over its two envelopes (gibbs._T), against which run_gibbs's flat loop is
+held bit for bit.  marginal_plain_walk is marginal_sp's walk without its
+tangent predictor or factor reuse (saddle._saddle_cd, partition._core),
+against which marginal_sp's curves are held within 1e-6 of the peak.
 """
 
 import math
@@ -135,6 +143,69 @@ def grid_moments_2d(cmat, w, mu, tau, m=900):
         ]
     )
     return np.array([mx, my]), cov
+
+
+# ---------------------------------------------------------------------------
+# log Z oracles at any p
+
+
+def zero_temp_log_z(problem, ml):
+    """tau -> infinity limit of log Z from the converged ML solution alone.
+
+    The active block A contributes a Gaussian integral around x_hat, whose
+    exponent is tau*v'C_AA^{-1}v with v = w_A - mu*sign(u_A); each zero
+    coordinate a two-sided exponential at the dual value u = w - C x_hat.
+    The limit is discontinuous where a zero coordinate has |u_j| = mu, so
+    a zero coordinate within 1e-8 of that point raises ValueError.
+    """
+    if not ml.converged:
+        raise ValueError("ML solution not converged")
+    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
+    x = ml.x_hat
+    u = w - c @ x
+    at_edge = np.flatnonzero((np.abs(x) < 1e-8) & (mu - np.abs(u) < 1e-8))
+    if at_edge.size:
+        raise ValueError(
+            f"coordinate {at_edge[0]} is at a transition point; "
+            "the zero-temperature formula is invalid here"
+        )
+    act = np.array(ml.active_set, dtype=int)
+    zero = np.setdiff1d(np.arange(problem.p), act)
+    out = -(0.5 * act.size + zero.size) * math.log(tau) - 0.5 * act.size * math.log(2.0)
+    if act.size:
+        c_aa = c[np.ix_(act, act)]
+        v = w[act] - mu * np.sign(u[act])
+        out += tau * float(v @ np.linalg.solve(c_aa, v)) - 0.5 * np.linalg.slogdet(c_aa)[1]
+    return out + float(np.sum(np.log(mu / (mu * mu - u[zero] ** 2))))
+
+
+def ti_log_z(problem, nodes=16, sweeps=6000, seed=0):
+    """log Z by thermodynamic integration along the off-diagonal of C;
+    returns (value, SE).
+
+    C(t) = diag(C) + t*O with O = C - diag(C) is positive definite for t in
+    [0, 1].  At t = 0 log Z is the sum of the one-coordinate closed forms,
+    and d log Z/dt = -tau E_t[x'Ox].  The derivative is integrated by
+    Gauss-Legendre nodes in t, each expectation taken from one run_gibbs
+    chain from zeros (seed + k at node k, default burn-in); the SE combines
+    the chains' batch-means SEs in quadrature with the node weights.
+    """
+    c, w, mu, tau = problem.c, problem.w, problem.mu, problem.tau
+    diag = np.diagonal(c)
+    off = c - np.diag(diag)
+    value = sum(
+        bn.log_z_exact(bn.OneDimProblem(float(cj), float(wj), mu, tau))
+        for cj, wj in zip(diag, w)
+    )
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    var = 0.0
+    for k, (tk, wk) in enumerate(zip((t + 1.0) / 2.0, weights / 2.0)):
+        at_t = bn.PenalizedProblem(c=np.diag(diag) + tk * off, w=w, mu=mu, lam=0.0, tau=tau)
+        x = bn.run_gibbs(at_t, np.zeros(problem.p), sweeps, seed=seed + k).samples
+        slope = -tau * np.einsum("ij,jk,ik->i", x, off, x)
+        value += wk * float(slope.mean())
+        var += (wk * float(batch_se(slope))) ** 2
+    return value, math.sqrt(var)
 
 
 def grid_marginal_2d(cmat, w, mu, tau, axis, eval_grid, m=900):

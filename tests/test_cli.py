@@ -648,17 +648,7 @@ def _overflow():
     _core(prob, np.full(5, 1e300), np.zeros(5))
 
 
-def _transition():
-    # at mu = max|w| the ML solution is zero and the largest |w_j| sits
-    # exactly on its inclusion boundary
-    from bayonet.partition import log_partition_zero_temp
-    std = helpers.random_standardized(44, 30, 5)
-    w = bn.build_problem(std, 0.05, 0.05, 100.0).w
-    prob = bn.build_problem(std, 0.05, bn.mu_max(w), 100.0)
-    log_partition_zero_temp(prob, bn.solve_ml(prob, tol=1e-12))
-
-
-# the classes that remain, then each raise site of the five one-site classes
+# the classes that remain, then each raise site of the four one-site classes
 # that were folded into NumericalError, under the old class's name
 _NUMERICAL = {
     "NotConverged": (_raise(bn.NotConverged), "no convergence after 7 cycles"),
@@ -668,7 +658,6 @@ _NUMERICAL = {
     "DegenerateDenominator": (_perfect_fit, "perfect fit with no penalty"),
     "NoAdmissibleRoot": (_no_interior_root, "a=nan cjj=1.0 .*no interior root"),
     "NumericalOverflow": (_overflow, "exponential term is inf"),
-    "TransitionValue": (_transition, r"coordinate \d+ is at a transition point"),
 }
 
 

@@ -1,7 +1,9 @@
 """Dataset standardization, problem assembly, cost evaluation, CSV parsing."""
 
+import copy
 import csv
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -211,6 +213,21 @@ def test_wide_problem_and_its_copies_never_hold_c():
     sub = prob._restrict(idx)
     assert sub.low_rank_factor is not None and sub.c.shape == (25, 25)
     assert np.max(np.abs(sub.c - full[np.ix_(idx, idx)])) < 1e-15
+
+
+def test_problem_attributes_and_copies_on_both_layouts():
+    # __getattr__ answers only a wide problem's c; copy and pickle read
+    # the fields alone, so a wide copy stores no c either
+    for p in (5, 60):
+        prob = bn.build_problem(helpers.random_standardized(3, 20, p), 0.1, 0.1, 10.0)
+        with pytest.raises(AttributeError, match="no_such_field"):
+            prob.no_such_field
+    assert prob.low_rank_factor is not None
+    for q in (copy.deepcopy(prob), pickle.loads(pickle.dumps(prob))):
+        assert "c" not in vars(q)
+        assert np.array_equal(q.low_rank_factor, prob.low_rank_factor)
+        assert np.array_equal(q.w, prob.w) and (q.mu, q.lam, q.tau) == (0.1, 0.1, 10.0)
+        assert np.array_equal(q.c, prob.c)
 
 
 def test_problem_equality_is_identity(monkeypatch):

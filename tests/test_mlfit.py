@@ -310,6 +310,24 @@ def test_inconsistent_first_solve_falls_back_to_sweeps(monkeypatch):
     assert _kkt_on_nonzeros(prob, x) <= 1e-14
 
 
+@pytest.mark.parametrize("seed,n,p", [(40, 60, 8), (42, 20, 120)], ids=["dense", "wide"])
+def test_orthant_solve_that_cannot_factor_falls_back_to_sweeps(seed, n, p, monkeypatch):
+    # every factor of C_AA fails: no orthant solve is kept, and the sweeps
+    # alone must reach the minimizer the solves reach
+    prob = _random_problem(seed, n, p)
+    prob = prob.with_mu(0.2 * bn.mu_max(prob.w))
+    ref = bn.solve_ml(prob, tol=1e-12)
+
+    def singular(*args):
+        raise bn.SingularMatrix("no factor")
+
+    monkeypatch.setattr(bn.mlfit, "_CPlusD", singular)
+    sol = bn.solve_ml(prob, tol=1e-12)
+    assert ref.converged and sol.converged and sol.cycles > ref.cycles
+    assert sol.active_set == ref.active_set
+    assert np.max(np.abs(sol.x_hat - ref.x_hat)) < 1e-9
+
+
 # designs with a zero coordinate j of their minimizer where the product
 # w - Cx and the sweep's rows can round |r_j| - mu to opposite signs: on the
 # first two a solver that checks a converged sweep's zeros against the

@@ -1,5 +1,5 @@
-"""Leading-order log-partition value, determinant routes, zero-temperature
-limit, observable numerators."""
+"""Leading-order log-partition value, determinant routes, observable
+numerators, and their tau -> infinity limit against helpers.zero_temp_log_z."""
 
 import math
 
@@ -14,7 +14,7 @@ from bayonet import (
     log_z_exact,
 )
 
-from bayonet.partition import _CPlusD, _core, log_partition_zero_temp
+from bayonet.partition import _CPlusD, _core
 
 import helpers
 
@@ -310,7 +310,7 @@ def test_zero_temp_all_inactive_closed_form():
     prob = base.with_mu(mu).with_tau(tau)
     ml = bn.solve_ml(prob, tol=1e-12)
     assert ml.active_set == ()
-    val = log_partition_zero_temp(prob, ml)
+    val = helpers.zero_temp_log_z(prob, ml)
     ref = -3.0 * math.log(tau) + float(
         np.sum(np.log(mu / (mu**2 - prob.w**2)))
     )
@@ -321,7 +321,7 @@ def test_zero_temp_one_dim_free_energy():
     c, w, mu, tau = 1.0, 0.5, 0.1, 1e6
     prob = one_dim_problem(c, w, mu, tau)
     ml = bn.solve_ml(prob, tol=1e-13)
-    val = log_partition_zero_temp(prob, ml)
+    val = helpers.zero_temp_log_z(prob, ml)
     assert abs(-val / tau - ml.h_min) < 1e-4
 
 
@@ -336,7 +336,7 @@ def test_zero_temp_meets_leading_order_when_inactive():
         ml = bn.solve_ml(prob, tol=1e-12)
         sad = bn.solve_saddle(prob, ml.x_hat, tol=1e-12)
         lp = log_partition(prob, sad)
-        lz0 = log_partition_zero_temp(prob, ml)
+        lz0 = helpers.zero_temp_log_z(prob, ml)
         assert abs(lp.log_z - lz0) < 0.1
 
 
@@ -348,8 +348,8 @@ def test_zero_temp_refuses_an_unconverged_ml_solution(monkeypatch):
     # disagree, so one cycle cannot converge
     ml = bn.solve_ml(prob, tol=1e-14, init=-np.sign(prob.w))
     assert not ml.converged
-    with pytest.raises(bn.NotConverged, match="ML solution not converged"):
-        log_partition_zero_temp(prob, ml)
+    with pytest.raises(ValueError, match="ML solution not converged"):
+        helpers.zero_temp_log_z(prob, ml)
 
 
 def test_zero_temp_transition_detected(near_transition):
@@ -358,5 +358,29 @@ def test_zero_temp_transition_detected(near_transition):
     prob = near_transition["problem"].with_mu(near_transition["mu_critical"])
     ml = bn.solve_ml(prob, tol=1e-12)
     coord = near_transition["coord"]
-    with pytest.raises(bn.NumericalError, match=f"^coordinate {coord} is at a transition point;"):
-        log_partition_zero_temp(prob, ml)
+    with pytest.raises(ValueError, match=f"^coordinate {coord} is at a transition point;"):
+        helpers.zero_temp_log_z(prob, ml)
+
+
+# ---------------------------------------------------------------------------
+# thermodynamic-integration oracle (helpers.ti_log_z)
+
+_TI_C = np.array([[0.6, 0.2], [0.2, 0.5]])
+_TI_W = np.array([0.3, 0.12])
+
+
+@pytest.mark.parametrize("tau", [1e2, 1e3, 1e4])
+def test_ti_log_z_meets_the_tensor_grid_at_p2(tau):
+    prob = bn.PenalizedProblem(c=_TI_C, w=_TI_W, mu=0.1, lam=0.0, tau=tau)
+    value, se = helpers.ti_log_z(prob)
+    assert se > 0.0
+    assert abs(value - helpers.grid_log_z_2d(_TI_C, _TI_W, 0.1, tau)) < 4.0 * se
+
+
+def test_ti_log_z_is_the_closed_form_sum_on_a_diagonal_c():
+    # with no off-diagonal the integrand is zero on every draw
+    c, w, mu, tau = np.array([0.6, 0.5, 1.2]), np.array([0.3, -0.12, 0.05]), 0.1, 1e3
+    prob = bn.PenalizedProblem(c=np.diag(c), w=w, mu=mu, lam=0.0, tau=tau)
+    value, se = helpers.ti_log_z(prob, nodes=4, sweeps=500)
+    assert se == 0.0
+    assert value == sum(log_z_exact(OneDimProblem(cj, wj, mu, tau)) for cj, wj in zip(c, w))

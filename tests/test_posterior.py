@@ -398,13 +398,15 @@ def test_marginal_explicit_grid(p5_suite):
 
 
 def test_marginal_rejects_single_point_grid(p5_suite):
-    with pytest.raises(ValueError, match="explicit grid needs at least 2 points"):
-        marginal_sp(
-            p5_suite["problem"],
-            p5_suite["saddle"],
-            0,
-            grid_spec=GridSpec(points=np.array([0.5])),
-        )
+    # a GridSpec always holds an explicit grid; no grid_spec is the default
+    for points in (np.array([0.5]), None):
+        with pytest.raises(ValueError, match="explicit grid needs at least 2 points"):
+            marginal_sp(
+                p5_suite["problem"],
+                p5_suite["saddle"],
+                0,
+                grid_spec=GridSpec(points=points),
+            )
 
 
 # a tol no inner solve can meet, or one every solve meets at once, is

@@ -2,9 +2,11 @@
 
 The tour is the public API, so every name it or its list of extras uses
 must be exported, every exported name must be named there, and both code
-blocks must run on a small design.
+blocks must run on a small design.  Every module-level function and class
+of the package is exported or used inside it.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -46,6 +48,39 @@ def test_every_export_is_named_in_readme():
     assert set(bn.__all__) == names
     assert len(bn.__all__) == len(names)
     assert [n for n in bn.__all__ if not hasattr(bn, n)] == []
+
+
+def _names_used(tree):
+    # every Name, Attribute and import alias in tree
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_library_definition_is_exported_or_used():
+    # a module-level function or class of the package is public, or some
+    # statement of the package other than its own definition names it; a
+    # method is out of scope (argparse calls cli._Parser.error)
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(Path(bn.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    used = [_names_used(stmt) for _, stmt in statements]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    unused = [
+        f"{module}.{stmt.name}"
+        for k, (module, stmt) in enumerate(statements)
+        if isinstance(stmt, defs) and stmt.name not in bn.__all__
+        and not any(stmt.name in names for i, names in enumerate(used) if i != k)
+    ]
+    assert unused == []
 
 
 def test_library_tour_runs():
