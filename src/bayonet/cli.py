@@ -42,6 +42,8 @@ from .posterior import (
 from .saddle import solve_saddle, tau_path
 
 
+_CSV_ROWS = 256  # rows formatted by one % call
+
 # the sampler flags' dests and defaults, in run_gibbs's argument order
 _SAMPLER = {"gibbs_sweeps": 10000, "burn_in": None, "thin": 1, "seed": 0}
 
@@ -254,13 +256,20 @@ def _write_csv(path, header, table):
     """The 2-D float array table as CSV under header, every number %.17g.
 
     Names are quoted as the csv module quotes them; no %.17g number needs
-    it.  nan and inf print as Python prints them.
+    it.  nan and inf print as Python prints them.  Rows are formatted
+    _CSV_ROWS at a time, one % call each, so no format string or argument
+    tuple grows with the table.
     """
     head = io.StringIO()
     csv.writer(head, lineterminator="\n").writerow(header)
-    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-    body = "".join(row.format(*values) for values in table.tolist())
-    _write_text(path, head.getvalue() + body)
+    rows, width = table.shape
+    row = ",".join(["%.17g"] * width) + "\n"
+    flat = table.ravel().tolist()
+    parts = [head.getvalue()]
+    for start in range(0, rows, _CSV_ROWS):
+        stop = min(start + _CSV_ROWS, rows)
+        parts.append((row * (stop - start)) % tuple(flat[start * width:stop * width]))
+    _write_text(path, "".join(parts))
 
 
 def _load_data(args):

@@ -75,6 +75,15 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
     burn_in defaults to 10% of sweeps.  Retained count is (sweeps -
     burn_in) // thin, and a chain that would retain nothing raises
     ValueError.
+
+    A draw costs under a microsecond, so call overhead counts: the
+    stream's uniform and normal are C-level methods, the switch point, exp,
+    log1p, abs and float are bound to local names, and each draw is stored
+    into x through a memoryview of it, at about half a numpy setitem's
+    cost, with the list mirror written alongside.  The per-draw dot stays
+    the row's own bound ndarray.dot: at p = 10 np.vdot, np.inner, @ and a
+    Python sum of products are all slower, and the last, like blocked
+    residual updates, rounds differently and so would change the chain.
     """
     if burn_in is None:
         burn_in = sweeps // 10
@@ -109,21 +118,23 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
         *(v.tolist() for v in scales),
     ))
     xs = x.tolist()
+    store = memoryview(x)
     keep = np.empty((kept, problem.p))
     k = 0
+    t_switch, exp, log1p, absolute, as_float = _T, _exp, _log1p, abs, float
     for sweep in range(1, sweeps + 1):
         v = start(x)
         for j, wj, dot, oj, cjj, sj, sdj, tcj in coords:
             xj = xs[j]
-            a = wj - float(dot(v)) + oj * xj
-            excess = abs(a) - mu
+            a = wj - as_float(dot(v)) + oj * xj
+            excess = absolute(a) - mu
             t = sj * excess
-            if t >= _T:
+            if t >= t_switch:
                 # Gaussian envelope, mirrored so that a's side is y >= 0
                 m = excess / cjj
                 while True:
                     y = m + sdj * normal()
-                    if y >= 0.0 or uniform() < _exp(four_tau_mu * y):
+                    if y >= 0.0 or uniform() < exp(four_tau_mu * y):
                         break
                 new = y if a > 0.0 else -y
             else:
@@ -132,13 +143,13 @@ def run_gibbs(problem, init, sweeps, burn_in=None, thin=1, seed=0):
                 side = (mu + a) / two_mu
                 while True:
                     if uniform() < side:
-                        new = -_log1p(-uniform()) / (two_tau * (mu - a))
+                        new = -log1p(-uniform()) / (two_tau * (mu - a))
                     else:
-                        new = _log1p(-uniform()) / (two_tau * (mu + a))
-                    if uniform() < _exp(-tcj * new * new):
+                        new = log1p(-uniform()) / (two_tau * (mu + a))
+                    if uniform() < exp(-tcj * new * new):
                         break
             if new != xj:
-                x[j] = xs[j] = new
+                store[j] = xs[j] = new
                 if move is not None:
                     move(j, new - xj)
         if sweep > burn_in and (sweep - burn_in) % thin == 0:

@@ -33,9 +33,11 @@ from .saddle import _saddle_cd
 _GRID_POINTS = 201
 _GRID_HALF_WIDTH_SDS = 6.0
 # nested Chebyshev-Lobatto levels for the inner log Z, and how closely two
-# levels' normalized densities must agree, relative to the peak (or 1e3 * tol)
+# levels' normalized densities must agree, relative to the peak (or 1e3 * tol,
+# or _ROUNDING times the largest log-density term, if either is wider)
 _LEVELS = (5, 9, 17, 33, 65)
 _AGREE = 1e-7
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,13 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     before, and put onto the grid by barycentric interpolation.  The curve
     is the first level whose normalized density agrees with the level
     before within max(1e-7, 1e3 * tol) of its peak, as node values are only
-    as accurate as tol.  When 65 nodes still disagree, or the grid has too
-    few points for two levels, V is solved at every grid point instead.
+    as accurate as tol, or within 4 * eps times the largest log-density
+    term on the grid, own or V, if that is wider.  A density is exp of its
+    log density less the peak's, so a few ulps of the log terms' size are
+    its relative rounding, whatever the inner tol: an inner log Z of 3.3e8
+    puts consecutive levels 1.1e-7 to 2.2e-7 of the peak apart.  When 65
+    nodes still disagree, or the grid has too few points for two levels, V
+    is solved at every grid point instead.
 
     Node sets and grid points are walked outward from the point nearest
     the posterior mean.  The first solve starts from the restriction of the
@@ -239,6 +246,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         levels = []
     fine = _lobatto(grid[0], grid[-1], _LEVELS[-1])
     agree = max(_AGREE, 1e3 * tol)
+    own_size = float(np.max(np.abs(log_dens)))
     curve = None
     for m in levels:
         nodes = fine[:: (fine.size - 1) // (m - 1)]
@@ -246,7 +254,8 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         prev, curve = curve, _curve(j, grid, log_dens + values)
         if prev is not None:
             gap = np.max(np.abs(curve.density - prev.density))
-            if gap <= agree * curve.density.max():
+            floor = _ROUNDING * max(own_size, float(np.max(np.abs(values))))
+            if gap <= max(agree, floor) * curve.density.max():
                 return curve
     return _curve(j, grid, log_dens + _walk(grid, center, seed, inner))
 

@@ -9,10 +9,18 @@ there; above 5 it is the log of scipy.special's erfcx, and below -25 the
 erfc reflection keeps the log from overflowing.  RngStream serves the
 Gibbs sampler's envelope draws, which read its normals as well as its
 uniforms, and the cross-validation folds, which read its permutation.
+
+A draw of the sampler reads about two values from the stream, so each value
+is served by a C-level call: uniform and normal are the __next__ methods of
+itertools chains over blocks that the generators fill on demand, one block
+read ahead at most.  The refills close over the generators' bound methods,
+not the stream, so a dropped stream is freed at once, with no reference
+cycle left for the cyclic collector.
 """
 
 import math
 import operator
+from itertools import chain
 
 import numpy as np
 from scipy import special as _sp
@@ -41,20 +49,23 @@ class RngStream:
     """Deterministic random stream; same seed, same draws, bit for bit.
 
     Thin wrapper over a counter-based generator (numpy Philox).  uniform()
-    serves Python floats from a block of _BLOCK doubles that one
-    Generator.random call fills, so its values are exactly those of
-    successive scalar Generator.random() calls; the generator itself runs up
-    to a block ahead of them.  normal() serves standard normals the same
-    way from a second generator, Philox on the same seed jumped by 2^128
-    draws, so reading normals leaves the uniforms, and uniform()'s promise,
-    as they were.  permutation()
-    draws from the uniforms' generator directly, so a stream that has never
-    served a uniform permutes exactly as a fresh Generator on the same
-    seed.  All three read numpy Generator streams, which numpy does not
-    promise across versions, so same seed, same draws holds for one numpy
-    version.  Each stream is meant to be owned by a single consumer;
-    concurrent samplers should each get their own stream with a distinct
-    seed.
+    serves Python floats from blocks of _BLOCK doubles, one Generator.random
+    call each, so its values are exactly those of successive scalar
+    Generator.random() calls; the generator itself runs up to a block ahead
+    of them.  normal() serves standard normals the same way from a second
+    generator, Philox on the same seed jumped by 2^128 draws, so reading
+    normals leaves the uniforms, and uniform()'s promise, as they were.
+    permutation() draws from the uniforms' generator directly, and no block
+    is drawn before the first value is asked for, so a stream that has never
+    served a uniform permutes exactly as a fresh Generator on the same seed.
+    uniform and normal are not Python methods but the C-level __next__ of
+    a chain over the blocks (_served), whose refill holds the generator's
+    bound method and not the stream, so no reference cycle keeps a dropped
+    stream, or its two blocks, waiting for the cyclic collector.  All three
+    read numpy Generator streams, which numpy does not promise across
+    versions, so same seed, same draws holds for one numpy version.  Each
+    stream is meant to be owned by a single consumer; concurrent samplers
+    should each get their own stream with a distinct seed.
     """
 
     def __init__(self, seed):
@@ -63,25 +74,18 @@ class RngStream:
             raise ValueError("seed must fit in 64 unsigned bits")
         self.seed = seed
         self._gen = np.random.Generator(np.random.Philox(seed))
-        self._buf = []  # the rest of the current block, next value last
-        self._normals = np.random.Generator(np.random.Philox(seed).jumped())
-        self._nbuf = []
-
-    def uniform(self):
-        """One U(0,1) variate, a Python float in [0, 1)."""
-        buf = self._buf
-        if not buf:
-            buf.extend(reversed(self._gen.random(_BLOCK).tolist()))
-        return buf.pop()
-
-    def normal(self):
-        """One N(0,1) variate, a Python float."""
-        buf = self._nbuf
-        if not buf:
-            buf.extend(reversed(self._normals.standard_normal(_BLOCK).tolist()))
-        return buf.pop()
+        normals = np.random.Generator(np.random.Philox(seed).jumped())
+        # uniform(): one U(0,1) variate, a Python float in [0, 1);
+        # normal(): one N(0,1) variate, a Python float
+        self.uniform = _served(self._gen.random)
+        self.normal = _served(normals.standard_normal)
 
     def permutation(self, n):
         """A uniformly random permutation of range(n)."""
         return self._gen.permutation(n)
 
+
+def _served(draw):
+    """The __next__ of a chain over the lists of draw(_BLOCK), each drawn
+    when the one before runs out: a value costs one C-level call."""
+    return chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__

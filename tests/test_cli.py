@@ -882,13 +882,28 @@ def test_json_writer_matches_indented_dumps(payload):
     elements=st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
 ))
 def test_csv_writer_matches_per_value_format(tmp_path_factory, table):
-    # one %.17g row format over table.tolist() writes the bytes of
-    # formatting every value by itself: nan, +-inf, -0 and subnormals too
+    # %.17g over blocks of rows writes the bytes of formatting every value
+    # by itself: nan, +-inf, -0 and subnormals too
     out = tmp_path_factory.mktemp("csv") / "t.csv"
     header = [f"c{k}" for k in range(table.shape[1])]
     cli._write_csv(out, header, table)
     body = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in table)
     assert out.read_bytes() == (",".join(header) + "\n" + body).encode()
+
+
+@pytest.mark.parametrize("rows", [1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1,
+                                  3 * cli._CSV_ROWS + 7])
+def test_csv_writer_blocks_keep_every_row(tmp_path, rows):
+    # rows are formatted a block at a time: a table that ends inside, at or
+    # just past a block boundary writes every row once, in order
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    table[0, :3] = [np.nan, -0.0, 5e-324]
+    table[-1, :] = [np.inf, -np.inf, 1e300]
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, ["a", "b", "c"], table)
+    body = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in table)
+    assert out.read_bytes() == ("a,b,c\n" + body).encode()
 
 
 # --- convergence --------------------------------------------------------

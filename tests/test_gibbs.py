@@ -88,6 +88,47 @@ def test_chain_matches_stored_reference():
     )
 
 
+def test_wide_chain_matches_stored_reference(monkeypatch):
+    # the wide route (p > n, residuals from the design's columns) as
+    # recorded: every draw moves its coordinate, so move keeps A x current
+    # 16,000 times, and both envelopes are taken, the Laplace one on every
+    # draw that reads no normal.  The pin holds for one numpy version
+    beta = [1.0, -0.8, 0.5] + [0.0] * 77
+    std = helpers.random_standardized(64, 30, 80, beta=beta, noise=0.5)
+    base = bn.build_problem(std, 0.1, 1.0, 50.0)
+    prob = base.with_mu(0.3 * bn.mu_max(base.w))
+    assert prob.low_rank_factor is not None
+    streams, moves = [], []
+    rule = bn.PenalizedProblem._partial_residuals
+
+    def counted_rule(self):
+        dots, own, start, move = rule(self)
+
+        def counted_move(j, dx):
+            moves.append(j)
+            move(j, dx)
+
+        return dots, own, start, counted_move
+
+    def stream(seed):
+        streams.append(CountingStream(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(bn.PenalizedProblem, "_partial_residuals", counted_rule)
+    monkeypatch.setattr(gibbs, "RngStream", stream)
+    ch = bn.run_gibbs(prob, np.zeros(80), 200, burn_in=20, thin=3, seed=13)
+    [rng] = streams
+    assert ch.samples.shape == (60, 80)
+    assert len(moves) == 200 * 80
+    assert 0 < rng.normals < 200 * 80
+    assert ch.samples[-1, :3].tolist() == [
+        0.3255628185192381, -0.2611676159240578, 0.020150360368234182
+    ]
+    assert hashlib.sha256(ch.samples.tobytes()).hexdigest() == (
+        "d111e6929b06f0c893ccb97c0666899f41e3f7b862deb21fab35c537b0873f2c"
+    )
+
+
 @pytest.mark.parametrize("tau", [1e308, 1.7e308])
 def test_chain_at_an_overflowing_tau_raises_numerical_error(tau):
     # tau/C_jj overflows, so s = inf and t = inf*0 is NaN at a = mu, where

@@ -282,6 +282,20 @@ def test_marginal_falls_back_to_the_grid_walk(request, monkeypatch):
         assert _within_gate(prob, sad, curve)
 
 
+def test_marginal_ladder_stops_at_the_rounding_floor(request, monkeypatch):
+    # at 1e4 x MAP tau the p5 inner log Z is 3.3e8, and its rounding puts
+    # consecutive levels 1.1e-7 to 2.2e-7 of the peak apart at any inner
+    # tol: with the fixed 1e-7 threshold coordinates 0 and 1 solved every
+    # grid point (263 solves each) and coordinate 2 took 33 nodes.  Levels
+    # that agree within 4 * eps of the log terms' size stop at 9 nodes
+    prob, sad = _gate_case(request, "p5_suite", 1e4)
+    solves = _recorded_solves(monkeypatch)
+    for j in range(5):
+        solves.clear()
+        marginal_sp(prob, sad, j)
+        assert len(solves) == 9
+
+
 @pytest.mark.parametrize("w1", [0.165, 0.18, 0.31])
 def test_marginal_sharp_inner_bend_between_coarse_nodes(monkeypatch, w1):
     # the inner coordinate crosses its transition, |w_1 - g C_10| = mu,

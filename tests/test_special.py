@@ -4,7 +4,9 @@ log_erfcx evaluates erfc and erfcx from scipy.special and the math module;
 the first tests hold scipy's to the independent oracles in helpers.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +149,25 @@ def test_rng_stream_permutation_matches_fresh_generator():
     perm = RngStream(0).permutation(442)
     ref = np.random.Generator(np.random.Philox(0)).permutation(442)
     assert np.array_equal(perm, ref)
+
+
+def test_rng_stream_is_freed_without_the_cyclic_collector():
+    # a stream that has served uniforms and normals, across refills of both
+    # blocks, holds no reference to itself: dropping it frees it, and its
+    # two blocks, with the cyclic collector off
+    stream = RngStream(3)
+    for _ in range(1500):
+        stream.uniform()
+        stream.normal()
+    ref = weakref.ref(stream)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del stream
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rng_stream_seeds_diverge():
