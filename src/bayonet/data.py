@@ -163,7 +163,7 @@ class PenalizedProblem:
     keeps the standardized design A in low_rank_factor and forms no C:
     C = A'A/(2n) + lam*I (lam > 0) is positive definite by construction,
     the solvers read it through the private accessors (_matvec, _quad,
-    _col, _diag, _restrict and the coordinate loops' _partial_residuals)
+    _diag, _restrict and the coordinate loops' _partial_residuals)
     at O(np) or less, and partition reduces determinants of C + diagonal
     to an n x n computation; no other module reads the layout.  problem.c
     stays readable: on such a problem it is built by that expression on
@@ -251,15 +251,6 @@ class PenalizedProblem:
             return x @ self.c @ x
         s = f @ x
         return s @ s / (2.0 * f.shape[0]) + self.lam * (x @ x)
-
-    def _col(self, j):
-        """Column j of C."""
-        f = self.low_rank_factor
-        if f is None:
-            return self.c[:, j]
-        col = f.T @ f[:, j] / (2.0 * f.shape[0])
-        col[j] += self.lam
-        return col
 
     def _partial_residuals(self):
         """(dots, own, start, move): the one rule by which a coordinate loop
@@ -381,21 +372,6 @@ def _check_init(problem, init, rows=None):
     return init
 
 
-def _cell_error(header, row, lineno):
-    # the ParseError of a row that float() refused: a missing or a
-    # non-numeric cell (float strips the same whitespace str.strip does)
-    for name, cell in zip(header, row):
-        cell = cell.strip()
-        if not cell:
-            return ParseError(f"line {lineno}: missing value in {name!r}")
-        try:
-            float(cell)
-        except ValueError:
-            return ParseError(
-                f"line {lineno}: non-numeric value {cell!r} in {name!r}"
-            )
-
-
 def _rows_table(reader, header):
     """The per-row reader: the body row by row, through float().
 
@@ -410,10 +386,15 @@ def _rows_table(reader, header):
             raise ParseError(
                 f"line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
-        try:
-            values = list(map(float, row))
-        except ValueError:
-            raise _cell_error(header, row, lineno) from None
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                # float strips the same whitespace str.strip does
+                cell = cell.strip()
+                what = f"non-numeric value {cell!r}" if cell else "missing value"
+                raise ParseError(f"line {lineno}: {what} in {name!r}") from None
         if not all(map(math.isfinite, values)):
             raise ParseError(f"line {lineno}: non-finite value")
         rows.append(values)
@@ -461,7 +442,7 @@ def load_csv(path, response_column):
             if len(set(header)) != len(header):
                 raise ParseError("line 1: duplicate column names")
             try:
-                y_col = header.index(response_column)
+                y_index = header.index(response_column)
             except ValueError:
                 raise ParseError(
                     f"line 1: response column {response_column!r} not found"
@@ -480,6 +461,6 @@ def load_csv(path, response_column):
     if table.shape[0] < 2:
         raise ParseError("need at least 2 data rows")
     mask = np.ones(len(header), dtype=bool)
-    mask[y_col] = False
+    mask[y_index] = False
     names = [h for h, m in zip(header, mask) if m]
-    return Dataset(responses=table[:, y_col], predictors=table[:, mask]), names
+    return Dataset(responses=table[:, y_index], predictors=table[:, mask]), names

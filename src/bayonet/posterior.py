@@ -160,11 +160,14 @@ def _barycentric(nodes, values, x):
 
 
 def _fix_coordinate(problem, j):
-    # the other coordinates, the problem on them and their column of C
+    # the other coordinates, the problem on them and their entries of column
+    # j of C, read as C e_j: every other term of that product is an exact 0
     if not 0 <= j < problem.p:
         raise ValueError(f"coordinate {j} out of range")
     others = np.delete(np.arange(problem.p), j)
-    return others, problem._restrict(others), problem._col(j)[others]
+    unit = np.zeros(problem.p)
+    unit[j] = 1.0
+    return others, problem._restrict(others), problem._matvec(unit)[others]
 
 
 def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
@@ -199,8 +202,9 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     polished solution.  (The polish step's own factor predates the step;
     log dets taken from it put near-transition curves at 100 and 1e4 x MAP
     tau 3e-6 to 8e-6 of the peak off.)  The inner problems are
-    restrictions of problem (PenalizedProblem._restrict), so those still
-    wider than n keep the n x n determinant route.
+    restrictions of problem (PenalizedProblem._restrict) and C[:, j] is
+    _matvec of the unit vector e_j, so those still wider than n form no C
+    and keep the n x n determinant route.
 
     With p = 1 the curve is the exact density on the grid.  saddle must be
     converged at problem's mu and tau (else NotConverged or ValueError) and
@@ -212,7 +216,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
     skips the posterior sds, which only lay out the default grid.
     """
     _positive("tol", tol)
-    others, sub, c_col = _fix_coordinate(problem, j)
+    others, sub, c_j = _fix_coordinate(problem, j)
     _check_saddle(problem, saddle)
     explicit = grid_spec is not None
     sd = None if explicit else float(posterior_sd(problem, saddle)[j])
@@ -228,7 +232,7 @@ def marginal_sp(problem, saddle, j, grid_spec=None, tol=1e-10):
         if g in solved:
             return solved[g]
         x, c_plus_d, w_prev = state
-        at_g = sub._replace(w=sub.w - g * c_col)
+        at_g = sub._replace(w=sub.w - g * c_j)
         if c_plus_d is not None:
             x = x + c_plus_d.solve(at_g.w - w_prev)
         [sol] = _saddle_cd(at_g, x, tol)
@@ -271,14 +275,14 @@ def marginal_ml_approx(problem, ml, j, grid_spec=None, tol=1e-10):
     density on the grid.  tol must be positive and finite (else ValueError).
     """
     _positive("tol", tol)
-    others, sub, c_col = _fix_coordinate(problem, j)
+    others, sub, c_j = _fix_coordinate(problem, j)
     if not ml.converged:
         raise NotConverged(ml.cycles, "ML solution not converged")
     sd = 1.0 / math.sqrt(2.0 * problem.tau * problem._diag[j])
     grid = _make_grid(grid_spec, float(ml.x_hat[j]), sd)
 
     def inner(g, x_prev):
-        at_g = sub._replace(w=sub.w - g * c_col)
+        at_g = sub._replace(w=sub.w - g * c_j)
         x_in, cycles, ok = _ml_cd(at_g, x_prev, tol)
         if not ok:
             raise NotConverged(

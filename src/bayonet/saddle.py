@@ -41,8 +41,9 @@ box while lowering the residual, as from a warm start outside it).  A solve has
 converged only with every |u_j| < mu and every b_j > 0, as at every
 stationary point.  The iterate is x throughout (never u), which avoids
 forming C^{-1}.  The private solvers take the PenalizedProblem whole and
-read C through its accessors and one partial-residual rule, so a wide
-problem's C is never formed; the layout is read in data and partition only.
+read C through its accessors (_diag, _matvec) and one partial-residual
+rule, so a wide problem's C is never formed; the layout is read in data
+and partition only.
 """
 
 import math

@@ -270,7 +270,6 @@ def test_wide_accessors_match_the_dense_matrix():
     for got, want in (
         (wide._diag, dense._diag),
         (wide._matvec(x), dense._matvec(x)),
-        (wide._col(5), dense._col(5)),
         (wide._restrict(idx).c, dense._restrict(idx).c),
         (wide._quad(x), dense._quad(x)),
         (_partials_along(wide, x, y), _partials_along(dense, x, y)),

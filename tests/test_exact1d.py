@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from bayonet import (
     OneDimProblem,
@@ -103,6 +104,36 @@ def test_expectation_strictly_increasing_in_w():
         for w in np.linspace(-2.0, 2.0, 41)
     ]
     assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("tau", [1e2, 1e4, 1e6])
+def test_sign_mass_and_mean_agree_with_density_and_log_z(tau):
+    # the sign mass, the mean, the density and log Z read one set of
+    # half-line logs; a slip of side or sign in them for w < 0, w = 0 or
+    # w > 0 puts these identities off.  The sign mass is the density's
+    # integral over x >= 0, whose upper limit covers 40 sds past the mean
+    # and 40 decay lengths 1/(tau mu) of the l1 side; the mean is
+    # (1/2tau) d log Z / dw, by central difference
+    c, mu, h = 0.6, 0.1, 1e-7
+    sd = 1.0 / math.sqrt(2.0 * tau * c)
+    for w in (-0.5, -0.1, -0.02, 0.0, 0.02, 0.1, 0.5):
+        p = OneDimProblem(c=c, w=w, mu=mu, tau=tau)
+        m = expectation_exact(p)
+        hi = max(m, 0.0) + 40.0 * sd + 40.0 / (tau * mu)
+        mass, _ = integrate.quad(
+            lambda x: density_exact(p, x),
+            0.0,
+            hi,
+            points=[m] if 0.0 < m < hi else None,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=200,
+        )
+        assert prob_nonnegative(p) == pytest.approx(mass, abs=1e-12), w
+        lp = log_z_exact(OneDimProblem(c=c, w=w + h, mu=mu, tau=tau))
+        lm = log_z_exact(OneDimProblem(c=c, w=w - h, mu=mu, tau=tau))
+        fd = (lp - lm) / (2.0 * h) / (2.0 * tau)
+        assert m == pytest.approx(fd, abs=1e-5 * sd), w
 
 
 def test_density_normalizes():
