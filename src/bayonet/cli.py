@@ -207,7 +207,17 @@ def _write_text(path, text):
         sys.stdout.buffer.write(text.encode("utf-8"))
         sys.stdout.buffer.flush()
         return
-    path = os.path.abspath(path)
+    # an error from the temporary file names the path given, not the
+    # temporary file's random name, so the message is the same every run
+    try:
+        _replace_with(os.path.abspath(path), text)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _replace_with(path, text):
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path), prefix="." + os.path.basename(path) + "."
     )

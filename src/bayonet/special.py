@@ -5,10 +5,14 @@ expressed through the scaled complementary error function erfcx(x) =
 exp(x^2) erfc(x), and every caller needs its logarithm, so log_erfcx is the
 one special function the rest of the package imports.  On [-25, 5] it is
 x^2 + log(erfc(x)) from the math module, which keeps full relative accuracy
-there; above 5 it is the log of scipy.special's erfcx, and below -25 the
-erfc reflection keeps the log from overflowing.  RngStream serves the
-Gibbs sampler's envelope draws, which read its normals as well as its
-uniforms, and the cross-validation folds, which read its permutation.
+there; below -25 the erfc reflection, again with math.erfc, keeps the log
+from overflowing; above 5 it is the log of scipy.special's erfcx.  That
+branch is the only reader of scipy.special, and it imports erfcx on its
+first call: only the exact 1-D oracle (exact1d) calls log_erfcx, no CLI verb
+does, so no verb's process pays the time and memory of importing
+scipy.special.  RngStream serves the Gibbs sampler's envelope draws, which
+read its normals as well as its uniforms, and the cross-validation folds,
+which read its permutation.
 
 A draw of the sampler reads about two values from the stream, so each value
 is served by a C-level call: uniform and normal are the __next__ methods of
@@ -23,7 +27,6 @@ import operator
 from itertools import chain
 
 import numpy as np
-from scipy import special as _sp
 
 _BLOCK = 1024  # uniforms or normals drawn from a generator per refill
 
@@ -34,15 +37,20 @@ def log_erfcx(x):
     On [-25, 5] this is x^2 + log(erfc(x)) with math.erfc, whose relative
     accuracy carries over to the sum (within ~2e-15 of a 50-digit
     reference).  Above 5, erfc heads for underflow and the sum cancels, so
-    scipy's erfcx is used; below -25 the direct log of erfcx would overflow
-    (it grows like 2*exp(x^2)), so the identity erfcx(x) = exp(x^2)*(2 -
-    erfc(-x)) is used there.
+    scipy.special's erfcx is used, imported here on the first such call so
+    that a process that never evaluates this branch never loads
+    scipy.special; below -25 the direct log of erfcx would overflow (it grows
+    like 2*exp(x^2)), so the identity erfcx(x) = exp(x^2)*(2 - erfc(-x)) is
+    used there, with math.erfc (2 - erfc(-x) rounds to 2.0 there whichever
+    erfc is used).
     """
     if x > 5.0:
-        return math.log(_sp.erfcx(x))
+        from scipy.special import erfcx
+
+        return math.log(erfcx(x))
     if x >= -25.0:
         return x * x + math.log(math.erfc(x))
-    return x * x + math.log(2.0 - _sp.erfc(-x))
+    return x * x + math.log(2.0 - math.erfc(-x))
 
 
 class RngStream:

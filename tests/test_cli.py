@@ -231,6 +231,27 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert out.is_dir() and not list(tmp_path.glob(".fit.json.*"))
 
 
+def test_write_errors_name_the_path_given(tmp_path, capsys):
+    # the error names --out as given, not the temporary file's random name,
+    # so two identical failing runs print the same message
+    csv = make_csv(tmp_path)
+    (tmp_path / "fit.json").mkdir()
+    cases = [
+        (tmp_path / "nope" / "o.json", "[Errno 2] No such file or directory"),
+        (tmp_path / "fit.json", "[Errno 21] Is a directory"),
+    ]
+    for out, reason in cases:
+        errs = []
+        for _ in range(2):
+            code, cap = run(["fit", csv, "--response", "y", "--mu", "0.1",
+                             "--tau", "10", "--out", out], capsys)
+            assert code == 2
+            errs.append(cap.err)
+        assert errs == [f"error: {reason}: '{out}'\n"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "fit.json"]
+    assert not list((tmp_path / "fit.json").iterdir())
+
+
 def test_failed_rename_and_cleanup_exit_2_with_the_rename_error(tmp_path, capsys,
                                                               monkeypatch):
     # the temporary file cannot be removed either: the rename's error is
@@ -610,6 +631,43 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         )
         assert code == fresh.returncode == want
         assert (cap.out, cap.err) == (fresh.stdout, fresh.stderr)
+
+
+_COLD_START = """
+import json, sys
+import numpy, scipy.linalg
+baseline = "scipy.special" in sys.modules
+from bayonet.cli import main
+csv, out = sys.argv[1], sys.argv[2]
+common = [csv, "--response", "y"]
+requests = [
+    ["fit", *common, "--mu", "0.1", "--tau", "10"],
+    ["maptau", *common, "--mu", "0.1"],
+    ["marginal", *common, "--mu", "0.1", "--tau", "10", "--coords", "all",
+     "--gibbs", "--gibbs-sweeps", "300"],
+    ["gibbs", *common, "--mu", "0.1", "--tau", "10", "--gibbs-sweeps", "300"],
+    ["cv", *common, "--folds", "3"],
+    ["convergence", *common, "--mu", "0.1"],
+]
+codes = [main([*argv, "--out", f"{out}_{k}"]) for k, argv in enumerate(requests)]
+print(json.dumps([baseline, "scipy.special" in sys.modules, codes]))
+"""
+
+
+def test_no_verb_loads_scipy_special(tmp_path):
+    # scipy.special's only reader is log_erfcx above 5, which no verb
+    # evaluates; a process that runs all six verbs loads it only where
+    # numpy and scipy.linalg alone already do (some scipy versions may)
+    env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _COLD_START,
+         str(make_csv(tmp_path)), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    baseline, loaded, codes = json.loads(proc.stdout)
+    assert codes == [0] * 6
+    assert loaded <= baseline
 
 
 def _raise(cls):

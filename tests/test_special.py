@@ -1,12 +1,19 @@
 """Error-function kernels and the RNG stream.
 
-log_erfcx evaluates erfc and erfcx from scipy.special and the math module;
-the first tests hold scipy's to the independent oracles in helpers.
+log_erfcx evaluates erfc from the math module on both branches at or below
+5, and erfcx from scipy.special above 5, which it imports on its first such
+call; the first tests hold scipy's erfc and erfcx to the independent
+oracles in helpers, and the bit-identity tests hold each branch to the
+formula it evaluates, with scipy's functions in place of math.erfc.
 """
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
+import bayonet
 from bayonet import RngStream
 from bayonet.special import log_erfcx
 
@@ -104,6 +112,48 @@ def test_log_erfcx_branches_agree_at_switch():
     assert log_erfcx(x) == pytest.approx(direct, rel=1e-13)
     assert log_erfcx(x) == pytest.approx(shifted, rel=1e-13)
     assert log_erfcx(0.0) == 0.0
+
+
+def _above_5():
+    # the switch point and 10,000 seeded points log-uniform on (5, 5e12)
+    rng = np.random.default_rng(11)
+    xs = 5.0 * 10.0 ** rng.uniform(1e-9, 12.0, 10_000)
+    return [math.nextafter(5.0, math.inf), *xs.tolist()]
+
+
+def _below_minus_25():
+    # the switch point and 10,000 seeded points log-uniform on (-1e6, -25)
+    rng = np.random.default_rng(12)
+    xs = -25.0 - 10.0 ** rng.uniform(-9.0, 6.0, 10_000)
+    return [math.nextafter(-25.0, -math.inf), *xs.tolist()]
+
+
+def test_log_erfcx_above_5_is_the_log_of_scipys_erfcx():
+    xs = _above_5()
+    assert min(xs) > 5.0
+    assert [log_erfcx(x) for x in xs] == [math.log(erfcx(x)) for x in xs]
+
+
+def test_log_erfcx_below_minus_25_is_bit_identical_to_scipys_erfc():
+    # 2 - erfc(-x) rounds to 2.0 there with either library's erfc
+    xs = _below_minus_25()
+    assert max(xs) < -25.0
+    got = [log_erfcx(x) for x in xs]
+    assert got == [x * x + math.log(2.0 - erfc(-x)) for x in xs]
+
+
+def test_log_erfcx_first_call_above_5_in_a_fresh_process():
+    # the first call above 5 imports scipy.special's erfcx; what it returns
+    # is what this process, which has it loaded, computes
+    xs = [math.nextafter(5.0, math.inf), 30.0]
+    env = dict(os.environ, PYTHONPATH=str(Path(bayonet.__file__).parents[1]))
+    code = ("import sys; from bayonet.special import log_erfcx; "
+            "print([log_erfcx(float.fromhex(a)) for a in sys.argv[1:]])")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, *(x.hex() for x in xs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == f"{[log_erfcx(x) for x in xs]}\n"
 
 
 # ---------------------------------------------------------------------------
