@@ -233,13 +233,20 @@ def _replace_with(path, text):
         raise
 
 
+@functools.lru_cache(maxsize=None)
+def _list_encoder(inner):
+    # the C encoder of a flat list whose items are indented by inner
+    return json.JSONEncoder(separators=(",\n" + inner, ": "))
+
+
 def _json_text(obj, indent=""):
     """json.dumps(obj, indent=2) for a _jsonify'd obj, in C where it can be.
 
     indent makes json run its pure-Python encoder.  A list holding no list
     or dict is written in one call of the C encoder, with the newline and
     indentation as its item separator; dicts and nested lists are laid out
-    here, their keys and scalars written by json.dumps.
+    here, their keys and scalars written by json.dumps.  Each indentation
+    level's flat lists share one encoder.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -253,7 +260,7 @@ def _json_text(obj, indent=""):
         if any(isinstance(v, (list, dict)) for v in obj):
             body = ",\n".join(inner + _json_text(v, inner) for v in obj)
         else:
-            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            body = inner + _list_encoder(inner).encode(obj)[1:-1]
         return "[\n" + body + "\n" + indent + "]"
     return json.dumps(obj)
 

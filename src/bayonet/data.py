@@ -36,6 +36,9 @@ def _positive(name, values):
     """values, a number or a 1-D sequence of numbers, as a new 1-D float array;
     ValueError unless nonempty and all positive and finite.  The one check of
     mu, tau, tol, their grids and the wide route's lam."""
+    if isinstance(values, float) and 0.0 < values < math.inf:
+        # the solvers' own scalars, already valid: no round trip to check
+        return np.array([values])
     a = np.asarray(values)
     if a.ndim > 1 or a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a number or a 1-D sequence of numbers")

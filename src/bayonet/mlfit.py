@@ -185,7 +185,7 @@ def solve_ml(problem, tol=1e-10, init=None):
     x, cycles, ok = _ml_cd(problem, init, tol)
     return MlSolution(
         x_hat=x,
-        active_set=tuple(int(j) for j in np.nonzero(x)[0]),
+        active_set=tuple(np.flatnonzero(x).tolist()),
         h_min=_cost(problem, x),
         cycles=cycles,
         converged=ok,

@@ -116,9 +116,11 @@ class _CPlusD:
         rows, p = ok.nonzero()[0], problem.p
         if rows.size >= 2 and p <= _STACK_MAX_P and problem.low_rank_factor is None:
             er = e[rows]
-            valid = ((er >= 0.0) & (er < math.inf)).all(axis=1)
-            ok[rows[~valid]] = False
-            rows, er = rows[valid], er[valid]
+            # a NaN fails both tests
+            if not (er.min() >= 0.0 and er.max() < math.inf):
+                valid = ((er >= 0.0) & (er < math.inf)).all(axis=1)
+                ok[rows[~valid]] = False
+                rows, er = rows[valid], er[valid]
             matrix = np.empty((rows.size, p, p))
             matrix[:] = problem.c
             matrix.reshape(rows.size, p * p)[:, :: p + 1] += er

@@ -57,6 +57,9 @@ from .partition import _CPlusD
 
 _MIN_STEP = 1e-4
 _MAX_CYCLES = 2000
+# a live lane that has met the residual test in this many cycles leaves
+# unconverged: its u cannot get strictly inside the box in floats
+_STALL_CYCLES = 32
 _BRACKET_STEPS = 200
 
 
@@ -237,59 +240,79 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     iterate, kept only if it lowers the residual, and the lane leaves with
     cycles set to that cycle's number, so cycles >= 1.  Lane k keeps row k
     of the stacked arrays throughout, and one mask tells the live lanes; a
-    lane that leaves clears its bit, and its row, which its SaddleSolution's
-    x_tau and u_tau view, is never written again.  Lanes run independently
-    of each other: up to the rounding of the products and factorizations
-    they share, each one's iterates are those it would take alone.  A lane
-    still live after _MAX_CYCLES cycles returns converged=False and
-    cycles = _MAX_CYCLES.  A doomed lane, one whose mu * mu or 1 / tau is
-    not a finite float, has no x with a finite residual: it returns its
-    start unconverged with cycles = 0, before the first cycle.
+    lane that leaves clears its bit and has its exit cycle and converged
+    flag recorded, and its rows of x, u and res are never written again.
+    Every lane's SaddleSolution is built when the call returns, its x_tau
+    and u_tau views of its rows.  Lanes run independently of each other: up
+    to the rounding of the products and factorizations they share, each
+    one's iterates are those it would take alone.  A lane still live after
+    _MAX_CYCLES cycles returns converged=False and cycles = _MAX_CYCLES.  A
+    doomed lane, one whose mu * mu or 1 / tau is not a finite float, has no
+    x with a finite residual: it returns its start unconverged with
+    cycles = 0, before the first cycle.
     """
     if taus is None:
         taus, mus = [problem.tau], [problem.mu]
     taus = np.array(taus, dtype=float)
-    tols = tol * np.maximum(1.0, 1.0 / taus)
     tau, mu = taus[:, None], np.array(mus, dtype=float)[:, None]
-    x = np.empty((taus.size, problem.p))
+    inv_tau = 1.0 / tau
+    tols = tol * np.maximum(1.0, inv_tau[:, 0])
+    x = np.empty((taus.size, problem.p), order="F")
     x[:] = x0
     u = problem.w - problem._matvec(x)
     live = np.ones(taus.size, dtype=bool)
-    out = [None] * taus.size
-
-    def leave(gone, cycles, ok):
-        # the lanes in gone leave as they are; False once none is live
-        for k in gone.nonzero()[0]:
-            out[k] = SaddleSolution(
-                u_tau=u[k], x_tau=x[k], mu=float(mu[k, 0]), tau=float(tau[k, 0]),
-                cycles=cycles, residual=float(res[k]), converged=ok,
-            )
-        live[gone] = False
-        return live.any()
+    # each lane's exit cycle and converged flag, set as it leaves, and the
+    # number of cycles in which it met the residual test
+    exit_cycle = np.full(taus.size, _MAX_CYCLES)
+    converged = np.zeros(taus.size, dtype=bool)
+    met = np.zeros(taus.size, dtype=int)
 
     # the Newton steps' discarded trial values may overflow or divide by
     # zero, and so may every residual of a doomed lane
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         res = _residual(x, u, mu, tau)
-        doomed = ~(np.isfinite(mu * mu) & np.isfinite(1.0 / tau))[:, 0]
-        if doomed.any() and not leave(doomed, 0, False):
-            return out
+        doomed = ~(np.isfinite(mu * mu) & np.isfinite(inv_tau))[:, 0]
+        exit_cycle[doomed] = 0
+        live ^= doomed
         for cycles in range(1, _MAX_CYCLES + 1):
-            b = 2.0 * u * x + 1.0 / tau
+            if not live.any():
+                break
+            b = 2.0 * u * x + inv_tau
             done = live & (res < tols)
             exits = done.any()
             if exits:
-                inside = (np.abs(u) < mu).all(axis=1)
-                done &= inside & (b > 0.0).all(axis=1)
+                met += done
+                done &= ((np.abs(u) < mu) & (b > 0.0)).all(axis=1)
                 exits = done.any()
             moved = _newton_step(problem, x, u, b, res, tau, mu, live)
             # done and moved are live: the rest of the live lanes sweep
             for k in (live ^ (done | moved)).nonzero()[0]:
                 at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k])
-            if exits and not leave(done, cycles, True):
-                return out
-    leave(live, _MAX_CYCLES, False)
+            if exits:
+                exit_cycle[done] = cycles
+                converged |= done
+                live ^= done
+            if cycles >= _STALL_CYCLES:
+                stalled = live & (met >= _STALL_CYCLES)
+                exit_cycle[stalled] = cycles
+                live ^= stalled
+    return _solutions(u, np.ascontiguousarray(x), mu[:, 0], taus, exit_cycle, res, converged)
+
+
+def _solutions(u, x, mus, taus, cycles, res, converged):
+    """One SaddleSolution per row, its x_tau and u_tau views of the row.
+
+    The scalars come from one tolist() of each array, and each object is
+    made as PenalizedProblem._replace makes its copies, by object.__new__
+    and its __dict__, without the frozen __init__'s per-field __setattr__.
+    """
+    out = []
+    for uk, xk, m, t, c, r, ok in zip(u, x, mus.tolist(), taus.tolist(), cycles.tolist(),
+                                      res.tolist(), converged.tolist()):
+        sol = object.__new__(SaddleSolution)
+        sol.__dict__.update(u_tau=uk, x_tau=xk, mu=m, tau=t, cycles=c, residual=r, converged=ok)
+        out.append(sol)
     return out
 
 
