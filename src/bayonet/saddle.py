@@ -241,15 +241,25 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     cycles set to that cycle's number, so cycles >= 1.  Lane k keeps row k
     of the stacked arrays throughout, and one mask tells the live lanes; a
     lane that leaves clears its bit and has its exit cycle and converged
-    flag recorded, and its rows of x, u and res are never written again.
-    Every lane's SaddleSolution is built when the call returns, its x_tau
-    and u_tau views of its rows.  Lanes run independently of each other: up
-    to the rounding of the products and factorizations they share, each
-    one's iterates are those it would take alone.  A lane still live after
-    _MAX_CYCLES cycles returns converged=False and cycles = _MAX_CYCLES.  A
+    flag recorded in two arrays, and its rows of x, u and res are never
+    written again.  Every lane's SaddleSolution is built once, when the call
+    returns, from those arrays and its rows.  The stacks are column-major
+    (a coordinate's lanes contiguous), so the per-lane reductions and the
+    (lanes, 1) columns of tau and mu run over contiguous memory.  Lanes run
+    independently of each other: up to the rounding of the products and
+    factorizations they share, each one's iterates are those it would take
+    alone.
+
+    A lane still live after _MAX_CYCLES cycles returns converged=False and
+    cycles = _MAX_CYCLES.  So does, at the cycle it is found, a lane that
+    has met the residual test in _STALL_CYCLES cycles without leaving: at a
+    tau so large that the root's |u_j| lies within rounding of mu, no float
+    u is strictly inside the box, the Newton step cannot move and the sweeps
+    move x by ulps.  A start outside the box that the sweeps bring inside
+    meets the residual test while outside it in a cycle or two at most.  A
     doomed lane, one whose mu * mu or 1 / tau is not a finite float, has no
-    x with a finite residual: it returns its start unconverged with
-    cycles = 0, before the first cycle.
+    x with a finite residual: it is never live and returns its start
+    unconverged with cycles = 0.
     """
     if taus is None:
         taus, mus = [problem.tau], [problem.mu]
@@ -260,43 +270,42 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     x = np.empty((taus.size, problem.p), order="F")
     x[:] = x0
     u = problem.w - problem._matvec(x)
-    live = np.ones(taus.size, dtype=bool)
-    # each lane's exit cycle and converged flag, set as it leaves, and the
-    # number of cycles in which it met the residual test
-    exit_cycle = np.full(taus.size, _MAX_CYCLES)
-    converged = np.zeros(taus.size, dtype=bool)
-    met = np.zeros(taus.size, dtype=int)
 
     # the Newton steps' discarded trial values may overflow or divide by
     # zero, and so may every residual of a doomed lane
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         res = _residual(x, u, mu, tau)
-        doomed = ~(np.isfinite(mu * mu) & np.isfinite(inv_tau))[:, 0]
-        exit_cycle[doomed] = 0
-        live ^= doomed
-        for cycles in range(1, _MAX_CYCLES + 1):
-            if not live.any():
-                break
+        live = (np.isfinite(mu * mu) & np.isfinite(inv_tau))[:, 0]
+        # each lane's exit cycle and converged flag, set as it leaves, and
+        # the number of cycles in which it met the residual test
+        exit_cycle = np.where(live, _MAX_CYCLES, 0)
+        converged = np.zeros(taus.size, dtype=bool)
+        met = np.zeros(taus.size, dtype=int)
+        cycles = 0 if live.any() else _MAX_CYCLES
+        while cycles < _MAX_CYCLES:
+            cycles += 1
             b = 2.0 * u * x + inv_tau
             done = live & (res < tols)
-            exits = done.any()
-            if exits:
+            near = done.any()
+            if near:
                 met += done
                 done &= ((np.abs(u) < mu) & (b > 0.0)).all(axis=1)
-                exits = done.any()
             moved = _newton_step(problem, x, u, b, res, tau, mu, live)
             # done and moved are live: the rest of the live lanes sweep
             for k in (live ^ (done | moved)).nonzero()[0]:
                 at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k])
-            if exits:
+            # a lane leaves only in a cycle in which it met the residual test
+            if near:
                 exit_cycle[done] = cycles
                 converged |= done
                 live ^= done
-            if cycles >= _STALL_CYCLES:
-                stalled = live & (met >= _STALL_CYCLES)
-                exit_cycle[stalled] = cycles
-                live ^= stalled
+                if cycles >= _STALL_CYCLES:
+                    stalled = live & (met >= _STALL_CYCLES)
+                    exit_cycle[stalled] = cycles
+                    live ^= stalled
+                if not live.any():
+                    break
     return _solutions(u, np.ascontiguousarray(x), mu[:, 0], taus, exit_cycle, res, converged)
 
 
