@@ -23,10 +23,15 @@ problem that differ only in tau and mu, one lane per (mu, tau) cell, each
 from its own start.  tau_path runs a whole (mu, tau) grid as lanes, in any
 order: a tau grid at the problem's own mu, or cross-validation's fold and
 the convergence sweep, each lane from its mu's minimizer on hyper._ml_path;
-solve_saddle and the marginal curves' inner solves are the one-lane case.  Lane k keeps row k of the stack throughout, and one
-mask tells the live lanes.  The residuals, box and b tests, the damped step
-(one loop over t = 1, 1/2, ...) and the convergence tests are done once per
-cycle for the whole stack, which is where small problems spend their time.
+solve_saddle and the marginal curves' inner solves are the one-lane case.
+Lane k keeps row k of the stack throughout, and one mask tells the live
+lanes.  The residuals, box and b tests, the damped step (one loop over
+t = 1, 1/2, ...) and the convergence tests are done once per cycle for the
+whole stack, which is where small problems spend their time.  A lane that
+leaves only has its exit cycle and converged flag recorded; every lane's
+SaddleSolution is built once, when the solve returns, so a lane costs its
+share of the stack's operations and its own solve, with no per-lane
+bookkeeping inside the loop.
 Each lane solves its own C + D system; on the direct route the stepping
 lanes' systems are one batched LU solve, no factor kept
 (partition._CPlusD.solve_stack), and a lane whose system cannot be solved
@@ -58,7 +63,9 @@ from .partition import _CPlusD
 _MIN_STEP = 1e-4
 _MAX_CYCLES = 2000
 # a live lane that has met the residual test in this many cycles leaves
-# unconverged: its u cannot get strictly inside the box in floats
+# unconverged: no float u is strictly inside its box (a converging lane
+# meets it while outside the box in at most one cycle over the test suite
+# and the benchmark's requests)
 _STALL_CYCLES = 32
 _BRACKET_STEPS = 200
 
@@ -73,7 +80,9 @@ class SaddleSolution:
     steps plus fallback coordinate sweeps, the final polishing step
     included, so a converged solve has cycles >= 1; a lane whose mu * mu or
     1 / tau is not a finite float returns unconverged with cycles = 0,
-    since no x gives it a finite residual.  converged means the
+    since no x gives it a finite residual, and one whose residual keeps
+    meeting the tolerance while u_tau cannot get strictly inside the box
+    returns unconverged after a few dozen cycles.  converged means the
     residual met the tolerance of ``solve_saddle`` with u_tau strictly
     inside the box, |u_j| < mu, and every 2 u_j x_j + 1/tau > 0, as at
     every stationary point.

@@ -112,6 +112,40 @@ def test_fit_at_a_huge_mu_and_map_tau_exits_3(tmp_path, capsys):
     assert "no convergence after 0 cycles" in cap.err
 
 
+@pytest.mark.parametrize("shape,key,mu_frac", [((200, 100, 8), (1, 0, 0), None),
+                                              ((30, 80, 3), (1, 2, 0), 0.3)],
+                         ids=["200x100", "wide-30x80"])
+def test_fit_where_no_float_u_is_inside_the_box_exits_3(tmp_path, capsys, monkeypatch,
+                                                         shape, key, mu_frac):
+    # at tau 1e20 some root |u_j| lies within rounding of mu, so no float u
+    # is strictly inside the box: the lane meets the residual test in every
+    # cycle and never the box test, and leaves unconverged after
+    # _STALL_CYCLES cycles instead of the whole budget.  The ML start at
+    # tau 1e2 still converges.  Designs of the benchmark's generator; mu is
+    # 0.05 on the direct 200x100 design and 0.3 mu_max on the wide one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from designs import make_design, write_csv
+
+    path = tmp_path / "design.csv"
+    write_csv(path, *make_design(*shape, key))
+    std = bn.standardize(bn.load_csv(str(path), "y")[0])
+    prob = bn.build_problem(std, 0.1, 1.0, 1.0)
+    mu = 0.05 if mu_frac is None else mu_frac * bn.mu_max(prob.w)
+    prob = prob.with_mu(mu)
+    assert (prob.low_rank_factor is None) == (mu_frac is None)
+    ml = bn.solve_ml(prob)
+    sol = bn.solve_saddle(prob.with_tau(1e20), ml.x_hat)
+    assert not sol.converged and sol.cycles == bn.saddle._STALL_CYCLES
+    assert sol.residual < 1e-10 and (np.abs(sol.u_tau) >= mu).any()
+    argv = ["fit", path, "--response", "y", "--lambda", "0.1", "--mu", repr(mu),
+            "--out", tmp_path / "fit.json"]
+    code, cap = run(argv + ["--tau", "1e20"], capsys)
+    assert code == 3
+    assert f"no convergence after {bn.saddle._STALL_CYCLES} cycles" in cap.err
+    assert run(argv + ["--tau", "100"]) == 0
+    assert bn.solve_saddle(prob.with_tau(100.0), ml.x_hat).converged
+
+
 def test_fit_small_tau_converges(tmp_path):
     # near the ridge limit the raw residual cannot fall below ~eps*|w|/tau;
     # the solver's tolerance scales with 1/tau there instead of running out

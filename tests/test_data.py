@@ -8,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bayonet as bn
-from bayonet.data import _cost, _loadtxt_table, _rows_table
+from bayonet.data import _cost, _loadtxt_table, _positive, _rows_table
 
 import helpers
 
@@ -552,3 +554,50 @@ def test_load_csv_whitespace_only_line(tmp_path):
     f.write_text("g1,y\n1.0,2.0\n  \n3.0,4.0\n")
     with pytest.raises(bn.ParseError, match="line 3: expected 2 fields, got 1"):
         bn.load_csv(f, "y")
+
+
+def _positive_result(value):
+    # (array bytes, dtype, shape) or (error type, message) of _positive
+    try:
+        a = _positive("v", value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.tobytes(), a.dtype, a.shape
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+        st.integers(),
+        st.booleans(),
+    )
+)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1e308)
+@example(1.7976931348623157e308)
+@example(np.float64(0.5))
+@example(np.float64(math.nan))
+@example(np.float64(-0.0))
+@example(0)
+@example(3)
+@example(-3)
+@example(2**70)
+@example(True)
+@example(False)
+def test_positive_scalar_shortcut_matches_the_array_path(value):
+    # a positive finite float skips the array round trip; it must return what
+    # the array path returns for the same number (a 0-d array never takes
+    # the shortcut), bit for bit, and everything else must raise as it does
+    got = _positive_result(value)
+    assert got == _positive_result(np.asarray(value))
+    if isinstance(value, float) and 0.0 < value < math.inf:
+        assert got[1:] == (np.float64, (1,))

@@ -1,6 +1,7 @@
 """Stationary-point solver: coordinate cubic, Newton against the coordinate
 sweep, fixed point, temperature path, random-input properties."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -690,3 +691,35 @@ def test_stacked_newton_step_equals_one_row_steps(monkeypatch):
     u0 = prob.w - prob._matvec(x0)
     assert np.array_equal(stack[0][3], x0[3]) and np.array_equal(stack[1][3], u0[3])
     assert stack[2][3] == residual(x0, u0, mu, tau)[3]
+
+
+def test_lane_exits_keep_their_own_values():
+    # a grid whose lanes leave at cycles 2, 3, 4 and 5: each lane returns the
+    # values of its own row as it left, built when the solve returns, in the
+    # frozen dataclass's fields and types
+    std = helpers.random_standardized(40, 120, 6, beta=[1.0, -0.7, 0.4, 0.0, 0.0, 0.0], noise=0.5)
+    base = bn.build_problem(std, 0.1, 1.0, 1.0)
+    grid = bn.default_grid(base.w, 0.1)
+    mus, taus = grid.mus[2:5], grid.taus[::3]
+    starts = [bn.solve_ml(base.with_mu(m), tol=1e-12).x_hat for m in mus]
+    sols = tau_path(base, taus, init=starts, mus=mus)
+    assert {sol.cycles for sol in sols} == {2, 3, 4, 5}
+    for k, sol in enumerate(sols):
+        assert type(sol) is saddle.SaddleSolution and sol.converged is True
+        assert sol.mu == mus[k // len(taus)] and sol.tau == taus[k % len(taus)]
+        for name in ("mu", "tau", "residual"):
+            assert type(getattr(sol, name)) is float
+        assert type(sol.cycles) is int
+        assert sol.residual == saddle._residual(sol.x_tau, sol.u_tau, sol.mu, sol.tau)
+        # row views of one stacked array each
+        assert sol.x_tau.shape == sol.u_tau.shape == (base.p,)
+        assert sol.x_tau.base is sols[0].x_tau.base is not None
+        assert sol.u_tau.base is sols[0].u_tau.base is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.residual = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sol, "extra", 1)
+        again = dataclasses.replace(sol, residual=1.0)
+        assert type(again) is saddle.SaddleSolution and again.residual == 1.0
+        assert again.x_tau is sol.x_tau and again.cycles == sol.cycles
+        assert vars(again).keys() == vars(sol).keys()
