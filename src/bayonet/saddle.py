@@ -254,10 +254,11 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     written again.  Every lane's SaddleSolution is built once, when the call
     returns, from those arrays and its rows.  The stacks are column-major
     (a coordinate's lanes contiguous), so the per-lane reductions and the
-    (lanes, 1) columns of tau and mu run over contiguous memory.  Lanes run
-    independently of each other: up to the rounding of the products and
-    factorizations they share, each one's iterates are those it would take
-    alone.
+    (lanes, 1) columns of tau and mu run over contiguous memory; x_tau is a
+    row of one row-major copy of x, contiguous as a one-lane solve's.
+    Lanes run independently of each other: up to the rounding of the
+    products and factorizations they share, each one's iterates are those
+    it would take alone.
 
     A lane still live after _MAX_CYCLES cycles returns converged=False and
     cycles = _MAX_CYCLES.  So does, at the cycle it is found, a lane that
