@@ -568,8 +568,8 @@ def _positive_result(value):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+        st.floats(),
+        st.floats().map(np.float64),
         st.integers(),
         st.booleans(),
     )
