@@ -299,7 +299,8 @@ class PenalizedProblem:
         block of C, or while len(idx) > n the design columns in its place."""
         f = self.low_rank_factor
         if f is None:
-            return self._replace(c=self.c[np.ix_(idx, idx)], w=self.w[idx])
+            idx = np.asarray(idx)
+            return self._replace(c=self.c[idx[:, None], idx], w=self.w[idx])
         sub = f[:, idx]
         if len(idx) > f.shape[0]:
             return self._replace(w=self.w[idx], low_rank_factor=sub)

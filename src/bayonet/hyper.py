@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _positive, apply_standardization, build_problem, standardize
+from .data import (
+    Dataset, PenalizedProblem, _positive, apply_standardization, build_problem, standardize,
+)
 from .errors import BayonetError, NotConverged, NumericalError
 from .mlfit import solve_ml
 from .saddle import tau_path
@@ -25,8 +27,9 @@ from .special import RngStream
 class HyperGrid:
     """Candidate (mu, tau) values; mus descending, taus ascending.
 
-    cross_validate solves a fold's whole grid as one lockstep tau_path,
-    every (mu, tau) cell from its mu's minimizer on _ml_path."""
+    cross_validate solves every fold's whole grid as one lockstep
+    tau_path, one problem per fold, every (mu, tau) cell from its mu's
+    minimizer on its fold's _ml_path."""
 
     mus: np.ndarray
     taus: np.ndarray
@@ -178,16 +181,32 @@ def _ml_path(base, mus, tol):
     return mls
 
 
-def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
-    """One fold's (n_mu, n_tau) block of held-out scores, NaN where a
-    cell's lane or its mu's fit on _ml_path did not converge."""
+@dataclass(frozen=True)
+class _Fold:
+    """A training fold ready to solve: its problem, the grid rows whose fit
+    on _ml_path converged with their minimizers, and for scoring the
+    held-out predictors, standardized as the training rows were, their
+    responses, and the training response's scale and offset."""
+
+    base: PenalizedProblem
+    rows: list
+    inits: np.ndarray
+    a_val: np.ndarray
+    y_val: np.ndarray
+    response_scale: float
+    response_offset: float
+
+
+def _fold_fit(data, grid, train_idx, val_idx, screen_top, tol):
+    """A fold's _Fold: its training rows standardized, screened, built into
+    a problem and fitted down the mus."""
     std = standardize(
         Dataset(
             responses=data.responses[train_idx],
             predictors=data.predictors[train_idx],
         )
     )
-    cols = np.arange(data.p)
+    a_val = data.predictors[val_idx]
     if screen_top is not None and screen_top < data.p:
         cols = _screen(std, screen_top)
         std = replace(
@@ -196,25 +215,54 @@ def _fold_scores(data, grid, train_idx, val_idx, screen_top, tol):
             predictor_offset=std.predictor_offset[cols],
             predictor_scale=std.predictor_scale[cols],
         )
-    a_val = apply_standardization(
-        data.predictors[np.ix_(val_idx, cols)],
-        std.predictor_offset,
-        std.predictor_scale,
-    )
+        a_val = a_val[:, cols]
+    a_val = apply_standardization(a_val, std.predictor_offset, std.predictor_scale)
     base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
-    block = np.full((grid.mus.size, grid.taus.size), np.nan)
     mls = _ml_path(base, grid.mus, tol)
     rows = [i for i, ml in enumerate(mls) if ml.converged]
-    if not rows:
-        return block
     inits = np.array([mls[i].x_hat for i in rows])
-    sols = tau_path(base, grid.taus, init=inits, tol=tol, mus=grid.mus[rows])
+    return _Fold(base, rows, inits, a_val, data.responses[val_idx], std.response_scale,
+                 std.response_offset)
+
+
+def _fold_paths(grid, folds, tol, errors):
+    """{f: the lanes of fold f} for every fold of folds, a {f: _Fold} of
+    folds with rows, from one tau_path whose rows each carry their fold's
+    problem.  Should it raise, each fold is solved alone, and one that
+    raises then is left out, its error put in errors[f]."""
+    fits = list(folds.values())
+    try:
+        sols = tau_path(
+            [fit.base for fit in fits for _ in fit.rows], grid.taus,
+            init=np.concatenate([fit.inits for fit in fits]), tol=tol,
+            mus=np.concatenate([grid.mus[fit.rows] for fit in fits]),
+        )
+    except BayonetError:
+        out = {}
+        for f, fit in folds.items():
+            try:
+                out[f] = tau_path(fit.base, grid.taus, init=fit.inits, tol=tol,
+                                  mus=grid.mus[fit.rows])
+            except BayonetError as exc:
+                errors[f] = exc
+        return out
+    out, at = {}, 0
+    for f, fit in folds.items():
+        k = len(fit.rows) * grid.taus.size
+        out[f], at = sols[at:at + k], at + k
+    return out
+
+
+def _fold_scores(grid, fit, sols):
+    """A fold's (n_mu, n_tau) block of held-out scores from its lanes, NaN
+    where a cell's lane or its mu's fit on _ml_path did not converge."""
+    block = np.full((grid.mus.size, grid.taus.size), np.nan)
     # one column of predictions per cell, in grid order
     x = np.array([sol.x_tau for sol in sols])
-    pred = a_val @ x.T * std.response_scale + std.response_offset
+    pred = fit.a_val @ x.T * fit.response_scale + fit.response_offset
     ok = np.array([sol.converged for sol in sols])
-    r = np.where(ok, pearson(data.responses[val_idx], pred), np.nan)
-    block[rows] = r.reshape(len(rows), grid.taus.size)
+    r = np.where(ok, pearson(fit.y_val, pred), np.nan)
+    block[fit.rows] = r.reshape(len(fit.rows), grid.taus.size)
     return block
 
 
@@ -223,12 +271,16 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
 
     Every training fold is centered/scaled from scratch and its statistics
     applied to the held-out rows, so no validation information reaches the
-    fit.  Within a fold the whole (mu, tau) grid is one lockstep tau_path,
-    every cell from its mu's ML minimizer on _ml_path.  Failed scores are
-    NaN and simply drop out of the medians: a fold that cannot be
-    standardized, built or solved loses its fold, a mu whose ML fit does not
-    converge its row, and a lane that does not converge its cell; when every
-    cell fails, the NotConverged raised names the last fold error, if any.
+    fit.  Every fold's problem and ML path are made first; then the whole
+    (mu, tau) grid of every fold is one lockstep tau_path, one problem per
+    fold, every cell from its mu's ML minimizer on _ml_path.  Each lane
+    takes the iterates it would in a tau_path of its fold alone, and should
+    the stacked call raise, each fold is solved alone, so a failure costs
+    only its own fold.  Failed scores are NaN and simply drop out of the
+    medians: a fold that cannot be standardized, built or solved loses its
+    fold, a mu whose ML fit does not converge its row, and a lane that does
+    not converge its cell; when every cell fails, the NotConverged raised
+    names the last failed fold's error, if any.
     folds runs from 2 to n // 2: a held-out fold of one row would score
     every cell 0, the Pearson r of one point.
     """
@@ -245,13 +297,20 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     for f, part in enumerate(parts):
         assignment[part] = f
     scores = np.full((folds, grid.mus.size, grid.taus.size), np.nan)
-    raised = None
+    fits, errors = {}, {}
     for f, val_idx in enumerate(parts):
         train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
         try:
-            scores[f] = _fold_scores(data, grid, train_idx, val_idx, screen_top, tol)
+            fit = _fold_fit(data, grid, train_idx, val_idx, screen_top, tol)
         except BayonetError as exc:
-            raised = exc
+            errors[f] = exc
+            continue
+        if fit.rows:
+            fits[f] = fit
+    if fits:
+        for f, sols in _fold_paths(grid, fits, tol, errors).items():
+            scores[f] = _fold_scores(grid, fits[f], sols)
+    raised = errors[max(errors)] if errors else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median_scores = np.nanmedian(scores, axis=0)

@@ -13,7 +13,9 @@ the design, and both take the inverse diagonal from LAPACK dpotri.
 _cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
 the ML solver's orthant solves) and PenalizedProblem's check of C call it.
 The stationary-point solver's lanes solve their small C + D systems by one
-batched LU solve, no factor kept (_CPlusD.solve_stack).
+batched LU solve, no factor kept, one call for the lanes of every problem
+in the stack, as cross-validation's stack holds one problem per fold
+(_CPlusD.solve_stack).
 """
 
 import math
@@ -99,36 +101,70 @@ class _CPlusD:
     @staticmethod
     def solve_stack(problem, e, rhs, ok):
         """Row k of rhs becomes (C + diag(e[k]))^{-1} rhs[k], in place, for
-        every row with ok[k]; ok[k] is cleared where that row's system
-        cannot be solved, and rhs[k] is then meaningless.
+        every row with ok[k], C that of row k's problem; ok[k] is cleared
+        where that row's system cannot be solved, and rhs[k] is then
+        meaningless.
 
-        On the direct route, with p <= _STACK_MAX_P and at least 2 rows, the
-        rows are solved by one batched LU solve, no factor kept.  C was
-        verified positive definite when the problem was built, so a row
-        whose e is finite and nonnegative has a positive definite C +
-        diag(e); every other row is flagged before the solve.  Should the
-        batched solve still raise, every row gets its own factor, as it
-        does otherwise: so does a single row, whose solve is exactly
-        _CPlusD(problem, e[k]).solve(rhs[k]), and every row on the low-rank
-        route, where k n x n cores as one stack would cost k n^2 doubles and
-        the flops dominate anyway.
+        problem is every row's problem, or a list of (problem, lo, hi)
+        blocks, rows lo:hi being problem's.  On the direct route, a problem
+        with p <= _STACK_MAX_P and at least 2 rows has them solved by a
+        batched LU solve, no factor kept, one call for the rows of every
+        such problem.  C was verified positive definite when the problem
+        was built, so a row whose e is finite and nonnegative has a positive
+        definite C + diag(e); every other row is flagged before the solve.
+        Should the shared solve raise, each problem's rows are solved by a
+        call of their own, and should that still raise, every row gets its
+        own factor, as it does otherwise: so does a single row, whose solve
+        is exactly _CPlusD(problem, e[k]).solve(rhs[k]), and every row on
+        the low-rank route, where k n x n cores as one stack would cost k
+        n^2 doubles and the flops dominate anyway.  Each matrix of a batched
+        call is factored on its own, so every row gets what its problem's
+        own stack would give it.
         """
-        rows, p = ok.nonzero()[0], problem.p
-        if rows.size >= 2 and p <= _STACK_MAX_P and problem.low_rank_factor is None:
-            er = e[rows]
-            # a NaN fails both tests
-            if not (er.min() >= 0.0 and er.max() < math.inf):
-                valid = ((er >= 0.0) & (er < math.inf)).all(axis=1)
-                ok[rows[~valid]] = False
-                rows, er = rows[valid], er[valid]
-            matrix = np.empty((rows.size, p, p))
-            matrix[:] = problem.c
-            matrix.reshape(rows.size, p * p)[:, :: p + 1] += er
-            try:
-                rhs[rows] = np.linalg.solve(matrix, rhs[rows][..., None])[..., 0]
-                return
-            except np.linalg.LinAlgError:
-                pass
+        blocks = problem if type(problem) is list else [(problem, 0, ok.size)]
+        batched = []
+        for prob, lo, hi in blocks:
+            rows = ok[lo:hi].nonzero()[0]
+            if lo:
+                rows += lo
+            if rows.size >= 2 and prob.p <= _STACK_MAX_P and prob.low_rank_factor is None:
+                er = e[rows]
+                # a NaN fails both tests
+                if not (er.min() >= 0.0 and er.max() < math.inf):
+                    valid = ((er >= 0.0) & (er < math.inf)).all(axis=1)
+                    ok[rows[~valid]] = False
+                    rows = rows[valid]
+                batched.append((prob, rows))
+            else:
+                _CPlusD._factor_rows(prob, e, rhs, ok, rows)
+        if batched:
+            for prob, rows in _CPlusD._lu_rows(batched, e, rhs):
+                _CPlusD._factor_rows(prob, e, rhs, ok, rows)
+
+    @staticmethod
+    def _lu_rows(groups, e, rhs):
+        """Solve the rows of every (problem, rows) group by one batched LU
+        solve; returns the groups left unsolved.  Should the call raise, the
+        groups are tried one by one, and a lone group that raises is left."""
+        rows = groups[0][1] if len(groups) == 1 else np.concatenate([r for _, r in groups])
+        p = groups[0][0].p
+        matrix = np.empty((rows.size, p, p))
+        at = 0
+        for prob, r in groups:
+            matrix[at:at + r.size] = prob.c
+            at += r.size
+        matrix.reshape(rows.size, p * p)[:, :: p + 1] += e[rows]
+        try:
+            rhs[rows] = np.linalg.solve(matrix, rhs[rows][..., None])[..., 0]
+            return []
+        except np.linalg.LinAlgError:
+            if len(groups) == 1:
+                return groups
+        return [left for group in groups for left in _CPlusD._lu_rows([group], e, rhs)]
+
+    @staticmethod
+    def _factor_rows(problem, e, rhs, ok, rows):
+        # one factor of problem's C + diag(e[k]) per row k
         for k in rows:
             try:
                 rhs[k] = _CPlusD(problem, e[k]).solve(rhs[k])

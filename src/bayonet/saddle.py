@@ -18,24 +18,27 @@ through one exit: the cycle that finds the iterate converged takes one more
 Newton step to polish it.  No factor leaves the solver: log Z and the
 marginal curves factor C + D at the polished point.
 
-The one Newton loop, _saddle_cd, solves a stack of lanes: iterates of one
-problem that differ only in tau and mu, one lane per (mu, tau) cell, each
-from its own start.  tau_path runs a whole (mu, tau) grid as lanes, in any
-order: a tau grid at the problem's own mu, or cross-validation's fold and
-the convergence sweep, each lane from its mu's minimizer on hyper._ml_path;
-solve_saddle and the marginal curves' inner solves are the one-lane case.
-Lane k keeps row k of the stack throughout, and one mask tells the live
-lanes.  The residuals, box and b tests, the damped step (one loop over
-t = 1, 1/2, ...) and the convergence tests are done once per cycle for the
-whole stack, which is where small problems spend their time.  A lane that
-leaves only has its exit cycle and converged flag recorded; every lane's
+The one Newton loop, _saddle_cd, solves a stack of lanes: iterates that
+differ only in tau and mu, one lane per (mu, tau) cell, each from its own
+start, and all of one problem or, in blocks, of several problems of one p.
+tau_path runs a whole (mu, tau) grid as lanes, in any order: a tau grid at
+the problem's own mu, the convergence sweep, or every fold of a
+cross-validation, one block per fold with that fold's problem, each lane
+from its mu's minimizer on hyper._ml_path; solve_saddle and the marginal
+curves' inner solves are the one-lane case of one problem.  Lane k keeps
+row k of the stack throughout, and one mask tells the live lanes.  The
+residuals, box and b tests, the damped step (one loop over t = 1, 1/2, ...)
+and the convergence tests are done once per cycle for the whole stack,
+which is where small problems spend their time.  A lane that leaves only
+has its exit cycle and converged flag recorded; every lane's
 SaddleSolution is built once, when the solve returns, so a lane costs its
 share of the stack's operations and its own solve, with no per-lane
-bookkeeping inside the loop.
+bookkeeping inside the loop.  A block's C x products (_dual) are taken
+over a contiguous copy of its lanes, as its own stack's would be.
 Each lane solves its own C + D system; on the direct route the stepping
-lanes' systems are one batched LU solve, no factor kept
-(partition._CPlusD.solve_stack), and a lane whose system cannot be solved
-takes its own fallback sweep.
+lanes' systems are one batched LU solve, shared by the blocks, no factor
+kept (partition._CPlusD.solve_stack), and a lane whose system cannot be
+solved takes its own fallback sweep.
 
 Holding the other coordinates fixed, each condition is a cubic in x_j with
 exactly one interior root, found by Newton on a sign-changing bracket.  One
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_init, _positive
+from .data import PenalizedProblem, _check_init, _positive
 from .errors import NumericalError
 from .partition import _CPlusD
 
@@ -185,6 +188,31 @@ def _sweep(problem, x):
     return x, u, _residual(x, u, mu, tau)
 
 
+def _dual(problem, x, rows=None):
+    """u = w - C x for a stack x of lanes of one problem, or of a list of
+    (problem, lo, hi) blocks, lanes lo:hi being problem's.
+
+    Each block's product is taken over a contiguous copy of its lanes, laid
+    out as its own stack would be, so its rounding is that stack's.  Given
+    rows, a block none of whose lanes is in rows is skipped, its lanes of u
+    left 0.
+    """
+    if type(problem) is not list:
+        return problem.w - problem._matvec(x)
+    u = np.zeros_like(x)
+    for prob, lo, hi in problem:
+        if rows is None or rows[lo:hi].any():
+            u[lo:hi] = prob.w - prob._matvec(np.asfortranarray(x[lo:hi]))
+    return u
+
+
+def _lane(problem, k):
+    # the problem of lane k
+    if type(problem) is not list:
+        return problem
+    return next(prob for prob, lo, hi in problem if k < hi)
+
+
 def _newton_step(problem, x, u, b, res, tau, mu, live):
     """Damped Newton steps for the live rows of a stack, in place; returns
     moved.
@@ -207,7 +235,6 @@ def _newton_step(problem, x, u, b, res, tau, mu, live):
     step and trial points outside the box compute values that are never
     kept, so the caller ignores their floating-point errors.
     """
-    w = problem.w
     a = mu * mu - u * u
     stepping = live & (b > 0.0).all(axis=1)
     e = np.maximum(a, 0.0) / b
@@ -216,7 +243,7 @@ def _newton_step(problem, x, u, b, res, tau, mu, live):
     trying, t = stepping, 1.0
     while True:
         xt = x + dx
-        ut = w - problem._matvec(xt)
+        ut = _dual(problem, xt, trying)
         rt = _residual(xt, ut, mu, tau)
         take = trying & (np.abs(ut) < mu).all(axis=1) & (rt < res)
         np.copyto(x, xt, where=take[:, None])
@@ -234,8 +261,10 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     (default: one lane at the problem's own tau and mu); returns one
     SaddleSolution per lane, in lane order.
 
-    The lanes are iterates of the one problem that differ only in tau and
-    mu; x0 is one start for all, or one row per lane.  Each cycle moves
+    The lanes are iterates of problem that differ only in tau and mu, or,
+    where problem is a list of (problem, lo, hi) blocks, lanes lo:hi are
+    that block's problem's; x0 is one start for all, or one row per lane.
+    Each cycle moves
     every live lane by a damped Newton step, or by one coordinate sweep
     where it cannot take one.  A lane has converged when its residual is
     below tol * max(1, 1/tau) with every |u| < mu and every
@@ -258,7 +287,9 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     row of one row-major copy of x, contiguous as a one-lane solve's.
     Lanes run independently of each other: up to the rounding of the
     products and factorizations they share, each one's iterates are those
-    it would take alone.
+    it would take alone.  Blocks share none: each block's lanes take the
+    iterates of a stack of its problem alone, and a cycle takes no product
+    of a block none of whose lanes is still trying a step.
 
     A lane still live after _MAX_CYCLES cycles returns converged=False and
     cycles = _MAX_CYCLES.  So does, at the cycle it is found, a lane that
@@ -277,9 +308,10 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
     tau, mu = taus[:, None], np.array(mus, dtype=float)[:, None]
     inv_tau = 1.0 / tau
     tols = tol * np.maximum(1.0, inv_tau[:, 0])
-    x = np.empty((taus.size, problem.p), order="F")
+    p = problem[0][0].p if type(problem) is list else problem.p
+    x = np.empty((taus.size, p), order="F")
     x[:] = x0
-    u = problem.w - problem._matvec(x)
+    u = _dual(problem, x)
 
     # the Newton steps' discarded trial values may overflow or divide by
     # zero, and so may every residual of a doomed lane
@@ -303,7 +335,7 @@ def _saddle_cd(problem, x0, tol, taus=None, mus=None):
             moved = _newton_step(problem, x, u, b, res, tau, mu, live)
             # done and moved are live: the rest of the live lanes sweep
             for k in (live ^ (done | moved)).nonzero()[0]:
-                at_k = problem._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
+                at_k = _lane(problem, k)._replace(tau=float(tau[k, 0]), mu=float(mu[k, 0]))
                 x[k], u[k], res[k] = _sweep(at_k, x[k])
             # a lane leaves only in a cycle in which it met the residual test
             if near:
@@ -362,15 +394,44 @@ def tau_path(problem, taus, init=None, tol=1e-10, mus=None):
     mus the grid is the one mu [problem.mu], and init, a single start, is
     its one row.  Taus, mus and tol must be positive and finite.  The
     sparse minimizer is the natural init.
+
+    With mus, problem may also be a sequence of problems of one p, one per
+    mu, row i then being problem[i] at mus[i]: cross-validation's folds,
+    each fold's rows in a run.  A run of rows of one problem is its block,
+    whose lanes are one contiguous run of the stack, its C x products and
+    its C + D solves those of its own stack (_dual, _CPlusD.solve_stack):
+    every lane takes the iterates it would take in a tau_path of its
+    problem's rows alone.
     """
     taus = _positive("taus", taus)
     _positive("tol", tol)
-    if mus is None:
+    lanes = problem
+    if not isinstance(problem, PenalizedProblem):
+        if mus is None:
+            raise ValueError("a sequence of problems needs mus, one per problem")
+        lanes = list(problem)
+    elif mus is None:
         mus = [problem.mu]
         init = None if init is None else [init]
     mus = _positive("mus", mus)
     m, n = mus.size, taus.size
+    if lanes is not problem:
+        if len(lanes) != m or any(q.p != lanes[0].p for q in lanes):
+            raise ValueError("problem must hold one problem per mu, all of one p")
+        problem, lanes = lanes[0], _blocks(lanes, n)
     init = np.zeros((m, problem.p)) if init is None else _check_init(problem, init, m)
     return _saddle_cd(
-        problem, np.repeat(init, n, axis=0), tol, np.tile(taus, m), np.repeat(mus, n)
+        lanes, np.repeat(init, n, axis=0), tol, np.tile(taus, m), np.repeat(mus, n)
     )
+
+
+def _blocks(problems, n):
+    """The stack of rows of n lanes each, row i of problems[i]: a list of
+    (problem, lo, hi) blocks, one per run of rows of one problem, or the
+    problem itself when there is one run."""
+    blocks, lo = [], 0
+    for i in range(1, len(problems) + 1):
+        if i == len(problems) or problems[i] is not problems[lo]:
+            blocks.append((problems[lo], lo * n, i * n))
+            lo = i
+    return blocks if len(blocks) > 1 else blocks[0][0]

@@ -7,14 +7,18 @@ integration, the tau -> infinity limit of log Z in plain numpy
 run_gibbs chains (ti_log_z).  Tests compare the fast library routines
 against these.
 
-Two references are not oracles: each is a plainer form of one library loop
-and reads its private names.  gibbs_reference is the sampler's plain loop
-over its two envelopes (gibbs._T), against which run_gibbs's flat loop is
-held bit for bit.  marginal_plain_walk is marginal_sp's walk without its
+Three references are not oracles: each is a plainer form of one library
+loop and reads its private names.  gibbs_reference is the sampler's plain
+loop over its two envelopes (gibbs._T), against which run_gibbs's flat loop
+is held bit for bit.  marginal_plain_walk is marginal_sp's walk without its
 tangent predictor or factor reuse (saddle._saddle_cd, partition._core),
 against which marginal_sp's curves are held within 1e-6 of the peak.
+cv_fold_by_fold is cross_validate with one tau_path per fold
+(hyper._screen, hyper._ml_path), against which cross_validate's one stacked
+tau_path is held bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -570,6 +574,54 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
         x = solve(k, x)
     dens = np.exp(log_dens - np.max(log_dens))
     return dens / np.trapezoid(dens, grid)
+
+
+def cv_fold_by_fold(data, grid, folds, seed, screen_top=None, tol=1e-10):
+    """cross_validate's fold_scores, one fold at a time.
+
+    Each fold is standardized, screened, built, fitted down the mus and
+    solved by a tau_path of its own; a fold that raises a BayonetError at
+    any stage scores NaN throughout.
+    """
+    from bayonet.hyper import _ml_path, _screen, pearson
+
+    order = bn.RngStream(seed).permutation(data.n)
+    parts = np.array_split(order, folds)
+    scores = np.full((folds, grid.mus.size, grid.taus.size), np.nan)
+    for f, val_idx in enumerate(parts):
+        train_idx = np.concatenate([q for g, q in enumerate(parts) if g != f])
+        try:
+            std = bn.standardize(bn.Dataset(
+                responses=data.responses[train_idx], predictors=data.predictors[train_idx]
+            ))
+            a_val = data.predictors[val_idx]
+            if screen_top is not None and screen_top < data.p:
+                cols = _screen(std, screen_top)
+                std = dataclasses.replace(
+                    std, predictors=std.predictors[:, cols],
+                    predictor_offset=std.predictor_offset[cols],
+                    predictor_scale=std.predictor_scale[cols],
+                )
+                a_val = a_val[:, cols]
+            a_val = bn.apply_standardization(a_val, std.predictor_offset, std.predictor_scale)
+            base = bn.build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
+            mls = _ml_path(base, grid.mus, tol)
+            rows = [i for i, ml in enumerate(mls) if ml.converged]
+            if not rows:
+                continue
+            sols = bn.tau_path(base, grid.taus, init=np.array([mls[i].x_hat for i in rows]),
+                               tol=tol, mus=grid.mus[rows])
+        except bn.BayonetError:
+            continue
+        # one column of predictions per cell, scored together
+        x = np.array([sol.x_tau for sol in sols])
+        pred = a_val @ x.T * std.response_scale + std.response_offset
+        r = pearson(data.responses[val_idx], pred)
+        for i, row in enumerate(rows):
+            for k in range(grid.taus.size):
+                if sols[i * grid.taus.size + k].converged:
+                    scores[f, row, k] = r[i * grid.taus.size + k]
+    return scores
 
 
 def load_diabetes_dataset():

@@ -9,6 +9,7 @@ import pytest
 import bayonet as bn
 import bayonet.hyper
 import helpers
+from bayonet.partition import _CPlusD
 
 
 # --- mu_max -----------------------------------------------------------------
@@ -274,6 +275,103 @@ def test_cv_reproducible_bit_for_bit():
     assert not np.array_equal(a.fold_assignment, c.fold_assignment)
 
 
+# n, p, folds, lam, screen_top and the (fold, mu row) whose ML fit fails
+CV_STACK_CASES = {
+    "442x10": (442, 10, 10, 0.1, None, None),
+    "screened": (120, 30, 5, 0.05, 8, None),
+    # every training fold of 20 rows is wider than p: the low-rank route
+    "wide": (30, 40, 3, 0.1, None, None),
+    # training folds of 36 and 37 rows: one wide fold, nine dense
+    "both-sides-of-n": (41, 37, 10, 0.1, None, None),
+    # dense folds of p = 19 take the batched LU solve, one fold is wide
+    "lu-and-lowrank": (21, 19, 10, 0.1, None, None),
+    # fold 3 loses its third mu row, so it has fewer lanes than the others
+    "ml-fit-fails": (60, 6, 5, 0.05, None, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(CV_STACK_CASES))
+def test_cv_stack_equals_fold_by_fold(case, monkeypatch):
+    # every fold's lanes in one tau_path score bit for bit as one tau_path
+    # per fold
+    n, p, folds, lam, top, fail = CV_STACK_CASES[case]
+    beta = np.zeros(p)
+    beta[:3] = [1.0, -0.6, 0.3]
+    std = helpers.random_standardized(len(case), n, p, beta=beta, noise=0.5)
+    grid = bn.default_grid(bn.build_problem(std, lam, 1.0, 1.0).w, lam)
+    if fail is not None:
+        # both run the ML fits fold by fold, one per mu, in grid order
+        solve_ml, fits = bn.hyper.solve_ml, []
+
+        def failing(problem, tol=1e-10, init=None):
+            fits.append(1)
+            ml = solve_ml(problem, tol=tol, init=init)
+            if len(fits) == fail[0] * grid.mus.size + fail[1] + 1:
+                ml = dataclasses.replace(ml, converged=False)
+            return ml
+
+        monkeypatch.setattr(bn.hyper, "solve_ml", failing)
+    rep = bn.cross_validate(std, grid, folds, seed=7, screen_top=top)
+    if fail is not None:
+        fits.clear()
+    ref = helpers.cv_fold_by_fold(std, grid, folds, seed=7, screen_top=top)
+    assert rep.fold_scores.tobytes() == ref.tobytes()
+    lost = np.isnan(rep.fold_scores)
+    if fail is None:
+        assert not lost.any()
+    else:
+        assert lost[fail].all() and lost.sum() == grid.taus.size
+    n_train = n - np.bincount(rep.fold_assignment)
+    wide = n_train < (p if top is None else top)
+    assert wide.all() if case == "wide" else not wide.all()
+    assert wide.any() == (case in ("wide", "both-sides-of-n", "lu-and-lowrank"))
+
+
+def test_cv_lane_error_in_one_fold_costs_only_that_fold(monkeypatch):
+    # a NumericalError raised inside the stacked solve by fold 1's lanes:
+    # their C + D systems cannot be solved, so they sweep, and a sweep of
+    # fold 1's problem raises.  The stacked tau_path raises, each fold is
+    # then solved alone, and only fold 1 is lost
+    std = helpers.random_standardized(31, 53, 4)
+    grid = small_grid(std, 0.02)
+    clean = bn.cross_validate(std, grid, folds=5, seed=3)
+    build_problem, tau_path = bn.hyper.build_problem, bn.hyper.tau_path
+    solve_stack, sweep_ = _CPlusD.solve_stack, bn.saddle._sweep
+    built, paths = [], []
+
+    def counted_build(*args):
+        built.append(build_problem(*args))
+        return built[-1]
+
+    def path(problem, taus, **kwargs):
+        paths.append(len(problem) if isinstance(problem, list) else 1)
+        return tau_path(problem, taus, **kwargs)
+
+    def unsolvable(problem, e, rhs, ok):
+        # fold 1's systems get a NaN e, which solve_stack flags
+        e = e.copy()
+        for prob, lo, hi in problem if isinstance(problem, list) else [(problem, 0, len(ok))]:
+            if prob is built[1]:
+                e[lo:hi] = math.nan
+        return solve_stack(problem, e, rhs, ok)
+
+    def sweep(problem, x):
+        if problem.w is built[1].w:
+            raise bn.NumericalError("no interior root")
+        return sweep_(problem, x)
+
+    monkeypatch.setattr(bn.hyper, "build_problem", counted_build)
+    monkeypatch.setattr(bn.hyper, "tau_path", path)
+    monkeypatch.setattr(_CPlusD, "solve_stack", staticmethod(unsolvable))
+    monkeypatch.setattr(bn.saddle, "_sweep", sweep)
+    rep = bn.cross_validate(std, grid, folds=5, seed=3)
+    # one stacked call of every fold's 4 mu rows, then one call per fold
+    assert paths == [20, 1, 1, 1, 1, 1]
+    assert np.isnan(rep.fold_scores[1]).all()
+    rest = np.delete(rep.fold_scores, 1, axis=0)
+    assert np.array_equal(rest, np.delete(clean.fold_scores, 1, axis=0))
+
+
 def test_cv_unconverged_lane_scores_nan(monkeypatch):
     # a lane of a path that did not converge drops out as NaN; the other
     # lanes of the same path still score
@@ -333,7 +431,7 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
     build_problem, solve_ml, tau_path = (
         bn.hyper.build_problem, bn.hyper.solve_ml, bn.hyper.tau_path
     )
-    folds = []
+    folds, built = [], []
 
     def failing(name):
         return stage == name and len(folds) == 2
@@ -342,14 +440,18 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
         folds.append(1)
         if failing("build_problem"):
             raise bn.SingularMatrix("injected")
-        return build_problem(*args)
+        built.append(build_problem(*args))
+        return built[-1]
 
     def ml(problem, tol=1e-10, init=None):
         out = solve_ml(problem, tol=tol, init=init)
         return dataclasses.replace(out, converged=False) if failing("solve_ml") else out
 
     def path(problem, taus, **kwargs):
-        if failing("tau_path"):
+        # fold 1 is picked by its problem, the second built: every fold's
+        # problems come to one stacked call, then to a call per fold
+        lanes = problem if isinstance(problem, list) else [problem]
+        if stage == "tau_path" and any(prob is built[1] for prob in lanes):
             raise bn.NumericalError("injected")
         return tau_path(problem, taus, **kwargs)
 

@@ -575,6 +575,46 @@ def test_path_requires_positive_finite_taus():
             tau_path(prob, [10.0, bad])
 
 
+def test_path_of_several_problems_equals_one_path_per_run():
+    # rows of three problems of one p, two dense and one wide, the first in
+    # two runs: each run of rows is a block whose lanes are bit for bit
+    # those of a tau_path of its problem's rows alone
+    beta = [1.0, -0.6, 0.3] + [0.0] * 9
+    dense_a, dense_b, wide = (
+        bn.build_problem(helpers.random_standardized(seed, n, 12, beta=beta, noise=0.5),
+                         0.1, 1.0, 1.0)
+        for seed, n in ((60, 40), (61, 30), (62, 8))
+    )
+    assert wide.low_rank_factor is not None and dense_a.low_rank_factor is None
+    runs = [(dense_a, 2), (wide, 2), (dense_b, 3), (dense_a, 1)]
+    taus = [10.0, 1e3, 1e5]
+    problems, mus, starts = [], [], []
+    for prob, rows in runs:
+        cap = float(np.abs(prob.w).max())
+        for r in range(rows):
+            mu = cap * 0.5 ** (r + 1)
+            problems.append(prob)
+            mus.append(mu)
+            starts.append(bn.solve_ml(prob.with_mu(mu), tol=1e-12).x_hat)
+    got = tau_path(problems, taus, init=starts, tol=1e-11, mus=mus)
+    at = 0
+    for prob, rows in runs:
+        alone = tau_path(prob, taus, init=starts[at:at + rows], tol=1e-11,
+                         mus=mus[at:at + rows])
+        for a, b in zip(got[at * len(taus):], alone):
+            assert a.converged and (a.mu, a.tau, a.cycles) == (b.mu, b.tau, b.cycles)
+            assert a.residual == b.residual
+            assert np.array_equal(a.x_tau, b.x_tau) and np.array_equal(a.u_tau, b.u_tau)
+        at += rows
+    with pytest.raises(ValueError, match="needs mus"):
+        tau_path(problems, taus)
+    with pytest.raises(ValueError, match="one problem per mu"):
+        tau_path(problems[:-1], taus, init=starts, mus=mus)
+    other = bn.build_problem(helpers.random_standardized(63, 40, 11), 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="all of one p"):
+        tau_path([other] + problems[1:], taus, init=starts, mus=mus)
+
+
 def test_path_in_any_tau_order_equals_sorted():
     # every lane is its own (mu, tau) cell: a shuffled tau grid gives the
     # sorted grid's solves cell for cell, on a direct and on a wide (p > n)
