@@ -16,15 +16,58 @@ The stationary-point solver's lanes solve their small C + D systems by one
 batched LU solve, no factor kept, one call for the lanes of every problem
 in the stack, as cross-validation's stack holds one problem per fold
 (_CPlusD.solve_stack).
+
+The four LAPACK and BLAS routines read here (dpotrf, dpotrs, dpotri and
+dsymm) come from scipy's f2py extension modules scipy.linalg._flapack and
+scipy.linalg._fblas, which _linalg_extension loads without importing the
+scipy.linalg package.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import NotConverged, NumericalError, SingularMatrix
+
+
+def _linalg_extension(name):
+    """scipy's extension module scipy.linalg.<name>, loaded on its own.
+
+    Importing the scipy.linalg package runs scipy's array-API layer, which
+    imports numpy.f2py, numpy.testing and numpy.ma: more than half of a cold
+    start, for none of the four routines read here.  The module is found in
+    scipy's own linalg directory and executed under its real name, so a
+    later import of scipy.linalg finds it in sys.modules, and its lapack and
+    blas functions are these same objects; one already there is returned as
+    it is.  A module that cannot be found raises ModuleNotFoundError naming
+    it and the scipy version.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        full, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+    )
+    if spec is None:
+        try:
+            from scipy import __version__ as version
+        except ImportError:
+            version = "not installed"
+        raise ModuleNotFoundError(f"cannot find {full} (scipy {version})", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _linalg_extension("_flapack")
+_fblas = _linalg_extension("_fblas")
 
 # widest C + D whose rows are solved by one batched LU solve: from p = 22 on,
 # with 5 rows, it costs more than a dpotrf and dpotrs call per row (1 BLAS
@@ -53,13 +96,15 @@ class LogPartition:
 def _cholesky(matrix):
     """Lower Cholesky factor of a symmetric matrix.
 
-    The matrix goes to LAPACK dpotrf directly: scipy's wrappers check their
-    arguments on every call, which costs several times the factorization
-    itself at the sizes of the marginal curves' inner solves.  In their
-    place, a NaN or inf fails the factorization or leaves a non-finite
-    pivot, checked in O(p); either raises SingularMatrix.
+    The matrix goes straight to LAPACK dpotrf, the f2py routine of scipy's
+    _flapack extension, which is loaded without the scipy.linalg package:
+    scipy.linalg's wrappers check their arguments on every call, which
+    costs several times the factorization itself at the sizes of the
+    marginal curves' inner solves.  In their place, a NaN or inf fails the
+    factorization or leaves a non-finite pivot, checked in O(p); either
+    raises SingularMatrix.
     """
-    chol, info = sla.lapack.dpotrf(matrix, lower=1, clean=1)
+    chol, info = _flapack.dpotrf(matrix, lower=1, clean=1)
     if info != 0:
         raise SingularMatrix(f"dpotrf info={info}: not positive definite")
     if not np.isfinite(chol.diagonal()).all():
@@ -174,9 +219,9 @@ class _CPlusD:
     def solve(self, rhs):
         """(C + diag(e))^{-1} rhs."""
         if self._dp is None:
-            return sla.lapack.dpotrs(self._chol, rhs, lower=1)[0]
+            return _flapack.dpotrs(self._chol, rhs, lower=1)[0]
         y = rhs / self._dp
-        z = sla.lapack.dpotrs(self._chol, self._factor @ y, lower=1)[0]
+        z = _flapack.dpotrs(self._chol, self._factor @ y, lower=1)[0]
         return y - (self._factor.T @ z) / (self._dp * self._two_n)
 
     def log_det(self):
@@ -191,12 +236,12 @@ class _CPlusD:
         factored matrix.  On the low-rank route that is the core K: entry j
         is (1 - a_j' K^{-1} a_j / (2n dp_j)) / dp_j by Woodbury, A' K^{-1}
         one dsymm call on the lower triangle that dpotri fills."""
-        inv, info = sla.lapack.dpotri(self._chol, lower=1)
+        inv, info = _flapack.dpotri(self._chol, lower=1)
         if info != 0:
             raise SingularMatrix(f"dpotri info={info}")
         if self._dp is None:
             return np.diagonal(inv).copy()
-        at_kinv = sla.blas.dsymm(1.0, inv, self._factor.T, side=1, lower=1)
+        at_kinv = _fblas.dsymm(1.0, inv, self._factor.T, side=1, lower=1)
         quad = np.einsum("ij,ji->j", self._factor, at_kinv)
         return (1.0 - quad / (self._two_n * self._dp)) / self._dp
 

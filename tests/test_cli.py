@@ -669,8 +669,6 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
 
 _COLD_START = """
 import json, sys
-import numpy, scipy.linalg
-baseline = "scipy.special" in sys.modules
 from bayonet.cli import main
 csv, out = sys.argv[1], sys.argv[2]
 common = [csv, "--response", "y"]
@@ -684,14 +682,22 @@ requests = [
     ["convergence", *common, "--mu", "0.1"],
 ]
 codes = [main([*argv, "--out", f"{out}_{k}"]) for k, argv in enumerate(requests)]
-print(json.dumps([baseline, "scipy.special" in sys.modules, codes]))
+banned = ["scipy.linalg", "scipy.special", "numpy.f2py", "numpy.ma"]
+loaded = [name for name in banned if name in sys.modules]
+from bayonet import partition
+import scipy.linalg
+same = (scipy.linalg.lapack.dpotrf is partition._flapack.dpotrf
+        and scipy.linalg.blas.dsymm is partition._fblas.dsymm)
+print(json.dumps([codes, loaded, same]))
 """
 
 
-def test_no_verb_loads_scipy_special(tmp_path):
-    # scipy.special's only reader is log_erfcx above 5, which no verb
-    # evaluates; a process that runs all six verbs loads it only where
-    # numpy and scipy.linalg alone already do (some scipy versions may)
+def test_cold_start_loads_only_the_lapack_extensions(tmp_path):
+    # a process that runs all six verbs loads scipy's _flapack and _fblas
+    # extension modules, not the scipy.linalg package, whose array-API layer
+    # pulls in numpy.f2py and numpy.ma; scipy.special's only reader is
+    # log_erfcx above 5, which no verb evaluates.  A later import of
+    # scipy.linalg reuses the extension modules already loaded.
     env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _COLD_START,
@@ -699,9 +705,10 @@ def test_no_verb_loads_scipy_special(tmp_path):
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    baseline, loaded, codes = json.loads(proc.stdout)
+    codes, loaded, same = json.loads(proc.stdout)
     assert codes == [0] * 6
-    assert loaded <= baseline
+    assert loaded == []
+    assert same
 
 
 def _raise(cls):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,21 @@ def test_cv_fold_with_a_constant_column_loses_only_its_fold():
     assert np.isnan(rep.fold_scores[lost]).all()
     assert np.isfinite(np.delete(rep.fold_scores, lost, axis=0)).all()
     assert np.isfinite(rep.median_scores).all()
+
+
+@pytest.mark.parametrize("folds", [1, 2, 5, 10, 600])
+def test_fold_median_is_nanmedians_bytes(folds):
+    # the fold-wise median skips NaN cells and is NaN where every fold is;
+    # its bytes are np.nanmedian's, signed zeros and even counts included
+    rng = np.random.default_rng(folds)
+    scores = np.round(rng.uniform(-1.0, 1.0, size=(folds, 6, 7)), 1)
+    scores[rng.uniform(size=scores.shape) < 0.4] = np.nan
+    scores[:, 0, 0] = np.nan
+    scores[:, 1, 1] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmedian(scores, axis=0)
+    assert bn.hyper._nanmedian(scores).tobytes() == want.tobytes()
 
 
 def test_cv_every_cell_failed_raises(monkeypatch):

@@ -1,7 +1,9 @@
 """Leading-order log-partition value, determinant routes, observable
 numerators, and their tau -> infinity limit against helpers.zero_temp_log_z."""
 
+import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bayonet import (
     log_z_exact,
 )
 
+from bayonet import partition
 from bayonet.partition import _CPlusD, _core
 
 import helpers
@@ -256,6 +259,68 @@ def test_stacked_solve_matches_one_factor_per_row(lanes, batch_raises, monkeypat
     if batch_raises:
         assert np.array_equal(x[ok], refs[ok])
     assert lanes < 5 or np.array_equal(x[4], rhs[4])
+
+
+def test_lapack_routines_match_scipy_linalg_bit_for_bit():
+    # the extension modules loaded on their own give the bytes of the same
+    # calls made through scipy.linalg.lapack and scipy.linalg.blas, on the
+    # direct route (12 x 12) and the low-rank one (20 x 60)
+    from scipy.linalg import blas, lapack
+
+    rng = np.random.default_rng(67)
+    b = rng.standard_normal((30, 12))
+    spd = b.T @ b / 30.0 + 0.1 * np.eye(12)
+    assert partition._cholesky(spd).tobytes() == lapack.dpotrf(spd, lower=1, clean=1)[0].tobytes()
+
+    direct = bn.PenalizedProblem(c=spd, w=np.zeros(12), mu=0.1, lam=0.0, tau=1.0)
+    wide = bn.build_problem(helpers.random_standardized(68, 20, 60), 0.1, 0.1, 1.0)
+    assert wide.low_rank_factor is not None
+    for prob in (direct, wide):
+        e = rng.uniform(0.0, 2.0, prob.p)
+        rhs = rng.standard_normal(prob.p)
+        factor = _CPlusD(prob, e)
+        if prob.low_rank_factor is None:
+            matrix, dp = spd + np.diag(e), None
+        else:
+            a = prob.low_rank_factor
+            two_n = 2.0 * a.shape[0]
+            dp = e + prob.lam
+            scaled = a / np.sqrt(dp)
+            matrix = np.eye(a.shape[0]) + scaled @ scaled.T / two_n
+        chol = lapack.dpotrf(matrix, lower=1, clean=1)[0]
+        inv = lapack.dpotri(chol, lower=1)[0]
+        if dp is None:
+            solved = lapack.dpotrs(chol, rhs, lower=1)[0]
+            log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+            inv_diag = np.diagonal(inv).copy()
+        else:
+            y = rhs / dp
+            z = lapack.dpotrs(chol, a @ y, lower=1)[0]
+            solved = y - (a.T @ z) / (dp * two_n)
+            log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol)))) + float(np.sum(np.log(dp)))
+            at_kinv = blas.dsymm(1.0, inv, a.T, side=1, lower=1)
+            quad = np.einsum("ij,ji->j", a, at_kinv)
+            inv_diag = (1.0 - quad / (two_n * dp)) / dp
+        assert factor.solve(rhs).tobytes() == solved.tobytes()
+        assert factor.log_det() == log_det
+        assert factor.inv_diag().tobytes() == inv_diag.tobytes()
+
+
+@pytest.mark.parametrize("lost", ["extension", "scipy"])
+def test_a_missing_scipy_extension_is_an_import_error(lost, monkeypatch):
+    # a module that is not there is a ModuleNotFoundError naming it and the
+    # scipy version, whether the extension or scipy itself cannot be found
+    import scipy
+
+    if lost == "scipy":
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec", lambda name: None if name == "scipy" else find_spec(name)
+        )
+    want = f"scipy.linalg._no_such_module (scipy {scipy.__version__})"
+    with pytest.raises(ImportError, match=re.escape(want)) as info:
+        partition._linalg_extension("_no_such_module")
+    assert info.value.name == "scipy.linalg._no_such_module"
 
 
 def test_log_det_validation():
