@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .data import _linear_term, build_problem, load_csv, standardize
+from .data import _cost, _linear_term, build_problem, load_csv, standardize
 from .errors import NotConverged, NumericalError, ParseError, ZeroVarianceColumn
 from .gibbs import run_gibbs
 from .hyper import HyperGrid, _ml_path, cross_validate, map_tau, mu_grid, mu_max, tau_grid
@@ -423,19 +423,21 @@ def cmd_convergence(args):
     else:
         mus = list(mu_grid(mu_max(base.w), *args.mu_grid))
     taus = tau_grid(*args.tau_grid)
-    mls = _ml_path(base, mus, args.tol)
-    for ml, mu in sorted(zip(mls, mus), key=lambda pair: -pair[1]):
-        if not ml.converged:
-            raise NotConverged(ml.cycles, f"ML stage at mu={mu}")
-    sols = tau_path(base, taus, init=[ml.x_hat for ml in mls], tol=args.tol, mus=mus)
+    [fits] = _ml_path([base], mus, args.tol)
+    for (_, cycles, ok), mu in sorted(zip(fits, mus), key=lambda pair: -pair[1]):
+        if not ok:
+            raise NotConverged(cycles, f"ML stage at mu={mu}")
+    x_ml = [x for x, _, _ in fits]
+    h_min = [_cost(base.with_mu(mu), x) for x, mu in zip(x_ml, mus)]
+    sols = tau_path(base, taus, init=x_ml, tol=args.tol, mus=mus)
     rows = []
     for k, sol in enumerate(sols):
         if not sol.converged:
             raise NotConverged(sol.cycles, f"tau={sol.tau}, mu={sol.mu}")
-        ml = mls[k // len(taus)]
+        i = k // len(taus)
         lp = log_partition(base.with_mu(sol.mu).with_tau(sol.tau), sol)
-        gap = (-lp.log_z / sol.tau - ml.h_min) / base.p
-        xdiff = float(np.max(np.abs(sol.x_tau - ml.x_hat)))
+        gap = (-lp.log_z / sol.tau - h_min[i]) / base.p
+        xdiff = float(np.max(np.abs(sol.x_tau - x_ml[i])))
         rows.append([sol.tau, sol.mu, gap, xdiff])
     _write_csv(args.out, ["tau", "mu", "gap", "xdiff"], np.array(rows))
     return 0

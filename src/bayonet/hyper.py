@@ -5,7 +5,11 @@ the whole ML solution); the inverse-temperature grid is geometric with ratio
 10^0.25.  The first-order posterior-maximum estimate of tau needs only the
 ML fit and the data-scale residual.  Cross-validation re-standardizes inside
 every training fold and scores held-out predictions by Pearson correlation
-on the original response scale.
+on the original response scale.  Its solves are two stacks: the ML path
+(_ml_path) walks every fold's mus at once, one mlfit._ml_stack call per mu
+over one lane per fold, and one tau_path solves every fold's (mu, tau)
+grid from those minimizers.  The convergence verb's ML path is the one-lane
+case.
 """
 
 import math
@@ -17,7 +21,10 @@ from .data import (
     Dataset, PenalizedProblem, _positive, apply_standardization, build_problem, standardize,
 )
 from .errors import BayonetError, NotConverged, NumericalError
-from .mlfit import solve_ml
+from .mlfit import _ml_stack
+# no hyper function calls solve_ml; the binding stays because
+# perfbench/tracing.py wraps hyper.solve_ml by name
+from .mlfit import solve_ml  # noqa: F401
 from .saddle import tau_path
 from .special import RngStream
 
@@ -26,9 +33,10 @@ from .special import RngStream
 class HyperGrid:
     """Candidate (mu, tau) values; mus descending, taus ascending.
 
-    cross_validate solves every fold's whole grid as one lockstep
+    cross_validate fits every fold down the mus as one lockstep ML path,
+    one lane per fold, then solves every fold's whole grid as one lockstep
     tau_path, one problem per fold, every (mu, tau) cell from its mu's
-    minimizer on its fold's _ml_path."""
+    minimizer on its fold's lane."""
 
     mus: np.ndarray
     taus: np.ndarray
@@ -166,39 +174,47 @@ def _screen(std, top):
     return keep
 
 
-def _ml_path(base, mus, tol):
-    """One ML fit of base per mu, in mus' order: glmnet's pathwise warm start.
+def _ml_path(bases, mus, tol):
+    """Every lane's ML fits down the mus: glmnet's pathwise warm start.
 
-    The fits run down the mus from the largest, each from the last converged
-    minimizer; a fit that does not converge is returned as is and starts none.
+    Lane k is bases[k], a fold's problem in cross_validate, convergence's
+    one problem there.  The lanes walk the mus once, from the largest:
+    at each mu one _ml_stack call fits every lane at that mu, each from its
+    own last converged minimizer, cold at first, so each lane's fits equal
+    solve_ml's down its own mus from those starts, bit for bit.  A fit that
+    does not converge starts no later fit of its lane.  Returns one list
+    per lane of one (x, cycles, converged) per mu, in the mus' order.
     """
-    mls, warm = [None] * len(mus), None
+    _positive("tol", tol)
+    fits = [[None] * len(mus) for _ in bases]
+    warm = [None] * len(bases)
     for i in sorted(range(len(mus)), key=lambda i: -mus[i]):
-        mls[i] = solve_ml(base.with_mu(mus[i]), tol=tol, init=warm)
-        if mls[i].converged:
-            warm = mls[i].x_hat
-    return mls
+        for k, fit in enumerate(_ml_stack(bases, warm, mus[i], tol)):
+            fits[k][i] = fit
+            if fit[2]:
+                warm[k] = fit[0]
+    return fits
 
 
 @dataclass(frozen=True)
 class _Fold:
-    """A training fold ready to solve: its problem, the grid rows whose fit
-    on _ml_path converged with their minimizers, and for scoring the
-    held-out predictors, standardized as the training rows were, their
-    responses, and the training response's scale and offset."""
+    """A training fold's problem, and for scoring the held-out predictors,
+    standardized as the training rows were, their responses and the
+    training response's scale and offset; once _ml_path has run, the grid
+    rows whose fit converged and their minimizers."""
 
     base: PenalizedProblem
-    rows: list
-    inits: np.ndarray
     a_val: np.ndarray
     y_val: np.ndarray
     response_scale: float
     response_offset: float
+    rows: list = ()
+    inits: np.ndarray = None
 
 
-def _fold_fit(data, grid, train_idx, val_idx, screen_top, tol):
-    """A fold's _Fold: its training rows standardized, screened, built into
-    a problem and fitted down the mus."""
+def _fold_problem(data, grid, train_idx, val_idx, screen_top):
+    """A fold's _Fold before its ML fits: its training rows standardized,
+    screened and built into a problem."""
     std = standardize(
         Dataset(
             responses=data.responses[train_idx],
@@ -217,10 +233,7 @@ def _fold_fit(data, grid, train_idx, val_idx, screen_top, tol):
         a_val = a_val[:, cols]
     a_val = apply_standardization(a_val, std.predictor_offset, std.predictor_scale)
     base = build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
-    mls = _ml_path(base, grid.mus, tol)
-    rows = [i for i, ml in enumerate(mls) if ml.converged]
-    inits = np.array([mls[i].x_hat for i in rows])
-    return _Fold(base, rows, inits, a_val, data.responses[val_idx], std.response_scale,
+    return _Fold(base, a_val, data.responses[val_idx], std.response_scale,
                  std.response_offset)
 
 
@@ -281,16 +294,18 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
 
     Every training fold is centered/scaled from scratch and its statistics
     applied to the held-out rows, so no validation information reaches the
-    fit.  Every fold's problem and ML path are made first; then the whole
-    (mu, tau) grid of every fold is one lockstep tau_path, one problem per
-    fold, every cell from its mu's ML minimizer on _ml_path.  Each lane
-    takes the iterates it would in a tau_path of its fold alone, and should
-    the stacked call raise, each fold is solved alone, so a failure costs
-    only its own fold.  Failed scores are NaN and simply drop out of the
-    medians: a fold that cannot be standardized, built or solved loses its
-    fold, a mu whose ML fit does not converge its row, and a lane that does
-    not converge its cell; when every cell fails, the NotConverged raised
-    names the last failed fold's error, if any.
+    fit.  Every fold's problem is made first.  Then one _ml_path fits
+    every fold down the mus, one lane per fold, each lane's fits those of a
+    solve_ml chain down its fold's mus, bit for bit; and the whole (mu, tau)
+    grid of every fold is one lockstep tau_path, one problem per fold,
+    every cell from its mu's ML minimizer.  Each lane takes the iterates it
+    would in a tau_path of its fold alone, and should the stacked call
+    raise, each fold is solved alone, so a failure costs only its own fold.
+    Failed scores are NaN and simply drop out of the medians: a fold that
+    cannot be standardized, built or solved loses its fold, a mu whose ML
+    fit does not converge its row, and a lane that does not converge its
+    cell; when every cell fails, the NotConverged raised names the last
+    failed fold's error, if any.
     folds runs from 2 to n // 2: a held-out fold of one row would score
     every cell 0, the Pearson r of one point.
     """
@@ -307,16 +322,19 @@ def cross_validate(data, grid, folds, seed, screen_top=None, tol=1e-10):
     for f, part in enumerate(parts):
         assignment[part] = f
     scores = np.full((folds, grid.mus.size, grid.taus.size), np.nan)
-    fits, errors = {}, {}
+    built, errors = {}, {}
     for f, val_idx in enumerate(parts):
         train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
         try:
-            fit = _fold_fit(data, grid, train_idx, val_idx, screen_top, tol)
+            built[f] = _fold_problem(data, grid, train_idx, val_idx, screen_top)
         except BayonetError as exc:
             errors[f] = exc
-            continue
-        if fit.rows:
-            fits[f] = fit
+    fits = {}
+    paths = _ml_path([fold.base for fold in built.values()], grid.mus, tol)
+    for (f, fold), path in zip(built.items(), paths):
+        rows = [i for i, (_, _, ok) in enumerate(path) if ok]
+        if rows:
+            fits[f] = replace(fold, rows=rows, inits=np.array([path[i][0] for i in rows]))
     if fits:
         for f, sols in _fold_paths(grid, fits, tol, errors).items():
             scores[f] = _fold_scores(grid, fits[f], sols)

@@ -10,8 +10,10 @@ there and in the stationary-point solver's Newton step; for wide designs
 determinant lemma) instead of a p x p one.  Neither route keeps a copy of
 the design, and both take the inverse diagonal from LAPACK dpotri.
 
-_cholesky is the package's only Cholesky: _CPlusD (every factored C + D and
-the ML solver's orthant solves) and PenalizedProblem's check of C call it.
+_cholesky is the package's only Cholesky: _CPlusD (every factored C + D),
+the ML solver's orthant solves on a principal block of C (which then call
+dpotrs themselves; a block wider than n goes through _CPlusD's low-rank
+route) and PenalizedProblem's check of C call it.
 The stationary-point solver's lanes solve their small C + D systems by one
 batched LU solve, no factor kept, one call for the lanes of every problem
 in the stack, as cross-validation's stack holds one problem per fold

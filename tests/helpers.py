@@ -13,9 +13,10 @@ loop over its two envelopes (gibbs._T), against which run_gibbs's flat loop
 is held bit for bit.  marginal_plain_walk is marginal_sp's walk without its
 tangent predictor or factor reuse (saddle._saddle_cd, partition._core),
 against which marginal_sp's curves are held within 1e-6 of the peak.
-cv_fold_by_fold is cross_validate with one tau_path per fold
-(hyper._screen, hyper._ml_path), against which cross_validate's one stacked
-tau_path is held bit for bit.
+cv_fold_by_fold is cross_validate with one tau_path per fold, its ML fits a
+plain chain of solve_ml calls down each fold's mus (hyper._screen), against
+which cross_validate's stacked ML path and its one stacked tau_path are held
+bit for bit.
 """
 
 import dataclasses
@@ -579,11 +580,12 @@ def marginal_plain_walk(problem, saddle, j, grid, tol):
 def cv_fold_by_fold(data, grid, folds, seed, screen_top=None, tol=1e-10):
     """cross_validate's fold_scores, one fold at a time.
 
-    Each fold is standardized, screened, built, fitted down the mus and
-    solved by a tau_path of its own; a fold that raises a BayonetError at
-    any stage scores NaN throughout.
+    Each fold is standardized, screened, built, fitted down the mus by
+    bn.solve_ml, each fit from the last converged minimizer, and solved by a
+    tau_path of its own; a fold that raises a BayonetError at any stage
+    scores NaN throughout.
     """
-    from bayonet.hyper import _ml_path, _screen, pearson
+    from bayonet.hyper import _screen, pearson
 
     order = bn.RngStream(seed).permutation(data.n)
     parts = np.array_split(order, folds)
@@ -605,7 +607,11 @@ def cv_fold_by_fold(data, grid, folds, seed, screen_top=None, tol=1e-10):
                 a_val = a_val[:, cols]
             a_val = bn.apply_standardization(a_val, std.predictor_offset, std.predictor_scale)
             base = bn.build_problem(std, grid.lam, grid.mus[0], grid.taus[-1])
-            mls = _ml_path(base, grid.mus, tol)
+            mls, warm = [], None
+            for mu in grid.mus:  # descending
+                mls.append(bn.solve_ml(base.with_mu(mu), tol=tol, init=warm))
+                if mls[-1].converged:
+                    warm = mls[-1].x_hat
             rows = [i for i, ml in enumerate(mls) if ml.converged]
             if not rows:
                 continue

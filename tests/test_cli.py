@@ -1,7 +1,6 @@
 """End-to-end CLI tests, run in-process through main(argv)."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -1049,7 +1048,7 @@ def test_convergence_gap_can_be_negative_at_small_tau(tmp_path):
 def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     # the whole --mu-grid is one tau_path call; an unconverged ML fit
     # raises with its own message before any solve
-    path_calls, solve_ml = [], bn.hyper.solve_ml
+    path_calls, ml_stack = [], bn.hyper._ml_stack
     tau_path = cli.tau_path
 
     def path(problem, taus, **kwargs):
@@ -1067,13 +1066,13 @@ def test_convergence_grid_is_one_path_call(tmp_path, monkeypatch):
     assert rows[:, 1].tolist() == [m for m in path_calls[0] for _ in range(3)]
     assert rows[:3, 0].tolist() == sorted(rows[:3, 0])
 
-    def third_fails(problem, tol=1e-10, init=None):
-        ml = solve_ml(problem, tol=tol, init=init)
-        if problem.mu == path_calls[0][2]:
-            ml = dataclasses.replace(ml, converged=False, cycles=7)
-        return ml
+    def third_fails(problems, starts, mu, tol):
+        fits = ml_stack(problems, starts, mu, tol)
+        if mu == path_calls[0][2]:
+            fits = [(x, 7, False) for x, _, _ in fits]
+        return fits
 
-    monkeypatch.setattr(bn.hyper, "solve_ml", third_fails)
+    monkeypatch.setattr(bn.hyper, "_ml_stack", third_fails)
     args = cli._build_parser().parse_args(argv)
     with pytest.raises(bn.NotConverged, match=f"ML stage at mu={path_calls[0][2]}"):
         cli.cmd_convergence(args)
@@ -1088,19 +1087,20 @@ def test_convergence_warm_ml_fits_match_cold(tmp_path, monkeypatch):
     csv = make_csv(tmp_path, n=60, p=8, beta=beta)
     argv = ["convergence", csv, "--response", "y", "--lambda", "0.1",
             "--mu-grid", "5,0.05", "--tau-grid", "6,3"]
-    calls, solve_ml = [], bn.hyper.solve_ml
+    calls, ml_stack = [], bn.hyper._ml_stack
 
-    def record(problem, tol=1e-10, init=None):
-        calls.append((problem.mu, init))
-        return solve_ml(problem, tol=tol, init=init)
+    def record(problems, starts, mu, tol):
+        # convergence's ML path has one lane
+        calls.append((mu, starts[0]))
+        return ml_stack(problems, starts, mu, tol)
 
-    monkeypatch.setattr(bn.hyper, "solve_ml", record)
+    monkeypatch.setattr(bn.hyper, "_ml_stack", record)
     assert run([*argv, "--out", tmp_path / "warm.csv"]) == 0
     mus = [mu for mu, _ in calls]
     assert len(mus) == 5 and mus == sorted(mus, reverse=True)
     assert calls[0][1] is None and all(init is not None for _, init in calls[1:])
-    monkeypatch.setattr(bn.hyper, "solve_ml", lambda problem, tol=1e-10, init=None:
-                        solve_ml(problem, tol=tol))
+    monkeypatch.setattr(bn.hyper, "_ml_stack", lambda problems, starts, mu, tol:
+                        ml_stack(problems, [None] * len(problems), mu, tol))
     assert run([*argv, "--out", tmp_path / "cold.csv"]) == 0
     _, warm = read_curve(tmp_path / "warm.csv")
     _, cold = read_curve(tmp_path / "cold.csv")
@@ -1112,17 +1112,16 @@ def test_convergence_ml_failures_raise_at_the_largest_mu(tmp_path, capsys, monke
     # the 2nd and 3rd fits down the path fail: every fit still runs, each
     # later one from the last converged minimizer, the error names the
     # larger failed mu and no lane is solved
-    calls, path_calls, solve_ml = [], [], bn.hyper.solve_ml
+    calls, path_calls, ml_stack = [], [], bn.hyper._ml_stack
 
-    def two_fail(problem, tol=1e-10, init=None):
-        ml = solve_ml(problem, tol=tol, init=init)
+    def two_fail(problems, starts, mu, tol):
+        [ml] = ml_stack(problems, starts, mu, tol)
         if len(calls) in (1, 2):
-            ml = dataclasses.replace(ml, converged=False, cycles=7 + len(calls),
-                                     x_hat=np.full(problem.p, np.nan))
-        calls.append((problem.mu, init, ml))
-        return ml
+            ml = (np.full(problems[0].p, np.nan), 7 + len(calls), False)
+        calls.append((mu, starts[0], ml))
+        return [ml]
 
-    monkeypatch.setattr(bn.hyper, "solve_ml", two_fail)
+    monkeypatch.setattr(bn.hyper, "_ml_stack", two_fail)
     monkeypatch.setattr(cli, "tau_path", lambda *args, **kwargs: path_calls.append(1))
     code, cap = run(["convergence", make_csv(tmp_path), "--response", "y",
                      "--mu-grid", "4,0.1", "--tau-grid", "6,3"], capsys)
@@ -1130,7 +1129,7 @@ def test_convergence_ml_failures_raise_at_the_largest_mu(tmp_path, capsys, monke
     mus = [mu for mu, _, _ in calls]
     assert len(mus) == 4 and mus == sorted(mus, reverse=True)
     assert f"no convergence after 8 cycles (ML stage at mu={mus[1]})" in cap.err
-    first = calls[0][2].x_hat
+    first = calls[0][2][0]
     assert calls[0][1] is None and np.array_equal(calls[1][1], first)
     assert np.array_equal(calls[2][1], first) and np.array_equal(calls[3][1], first)
     assert path_calls == []

@@ -10,6 +10,7 @@ import pytest
 import bayonet as bn
 import bayonet.hyper
 import helpers
+from bayonet.data import _cost
 from bayonet.partition import _CPlusD
 
 
@@ -301,8 +302,17 @@ def test_cv_stack_equals_fold_by_fold(case, monkeypatch):
     std = helpers.random_standardized(len(case), n, p, beta=beta, noise=0.5)
     grid = bn.default_grid(bn.build_problem(std, lam, 1.0, 1.0).w, lam)
     if fail is not None:
-        # both run the ML fits fold by fold, one per mu, in grid order
-        solve_ml, fits = bn.hyper.solve_ml, []
+        # fold fail[0]'s fit at grid mu fail[1] does not converge: in the
+        # stack, its lane at that mu; in the reference, which runs the ML
+        # fits fold by fold, one per mu, in grid order, that call
+        ml_stack, solve_ml, fits = bn.hyper._ml_stack, bn.solve_ml, []
+
+        def failing_lane(problems, starts, mu, tol):
+            out = ml_stack(problems, starts, mu, tol)
+            if mu == grid.mus[fail[1]]:
+                x, cycles, _ = out[fail[0]]
+                out[fail[0]] = (x, cycles, False)
+            return out
 
         def failing(problem, tol=1e-10, init=None):
             fits.append(1)
@@ -311,10 +321,9 @@ def test_cv_stack_equals_fold_by_fold(case, monkeypatch):
                 ml = dataclasses.replace(ml, converged=False)
             return ml
 
-        monkeypatch.setattr(bn.hyper, "solve_ml", failing)
+        monkeypatch.setattr(bn.hyper, "_ml_stack", failing_lane)
+        monkeypatch.setattr(bn, "solve_ml", failing)
     rep = bn.cross_validate(std, grid, folds, seed=7, screen_top=top)
-    if fail is not None:
-        fits.clear()
     ref = helpers.cv_fold_by_fold(std, grid, folds, seed=7, screen_top=top)
     assert rep.fold_scores.tobytes() == ref.tobytes()
     lost = np.isnan(rep.fold_scores)
@@ -326,6 +335,119 @@ def test_cv_stack_equals_fold_by_fold(case, monkeypatch):
     wide = n_train < (p if top is None else top)
     assert wide.all() if case == "wide" else not wide.all()
     assert wide.any() == (case in ("wide", "both-sides-of-n", "lu-and-lowrank"))
+
+
+def _fold_lanes(std, lam, folds, top=None):
+    # cross_validate's lanes: every training fold's problem
+    grid = bn.default_grid(bn.build_problem(std, lam, 1.0, 1.0).w, lam)
+    parts = np.array_split(np.random.default_rng(folds).permutation(std.n), folds)
+    return [
+        bn.hyper._fold_problem(std, grid, np.concatenate(parts[:f] + parts[f + 1:]),
+                               parts[f], top).base
+        for f in range(folds)
+    ]
+
+
+def _duplicate_column_lanes():
+    # column 5 copies column 0 at lam 0, w_5 and w_0 a rounding apart: the
+    # block of any active set holding both is singular.  C is checked when a
+    # problem is built, so the lanes are unchecked copies of a valid one
+    lanes = []
+    for seed in (3, 4):
+        std = helpers.random_standardized(seed, 60, 5, beta=[1, -0.5, 0.3, 0, 0], noise=0.5)
+        a = np.column_stack([std.predictors, std.predictors[:, 0]])
+        lanes.append(bn.build_problem(std, 0.0, 1.0, 1.0)._replace(
+            c=a.T @ a / 120.0, w=a.T @ std.responses / 120.0))
+    return lanes
+
+
+def _mus(lanes, count, ratio):
+    # one descending grid for every lane, from the largest lane's mu_max
+    return bn.mu_grid(max(bn.mu_max(lane.w) for lane in lanes), count, ratio)[::-1].copy()
+
+
+ML_PATH_CASES = {
+    "442x10": lambda: _fold_lanes(helpers.random_standardized(
+        1, 442, 10, beta=[1.0, -0.6, 0.3] + [0.0] * 7, noise=0.5), 0.1, 10),
+    "screened": lambda: _fold_lanes(helpers.random_standardized(
+        2, 120, 30, beta=[1.0, -0.6, 0.3] + [0.0] * 27, noise=0.5), 0.05, 5, top=8),
+    # 20 training rows of 40 columns: blocks wider than n and n or narrower
+    "wide": lambda: _fold_lanes(helpers.random_standardized(
+        3, 30, 40, beta=[1.0, -0.6, 0.3] + [0.0] * 37, noise=0.5), 0.1, 3),
+    # a near copy of g0 that enters y with the other sign: warm signs
+    # disagree and the lanes sweep
+    "signs-disagree": lambda: _fold_lanes(
+        bn.standardize(helpers.suppressor_dataset()), 0.0, 4),
+    "singular-block": _duplicate_column_lanes,
+    # a budget of 2 cycles: a fit that needs more fails, loses its row and
+    # starts no later fit of its lane
+    "fit-fails": lambda: _fold_lanes(
+        bn.standardize(helpers.suppressor_dataset()), 0.0, 4),
+    # convergence's one lane
+    "one-lane": lambda: [bn.build_problem(helpers.random_standardized(
+        5, 80, 12, beta=[1.0, 0.0, -0.4] + [0.0] * 9, noise=0.5), 0.1, 1.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("case", list(ML_PATH_CASES))
+def test_ml_path_equals_a_solve_ml_chain_per_lane(case, monkeypatch):
+    # the stacked path equals, lane by lane and bit for bit, a plain chain of
+    # solve_ml calls down the lane's mus, each from the last converged
+    # minimizer: minimizers, converged rows and cycles, and h_min
+    lanes = ML_PATH_CASES[case]()
+    mus = _mus(lanes, 20, 0.001)
+    if case == "fit-fails":
+        monkeypatch.setattr(bn.mlfit, "_MAX_CYCLES", 2)
+    refs = []
+    for lane in lanes:
+        chain, warm = [], None
+        for mu in mus:
+            chain.append(bn.solve_ml(lane.with_mu(mu), tol=1e-10, init=warm))
+            if chain[-1].converged:
+                warm = chain[-1].x_hat
+        refs.append(chain)
+    routes = {"block": 0, "core": 0, "singular": 0, "sweeps": 0}
+    cholesky, core, sweep = bn.mlfit._cholesky, bn.mlfit._CPlusD, bn.mlfit._block_sweep
+
+    def counted_cholesky(matrix):
+        routes["block"] += 1
+        try:
+            return cholesky(matrix)
+        except bn.SingularMatrix:
+            routes["singular"] += 1
+            raise
+
+    def counted_core(sub, e):
+        routes["core"] += 1
+        return core(sub, e)
+
+    def counted_sweep(*args):
+        routes["sweeps"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(bn.mlfit, "_cholesky", counted_cholesky)
+    monkeypatch.setattr(bn.mlfit, "_CPlusD", counted_core)
+    monkeypatch.setattr(bn.mlfit, "_block_sweep", counted_sweep)
+    paths = bn.hyper._ml_path(lanes, mus, 1e-10)
+    assert len(paths) == len(lanes)
+    for lane, path, chain in zip(lanes, paths, refs):
+        assert len(path) == mus.size
+        for mu, (x, cycles, ok), ml in zip(mus, path, chain):
+            assert x.tobytes() == ml.x_hat.tobytes()
+            assert (cycles, ok) == (ml.cycles, ml.converged)
+            assert _cost(lane.with_mu(mu), x) == ml.h_min
+    ok = np.array([[fit[2] for fit in path] for path in paths])
+    assert ok.all() != (case == "fit-fails")
+    # each case takes the route it is named for; only wide lanes have a
+    # block wider than n, only the duplicate column a singular one
+    named = {"wide": ("core", "block"), "signs-disagree": ("sweeps",),
+             "singular-block": ("singular", "sweeps"), "fit-fails": ("sweeps",)}
+    assert all(routes[route] for route in named.get(case, ("block",)))
+    assert bool(routes["core"]) == (case == "wide")
+    assert bool(routes["singular"]) == (case == "singular-block")
+    if case == "signs-disagree":
+        # warm fits whose first solve was not kept
+        assert any(fit[1] > 1 for path in paths for fit in path[1:])
 
 
 def test_cv_lane_error_in_one_fold_costs_only_that_fold(monkeypatch):
@@ -401,17 +523,21 @@ def test_cv_ml_failure_costs_only_its_own_row(monkeypatch):
     std = helpers.random_standardized(31, 53, 4)
     grid = small_grid(std, 0.02)
     clean = bn.cross_validate(std, grid, folds=5, seed=3)
-    solve_ml, starts = bn.hyper.solve_ml, []
+    ml_stack, lanes = bn.hyper._ml_stack, {}
 
-    def second_mu_fails(problem, tol=1e-10, init=None):
-        starts.append(init)
-        ml = solve_ml(problem, tol=tol, init=init)
-        if problem.mu == grid.mus[1]:
-            ml = dataclasses.replace(ml, converged=False, x_hat=np.full(4, np.nan))
-        return ml
+    def second_mu_fails(problems, starts, mu, tol):
+        # one call per mu, one lane per fold
+        for k, init in enumerate(starts):
+            lanes.setdefault(k, []).append(init)
+        fits = ml_stack(problems, starts, mu, tol)
+        if mu == grid.mus[1]:
+            fits = [(np.full(4, np.nan), cycles, False) for _, cycles, _ in fits]
+        return fits
 
-    monkeypatch.setattr(bn.hyper, "solve_ml", second_mu_fails)
+    monkeypatch.setattr(bn.hyper, "_ml_stack", second_mu_fails)
     rep = bn.cross_validate(std, grid, folds=5, seed=3)
+    # every fit's start, fold by fold and down each fold's mus
+    starts = [init for k in sorted(lanes) for init in lanes[k]]
     assert np.isnan(rep.fold_scores[:, 1]).all()
     rest = np.delete(rep.fold_scores, 1, axis=1)
     assert np.isfinite(rest).all()
@@ -429,8 +555,8 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
     std = helpers.random_standardized(31, 53, 4)
     grid = small_grid(std, 0.02)
     clean = bn.cross_validate(std, grid, folds=5, seed=3)
-    build_problem, solve_ml, tau_path = (
-        bn.hyper.build_problem, bn.hyper.solve_ml, bn.hyper.tau_path
+    build_problem, ml_stack, tau_path = (
+        bn.hyper.build_problem, bn.hyper._ml_stack, bn.hyper.tau_path
     )
     folds, built = [], []
 
@@ -444,9 +570,14 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
         built.append(build_problem(*args))
         return built[-1]
 
-    def ml(problem, tol=1e-10, init=None):
-        out = solve_ml(problem, tol=tol, init=init)
-        return dataclasses.replace(out, converged=False) if failing("solve_ml") else out
+    def ml(problems, starts, mu, tol):
+        # every fold's ML fits run after every fold is built: fold 1's lane
+        # is picked by its problem, the second built
+        out = ml_stack(problems, starts, mu, tol)
+        return [
+            (x, cycles, ok and not (stage == "solve_ml" and prob is built[1]))
+            for prob, (x, cycles, ok) in zip(problems, out)
+        ]
 
     def path(problem, taus, **kwargs):
         # fold 1 is picked by its problem, the second built: every fold's
@@ -457,7 +588,7 @@ def test_cv_fold_that_fails_whole_is_skipped(stage, monkeypatch):
         return tau_path(problem, taus, **kwargs)
 
     monkeypatch.setattr(bn.hyper, "build_problem", counted_build)
-    monkeypatch.setattr(bn.hyper, "solve_ml", ml)
+    monkeypatch.setattr(bn.hyper, "_ml_stack", ml)
     monkeypatch.setattr(bn.hyper, "tau_path", path)
     rep = bn.cross_validate(std, grid, folds=5, seed=3)
     assert len(folds) == 5

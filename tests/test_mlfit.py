@@ -312,8 +312,9 @@ def test_inconsistent_first_solve_falls_back_to_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("seed,n,p", [(40, 60, 8), (42, 20, 120)], ids=["dense", "wide"])
 def test_orthant_solve_that_cannot_factor_falls_back_to_sweeps(seed, n, p, monkeypatch):
-    # every factor of C_AA fails: no orthant solve is kept, and the sweeps
-    # alone must reach the minimizer the solves reach
+    # every factor of C_AA fails, the block's own (_cholesky) and the n x n
+    # core of one wider than n (_CPlusD): no orthant solve is kept, and the
+    # sweeps alone must reach the minimizer the solves reach
     prob = _random_problem(seed, n, p)
     prob = prob.with_mu(0.2 * bn.mu_max(prob.w))
     ref = bn.solve_ml(prob, tol=1e-12)
@@ -322,6 +323,7 @@ def test_orthant_solve_that_cannot_factor_falls_back_to_sweeps(seed, n, p, monke
         raise bn.SingularMatrix("no factor")
 
     monkeypatch.setattr(bn.mlfit, "_CPlusD", singular)
+    monkeypatch.setattr(bn.mlfit, "_cholesky", singular)
     sol = bn.solve_ml(prob, tol=1e-12)
     assert ref.converged and sol.converged and sol.cycles > ref.cycles
     assert sol.active_set == ref.active_set
